@@ -4,12 +4,10 @@ Spans found by forward maximum matching against the mined lexicon are
 tagged directly; every residual gap is handed to the base segmenter as an
 isolated string, so lexicon evidence never leaks into the segmenter
 context. Each character records which of the two annotators produced its
-tag. Annotation is pure per sentence; a thread pool may fan sentences out
-and results keep input order.
+tag.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -88,16 +86,11 @@ def distant_annotate(sentence: str, collection: WordCollection,
 
 
 def build_target_dataset(raw: list[str], collection: WordCollection,
-                         base: SegmenterLike, threads: int = 1,
+                         base: SegmenterLike,
                          ) -> tuple[LabeledDataset, list[str]]:
     """Annotate a raw target corpus; returns the dataset plus per-sentence
     provenance strings."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            annotated = list(pool.map(
-                lambda s: distant_annotate(s, collection, base), raw))
-    else:
-        annotated = [distant_annotate(s, collection, base) for s in raw]
+    annotated = [distant_annotate(s, collection, base) for s in raw]
     items = tuple((a.sentence, a.tags) for a in annotated)
     ds = LabeledDataset(items, "target", ("distant",) * len(items))
     return ds, [a.char_provenance for a in annotated]

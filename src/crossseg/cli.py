@@ -86,8 +86,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     raw = load_raw(args.input)
     collection = load_lexicon(args.lexicon)
     base = load_model(args.model)
-    ds, prov = build_target_dataset(raw, collection, base,
-                                    threads=max(1, args.threads))
+    ds, prov = build_target_dataset(raw, collection, base)
     save_segmented(args.out, [tags_to_words(s, t) for s, t in ds.items])
     save_provenance(args.out + ".prov", prov)
     lex_chars = sum(p.count("L") for p in prov)
@@ -159,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="random seed (default 42)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for annotation")
 
     parser = _Parser(prog="crossseg",
                      description="cross-domain Chinese word segmentation")

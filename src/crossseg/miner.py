@@ -16,11 +16,11 @@ summed through a sigmoid: p_val = sigma(N[MIS] + N[ES] + N[tfidf]), which
 confines p_val to [sigma(0), sigma(3)]. A word enters the lexicon when
 p_val clears the threshold and its frequency strictly exceeds the floor.
 
-Counting walks maximal runs between boundary characters (default:
-punctuation and whitespace) after removing stop-word occurrences, so no
-counted n-gram crosses a hard boundary. Statistics collection is pure;
-NGramStats.merge allows sharded counting (merge is associative and
-commutative), and every structure here is read-only after construction.
+Counting walks maximal runs between boundary characters (punctuation and
+whitespace) after removing stop-word occurrences, so no counted n-gram
+crosses a hard boundary. Statistics collection is pure; NGramStats.merge
+allows sharded counting (merge is associative and commutative), and every
+structure here is read-only after construction.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ class MinerConfig:
     n_max: int = 6
     p_val_threshold: float = 0.95
     min_frequency: int = 10  # strict greater-than floor
-    boundary_chars: frozenset[str] | None = None  # None: punctuation + space
     stop_words: frozenset[str] = frozenset()
 
     def __post_init__(self):
@@ -50,34 +49,22 @@ class MinerConfig:
             raise ValueError("min_frequency must be non-negative")
 
 
-def _default_boundary(c: str) -> bool:
+def _is_boundary(c: str) -> bool:
     return c.isspace() or unicodedata.category(c).startswith("P")
 
 
 def _runs(sentence: str, cfg: MinerConfig) -> list[str]:
     """Maximal substrings free of boundary characters and stop-words."""
-    if cfg.boundary_chars is None:
-        parts, cur = [], []
-        for c in sentence:
-            if _default_boundary(c):
-                if cur:
-                    parts.append("".join(cur))
-                    cur = []
-            else:
-                cur.append(c)
-        if cur:
-            parts.append("".join(cur))
-    else:
-        parts, cur = [], []
-        for c in sentence:
-            if c in cfg.boundary_chars:
-                if cur:
-                    parts.append("".join(cur))
-                    cur = []
-            else:
-                cur.append(c)
-        if cur:
-            parts.append("".join(cur))
+    parts, cur = [], []
+    for c in sentence:
+        if _is_boundary(c):
+            if cur:
+                parts.append("".join(cur))
+                cur = []
+        else:
+            cur.append(c)
+    if cur:
+        parts.append("".join(cur))
     if cfg.stop_words:
         pat = re.compile("|".join(
             re.escape(w) for w in sorted(cfg.stop_words, key=len, reverse=True)))

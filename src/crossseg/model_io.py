@@ -12,8 +12,15 @@ Layout, all little-endian:
 Values in the hyperparameter block are opaque strings; keys and tensor
 names must not contain whitespace or '='. Writing the same content twice
 produces identical bytes, and load followed by save round-trips exactly.
+
+Loading checks the whole layout: unique keys and tensor names, decimal
+non-negative counts, ranks and dimensions, complete payloads, and EOF after
+the last tensor. Models store their tensors under their params() names.
 """
 from __future__ import annotations
+
+import math
+import os
 
 import numpy as np
 
@@ -45,6 +52,7 @@ def save_container(path: str, hyper: dict[str, str],
 
 
 def load_container(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Read a container; any deviation is a DecodeError naming the path."""
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) != MAGIC:
             raise DecodeError(f"{path}: not a model container (bad magic)")
@@ -61,24 +69,45 @@ def load_container(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             except ValueError:
                 raise DecodeError(f"{path}: malformed hyperparameter line "
                                   f"{line!r}") from None
+            if key in hyper:
+                raise DecodeError(f"{path}: duplicate key {key!r}")
             hyper[key] = value
         header = f.readline().decode("ascii", "replace").split()
         if len(header) != 2 or header[0] != "tensors":
             raise DecodeError(f"{path}: missing tensor count")
-        count = int(header[1])
+        where = f"{path}: tensor count"
+        count = _natural(header[1], where)
+        file_size = os.fstat(f.fileno()).st_size
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
+        for i in range(1, count + 1):
             fields = f.readline().decode("ascii", "replace").split()
             if len(fields) < 2:
-                raise DecodeError(f"{path}: malformed tensor header")
+                raise DecodeError(f"{path}: tensor {i} of {count}: "
+                                  "malformed header")
             name = fields[0]
-            rank = int(fields[1])
-            dims = tuple(int(d) for d in fields[2:2 + rank])
-            if len(dims) != rank:
-                raise DecodeError(f"{path}: tensor {name}: bad dims")
-            size = 8 * int(np.prod(dims, dtype=np.int64)) if dims else 8
-            raw = f.read(size)
-            if len(raw) != size:
-                raise DecodeError(f"{path}: tensor {name}: truncated payload")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+            where = f"{path}: tensor {name!r}"
+            if name in tensors:
+                raise DecodeError(f"{where}: duplicate name")
+            rank = _natural(fields[1], f"{where}: rank")
+            if len(fields) != 2 + rank:
+                raise DecodeError(f"{where}: expected {rank} dimensions")
+            dims = tuple(_natural(d, f"{where}: dimension") for d in fields[2:])
+            size = 8 * math.prod(dims)
+            if size > file_size - f.tell():
+                raise DecodeError(f"{where}: truncated payload")
+            try:
+                tensors[name] = np.frombuffer(f.read(size), dtype="<f8"
+                                              ).reshape(dims).copy()
+            except ValueError:  # an empty tensor with a huge dimension
+                raise DecodeError(f"{where}: dimensions too large") from None
+        if f.read(1):
+            raise DecodeError(f"{where}: followed by unexpected bytes")
     return hyper, tensors
+
+
+def _natural(text: str, what: str) -> int:
+    """A non-negative decimal integer, or a DecodeError naming `what`."""
+    if not (text.isascii() and text.isdigit()):
+        raise DecodeError(f"{what}: expected a non-negative integer, "
+                          f"got {text!r}")
+    return int(text)

@@ -81,10 +81,6 @@ class GcnnLayer:
         return mul(lin, gate)
 
 
-def gcnn_forward(x: Tensor, layer: GcnnLayer) -> Tensor:
-    return layer.forward(x)
-
-
 @dataclass
 class GcnnEncoder:
     """Stack of gated convolution layers with same-length output.
@@ -122,11 +118,6 @@ class GcnnEncoder:
             out[f"{prefix}.{i}.v"] = layer.v
             out[f"{prefix}.{i}.c"] = layer.c
         return out
-
-
-def encoder_forward(x: Tensor, enc: GcnnEncoder, training: bool = False,
-                    rng: np.random.Generator | None = None) -> Tensor:
-    return enc.forward(x, training, rng)
 
 
 @dataclass
@@ -176,10 +167,6 @@ class TextCnn:
         return out
 
 
-def textcnn_forward(h: Tensor, tc: TextCnn) -> Tensor:
-    return tc.forward(h)
-
-
 PROB_EPS = 1e-7
 
 
@@ -223,7 +210,3 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
-
-
-def adam_step(opt: Adam) -> None:
-    opt.step()

@@ -10,6 +10,12 @@ between sharpening it (odd steps, discriminator loss, gradients blocked
 from the shared encoder) and confusing it (even steps, confusion loss,
 discriminator frozen). All randomness flows from the config seed, so two
 runs with equal inputs produce identical parameters.
+
+Both model kinds save and load through one path: a container holds the
+kind (and mode), the config fields stored for that kind, the vocabulary,
+and every params() tensor under exactly its params() name. load_model
+checks the kind, mode, keys, tensor names and shapes; load_container has
+checked the layout up to EOF.
 """
 from __future__ import annotations
 
@@ -55,11 +61,13 @@ class TrainConfig:
         self.filter_sizes = tuple(int(w) for w in self.filter_sizes)
         if not self.filter_sizes or min(self.filter_sizes) <= 0:
             raise ValueError("filter_sizes must be positive")
+        if len(set(self.filter_sizes)) != len(self.filter_sizes):
+            raise ValueError("filter_sizes must be distinct")
 
 
 def load_config(path: str) -> TrainConfig:
     """Parse key=value lines into a TrainConfig; unknown keys are errors."""
-    spec = {f.name: f for f in fields(TrainConfig)}
+    spec = {f.name for f in fields(TrainConfig)}
     values: dict = {}
     with open(path, "rb") as f:
         data = f.read()
@@ -72,15 +80,23 @@ def load_config(path: str) -> TrainConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in spec:
             raise DataError(f"{path}: line {i}: unknown key {key!r}")
-        try:
-            if key == "filter_sizes":
-                values[key] = tuple(int(v) for v in value.split(","))
-            elif key in ("lr", "dropout"):
-                values[key] = float(value)
-            else:
-                values[key] = int(value)
-        except ValueError:
-            raise DataError(f"{path}: line {i}: bad value for {key!r}") from None
+        values[key] = _parse_value(key, value, f"{path}: line {i}")
+    return _config(values, path)
+
+
+def _parse_value(key: str, text: str, where: str):
+    """The TrainConfig field `key` from its text form; errors name `where`."""
+    try:
+        if key == "filter_sizes":
+            return tuple(int(v) for v in text.split(","))
+        if key in ("lr", "dropout"):
+            return float(text)
+        return int(text)
+    except ValueError:
+        raise DataError(f"{where}: bad value for {key!r}") from None
+
+
+def _config(values: dict, path: str) -> TrainConfig:
     try:
         return TrainConfig(**values)
     except ValueError as exc:
@@ -141,55 +157,12 @@ class Segmenter:
         return tags_to_words(sentence, "".join(TAGS[i] for i in path))
 
     def save(self, path: str) -> None:
-        cfg = self.config
-        hyper = {
-            "kind": "segmenter",
-            "char_emb": str(cfg.char_emb),
-            "gcnn_dim": str(cfg.gcnn_dim),
-            "gcnn_layers": str(cfg.gcnn_layers),
-            "window": str(cfg.window),
-            "dropout": repr(cfg.dropout),
-            "vocab": _vocab_string(self.embedding),
-        }
-        save_container(path, hyper,
-                       {k: v.data for k, v in self.params().items()})
+        _save(self, path, {"kind": "segmenter"})
 
 
 def _vocab_string(emb: EmbeddingTable) -> str:
     chars = sorted(emb.vocab, key=emb.vocab.get)
     return "".join(chars)
-
-
-def _embedding_from(hyper: dict[str, str],
-                    table: np.ndarray) -> EmbeddingTable:
-    vocab = {c: i + 1 for i, c in enumerate(hyper["vocab"])}
-    if table.shape[0] != len(vocab) + 1:
-        raise DataError("embedding table does not match stored vocabulary")
-    return EmbeddingTable(vocab, Tensor(table))
-
-
-def _encoder_from(tensors: dict[str, np.ndarray], prefix: str, n_layers: int,
-                  drop: float) -> GcnnEncoder:
-    from .nn import GcnnLayer
-    layers = []
-    for i in range(n_layers):
-        layers.append(GcnnLayer(
-            w=Tensor(tensors[f"{prefix}.{i}.w"]),
-            b=Tensor(tensors[f"{prefix}.{i}.b"]),
-            v=Tensor(tensors[f"{prefix}.{i}.v"]),
-            c=Tensor(tensors[f"{prefix}.{i}.c"]),
-        ))
-    return GcnnEncoder(layers, drop)
-
-
-def _head_from(tensors: dict[str, np.ndarray], prefix: str) -> crf_mod.CrfHead:
-    return crf_mod.CrfHead(
-        emit_w=Tensor(tensors[f"{prefix}.emit_w"]),
-        emit_b=Tensor(tensors[f"{prefix}.emit_b"]),
-        trans=Tensor(tensors[f"{prefix}.trans"]),
-        start=Tensor(tensors[f"{prefix}.start"]),
-        stop=Tensor(tensors[f"{prefix}.stop"]),
-    )
 
 
 def train_base(ds: LabeledDataset, cfg: TrainConfig,
@@ -323,58 +296,81 @@ class DaatModel:
         return tags_to_words(sentence, "".join(TAGS[i] for i in path))
 
     def save(self, path: str) -> None:
-        cfg = self.config
-        hyper = {
-            "kind": "daat",
-            "mode": self.mode,
-            "char_emb": str(cfg.char_emb),
-            "gcnn_dim": str(cfg.gcnn_dim),
-            "gcnn_layers": str(cfg.gcnn_layers),
-            "window": str(cfg.window),
-            "dropout": repr(cfg.dropout),
-            "textcnn_filters": str(cfg.textcnn_filters),
-            "filter_sizes": ",".join(str(w) for w in cfg.filter_sizes),
-            "vocab": _vocab_string(self.embedding),
-        }
-        save_container(path, hyper,
-                       {k: v.data for k, v in self.params().items()})
+        _save(self, path, {"kind": "daat", "mode": self.mode})
+
+
+# The TrainConfig fields a container stores for each model kind, in file
+# order. Everything else a model needs is in its params() tensors.
+_STORED_FIELDS = {
+    "segmenter": ("char_emb", "gcnn_dim", "gcnn_layers", "window", "dropout"),
+    "daat": ("char_emb", "gcnn_dim", "gcnn_layers", "window", "dropout",
+             "textcnn_filters", "filter_sizes"),
+}
+
+
+class _Skeleton:
+    """Stands in for the rng when load_model builds a model: every initial
+    tensor is a read-only view of one zero, so building costs no memory
+    whatever sizes a file claims, and the stored tensors replace them."""
+
+    @staticmethod
+    def uniform(low: float, high: float, size: tuple[int, ...]) -> np.ndarray:
+        return np.broadcast_to(0.0, size)
+
+
+def _save(model: "Segmenter | DaatModel", path: str,
+          head: dict[str, str]) -> None:
+    hyper = dict(head)
+    for key in _STORED_FIELDS[head["kind"]]:
+        value = getattr(model.config, key)
+        hyper[key] = ",".join(map(str, value)) if key == "filter_sizes" \
+            else str(value)
+    hyper["vocab"] = _vocab_string(model.embedding)
+    save_container(path, hyper,
+                   {k: v.data for k, v in model.params().items()})
 
 
 def load_model(path: str) -> "Segmenter | DaatModel":
-    """Load either model kind from a container file."""
+    """Load either model kind from a container file holding exactly what
+    save writes; any difference is a DataError naming the key or tensor."""
     hyper, tensors = load_container(path)
     kind = hyper.get("kind")
-    base = dict(
-        char_emb=int(hyper["char_emb"]), gcnn_dim=int(hyper["gcnn_dim"]),
-        gcnn_layers=int(hyper["gcnn_layers"]), window=int(hyper["window"]),
-        dropout=float(hyper["dropout"]))
-    if kind == "segmenter":
-        cfg = TrainConfig(**base)
-        model = Segmenter(
-            _embedding_from(hyper, tensors["embedding"]),
-            _encoder_from(tensors, "enc", cfg.gcnn_layers, cfg.dropout),
-            _head_from(tensors, "crf"), cfg)
-        return model
-    if kind == "daat":
-        cfg = TrainConfig(
-            textcnn_filters=int(hyper["textcnn_filters"]),
-            filter_sizes=tuple(int(w) for w in
-                               hyper["filter_sizes"].split(",")),
-            **base)
-        disc = TextCnn(cfg.filter_sizes,
-                       [(Tensor(tensors[f"disc.conv{w}.w"]),
-                         Tensor(tensors[f"disc.conv{w}.b"]))
-                        for w in cfg.filter_sizes],
-                       Tensor(tensors["disc.proj_w"]),
-                       Tensor(tensors["disc.proj_b"]))
-        return DaatModel(
-            _embedding_from(hyper, tensors["embedding"]),
-            _encoder_from(tensors, "enc_src", cfg.gcnn_layers, cfg.dropout),
-            _encoder_from(tensors, "enc_tgt", cfg.gcnn_layers, cfg.dropout),
-            _encoder_from(tensors, "enc_shr", cfg.gcnn_layers, cfg.dropout),
-            disc, _head_from(tensors, "crf_src"),
-            _head_from(tensors, "crf_tgt"), cfg, hyper["mode"])
-    raise DataError(f"{path}: unknown model kind {kind!r}")
+    if kind not in _STORED_FIELDS:
+        raise DataError(f"{path}: unknown model kind {kind!r}")
+    keys = _STORED_FIELDS[kind]
+    head = ("kind", "mode") if kind == "daat" else ("kind",)
+    expected = head + keys + ("vocab",)
+    for key in expected:
+        if key not in hyper:
+            raise DataError(f"{path}: missing key {key!r}")
+    for key in hyper:
+        if key not in expected:
+            raise DataError(f"{path}: unexpected key {key!r}")
+    cfg = _config({k: _parse_value(k, hyper[k], path) for k in keys}, path)
+    vocab = hyper["vocab"]
+    try:
+        if kind == "segmenter":
+            model = Segmenter.create([vocab], cfg, _Skeleton)
+        else:
+            model = DaatModel.create([vocab], cfg, hyper["mode"], _Skeleton)
+    except ValueError as exc:  # unknown mode, whitespace in vocab, or sizes
+        raise DataError(f"{path}: {exc}") from None
+    except MemoryError:
+        raise DataError(f"{path}: stored sizes are too large") from None
+    if _vocab_string(model.embedding) != vocab:
+        raise DataError(f"{path}: key 'vocab' must list distinct characters "
+                        "in sorted order")
+    for name, param in model.params().items():
+        if name not in tensors:
+            raise DataError(f"{path}: missing tensor {name!r}")
+        stored = tensors.pop(name)
+        if stored.shape != param.data.shape:
+            raise DataError(f"{path}: tensor {name!r} has shape "
+                            f"{stored.shape}, expected {param.data.shape}")
+        param.data = stored
+    if tensors:
+        raise DataError(f"{path}: unexpected tensor {next(iter(tensors))!r}")
+    return model
 
 
 def _adv_terms(model: DaatModel, src_feats: list[Tensor],

@@ -90,18 +90,6 @@ def test_build_target_dataset_order_and_domain():
     assert all(p == "SSLL" for p in prov)
 
 
-def test_build_target_dataset_threads_preserve_order():
-    coll = make_collection({"xy", "qrs"})
-    base = DictStub({"ab"})
-    rng = random.Random(11)
-    raw = ["".join(rng.choice("abqrsxy") for _ in range(rng.randint(1, 18)))
-           for _ in range(60)]
-    solo, prov_solo = build_target_dataset(raw, coll, base, threads=1)
-    pooled, prov_pool = build_target_dataset(raw, coll, base, threads=4)
-    assert solo.items == pooled.items
-    assert prov_solo == prov_pool
-
-
 def test_provenance_io(tmp_path):
     p = tmp_path / "prov.txt"
     save_provenance(p, ["LLSS", "S"])

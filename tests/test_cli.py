@@ -1,10 +1,15 @@
 import json
+import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crossseg.cli import main
 from crossseg.corpus import load_segmented, save_segmented
 from crossseg.miner import load_lexicon
+from crossseg.model_io import load_container, save_container
+from crossseg.train import load_model
 
 from test_miner import build_cohesion_corpus
 
@@ -115,7 +120,119 @@ def test_config_file_and_flag_precedence(workdir, tmp_path):
                "--out-model", str(model), "--config", str(cfg),
                "--gcnn-dim", "12"])  # flag beats file
     assert rc == 0
-    from crossseg.train import load_model
     loaded = load_model(model)
     assert loaded.config.gcnn_dim == 12
     assert loaded.config.char_emb == 8
+
+
+# Containers written by the save code of commit c7f9867, before save and
+# load shared one path: a segmenter and a DAAT model trained 4 epochs on
+# "ab cd ef gh" (source) and "ab xy ef zw" (target) sentences with
+# char_emb=6, gcnn_dim=6, gcnn_layers=2, textcnn_filters=3,
+# filter_sizes=2,3, dropout=0.1, lr=0.01, batch_size=8, seed=7.
+DATA = Path(__file__).parent / "data"
+KINDS = ("segmenter", "daat")
+SAVED_TEXT = ["abcdefgh", "xyabzwef", "ghab", "q", "abxyq"]
+SAVED_SEGMENTATION = [["ab", "cd", "ef", "gh"], ["xy", "ab", "zw", "ef"],
+                      ["gh", "ab"], ["q"], ["ab", "xy", "q"]]
+
+
+def _segment(tmp_path, model) -> int:
+    plain = tmp_path / "plain.txt"
+    plain.write_text("\n".join(SAVED_TEXT) + "\n")
+    return main(["segment", "--model", str(model), "--input", str(plain),
+                 "--out", str(tmp_path / "pred.txt")])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_saved_containers_load_segment_and_resave_identically(kind,
+                                                              tmp_path):
+    saved = DATA / f"{kind}.bin"
+    assert _segment(tmp_path, saved) == 0
+    assert load_segmented(tmp_path / "pred.txt") == SAVED_SEGMENTATION
+    load_model(saved).save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == saved.read_bytes()
+
+
+def _drop_key(hyper, tensors):
+    del hyper["window"]
+    return "'window'"
+
+
+def _word_value(hyper, tensors):
+    hyper["char_emb"] = "six"
+    return "'char_emb'"
+
+
+def _even_window(hyper, tensors):
+    hyper["window"] = "2"
+    return "window must be odd"
+
+
+def _huge_value(hyper, tensors):
+    hyper["gcnn_dim"] = str(10 ** 12)
+    return ""
+
+
+def _bad_vocab(hyper, tensors):
+    hyper["vocab"] = hyper["vocab"][::-1]
+    return "'vocab'"
+
+
+def _unknown_kind(hyper, tensors):
+    hyper["kind"] = "crf"
+    return "'crf'"
+
+
+def _unknown_mode(hyper, tensors):
+    hyper["mode"] = "dat"  # a segmenter stores no mode at all
+    return "mode"
+
+
+def _extra_key(hyper, tensors):
+    hyper["lr"] = "0.1"
+    return "'lr'"
+
+
+def _drop_tensor(hyper, tensors):
+    name = list(tensors)[-1]
+    del tensors[name]
+    return repr(name)
+
+
+def _extra_tensor(hyper, tensors):
+    tensors["extra"] = np.zeros(2)
+    return "'extra'"
+
+
+def _wrong_shape(hyper, tensors):
+    tensors["embedding"] = tensors["embedding"][:-1]
+    return "'embedding'"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("edit", [
+    _drop_key, _word_value, _even_window, _huge_value, _bad_vocab,
+    _unknown_kind, _unknown_mode, _extra_key, _drop_tensor, _extra_tensor,
+    _wrong_shape], ids=lambda f: f.__name__.strip("_"))
+def test_segment_rejects_malformed_model(kind, edit, tmp_path, capsys):
+    hyper, tensors = load_container(DATA / f"{kind}.bin")
+    names = edit(hyper, tensors)
+    bad = tmp_path / "bad.bin"
+    save_container(bad, hyper, tensors)
+    assert _segment(tmp_path, bad) == 2  # returning at all: no traceback
+    err = capsys.readouterr().err
+    assert str(bad) in err and names in err
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_segment_rejects_damaged_model_bytes(kind, tmp_path, capsys):
+    blob = (DATA / f"{kind}.bin").read_bytes()
+    offsets = [0, 5, len(blob) - 1] + random.Random(kind).sample(
+        range(len(blob)), 20)
+    damaged = [blob[:k] for k in offsets] + [blob + b"\n"]
+    bad = tmp_path / "bad.bin"
+    for data in damaged:
+        bad.write_bytes(data)
+        assert _segment(tmp_path, bad) == 2, len(data)
+        assert str(bad) in capsys.readouterr().err, len(data)

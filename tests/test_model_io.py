@@ -55,3 +55,49 @@ def test_rejects_malformed_keys(tmp_path):
         save_container(p, {"k": "line\nbreak"}, {})
     with pytest.raises(ValueError):
         save_container(p, {}, {"bad name ": np.zeros(1)})
+
+
+def _valid_blob(tmp_path) -> bytes:
+    p = tmp_path / "valid.bin"
+    save_container(p, {"k": "v"}, {"w": np.ones((3, 4)), "b": np.zeros(4)})
+    return p.read_bytes()
+
+
+# Each case rewrites one part of a valid container: (old bytes, new bytes,
+# text the error must contain besides the path).
+@pytest.mark.parametrize("old,new,names", [
+    (b"tensors 2\n", b"tensors two\n", "tensor count"),
+    (b"tensors 2\n", b"tensors -2\n", "tensor count"),
+    (b"tensors 2\n", b"tensors 2.0\n", "tensor count"),
+    (b"\nw 2 3 4\n", b"\nw x 3 4\n", "'w'"),
+    (b"\nw 2 3 4\n", b"\nw -2 3 4\n", "'w'"),
+    (b"\nw 2 3 4\n", b"\nw 2 3 4.0\n", "'w'"),
+    (b"\nw 2 3 4\n", b"\nw 2 3 -4\n", "'w'"),
+    (b"\nw 2 3 4\n", b"\nw 2 -3 -4\n", "'w'"),
+    (b"\nw 2 3 4\n", b"\nw 2 3 4 1\n", "'w'"),
+    (b"\nw 2 3 4\n", b"\nw 2 3\n", "'w'"),
+    (b"\nw 2 3 4\n", b"\nw 2 3 99999999999999999999\n", "'w'"),
+    (b"\nw 2 3 4\n", b"\nw 2 0 99999999999999999999\n", "'w'"),
+    (b"b 1 4\n", b"w 1 4\n", "duplicate name"),
+    (b"k=v\n", b"k=v\nk=u\n", "duplicate key 'k'"),
+    (b"tensors 2\n", b"tensors 3\n", "tensor 3 of 3"),
+    (b"tensors 2\n", b"tensors 1\n", "'w': followed by unexpected bytes"),
+    (None, b"\0", "'b': followed by unexpected bytes"),
+], ids=["count-word", "count-negative", "count-float", "rank-word",
+        "rank-negative", "dim-float", "dim-negative", "dims-negative",
+        "dims-extra", "dims-missing", "dim-huge", "empty-dim-huge",
+        "duplicate-tensor", "duplicate-key", "count-too-high",
+        "count-too-low", "trailing-byte"])
+def test_rejects_malformed_layout(tmp_path, old, new, names):
+    blob = _valid_blob(tmp_path)
+    if old is None:
+        blob += new
+    else:
+        assert blob.count(old) == 1
+        blob = blob.replace(old, new)
+    p = tmp_path / "bad.bin"
+    p.write_bytes(blob)
+    with pytest.raises(DecodeError) as info:
+        load_container(p)
+    assert str(p) in str(info.value)
+    assert names in str(info.value)

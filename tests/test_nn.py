@@ -3,8 +3,7 @@ import pytest
 
 from crossseg.autodiff import backward, sum_all, tensor
 from crossseg.nn import (Adam, EmbeddingTable, GcnnEncoder, GcnnLayer,
-                         TextCnn, UNK_INDEX, adam_step, clamped,
-                         encoder_forward, gcnn_forward, textcnn_forward)
+                         TextCnn, UNK_INDEX, clamped)
 
 
 def test_embedding_rows_and_unk():
@@ -30,7 +29,7 @@ def test_gcnn_layer_can_represent_identity():
                       v=tensor(np.zeros((1, d, d))),
                       c=tensor(np.full(d, 50.0)))
     x = np.random.default_rng(1).normal(size=(6, d))
-    out = gcnn_forward(tensor(x), layer).data
+    out = layer.forward(tensor(x)).data
     np.testing.assert_allclose(out, x, atol=1e-9)
 
 
@@ -48,7 +47,7 @@ def test_gcnn_layer_matches_manual_computation():
             lin[i] += padded[i + k] @ layer.w.data[k]
             gate[i] += padded[i + k] @ layer.v.data[k]
     want = (lin + layer.b.data) / (1 + np.exp(-(gate + layer.c.data)))
-    got = gcnn_forward(tensor(x), layer).data
+    got = layer.forward(tensor(x)).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -57,8 +56,8 @@ def test_gcnn_layer_single_step_shift_consistency():
     rng = np.random.default_rng(3)
     layer = GcnnLayer.create(k=3, d_in=2, d_out=2, rng=rng)
     x = rng.normal(size=(5, 2))
-    y = gcnn_forward(tensor(x), layer).data
-    y2 = gcnn_forward(tensor(np.vstack([np.zeros((1, 2)), x])), layer).data
+    y = layer.forward(tensor(x)).data
+    y2 = layer.forward(tensor(np.vstack([np.zeros((1, 2)), x]))).data
     np.testing.assert_allclose(y2[1:], y, atol=1e-12)
 
 
@@ -72,13 +71,13 @@ def test_encoder_stacks_and_dropout_gating():
     enc = GcnnEncoder.create(n_layers=3, k=3, d_in=4, d_out=4, drop=0.5,
                              rng=rng)
     x = rng.normal(size=(6, 4))
-    still = encoder_forward(tensor(x), enc, training=False).data
-    again = encoder_forward(tensor(x), enc, training=False).data
+    still = enc.forward(tensor(x), training=False).data
+    again = enc.forward(tensor(x), training=False).data
     np.testing.assert_array_equal(still, again)
     with pytest.raises(ValueError):
-        encoder_forward(tensor(x), enc, training=True)  # rng required
-    noisy = encoder_forward(tensor(x), enc, training=True,
-                            rng=np.random.default_rng(5)).data
+        enc.forward(tensor(x), training=True)  # rng required
+    noisy = enc.forward(tensor(x), training=True,
+                        rng=np.random.default_rng(5)).data
     assert not np.allclose(noisy, still)
     names = set(enc.params("enc"))
     assert "enc.0.w" in names and "enc.2.c" in names
@@ -90,9 +89,9 @@ def test_encoder_zero_dropout_training_matches_eval():
     enc = GcnnEncoder.create(n_layers=2, k=3, d_in=3, d_out=3, drop=0.0,
                              rng=rng)
     x = rng.normal(size=(4, 3))
-    a = encoder_forward(tensor(x), enc, training=True,
-                        rng=np.random.default_rng(0)).data
-    b = encoder_forward(tensor(x), enc, training=False).data
+    a = enc.forward(tensor(x), training=True,
+                    rng=np.random.default_rng(0)).data
+    b = enc.forward(tensor(x), training=False).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -100,7 +99,7 @@ def test_textcnn_fresh_probability_is_half():
     rng = np.random.default_rng(7)
     net = TextCnn.create(windows=(3, 4, 5), d_in=8, filters=6, rng=rng)
     x = rng.normal(size=(10, 8))
-    p = textcnn_forward(tensor(x), net).item()
+    p = net.forward(tensor(x)).item()
     assert p == pytest.approx(0.5, abs=1e-12)
 
 
@@ -109,7 +108,7 @@ def test_textcnn_accepts_inputs_shorter_than_windows():
     net = TextCnn.create(windows=(3, 5), d_in=4, filters=2, rng=rng)
     net.proj_w.data[:] = rng.normal(size=net.proj_w.shape)
     for n in (1, 2, 4, 7):
-        out = textcnn_forward(tensor(rng.normal(size=(n, 4))), net)
+        out = net.forward(tensor(rng.normal(size=(n, 4))))
         assert out.shape == (1, 1)
         assert 0.0 < out.item() < 1.0
 
@@ -127,7 +126,7 @@ def test_textcnn_matches_manual_oracle():
         pooled.append(vals.max(axis=0))
     z = np.concatenate(pooled)[None, :] @ net.proj_w.data + net.proj_b.data
     want = 1 / (1 + np.exp(-z))
-    got = textcnn_forward(tensor(x), net).data
+    got = net.forward(tensor(x)).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -136,7 +135,7 @@ def test_textcnn_gradients_flow_everywhere():
     net = TextCnn.create(windows=(2, 3), d_in=3, filters=2, rng=rng)
     net.proj_w.data[:] = rng.normal(size=net.proj_w.shape)
     x = tensor(rng.normal(size=(4, 3)))
-    backward(sum_all(textcnn_forward(x, net)))
+    backward(sum_all(net.forward(x)))
     for name, p in net.params("d").items():
         assert p.grad is not None, name
     assert x.grad is not None
@@ -154,11 +153,11 @@ def test_adam_first_step_magnitude():
     p = tensor(np.zeros((1, 1)))
     p._accumulate(np.ones((1, 1)))
     opt = Adam(params={"p": p})
-    adam_step(opt)
+    opt.step()
     # bias-corrected first step moves by almost exactly lr
     assert p.data[0, 0] == pytest.approx(-0.001, abs=1e-9)
     p.zero_grad()
-    adam_step(opt)  # missing grad counts as zero, momentum decays
+    opt.step()  # missing grad counts as zero, momentum decays
     assert -0.002 < p.data[0, 0] < -0.001
 
 
@@ -168,7 +167,7 @@ def test_adam_counts_steps_and_clears_grads():
     opt = Adam(params={"a": a}, lr=0.01)
     for _ in range(3):
         a._accumulate(np.ones((2, 2)))
-        adam_step(opt)
+        opt.step()
         opt.zero_grad()
     assert opt.t == 3
     assert a.grad is None

@@ -50,6 +50,8 @@ def test_config_defaults_and_validation():
         TrainConfig(dropout=1.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError):
+        TrainConfig(filter_sizes=(3, 3))  # both convs would share one name
 
 
 def test_load_config(tmp_path):
