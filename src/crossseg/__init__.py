@@ -13,7 +13,7 @@ from .corpus import (LabeledDataset, dataset_from_segmented, is_well_formed,
                      tags_to_words, vocabulary_of, words_to_tags)
 from .errors import (AlignmentError, DataError, DecodeError, StaleGraphError,
                      UndefinedProbabilityError)
-from .evaluate import EvalReport, prf, report_json, report_table, write_report
+from .evaluate import EvalReport, prf, report_json, write_report
 from .gradcheck import GradCheckResult, run_suite
 from .miner import (CandidateScore, MinerConfig, NGramStats, WordCollection,
                     collect_stats, entropy_score, lexicon_to_tsv,
@@ -22,7 +22,7 @@ from .miner import (CandidateScore, MinerConfig, NGramStats, WordCollection,
 from .model_io import load_container, save_container
 from .train import (DaatModel, Segmenter, TrainConfig, adversarial_train,
                     confusion_loss, discriminator_loss, load_config,
-                    load_model, segment, tagging_losses, train_base)
+                    load_model, tagging_losses, train_base)
 
 __version__ = "0.1.0"
 
@@ -38,9 +38,8 @@ __all__ = [
     "load_config", "load_container", "load_lexicon", "load_model",
     "load_provenance", "load_raw", "load_segmented", "mine",
     "mutual_information_score", "oov_rate", "prf", "probability",
-    "report_json", "report_table", "run_suite", "save_container",
-    "save_lexicon", "save_provenance", "save_segmented",
-    "score_candidates", "segment", "tagging_losses", "tags_to_words",
-    "tfidf_score", "train_base", "vocabulary_of", "words_to_tags",
-    "write_report",
+    "report_json", "run_suite", "save_container", "save_lexicon",
+    "save_provenance", "save_segmented", "score_candidates",
+    "tagging_losses", "tags_to_words", "tfidf_score", "train_base",
+    "vocabulary_of", "words_to_tags", "write_report",
 ]

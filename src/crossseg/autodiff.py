@@ -28,16 +28,14 @@ def _arr(x) -> Array:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_bwd", "_spent", "name")
+    __slots__ = ("data", "grad", "_parents", "_bwd", "_spent")
 
-    def __init__(self, data, parents: tuple = (), bwd: Callable | None = None,
-                 name: str | None = None):
+    def __init__(self, data, parents: tuple = (), bwd: Callable | None = None):
         self.data = _arr(data)
         self.grad: Array | None = None
         self._parents = parents
         self._bwd = bwd
         self._spent = False
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -59,31 +57,14 @@ class Tensor:
         self.grad += g
 
     def __repr__(self) -> str:
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag})"
+        return f"Tensor(shape={self.shape})"
 
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
 
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def tensor(data, name: str | None = None) -> Tensor:
-    return Tensor(data, name=name)
+def tensor(data) -> Tensor:
+    return Tensor(data)
 
 
 def _to_tensor(x) -> Tensor:
@@ -213,12 +194,6 @@ def sum_all(a) -> Tensor:
 
     out._bwd = bwd
     return out
-
-
-def mean_all(a) -> Tensor:
-    a = _to_tensor(a)
-    n = a.data.size
-    return scale(sum_all(a), 1.0 / n)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:

@@ -15,12 +15,12 @@ from dataclasses import replace
 from .annotator import build_target_dataset, save_provenance
 from .corpus import (_decode_lines, dataset_from_segmented, load_raw,
                      load_segmented, save_segmented, tags_to_words)
-from .errors import DataError
+from .errors import AlignmentError, DataError
 from .evaluate import prf, report_json, write_report
 from .gradcheck import run_suite
 from .miner import MinerConfig, load_lexicon, mine, save_lexicon
 from .train import (TrainConfig, adversarial_train, load_config, load_model,
-                    segment, train_base)
+                    train_base)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,6 +67,13 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
     return replace(cfg, **overrides)
 
 
+def _nonempty(data, path: str):
+    """data, or a DataError naming path when it holds no sentence."""
+    if not len(data):
+        raise DataError(f"{path}: no sentences")
+    return data
+
+
 def _cmd_mine(args: argparse.Namespace) -> int:
     corpus = load_raw(args.input)
     stop = frozenset()
@@ -98,7 +105,8 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_base(args: argparse.Namespace) -> int:
-    ds = dataset_from_segmented(load_segmented(args.train), "source")
+    ds = dataset_from_segmented(
+        _nonempty(load_segmented(args.train), args.train), "source")
     cfg = _resolve_config(args)
     model = train_base(ds, cfg)
     model.save(args.out_model)
@@ -108,27 +116,26 @@ def _cmd_train_base(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_daat(args: argparse.Namespace) -> int:
-    src = dataset_from_segmented(load_segmented(args.source), "source")
+    src = dataset_from_segmented(
+        _nonempty(load_segmented(args.source), args.source), "source")
     if args.mode == "daat":
         target = dataset_from_segmented(load_segmented(args.target),
                                         "target", provenance="distant")
-        n_tgt = len(target)
     else:
-        raw = load_raw(args.target)
-        target = raw
-        n_tgt = len(raw)
+        target = load_raw(args.target)
+    _nonempty(target, args.target)
     cfg = _resolve_config(args)
     model = adversarial_train(src, target, cfg, mode=args.mode)
     model.save(args.out_model)
     print(f"adversarially trained ({args.mode}) on {len(src)} source and "
-          f"{n_tgt} target sentences")
+          f"{len(target)} target sentences")
     return 0
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     raw = load_raw(args.input)
-    save_segmented(args.out, [segment(s, model, args.domain) for s in raw])
+    save_segmented(args.out, [model.segment(s, args.domain) for s in raw])
     print(f"segmented {len(raw)} sentences")
     return 0
 
@@ -136,7 +143,10 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     gold = load_segmented(args.gold)
     pred = load_segmented(args.pred)
-    ev = prf(gold, pred)
+    try:
+        ev = prf(gold, pred)
+    except AlignmentError as exc:
+        raise AlignmentError(f"{args.gold} vs {args.pred}: {exc}") from None
     if args.out:
         write_report(args.out, ev)
     sys.stdout.write(report_json(ev).decode("ascii"))

@@ -69,16 +69,3 @@ def report_json(ev: EvalReport) -> bytes:
 def write_report(path: str, ev: EvalReport) -> None:
     with open(path, "wb") as f:
         f.write(report_json(ev))
-
-
-def report_table(ev: EvalReport) -> str:
-    """Human-readable summary for the terminal."""
-    rows = [("precision", f"{ev.precision:.4f}"),
-            ("recall", f"{ev.recall:.4f}"),
-            ("f1", f"{ev.f1:.4f}"),
-            ("oov_rate", f"{ev.oov_rate:.4f}"),
-            ("gold words", str(ev.gold)),
-            ("predicted words", str(ev.pred)),
-            ("correct words", str(ev.correct))]
-    width = max(len(k) for k, _ in rows)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)

@@ -18,8 +18,7 @@ p_val clears the threshold and its frequency strictly exceeds the floor.
 
 Counting walks maximal runs between boundary characters (punctuation and
 whitespace) after removing stop-word occurrences, so no counted n-gram
-crosses a hard boundary. Statistics collection is pure; NGramStats.merge
-allows sharded counting (merge is associative and commutative), and every
+crosses a hard boundary. Statistics collection is pure, and every
 structure here is read-only after construction.
 """
 from __future__ import annotations
@@ -74,32 +73,13 @@ def _runs(sentence: str, cfg: MinerConfig) -> list[str]:
 
 @dataclass
 class NGramStats:
-    """Raw counts gathered from a corpus shard."""
+    """Raw counts gathered from a corpus."""
     counts: dict[str, int] = field(default_factory=dict)
     total_per_length: dict[int, int] = field(default_factory=dict)
     left: dict[str, dict[str, int]] = field(default_factory=dict)
     right: dict[str, dict[str, int]] = field(default_factory=dict)
     doc_freq: dict[str, int] = field(default_factory=dict)
     num_docs: int = 0
-
-    def merge(self, other: "NGramStats") -> "NGramStats":
-        """Pointwise sum of two shards; associative and commutative."""
-        out = NGramStats(dict(self.counts), dict(self.total_per_length),
-                         {g: dict(d) for g, d in self.left.items()},
-                         {g: dict(d) for g, d in self.right.items()},
-                         dict(self.doc_freq), self.num_docs + other.num_docs)
-        for g, c in other.counts.items():
-            out.counts[g] = out.counts.get(g, 0) + c
-        for n, c in other.total_per_length.items():
-            out.total_per_length[n] = out.total_per_length.get(n, 0) + c
-        for src, dst in ((other.left, out.left), (other.right, out.right)):
-            for g, neigh in src.items():
-                tgt = dst.setdefault(g, {})
-                for c, k in neigh.items():
-                    tgt[c] = tgt.get(c, 0) + k
-        for g, c in other.doc_freq.items():
-            out.doc_freq[g] = out.doc_freq.get(g, 0) + c
-        return out
 
 
 def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:

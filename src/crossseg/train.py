@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -49,8 +50,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "char_emb", "gcnn_dim",
-                     "gcnn_layers", "textcnn_filters", "window", "seed"):
-            if getattr(self, name) <= 0 and name != "seed":
+                     "gcnn_layers", "textcnn_filters", "window"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
@@ -114,6 +115,44 @@ def _mean(terms: list[Tensor]) -> Tensor:
     return scale(total, 1.0 / len(terms))
 
 
+def _sentence_loss(model: "Segmenter | DaatModel", sentence: str, tags: str,
+                   domain: str, training: bool,
+                   rng: np.random.Generator | None) -> Tensor:
+    """CRF negative log-likelihood of the gold tags. Both model kinds are
+    GCNN-CRF taggers whose _tower gives the features and the CRF head for
+    a sentence of a domain, so this loss and _segment serve both."""
+    h, head = model._tower(sentence, domain, training, rng)
+    emis = crf_mod.emission_scores(h, head)
+    return crf_mod.nll_loss(emis, head, _gold_indices(tags))
+
+
+def _segment(model: "Segmenter | DaatModel", sentence: str,
+             domain: str = "target") -> list[str]:
+    """Words of the Viterbi tag path; domain picks the tower of a DAAT
+    model and is ignored by a Segmenter."""
+    if not sentence:
+        return []
+    h, head = model._tower(sentence, domain)
+    emis = crf_mod.emission_scores(h, head)
+    path = crf_mod.viterbi_decode(emis.data, head.trans.data,
+                                  head.start.data, head.stop.data)
+    return tags_to_words(sentence, "".join(TAGS[i] for i in path))
+
+
+def _open_log(path: str | None):
+    return open(path, "w", encoding="utf-8") if path else nullcontext()
+
+
+def _log_row(f, t0: float, epoch: int, step: int, *losses) -> None:
+    """One TSV step row of either trainer, if there is a log file: epoch,
+    step, source, target and adversarial loss ("-" where a trainer has
+    none), and the step's milliseconds."""
+    if f:
+        ms = (time.monotonic() - t0) * 1000.0
+        cols = [f"{v:.6f}" if v is not None else "-" for v in losses]
+        f.write("\t".join([str(epoch), str(step), *cols, f"{ms:.1f}"]) + "\n")
+
+
 class Segmenter:
     """Single-domain GCNN-CRF segmenter."""
 
@@ -140,21 +179,13 @@ class Segmenter:
         out.update(self.head.params("crf"))
         return out
 
-    def sentence_loss(self, sentence: str, tags: str, training: bool = False,
-                      rng: np.random.Generator | None = None) -> Tensor:
+    def _tower(self, sentence: str, domain: str, training: bool = False,
+               rng: np.random.Generator | None = None):
+        """Encoder features and the CRF head; domain is ignored."""
         h = self.encoder.forward(self.embedding.embed(sentence), training, rng)
-        emis = crf_mod.emission_scores(h, self.head)
-        return crf_mod.nll_loss(emis, self.head, _gold_indices(tags))
+        return h, self.head
 
-    def segment(self, sentence: str) -> list[str]:
-        if not sentence:
-            return []
-        h = self.encoder.forward(self.embedding.embed(sentence))
-        emis = crf_mod.emission_scores(h, self.head)
-        path = crf_mod.viterbi_decode(emis.data, self.head.trans.data,
-                                      self.head.start.data,
-                                      self.head.stop.data)
-        return tags_to_words(sentence, "".join(TAGS[i] for i in path))
+    segment = _segment
 
     def save(self, path: str) -> None:
         _save(self, path, {"kind": "segmenter"})
@@ -174,8 +205,7 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     model = Segmenter.create([s for s, _ in ds.items], cfg, rng)
     opt = Adam(model.params(), lr=cfg.lr)
-    log_f = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
+    with _open_log(log_path) as log_f:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(len(ds))
             epoch_losses = []
@@ -183,21 +213,14 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
                                    start=1):
                 t0 = time.monotonic()
                 idx = order[lo:lo + cfg.batch_size]
-                terms = [model.sentence_loss(*ds.items[i], training=True,
-                                             rng=rng) for i in idx]
-                loss = _mean(terms)
+                loss = _mean([_sentence_loss(model, *ds.items[i], ds.domain,
+                                             True, rng) for i in idx])
                 backward(loss)
                 opt.step()
                 opt.zero_grad()
                 epoch_losses.append(loss.item())
-                if log_f:
-                    ms = (time.monotonic() - t0) * 1000.0
-                    log_f.write(f"{epoch}\t{j}\t{loss.item():.6f}\t-\t-"
-                                f"\t{ms:.1f}\n")
+                _log_row(log_f, t0, epoch, j, loss.item(), None, None)
             model.loss_history.append(float(np.mean(epoch_losses)))
-    finally:
-        if log_f:
-            log_f.close()
     return model
 
 
@@ -264,36 +287,20 @@ class DaatModel:
                                     training, rng)
 
     def _tower(self, sentence: str, domain: str, training: bool = False,
-               rng: np.random.Generator | None = None,
-               shared: Tensor | None = None) -> tuple[Tensor, crf_mod.CrfHead]:
-        e = self.embedding.embed(sentence)
-        private = (self.enc_src if domain == "source"
-                   else self.enc_tgt).forward(e, training, rng)
-        if shared is None:
-            shared = self.enc_shr.forward(e, training, rng)
-        head = self.crf_src if domain == "source" else self.crf_tgt
-        return concat_cols([private, shared]), head
-
-    def sentence_loss(self, sentence: str, tags: str, domain: str,
-                      training: bool = False,
-                      rng: np.random.Generator | None = None,
-                      shared: Tensor | None = None) -> Tensor:
-        h, head = self._tower(sentence, domain, training, rng, shared)
-        emis = crf_mod.emission_scores(h, head)
-        return crf_mod.nll_loss(emis, head, _gold_indices(tags))
-
-    def segment(self, sentence: str, domain: str = "target") -> list[str]:
-        if not sentence:
-            return []
+               rng: np.random.Generator | None = None):
+        """[private_domain ; shared] features and the domain's CRF head."""
         if domain not in ("source", "target"):
             raise ValueError(f"unknown domain {domain!r}")
         if self.mode == "at":
             domain = "source"  # the target tower is never trained in AT mode
-        h, head = self._tower(sentence, domain)
-        emis = crf_mod.emission_scores(h, head)
-        path = crf_mod.viterbi_decode(emis.data, head.trans.data,
-                                      head.start.data, head.stop.data)
-        return tags_to_words(sentence, "".join(TAGS[i] for i in path))
+        e = self.embedding.embed(sentence)
+        private = (self.enc_src if domain == "source"
+                   else self.enc_tgt).forward(e, training, rng)
+        shared = self.enc_shr.forward(e, training, rng)
+        head = self.crf_src if domain == "source" else self.crf_tgt
+        return concat_cols([private, shared]), head
+
+    segment = _segment
 
     def save(self, path: str) -> None:
         _save(self, path, {"kind": "daat", "mode": self.mode})
@@ -373,22 +380,27 @@ def load_model(path: str) -> "Segmenter | DaatModel":
     return model
 
 
-def _adv_terms(model: DaatModel, src_feats: list[Tensor],
-               tgt_feats: list[Tensor], flip: bool) -> Tensor:
-    """Binary cross-entropy of the discriminator over shared features.
+def _domain_bce(model: DaatModel, batch_src: list[str],
+                batch_tgt: list[str], training: bool,
+                rng: np.random.Generator | None, detach: bool,
+                flip: bool) -> Tensor:
+    """Binary cross-entropy of the discriminator over the shared features
+    of both batches: minus the sum of the two per-domain mean
+    log-probabilities.
 
     flip=False scores the true domains (discriminator loss); flip=True
-    swaps them (confusion loss). Probabilities are clamped to 1e-7.
+    swaps them (confusion loss). detach cuts the shared encoder out of the
+    gradient path. Probabilities are clamped to 1e-7.
     """
-    terms_src = []
-    for f in src_feats:
-        p = clamped(model.disc.forward(f))
-        terms_src.append(log(p) if not flip else log(sub(1.0, p)))
-    terms_tgt = []
-    for f in tgt_feats:
-        p = clamped(model.disc.forward(f))
-        terms_tgt.append(log(sub(1.0, p)) if not flip else log(p))
-    return sub(0.0, _mean(terms_src) + _mean(terms_tgt))
+    means = []
+    for batch, is_src in ((batch_src, True), (batch_tgt, False)):
+        terms = []
+        for s in batch:
+            f = model.shared_features(s, training, rng)
+            p = clamped(model.disc.forward(f.detach() if detach else f))
+            terms.append(log(p) if is_src != flip else log(sub(1.0, p)))
+        means.append(_mean(terms))
+    return sub(0.0, means[0] + means[1])
 
 
 def discriminator_loss(model: DaatModel, batch_src: list[str],
@@ -400,12 +412,8 @@ def discriminator_loss(model: DaatModel, batch_src: list[str],
     With detach_shared the shared encoder is excluded from the gradient
     path, as on odd training steps.
     """
-    sf = [model.shared_features(s, training, rng) for s in batch_src]
-    tf = [model.shared_features(s, training, rng) for s in batch_tgt]
-    if detach_shared:
-        sf = [f.detach() for f in sf]
-        tf = [f.detach() for f in tf]
-    return _adv_terms(model, sf, tf, flip=False)
+    return _domain_bce(model, batch_src, batch_tgt, training, rng,
+                       detach_shared, flip=False)
 
 
 def confusion_loss(model: DaatModel, batch_src: list[str],
@@ -413,9 +421,8 @@ def confusion_loss(model: DaatModel, batch_src: list[str],
                    rng: np.random.Generator | None = None) -> Tensor:
     """Domain-flipped loss the shared encoder minimizes to fool the
     discriminator."""
-    sf = [model.shared_features(s, training, rng) for s in batch_src]
-    tf = [model.shared_features(s, training, rng) for s in batch_tgt]
-    return _adv_terms(model, sf, tf, flip=True)
+    return _domain_bce(model, batch_src, batch_tgt, training, rng,
+                       False, flip=True)
 
 
 def tagging_losses(model: DaatModel, batch_src: list[tuple[str, str]],
@@ -424,11 +431,11 @@ def tagging_losses(model: DaatModel, batch_src: list[tuple[str, str]],
                    ) -> tuple[Tensor, Tensor | None]:
     """Mean CRF negative log-likelihood per domain tower. The target loss
     is None in AT mode or for an empty target batch."""
-    l_src = _mean([model.sentence_loss(s, t, "source", training, rng)
+    l_src = _mean([_sentence_loss(model, s, t, "source", training, rng)
                    for s, t in batch_src])
     if model.mode == "at" or not batch_tgt:
         return l_src, None
-    l_tgt = _mean([model.sentence_loss(s, t, "target", training, rng)
+    l_tgt = _mean([_sentence_loss(model, s, t, "target", training, rng)
                    for s, t in batch_tgt])
     return l_src, l_tgt
 
@@ -457,7 +464,6 @@ def adversarial_train(ds_src: LabeledDataset,
                       target: "LabeledDataset | list[str]",
                       cfg: TrainConfig, mode: str = "daat",
                       log_path: str | None = None,
-                      checkpoint_dir: str | None = None,
                       hook=None) -> DaatModel:
     """Alternating adversarial training.
 
@@ -470,18 +476,11 @@ def adversarial_train(ds_src: LabeledDataset,
     target batch as raw sentences. An epoch is ceil(max(|src|, |target|) /
     batch) steps, each domain advancing an independent shuffled cursor.
     """
-    if mode == "daat":
-        if not isinstance(target, LabeledDataset):
-            raise ValueError("daat mode needs a tagged target dataset")
-        tgt_items: list = list(target.items)
-        tgt_sentences = [s for s, _ in tgt_items]
-    else:
-        if isinstance(target, LabeledDataset):
-            tgt_items = list(target.items)
-            tgt_sentences = [s for s, _ in tgt_items]
-        else:
-            tgt_items = [(s, "") for s in target]
-            tgt_sentences = list(target)
+    tagged = isinstance(target, LabeledDataset)
+    if mode == "daat" and not tagged:
+        raise ValueError("daat mode needs a tagged target dataset")
+    tgt_items = list(target.items) if tagged else [(s, "") for s in target]
+    tgt_sentences = [s for s, _ in tgt_items]
     if len(ds_src) == 0 or not tgt_items:
         raise ValueError("both domains need at least one sentence")
     rng = np.random.default_rng(cfg.seed)
@@ -492,8 +491,7 @@ def adversarial_train(ds_src: LabeledDataset,
     steps = math.ceil(max(len(ds_src), len(tgt_items)) / cfg.batch_size)
     cur_src = _Cursor(len(ds_src), rng)
     cur_tgt = _Cursor(len(tgt_items), rng)
-    log_f = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
+    with _open_log(log_path) as log_f:
         for epoch in range(1, cfg.epochs + 1):
             for j in range(1, steps + 1):
                 t0 = time.monotonic()
@@ -521,33 +519,15 @@ def adversarial_train(ds_src: LabeledDataset,
                     opt_disc.step()
                 opt_tag.zero_grad()
                 opt_disc.zero_grad()
-                if hook or log_f:
-                    rec = {
-                        "epoch": epoch, "step": j,
-                        "branch": "d" if odd else "c",
-                        "l_src": l_src.item(),
-                        "l_tgt": l_tgt.item() if l_tgt is not None else None,
-                        "l_adv": l_adv.item(),
-                    }
-                    if hook:
-                        hook(rec)
-                    if log_f:
-                        ms = (time.monotonic() - t0) * 1000.0
-                        lt = "-" if rec["l_tgt"] is None \
-                            else f"{rec['l_tgt']:.6f}"
-                        log_f.write(f"{epoch}\t{j}\t{rec['l_src']:.6f}\t{lt}"
-                                    f"\t{rec['l_adv']:.6f}\t{ms:.1f}\n")
-            if checkpoint_dir:
-                model.save(f"{checkpoint_dir}/epoch_{epoch:03d}.daat")
-    finally:
-        if log_f:
-            log_f.close()
+                rec = {
+                    "epoch": epoch, "step": j,
+                    "branch": "d" if odd else "c",
+                    "l_src": l_src.item(),
+                    "l_tgt": l_tgt.item() if l_tgt is not None else None,
+                    "l_adv": l_adv.item(),
+                }
+                if hook:
+                    hook(rec)
+                _log_row(log_f, t0, epoch, j, rec["l_src"], rec["l_tgt"],
+                         rec["l_adv"])
     return model
-
-
-def segment(sentence: str, model: "Segmenter | DaatModel",
-            domain: str = "target") -> list[str]:
-    """Segment with either model kind; domain picks the tower."""
-    if isinstance(model, DaatModel):
-        return model.segment(sentence, domain)
-    return model.segment(sentence)

@@ -3,7 +3,7 @@ import pytest
 
 from crossseg.autodiff import (Tensor, add, backward, clamp, concat_cols,
                                conv1d, dropout, gather_rows, log, matmul,
-                               max_over_time, mean_all, mul, scale, sigmoid,
+                               max_over_time, mul, scale, sigmoid,
                                sub, sum_all, tensor)
 from crossseg.errors import StaleGraphError
 
@@ -48,7 +48,7 @@ def test_add_sub_mul_broadcast():
 
 def test_scale_and_mean():
     a = RNG.normal(size=(2, 5))
-    check_grad(lambda x: mean_all(scale(x, -2.5)), a)
+    check_grad(lambda x: scale(sum_all(scale(x, -2.5)), 1.0 / a.size), a)
 
 
 def test_matmul():

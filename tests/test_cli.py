@@ -80,6 +80,37 @@ def test_train_segment_eval_pipeline(workdir, capsys):
     assert rep["f1"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("pred_segs, message", [
+    ([["ab", "cd"]], "corpus size mismatch"),
+    ([["ab", "cd"], ["ab", "ce"]], "sentence 1: text differs"),
+], ids=["size", "text"])
+def test_eval_mismatch_names_both_files(tmp_path, capsys, pred_segs,
+                                        message):
+    gold, pred = tmp_path / "gold.txt", tmp_path / "pred.txt"
+    save_segmented(gold, [["ab", "cd"], ["ab", "cd"]])
+    save_segmented(pred, pred_segs)
+    rc = main(["eval", "--gold", str(gold), "--pred", str(pred)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{gold} vs {pred}: {message}" in err
+
+
+@pytest.mark.parametrize("empty", ["train", "source", "target"])
+def test_train_on_empty_file_names_it(workdir, tmp_path, capsys, empty):
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n")
+    good = str(workdir / "train.txt")
+    argv = (["train-base", "--train", good] if empty == "train"
+            else ["train-daat", "--source", good, "--target", good])
+    argv[argv.index(f"--{empty}") + 1] = str(blank)
+    rc = main(argv + ["--out-model", str(tmp_path / "m.bin"), "--epochs",
+                      "1", "--char-emb", "4", "--gcnn-dim", "4",
+                      "--gcnn-layers", "1"])
+    assert rc == 2
+    assert f"{blank}: no sentences" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_annotate_command(workdir):
     lex = workdir / "lex.tsv"
     if not lex.exists():
@@ -142,6 +173,19 @@ def _segment(tmp_path, model) -> int:
     plain.write_text("\n".join(SAVED_TEXT) + "\n")
     return main(["segment", "--model", str(model), "--input", str(plain),
                  "--out", str(tmp_path / "pred.txt")])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_segment_source_domain(kind, tmp_path):
+    """--domain source picks the source tower of a DAAT model and is
+    ignored by a segmenter; the saved models split the test text alike."""
+    plain = tmp_path / "plain.txt"
+    plain.write_text("\n".join(SAVED_TEXT) + "\n")
+    rc = main(["segment", "--model", str(DATA / f"{kind}.bin"), "--input",
+               str(plain), "--domain", "source", "--out",
+               str(tmp_path / "pred.txt")])
+    assert rc == 0
+    assert load_segmented(tmp_path / "pred.txt") == SAVED_SEGMENTATION
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from crossseg.errors import AlignmentError
-from crossseg.evaluate import (EvalReport, prf, report_json, report_table,
-                               write_report)
+from crossseg.evaluate import EvalReport, prf, report_json, write_report
 
 from helpers import span_prf
 
@@ -72,10 +71,3 @@ def test_write_report_bytes(tmp_path):
     p = tmp_path / "report.json"
     write_report(p, r)
     assert p.read_bytes() == report_json(r)
-
-
-def test_report_table_mentions_scores():
-    r = prf([["ab", "c"]], [["ab", "c"]])
-    table = report_table(r)
-    assert "f1" in table.lower()
-    assert "1.0000" in table

@@ -106,26 +106,6 @@ def test_scores_invariant_to_sentence_order():
     assert base == perm
 
 
-def test_merge_matches_single_pass():
-    rng = random.Random(7)
-    corpus = ["".join(rng.choice("abcd,") for _ in range(15))
-              for _ in range(40)]
-    cfg = MinerConfig(min_frequency=0)
-    whole = collect_stats(corpus, cfg)
-    a = collect_stats(corpus[:13], cfg)
-    b = collect_stats(corpus[13:29], cfg)
-    c = collect_stats(corpus[29:], cfg)
-    merged = a.merge(b).merge(c)
-    other = c.merge(a.merge(b))
-    for m in (merged, other):
-        assert m.counts == whole.counts
-        assert m.total_per_length == whole.total_per_length
-        assert m.left == whole.left
-        assert m.right == whole.right
-        assert m.doc_freq == whole.doc_freq
-        assert m.num_docs == whole.num_docs
-
-
 def test_normalization_extremes():
     # one candidate dominating every score reaches sigmoid(3); the one
     # pinned to every minimum stays at sigmoid(0)

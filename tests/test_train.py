@@ -116,6 +116,35 @@ def test_segment_empty_sentence():
     assert model.segment("") == []
 
 
+def _untrained(kind: str):
+    """A fresh tagger over the characters "abcd"; decoding needs no
+    training."""
+    rng = np.random.default_rng(0)
+    if kind == "segmenter":
+        return Segmenter.create(["abcd"], TrainConfig(**SMALL), rng)
+    return DaatModel.create(["abcd"], TrainConfig(**SMALL), kind, rng)
+
+
+@pytest.mark.parametrize("kind", ["segmenter", "daat", "at"])
+@pytest.mark.parametrize("domain", ["source", "target"])
+@pytest.mark.parametrize("sentence", ["a", "q", "xyzq", "\u4e00\u4e8c"],
+                         ids=["one-known", "one-unknown", "all-unknown",
+                              "all-unknown-cjk"])
+def test_segment_edge_sentences_join_back(kind, domain, sentence):
+    model = _untrained(kind)
+    words = model.segment(sentence, domain)
+    assert "".join(words) == sentence
+    assert all(words)
+    if kind == "at":  # both domains decode through the source tower
+        assert words == model.segment(sentence, "source")
+
+
+@pytest.mark.parametrize("kind", ["daat", "at"])
+def test_daat_segment_rejects_unknown_domain(kind):
+    with pytest.raises(ValueError, match="bogus"):
+        _untrained(kind).segment("abcd", "bogus")
+
+
 def test_fresh_discriminator_loss_is_2ln2():
     cfg = TrainConfig(**SMALL)
     rng = np.random.default_rng(0)
@@ -271,3 +300,14 @@ def test_training_log_written(tmp_path):
     lines = log.read_text().strip().split("\n")
     assert len(lines) == 2
     assert all(len(l.split("\t")) == 6 for l in lines)
+    # train_base writes the same six columns, with no target or
+    # adversarial loss; the benchmark reads columns 3 and 6
+    base_log = tmp_path / "base.tsv"
+    train_base(toy_source(16), cfg, log_path=str(base_log))
+    rows = [l.split("\t") for l in base_log.read_text().splitlines()]
+    assert [r[:2] for r in rows] == [["1", "1"], ["1", "2"]]
+    for r in rows:
+        assert len(r) == 6
+        assert math.isfinite(float(r[2]))
+        assert r[3:5] == ["-", "-"]
+        float(r[5])
