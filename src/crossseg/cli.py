@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .annotator import build_target_dataset, save_provenance
 from .corpus import (_decode_lines, dataset_from_segmented, load_raw,
-                     load_segmented, save_segmented, tags_to_words)
+                     load_segmented, raw_lines, save_segmented, tags_to_words)
 from .errors import AlignmentError, DataError
 from .evaluate import prf, report_json, write_report
 from .gradcheck import run_suite
@@ -134,9 +134,9 @@ def _cmd_train_daat(args: argparse.Namespace) -> int:
 
 def _cmd_segment(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    raw = load_raw(args.input)
+    raw = raw_lines(args.input)  # output line i segments input line i
     save_segmented(args.out, [model.segment(s, args.domain) for s in raw])
-    print(f"segmented {len(raw)} sentences")
+    print(f"segmented {len(raw)} lines")
     return 0
 
 

@@ -151,19 +151,19 @@ def _decode_lines(path: str) -> list[str]:
     return lines
 
 
-def load_raw(path: str) -> list[str]:
-    """Read a raw corpus, one sentence per line.
+def raw_lines(path: str) -> list[str]:
+    """Every line of a raw corpus as a sentence, whitespace dropped, so a
+    blank line gives an empty one; a final newline adds no line. Invalid
+    UTF-8 raises DecodeError naming the line."""
+    lines = _decode_lines(path)
+    if not lines[-1]:
+        lines.pop()
+    return ["".join(line.split()) for line in lines]
 
-    Whitespace is not part of any sentence, so all whitespace characters are
-    dropped from each line; lines empty after that are skipped. Invalid
-    UTF-8 raises DecodeError naming the line.
-    """
-    out = []
-    for line in _decode_lines(path):
-        s = "".join(line.split())
-        if s:
-            out.append(s)
-    return out
+
+def load_raw(path: str) -> list[str]:
+    """The non-empty sentences of a raw corpus, one per line (raw_lines)."""
+    return [s for s in raw_lines(path) if s]
 
 
 def load_segmented(path: str) -> list[list[str]]:

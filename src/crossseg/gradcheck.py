@@ -124,22 +124,25 @@ def _tiny_model(rng: np.random.Generator) -> DaatModel:
     return model
 
 
+def _shared(model: DaatModel) -> tuple[list, list]:
+    """Shared features of the source and target batch the checks use."""
+    return ([model.encode(s, "source")[2] for s in ("abcd", "ebc")],
+            [model.encode("ddca", "target")[2]])
+
+
 def _check_discriminator(rng: np.random.Generator) -> float:
     model = _tiny_model(rng)
-    params = {"embedding": model.embedding.table,
-              **model.shared_params(), **model.disc_params()}
-    return max_rel_error(
-        lambda: discriminator_loss(model, ["abcd", "ebc"], ["ddca"]),
-        params, rng)
+    feats = _shared(model)  # detached by the loss: only disc gets gradient
+    return max_rel_error(lambda: discriminator_loss(model, *feats),
+                         model.disc_params(), rng)
 
 
 def _check_confusion(rng: np.random.Generator) -> float:
     model = _tiny_model(rng)
     params = {"embedding": model.embedding.table,
-              **model.shared_params(), **model.disc_params()}
-    return max_rel_error(
-        lambda: confusion_loss(model, ["abcd", "ebc"], ["ddca"]),
-        params, rng)
+              **model.enc_shr.params("enc_shr"), **model.disc_params()}
+    return max_rel_error(lambda: confusion_loss(model, *_shared(model)),
+                         params, rng)
 
 
 def _check_tagging(rng: np.random.Generator) -> float:
@@ -148,7 +151,9 @@ def _check_tagging(rng: np.random.Generator) -> float:
     tgt = [("ddca", "BESS")]
 
     def build() -> Tensor:
-        l_src, l_tgt = tagging_losses(model, src, tgt)
+        l_src, l_tgt = tagging_losses(
+            model, [(model.encode(s, "source"), t) for s, t in src],
+            [(model.encode(s, "target"), t) for s, t in tgt])
         return l_src + l_tgt
 
     return max_rel_error(build, model.params(), rng)

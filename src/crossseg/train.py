@@ -5,11 +5,13 @@ The baseline segmenter is embedding -> gated convolution stack -> CRF. The
 adversarial model keeps three encoders over one shared embedding table: a
 private encoder per domain plus a shared one. A sentence from domain d is
 scored by the CRF head of d on the concatenation [private_d ; shared]. A
-text-CNN discriminator reads the shared features and steps alternate
-between sharpening it (odd steps, discriminator loss, gradients blocked
-from the shared encoder) and confusing it (even steps, confusion loss,
-discriminator frozen). All randomness flows from the config seed, so two
-runs with equal inputs produce identical parameters.
+text-CNN discriminator reads the same shared features: each sentence of a
+step is encoded once, and that one pass feeds both its CRF head and the
+discriminator. Steps alternate between sharpening the discriminator (odd
+steps, discriminator loss on detached shared features) and confusing it
+(even steps, confusion loss, discriminator frozen). All randomness flows
+from the config seed, so two runs with equal inputs produce identical
+parameters.
 
 Both model kinds save and load through one path: a container holds the
 kind (and mode), the config fields stored for that kind, the vocabulary,
@@ -55,6 +57,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.window % 2 != 1:
@@ -104,10 +108,6 @@ def _config(values: dict, path: str) -> TrainConfig:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _gold_indices(tags: str) -> np.ndarray:
-    return np.array([TAG_INDEX[t] for t in tags], dtype=np.int64)
-
-
 def _mean(terms: list[Tensor]) -> Tensor:
     total = terms[0]
     for t in terms[1:]:
@@ -115,15 +115,11 @@ def _mean(terms: list[Tensor]) -> Tensor:
     return scale(total, 1.0 / len(terms))
 
 
-def _sentence_loss(model: "Segmenter | DaatModel", sentence: str, tags: str,
-                   domain: str, training: bool,
-                   rng: np.random.Generator | None) -> Tensor:
-    """CRF negative log-likelihood of the gold tags. Both model kinds are
-    GCNN-CRF taggers whose _tower gives the features and the CRF head for
-    a sentence of a domain, so this loss and _segment serve both."""
-    h, head = model._tower(sentence, domain, training, rng)
-    emis = crf_mod.emission_scores(h, head)
-    return crf_mod.nll_loss(emis, head, _gold_indices(tags))
+def _sentence_loss(h: Tensor, head: crf_mod.CrfHead, tags: str) -> Tensor:
+    """CRF negative log-likelihood of the gold tags given a sentence's
+    features and CRF head; one path for both trainers."""
+    gold = np.array([TAG_INDEX[t] for t in tags], dtype=np.int64)
+    return crf_mod.nll_loss(crf_mod.emission_scores(h, head), head, gold)
 
 
 def _segment(model: "Segmenter | DaatModel", sentence: str,
@@ -212,9 +208,10 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
             for j, lo in enumerate(range(0, len(order), cfg.batch_size),
                                    start=1):
                 t0 = time.monotonic()
-                idx = order[lo:lo + cfg.batch_size]
-                loss = _mean([_sentence_loss(model, *ds.items[i], ds.domain,
-                                             True, rng) for i in idx])
+                batch = [ds.items[i] for i in order[lo:lo + cfg.batch_size]]
+                loss = _mean([_sentence_loss(
+                    *model._tower(s, ds.domain, True, rng), t)
+                    for s, t in batch])
                 backward(loss)
                 opt.step()
                 opt.zero_grad()
@@ -273,32 +270,35 @@ class DaatModel:
     def disc_params(self) -> dict[str, Tensor]:
         return self.disc.params("disc")
 
-    def shared_params(self) -> dict[str, Tensor]:
-        return self.enc_shr.params("enc_shr")
-
     def params(self) -> dict[str, Tensor]:
         out = self.tagger_params()
         out.update(self.disc_params())
         return out
 
-    def shared_features(self, sentence: str, training: bool = False,
-                        rng: np.random.Generator | None = None) -> Tensor:
-        return self.enc_shr.forward(self.embedding.embed(sentence),
-                                    training, rng)
-
-    def _tower(self, sentence: str, domain: str, training: bool = False,
+    def encode(self, sentence: str, domain: str, training: bool = False,
                rng: np.random.Generator | None = None):
-        """[private_domain ; shared] features and the domain's CRF head."""
+        """One embedding gather and one pass of each encoder a sentence of
+        the domain needs: the tagger features [private ; shared], the
+        domain's CRF head, and the shared features. The target tower is
+        never trained in AT mode, so there a target sentence gets the
+        shared pass only, with None for the features and the head."""
         if domain not in ("source", "target"):
             raise ValueError(f"unknown domain {domain!r}")
-        if self.mode == "at":
-            domain = "source"  # the target tower is never trained in AT mode
         e = self.embedding.embed(sentence)
-        private = (self.enc_src if domain == "source"
-                   else self.enc_tgt).forward(e, training, rng)
+        if self.mode == "at" and domain == "target":
+            return None, None, self.enc_shr.forward(e, training, rng)
+        src = domain == "source"
+        private = (self.enc_src if src else self.enc_tgt).forward(
+            e, training, rng)
         shared = self.enc_shr.forward(e, training, rng)
-        head = self.crf_src if domain == "source" else self.crf_tgt
-        return concat_cols([private, shared]), head
+        return (concat_cols([private, shared]),
+                self.crf_src if src else self.crf_tgt, shared)
+
+    def _tower(self, sentence: str, domain: str):
+        """Features and CRF head that decode a sentence of the domain; AT
+        mode decodes both domains with the source tower it trains."""
+        at_target = self.mode == "at" and domain == "target"
+        return self.encode(sentence, "source" if at_target else domain)[:2]
 
     segment = _segment
 
@@ -380,64 +380,68 @@ def load_model(path: str) -> "Segmenter | DaatModel":
     return model
 
 
-def _domain_bce(model: DaatModel, batch_src: list[str],
-                batch_tgt: list[str], training: bool,
-                rng: np.random.Generator | None, detach: bool,
-                flip: bool) -> Tensor:
+def _domain_bce(model: DaatModel, shared_src: list[Tensor],
+                shared_tgt: list[Tensor], flip: bool) -> Tensor:
     """Binary cross-entropy of the discriminator over the shared features
     of both batches: minus the sum of the two per-domain mean
     log-probabilities.
 
     flip=False scores the true domains (discriminator loss); flip=True
-    swaps them (confusion loss). detach cuts the shared encoder out of the
-    gradient path. Probabilities are clamped to 1e-7.
+    swaps them (confusion loss). Probabilities are clamped to 1e-7.
     """
     means = []
-    for batch, is_src in ((batch_src, True), (batch_tgt, False)):
+    for feats, is_src in ((shared_src, True), (shared_tgt, False)):
         terms = []
-        for s in batch:
-            f = model.shared_features(s, training, rng)
-            p = clamped(model.disc.forward(f.detach() if detach else f))
+        for f in feats:
+            p = clamped(model.disc.forward(f))
             terms.append(log(p) if is_src != flip else log(sub(1.0, p)))
         means.append(_mean(terms))
     return sub(0.0, means[0] + means[1])
 
 
-def discriminator_loss(model: DaatModel, batch_src: list[str],
-                       batch_tgt: list[str], training: bool = False,
-                       rng: np.random.Generator | None = None,
-                       detach_shared: bool = False) -> Tensor:
-    """Loss the discriminator minimizes to tell the domains apart.
-
-    With detach_shared the shared encoder is excluded from the gradient
-    path, as on odd training steps.
-    """
-    return _domain_bce(model, batch_src, batch_tgt, training, rng,
-                       detach_shared, flip=False)
+def discriminator_loss(model: DaatModel, shared_src: list[Tensor],
+                       shared_tgt: list[Tensor]) -> Tensor:
+    """Loss the discriminator minimizes to tell the domains apart, given
+    the shared features of each batch. They are detached, so the loss
+    trains the discriminator only and never the shared encoder."""
+    return _domain_bce(model, [f.detach() for f in shared_src],
+                       [f.detach() for f in shared_tgt], flip=False)
 
 
-def confusion_loss(model: DaatModel, batch_src: list[str],
-                   batch_tgt: list[str], training: bool = False,
-                   rng: np.random.Generator | None = None) -> Tensor:
+def confusion_loss(model: DaatModel, shared_src: list[Tensor],
+                   shared_tgt: list[Tensor]) -> Tensor:
     """Domain-flipped loss the shared encoder minimizes to fool the
-    discriminator."""
-    return _domain_bce(model, batch_src, batch_tgt, training, rng,
-                       False, flip=True)
+    discriminator, given the shared features of each batch."""
+    return _domain_bce(model, shared_src, shared_tgt, flip=True)
 
 
-def tagging_losses(model: DaatModel, batch_src: list[tuple[str, str]],
-                   batch_tgt: list[tuple[str, str]], training: bool = False,
-                   rng: np.random.Generator | None = None,
+def tagging_losses(model: DaatModel, batch_src: list[tuple[tuple, str]],
+                   batch_tgt: list[tuple[tuple, str]],
                    ) -> tuple[Tensor, Tensor | None]:
-    """Mean CRF negative log-likelihood per domain tower. The target loss
-    is None in AT mode or for an empty target batch."""
-    l_src = _mean([_sentence_loss(model, s, t, "source", training, rng)
-                   for s, t in batch_src])
+    """Mean CRF negative log-likelihood per domain tower over (encoded,
+    tags) pairs, each encoded as DaatModel.encode returns it. The target
+    loss is None in AT mode or for an empty target batch."""
+    l_src = _mean([_sentence_loss(h, head, t)
+                   for (h, head, _), t in batch_src])
     if model.mode == "at" or not batch_tgt:
         return l_src, None
-    l_tgt = _mean([_sentence_loss(model, s, t, "target", training, rng)
-                   for s, t in batch_tgt])
+    l_tgt = _mean([_sentence_loss(h, head, t)
+                   for (h, head, _), t in batch_tgt])
     return l_src, l_tgt
+
+
+def _step_losses(model: DaatModel, batch_src: list[tuple[str, str]],
+                 batch_tgt: list[tuple[str, str]], odd: bool,
+                 rng: np.random.Generator):
+    """L_src, L_tgt (None in AT mode) and the adversarial loss of one
+    step. Each sentence is encoded once; its shared features feed both its
+    CRF head and the discriminator (L_d on odd steps, L_c on even ones)."""
+    src = [(model.encode(s, "source", True, rng), t) for s, t in batch_src]
+    tgt = [(model.encode(s, "target", True, rng), t) for s, t in batch_tgt]
+    l_src, l_tgt = tagging_losses(model, src, tgt)
+    adv = discriminator_loss if odd else confusion_loss
+    l_adv = adv(model, [e[2] for e, _ in src], [e[2] for e, _ in tgt])
+    return l_src, l_tgt, l_adv
 
 
 class _Cursor:
@@ -480,11 +484,10 @@ def adversarial_train(ds_src: LabeledDataset,
     if mode == "daat" and not tagged:
         raise ValueError("daat mode needs a tagged target dataset")
     tgt_items = list(target.items) if tagged else [(s, "") for s in target]
-    tgt_sentences = [s for s, _ in tgt_items]
     if len(ds_src) == 0 or not tgt_items:
         raise ValueError("both domains need at least one sentence")
     rng = np.random.default_rng(cfg.seed)
-    model = DaatModel.create([s for s, _ in ds_src.items] + tgt_sentences,
+    model = DaatModel.create([s for s, _ in [*ds_src.items, *tgt_items]],
                              cfg, mode, rng)
     opt_tag = Adam(model.tagger_params(), lr=cfg.lr)
     opt_disc = Adam(model.disc_params(), lr=cfg.lr)
@@ -499,18 +502,9 @@ def adversarial_train(ds_src: LabeledDataset,
                              for i in cur_src.take(cfg.batch_size)]
                 batch_tgt = [tgt_items[i]
                              for i in cur_tgt.take(cfg.batch_size)]
-                src_s = [s for s, _ in batch_src]
-                tgt_s = [s for s, _ in batch_tgt]
-                l_src, l_tgt = tagging_losses(model, batch_src, batch_tgt,
-                                              training=True, rng=rng)
                 odd = j % 2 == 1
-                if odd:
-                    l_adv = discriminator_loss(model, src_s, tgt_s,
-                                               training=True, rng=rng,
-                                               detach_shared=True)
-                else:
-                    l_adv = confusion_loss(model, src_s, tgt_s,
-                                           training=True, rng=rng)
+                l_src, l_tgt, l_adv = _step_losses(model, batch_src,
+                                                   batch_tgt, odd, rng)
                 total = l_src + l_adv if l_tgt is None \
                     else l_src + l_tgt + l_adv
                 backward(total)

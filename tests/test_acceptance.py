@@ -208,7 +208,7 @@ def test_criterion_7_shared_features_hide_domain(world, pipeline):
     probe_src, probe_tgt = world["probe"]
     shared, private, labels = [], [], []
     for s, dom in [(x, 0) for x in probe_src] + [(x, 1) for x in probe_tgt]:
-        shared.append(daat.shared_features(s).data)
+        shared.append(daat.enc_shr.forward(daat.embedding.embed(s)).data)
         enc = daat.enc_src if dom == 0 else daat.enc_tgt
         private.append(enc.forward(daat.embedding.embed(s)).data)
         labels.extend([dom] * len(s))

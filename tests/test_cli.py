@@ -280,3 +280,75 @@ def test_segment_rejects_damaged_model_bytes(kind, tmp_path, capsys):
         bad.write_bytes(data)
         assert _segment(tmp_path, bad) == 2, len(data)
         assert str(bad) in capsys.readouterr().err, len(data)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("ending", ["\n", ""], ids=["newline", "no-newline"])
+def test_segment_keeps_blank_lines(kind, ending, tmp_path, capsys):
+    """Output line i segments input line i: blank and whitespace-only
+    lines give empty lines, and a final newline adds none."""
+    plain, pred = tmp_path / "plain.txt", tmp_path / "pred.txt"
+    plain.write_text("abc\n\n  \nde" + ending)
+    model = DATA / f"{kind}.bin"
+    rc = main(["segment", "--model", str(model), "--input", str(plain),
+               "--out", str(pred)])
+    assert rc == 0
+    assert "segmented 4 lines" in capsys.readouterr().out
+    seg = load_model(model).segment
+    assert pred.read_text().split("\n") == [
+        " ".join(seg("abc", "target")), "", "", " ".join(seg("de", "target")),
+        ""]
+
+
+# Seeded fuzzing of the data files the CLI reads: every truncation or
+# single-byte edit must exit 0 or 2, never give a traceback, and an exit
+# 2 must name the edited file.
+FUZZ_CASES = 40
+TINY = ["--epochs", "1", "--batch", "2", "--char-emb", "4", "--gcnn-dim",
+        "4", "--gcnn-layers", "1"]
+FUZZ_SEED_FILES = {
+    "lexicon": "ab\t12\t1.5\t0.8\t0.3\t0.97\nxyz\t10\t2.125\t0.9\t0.4\t0.96\n",
+    "segmented": "ab cd ef\ngh ab\nxy zw\n",
+    "config": "# tiny\nepochs=1\nbatch_size=2\nlr=0.01\ndropout=0.1\n"
+              "char_emb=4\ngcnn_dim=4\ngcnn_layers=1\nwindow=3\n"
+              "textcnn_filters=2\nfilter_sizes=2,3\nseed=5\n",
+}
+EDIT_BYTES = b"\n\r\t =,-.#e0123456789abxyz\x00\x80\xc3\xff"
+
+
+def _fuzzed(data: bytes, rng: random.Random):
+    """Seeded truncations, byte replacements, insertions and deletions."""
+    for case in range(FUZZ_CASES):
+        i = rng.randrange(len(data))
+        byte = bytes([rng.choice(EDIT_BYTES) if rng.random() < 0.5
+                      else rng.randrange(256)])
+        yield [data[:i], data[:i] + byte + data[i + 1:],
+               data[:i] + byte + data[i:], data[:i] + data[i + 1:]][case % 4]
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("lexicon", ["annotate", "--input", "{raw}", "--lexicon", "{fuzz}",
+                 "--model", str(DATA / "segmenter.bin"), "--out", "{out}"]),
+    ("segmented", ["eval", "--gold", "{good}", "--pred", "{fuzz}"]),
+    ("segmented", ["train-base", "--train", "{fuzz}", "--out-model",
+                   "{out}", *TINY]),
+    ("config", ["train-base", "--train", "{good}", "--config", "{fuzz}",
+                "--out-model", "{out}"]),
+], ids=["annotate-lexicon", "eval-pred", "train-base-train",
+        "train-base-config"])
+def test_fuzzed_data_files_exit_cleanly(target, argv, tmp_path, capsys):
+    paths = {"raw": tmp_path / "raw.txt", "good": tmp_path / "good.txt",
+             "fuzz": tmp_path / "fuzz.txt", "out": tmp_path / "out.bin"}
+    paths["raw"].write_text("abxyzcd\nghab\n")
+    paths["good"].write_text(FUZZ_SEED_FILES["segmented"])
+    argv = [a.format(**{k: str(p) for k, p in paths.items()}) for a in argv]
+    base = FUZZ_SEED_FILES[target].encode()
+    for data in _fuzzed(base, random.Random(f"{target} {argv[0]}")):
+        paths["fuzz"].write_bytes(data)
+        try:
+            rc = main(argv)
+        except (Exception, SystemExit) as exc:  # tracebacks and exit 1
+            pytest.fail(f"{data!r}: {type(exc).__name__}: {exc}")
+        err = capsys.readouterr().err
+        assert rc in (0, 2), (data, err)
+        assert rc == 0 or str(paths["fuzz"]) in err, (data, err)

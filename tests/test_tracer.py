@@ -3,7 +3,10 @@ by attribute name. A rename it does not know about makes install() fail,
 so this test catches it without running the benchmark.
 """
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import crossseg
 
@@ -32,3 +35,35 @@ def test_tracer_installs_and_restores_everything():
                  "train.adversarial_train", "crf.nll_loss"):
         assert f"crossseg.{name}" in patched
     assert tracer.leftover_patches(crossseg) == []
+
+
+@pytest.mark.parametrize("mode, passes", [("daat", 4), ("at", 3)])
+def test_traced_adversarial_step_encodes_each_sentence_once(mode, passes):
+    """Per step: one private and one shared encoder pass per tagged
+    sentence (an AT target sentence gets the shared pass only), one
+    tagging span and one adversarial-loss span."""
+    words = ["ab", "cd", "ef", "gh"]
+    src = crossseg.dataset_from_segmented(
+        [[words[i % 4], words[(i + 1) % 4]] for i in range(6)], "source")
+    tgt_segs = [["xyz", words[i % 4]] for i in range(6)]
+    tgt = (crossseg.dataset_from_segmented(tgt_segs, "target")
+           if mode == "daat" else ["".join(ws) for ws in tgt_segs])
+    cfg = crossseg.TrainConfig(epochs=1, batch_size=3, char_emb=4,
+                               gcnn_dim=4, gcnn_layers=1, textcnn_filters=2,
+                               filter_sizes=(2, 3), seed=0)
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    try:
+        tr.install(crossseg)
+        crossseg.adversarial_train(src, tgt, cfg, mode=mode)
+    finally:
+        tr.uninstall()
+    assert tracer.leftover_patches(crossseg) == []
+    steps = [r for r, kind in tr.request_kind.items() if kind == "daat_step"]
+    assert len(steps) == 2
+    for step in steps:
+        spans = Counter(tr.names[n] for n, r in zip(tr.name, tr.req)
+                        if r == step)
+        assert spans["nn.gcnn_forward"] == passes * cfg.batch_size
+        assert spans["train.tagging_losses"] == 1
+        assert spans["train.adversarial_loss"] == 1

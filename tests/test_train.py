@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from crossseg.autodiff import backward
+import crossseg.crf as crf_mod
+import crossseg.train as train_mod
+from crossseg.autodiff import backward, scale
 from crossseg.corpus import dataset_from_segmented
 from crossseg.errors import DataError
 from crossseg.evaluate import prf
@@ -52,6 +54,8 @@ def test_config_defaults_and_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(filter_sizes=(3, 3))  # both convs would share one name
+    with pytest.raises(ValueError):
+        TrainConfig(seed=-1)  # numpy rejects it only when training starts
 
 
 def test_load_config(tmp_path):
@@ -69,6 +73,9 @@ def test_load_config(tmp_path):
     assert "line 1" in str(e.value)
     p.write_text("epochs=abc\n")
     with pytest.raises(DataError):
+        load_config(p)
+    p.write_text("seed=-3\n")
+    with pytest.raises(DataError, match="seed"):
         load_config(p)
 
 
@@ -145,13 +152,20 @@ def test_daat_segment_rejects_unknown_domain(kind):
         _untrained(kind).segment("abcd", "bogus")
 
 
+def _shared(model, src=("abc",), tgt=("xyz",)):
+    """The shared features of a source and a target batch, as the
+    adversarial losses take them."""
+    return ([model.encode(s, "source")[2] for s in src],
+            [model.encode(s, "target")[2] for s in tgt])
+
+
 def test_fresh_discriminator_loss_is_2ln2():
     cfg = TrainConfig(**SMALL)
     rng = np.random.default_rng(0)
     model = DaatModel.create(["abc", "xyz"], cfg, "daat", rng)
-    loss = discriminator_loss(model, ["abc"], ["xyz"])
+    loss = discriminator_loss(model, *_shared(model))
     assert loss.item() == pytest.approx(2 * math.log(2.0), abs=1e-12)
-    conf = confusion_loss(model, ["abc"], ["xyz"])
+    conf = confusion_loss(model, *_shared(model))
     assert conf.item() == pytest.approx(2 * math.log(2.0), abs=1e-12)
 
 
@@ -160,7 +174,7 @@ def test_confident_discriminator_is_clamped():
     model = DaatModel.create(["abc", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
     model.disc.proj_b.data[:] = 60.0  # always shouts "source"
-    loss = confusion_loss(model, ["abc"], ["xyz"])
+    loss = confusion_loss(model, *_shared(model))
     # source term hits the 1e-7 clamp, target term is almost free
     assert loss.item() == pytest.approx(-math.log(1e-7), rel=1e-3)
 
@@ -170,9 +184,11 @@ def test_detached_discriminator_loss_keeps_shared_clean():
     model = DaatModel.create(["abc", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
     model.disc.proj_w.data[:] = 0.01
-    loss = discriminator_loss(model, ["abc"], ["xyz"], detach_shared=True)
+    loss = discriminator_loss(model, *_shared(model))
     backward(loss)
-    assert all(p.grad is None for p in model.shared_params().values())
+    assert all(p.grad is None
+               for p in model.enc_shr.params("enc_shr").values())
+    assert model.embedding.table.grad is None
     assert all(p.grad is not None for p in model.disc_params().values())
 
 
@@ -181,23 +197,95 @@ def test_confusion_loss_reaches_shared_encoder():
     model = DaatModel.create(["abc", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
     model.disc.proj_w.data[:] = 0.01
-    backward(confusion_loss(model, ["abc"], ["xyz"]))
-    enc_names = [n for n in model.shared_params() if n.startswith("enc_shr")]
-    assert enc_names
-    assert all(model.shared_params()[n].grad is not None for n in enc_names)
+    backward(confusion_loss(model, *_shared(model)))
+    shared = model.enc_shr.params("enc_shr")
+    assert shared
+    assert all(p.grad is not None for p in shared.values())
 
 
 def test_tagging_losses_modes():
     cfg = TrainConfig(**SMALL)
     model = DaatModel.create(["abcd", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
-    l_src, l_tgt = tagging_losses(model, [("abcd", "BEBE")],
-                                  [("xyz", "BME")])
+    l_src, l_tgt = tagging_losses(
+        model, [(model.encode("abcd", "source"), "BEBE")],
+        [(model.encode("xyz", "target"), "BME")])
     assert l_src.item() > 0 and l_tgt.item() > 0
     at = DaatModel.create(["abcd", "xyz"], cfg, "at",
                           np.random.default_rng(0))
-    l_src, l_tgt = tagging_losses(at, [("abcd", "BEBE")], [("xyz", "BME")])
-    assert l_tgt is None
+    encoded = at.encode("xyz", "target")
+    assert encoded[:2] == (None, None)  # the shared pass only
+    l_src, l_tgt = tagging_losses(
+        at, [(at.encode("abcd", "source"), "BEBE")], [(encoded, "BME")])
+    assert l_src.item() > 0 and l_tgt is None
+
+
+def _two_pass_losses(model, batch_src, batch_tgt, odd):
+    """The step's losses as two separate passes per sentence: the tagging
+    tower, then a fresh shared pass for the discriminator."""
+    def nll(sentence, tags, domain):
+        h, head = model._tower(sentence, domain)
+        gold = np.array(["BMES".index(t) for t in tags])
+        return crf_mod.nll_loss(crf_mod.emission_scores(h, head), head, gold)
+
+    def shared(batch):
+        return [model.enc_shr.forward(model.embedding.embed(s), False)
+                for s, _ in batch]
+
+    def mean(terms):
+        return scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
+
+    l_src = mean([nll(s, t, "source") for s, t in batch_src])
+    l_tgt = None if model.mode == "at" else \
+        mean([nll(s, t, "target") for s, t in batch_tgt])
+    adv = discriminator_loss if odd else confusion_loss
+    return l_src, l_tgt, adv(model, shared(batch_src), shared(batch_tgt))
+
+
+def _losses_and_grads(model, losses):
+    total = losses[0] + losses[2]
+    if losses[1] is not None:
+        total = total + losses[1]
+    backward(total)
+    grads = {}
+    for name, p in model.params().items():
+        grads[name] = None if p.grad is None else p.grad.copy()
+        p.zero_grad()
+    return [l if l is None else l.item() for l in losses], grads
+
+
+@pytest.mark.parametrize("mode", ["daat", "at"])
+@pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+def test_one_pass_step_matches_two_pass_reference(mode, odd):
+    # dropout 0: the step's training forward draws no mask and equals the
+    # eval forward of the reference
+    cfg = TrainConfig(**{**SMALL, "dropout": 0.0})
+    rng = np.random.default_rng(5)
+    model = DaatModel.create(["abcdxyz"], cfg, mode, rng)
+    model.disc.proj_w.data[:] = 0.5 * rng.normal(
+        size=model.disc.proj_w.data.shape)  # a fresh projection is zero
+    batch_src = [("abcd", "BEBE"), ("ab", "BE"), ("cdabc", "BMEBE")]
+    batch_tgt = ([("xyz", "BME"), ("xyzab", "BMEBE")] if mode == "daat"
+                 else [("xyz", ""), ("xyzab", "")])
+    one = _losses_and_grads(model, train_mod._step_losses(
+        model, batch_src, batch_tgt, odd, rng))
+    two = _losses_and_grads(model, _two_pass_losses(model, batch_src,
+                                                    batch_tgt, odd))
+    assert (one[0][1] is None) == (mode == "at") == (two[0][1] is None)
+    for a, b in zip(one[0], two[0]):
+        assert a == b or abs(a - b) <= 1e-12
+    assert one[1].keys() == two[1].keys()
+    for name, g in one[1].items():
+        if g is None or two[1][name] is None:
+            assert g is None and two[1][name] is None, name
+        else:
+            np.testing.assert_allclose(g, two[1][name], rtol=1e-12,
+                                       atol=1e-12, err_msg=name)
+    # not vacuous: the shared encoder and the discriminator get gradient,
+    # and AT mode leaves the target tower alone
+    assert one[1]["enc_shr.0.w"] is not None
+    assert one[1]["disc.proj_w"] is not None
+    assert (one[1]["crf_tgt.trans"] is None) == (mode == "at")
 
 
 def test_adversarial_train_alternates_and_freezes_disc():
