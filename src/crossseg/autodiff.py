@@ -3,10 +3,14 @@
 A Tensor wraps an ndarray and remembers, when it was produced by an
 operation, its parent tensors and a closure that pushes the output gradient
 back to them. backward(root) runs the closures in reverse topological order
-and accumulates gradients on every tensor in the graph, then consumes the
-tape: running backward twice on the same graph raises StaleGraphError.
+and accumulates gradients on every leaf tensor of the graph, then consumes
+the tape: running backward twice on the same graph raises StaleGraphError.
 
-Only the operations the segmentation stack needs are provided. Everything
+Only the operations the segmentation stack needs are provided. Sequence
+operations work on padded batches: conv1d and max_over_time take (B, T, d)
+tensors, gather_rows takes index arrays whose negative entries mark
+padding (it also cuts rows and positions out of a batch), and matmul and
+concat_cols act on the last axis. Everything
 is float64; gradients match central finite differences to about 1e-9 in
 relative error, far inside the 1e-4 contract checked by the gradcheck
 suite. Tensors are not thread safe while a graph is being built; parameter
@@ -52,9 +56,11 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: Array) -> None:
+        """Add g, which has this tensor's shape, to its gradient."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)  # g may be a view
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -133,12 +139,14 @@ def scale(a, s: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a (..., n) @ b (n, m); the leading axes of a are batch axes."""
     a, b = _to_tensor(a), _to_tensor(b)
     out = Tensor(a.data @ b.data, (a, b))
 
     def bwd(g: Array) -> None:
         a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        b._accumulate(a.data.reshape(-1, a.data.shape[-1]).T
+                      @ g.reshape(-1, g.shape[-1]))
 
     out._bwd = bwd
     return out
@@ -146,11 +154,8 @@ def matmul(a, b) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _to_tensor(a)
-    y = np.empty_like(a.data)
-    pos = a.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ez = np.exp(a.data[~pos])
-    y[~pos] = ez / (1.0 + ez)
+    ez = np.exp(-np.abs(a.data))  # 1 / (1 + e^-x), or e^x / (1 + e^x)
+    y = np.where(a.data >= 0, 1.0, ez) / (1.0 + ez)
     out = Tensor(y, (a,))
 
     def bwd(g: Array) -> None:
@@ -197,15 +202,16 @@ def sum_all(a) -> Tensor:
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 2-d tensors along axis 1."""
+    """Concatenate tensors along their last axis."""
     parts = [_to_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), tuple(parts))
-    widths = [p.data.shape[1] for p in parts]
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1),
+                 tuple(parts))
+    widths = [p.data.shape[-1] for p in parts]
 
     def bwd(g: Array) -> None:
         off = 0
         for p, w in zip(parts, widths):
-            p._accumulate(g[:, off:off + w])
+            p._accumulate(g[..., off:off + w])
             off += w
 
     out._bwd = bwd
@@ -213,64 +219,88 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
 
 def conv1d(x: Tensor, w: Tensor, pad_left: int, pad_right: int) -> Tensor:
-    """1-d convolution over rows of x.
+    """1-d convolution along axis 1 of a batch of sequences.
 
-    x has shape (n, d_in), w has shape (k, d_in, d_out); the output row t is
-    sum over offsets o of padded_x[t + o] @ w[o], so with pad_left =
-    pad_right = (k - 1) // 2 and odd k the output length equals n.
+    x has shape (B, T, d_in), w has shape (k, d_in, d_out). Each sequence
+    is copied into one zero buffer with pad_left zero rows before it and
+    pad_right after it; output row t is sum over offsets o of
+    buffer[t + o] @ w[o], one batched matmul per offset. With pad_left =
+    pad_right = (k - 1) // 2 and odd k the output has shape (B, T, d_out).
     """
     x, w = _to_tensor(x), _to_tensor(w)
     k, d_in, d_out = w.data.shape
-    xp = np.pad(x.data, ((pad_left, pad_right), (0, 0)))
-    n_out = xp.shape[0] - k + 1
+    b, n, _ = x.data.shape
+    n_out = n + pad_left + pad_right - k + 1
     if n_out < 1:
         raise ValueError("input shorter than kernel after padding")
-    y = np.zeros((n_out, d_out))
-    for o in range(k):
-        y += xp[o:o + n_out] @ w.data[o]
+
+    def padded() -> Array:
+        xp = np.zeros((b, n + pad_left + pad_right, d_in))
+        xp[:, pad_left:pad_left + n] = x.data
+        return xp
+
+    xp = padded()
+    y = xp[:, :n_out] @ w.data[0]
+    for o in range(1, k):
+        y += xp[:, o:o + n_out] @ w.data[o]
     out = Tensor(y, (x, w))
 
     def bwd(g: Array) -> None:
+        xp = padded()  # rebuilt, not kept: the graph holds less memory
+        wt = np.ascontiguousarray(w.data.transpose(0, 2, 1))
         dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w.data)
+        dw = np.empty_like(w.data)
         for o in range(k):
-            dw[o] = xp[o:o + n_out].T @ g
-            dxp[o:o + n_out] += g @ w.data[o].T
-        n = x.data.shape[0]
-        x._accumulate(dxp[pad_left:pad_left + n])
+            dw[o] = (xp[:, o:o + n_out].transpose(0, 2, 1) @ g).sum(axis=0)
+            dxp[:, o:o + n_out] += g @ wt[o]
+        x._accumulate(dxp[:, pad_left:pad_left + n])
         w._accumulate(dw)
 
     out._bwd = bwd
     return out
 
 
-def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows of a 2-d table; gradients scatter-add back."""
+def gather_rows(table: Tensor, idx) -> Tensor:
+    """Entries of table at an index array on its first axis, or at a tuple
+    of index arrays on its leading axes (broadcast together, as numpy
+    indexing does); the output has the index shape followed by the
+    remaining axes of table. A negative index selects a zero entry that
+    reads nothing and gets no gradient; gradients scatter-add back."""
     table = _to_tensor(table)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(table.data[idx], (table,))
+    idx = np.broadcast_arrays(*(np.asarray(i, dtype=np.int64) for i in
+                                (idx if isinstance(idx, tuple) else (idx,))))
+    keep = np.logical_and.reduce([i >= 0 for i in idx])
+    sel = tuple(i[keep] for i in idx)
+    data = np.zeros(keep.shape + table.data.shape[len(idx):])
+    data[keep] = table.data[sel]
+    out = Tensor(data, (table,))
 
     def bwd(g: Array) -> None:
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        np.add.at(table.grad, sel, g[keep])
 
     out._bwd = bwd
     return out
 
 
-def max_over_time(x: Tensor) -> Tensor:
-    """Max over rows: (t, f) -> (1, f). Ties send the gradient to the
-    earliest row, matching np.argmax."""
+def max_over_time(x: Tensor, valid: np.ndarray) -> Tensor:
+    """Masked max over axis 1: (B, T, f) -> (B, f), reading only the rows
+    where valid (B, T) is true; each sequence needs at least one. Ties send
+    the gradient to the earliest row, matching np.argmax."""
     x = _to_tensor(x)
-    am = np.argmax(x.data, axis=0)
-    cols = np.arange(x.data.shape[1])
-    out = Tensor(x.data[am, cols][None, :], (x,))
+    valid = np.asarray(valid, dtype=bool)
+    if not valid.any(axis=1).all():
+        raise ValueError("every sequence needs a valid row")
+    am = np.argmax(np.where(valid[:, :, None], x.data, -np.inf), axis=1)
+    rows = np.arange(x.data.shape[0])[:, None]
+    cols = np.arange(x.data.shape[2])[None, :]
+    out = Tensor(x.data[rows, am, cols], (x,))
 
     def bwd(g: Array) -> None:
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, (am, cols), g[0])
+        x.grad[rows, am, cols] += g
 
     out._bwd = bwd
     return out
@@ -307,9 +337,12 @@ def _topo(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(node) into node.grad for every node reachable
-    from root. root must hold a single value. The tape is consumed; a second
-    call on the same graph raises StaleGraphError."""
+    """Accumulate d(root)/d(leaf) into leaf.grad for every leaf reachable
+    from root: every tensor no operation produced, such as parameters,
+    inputs and detached values. root must hold a single value. An
+    operation's output drops its gradient once it has passed it on, so a
+    walk holds few gradients at a time. The tape is consumed; a second call
+    on the same graph raises StaleGraphError."""
     if root._spent:
         raise StaleGraphError("backward() already ran on this graph")
     if root.data.size != 1:
@@ -324,4 +357,5 @@ def backward(root: Tensor) -> None:
                       else np.zeros_like(node.data))
             node._bwd = None
             node._spent = True
+            node.grad = None
     root._spent = True

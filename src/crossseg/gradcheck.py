@@ -2,8 +2,10 @@
 
 Each check builds a scalar loss from a small randomized model, runs one
 backward pass, then perturbs sampled coordinates of every parameter by
-+-h and compares the numeric slope against the stored gradient. All
-forwards run in eval mode so repeated evaluation is deterministic.
++-h and compares the numeric slope against the stored gradient. Every
+check runs on a padded batch of sentences of different lengths, so the
+differences also cover the masking. All forwards run in eval mode so
+repeated evaluation is deterministic.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crf as crf_mod
-from .autodiff import Tensor, backward, log, sub, sum_all
+from .autodiff import Tensor, backward, log, mul, sub, sum_all
 from .nn import GcnnEncoder, GcnnLayer, TextCnn, clamped
 from .train import (DaatModel, TrainConfig, confusion_loss,
                     discriminator_loss, tagging_losses)
@@ -65,50 +67,67 @@ def max_rel_error(build, params: dict[str, Tensor],
     return worst
 
 
+def _ragged(rng: np.random.Generator, lengths: tuple[int, ...],
+            dim: int) -> tuple[Tensor, np.ndarray]:
+    """A random padded batch (B, T, dim), zero past each length, and its
+    length mask."""
+    mask = np.arange(max(lengths))[None, :] < np.array(lengths)[:, None]
+    return Tensor(rng.normal(size=(*mask.shape, dim)) * mask[:, :, None]), \
+        mask
+
+
+def _masked_sum(h: Tensor, mask: np.ndarray) -> Tensor:
+    return sum_all(mul(h, mask[:, :, None]))
+
+
 def _check_gcnn_layer(rng: np.random.Generator) -> float:
-    x = Tensor(rng.normal(size=(5, 3)))
+    x, mask = _ragged(rng, (5, 3), 3)
     layer = GcnnLayer.create(3, 3, 2, rng)
     layer.b.data[:] = 0.1 * rng.normal(size=2)
     layer.c.data[:] = 0.1 * rng.normal(size=2)
     params = {"x": x, "w": layer.w, "b": layer.b, "v": layer.v, "c": layer.c}
-    return max_rel_error(lambda: sum_all(layer.forward(x)), params, rng)
+    return max_rel_error(lambda: _masked_sum(layer.forward(x), mask),
+                         params, rng)
 
 
 def _check_gcnn_encoder(rng: np.random.Generator) -> float:
-    x = Tensor(rng.normal(size=(6, 3)))
+    x, mask = _ragged(rng, (6, 4, 1), 3)
     enc = GcnnEncoder.create(2, 3, 3, 2, 0.0, rng)
     params = {"x": x, **enc.params("enc")}
-    return max_rel_error(lambda: sum_all(enc.forward(x)), params, rng)
+    return max_rel_error(lambda: _masked_sum(enc.forward(x, mask), mask),
+                         params, rng)
 
 
 def _check_textcnn(rng: np.random.Generator) -> float:
     tc = TextCnn.create((2, 3), 3, 2, rng)
     tc.proj_w.data[:] = 0.5 * rng.normal(size=tc.proj_w.data.shape)
     tc.proj_b.data[:] = 0.1 * rng.normal(size=tc.proj_b.data.shape)
-    x = Tensor(rng.normal(size=(4, 3)))
-    x1 = Tensor(rng.normal(size=(1, 3)))  # shorter than both windows
+    # the second sentence is shorter than both windows
+    x, mask = _ragged(rng, (4, 1, 2), 3)
+    by_p = np.array([[1.0], [0.0], [1.0]])  # log p, log(1 - p), log p
 
     def build() -> Tensor:
-        a = log(clamped(tc.forward(x)))
-        b = log(sub(1.0, clamped(tc.forward(x1))))
-        return sum_all(a + b)
+        p = clamped(tc.forward(x, mask))
+        return sum_all(mul(log(p), by_p)) \
+            + sum_all(mul(log(sub(1.0, p)), 1.0 - by_p))
 
-    params = {"x": x, "x1": x1, **tc.params("disc")}
+    params = {"x": x, **tc.params("disc")}
     return max_rel_error(build, params, rng)
 
 
 def _check_crf_nll(rng: np.random.Generator) -> float:
-    n, hidden = 4, 3
+    hidden = 3
     head = crf_mod.CrfHead.create(hidden, rng)
     head.emit_b.data[:] = 0.3 * rng.normal(size=4)
     head.trans.data[:] = 0.3 * rng.normal(size=(4, 4))
     head.start.data[:] = 0.3 * rng.normal(size=4)
     head.stop.data[:] = 0.3 * rng.normal(size=4)
-    x = Tensor(rng.normal(size=(n, hidden)))
-    gold = rng.integers(0, 4, size=n)
+    x, mask = _ragged(rng, (4, 2, 1), hidden)
+    gold = rng.integers(0, 4, size=mask.shape)
 
     def build() -> Tensor:
-        return crf_mod.nll_loss(crf_mod.emission_scores(x, head), head, gold)
+        return crf_mod.nll_loss(crf_mod.emission_scores(x, head), head, gold,
+                                mask)
 
     params = {"x": x, **head.params("crf")}
     return max_rel_error(build, params, rng)
@@ -124,16 +143,20 @@ def _tiny_model(rng: np.random.Generator) -> DaatModel:
     return model
 
 
-def _shared(model: DaatModel) -> tuple[list, list]:
-    """Shared features of the source and target batch the checks use."""
-    return ([model.encode(s, "source")[2] for s in ("abcd", "ebc")],
-            [model.encode("ddca", "target")[2]])
+# Source and target batches of the model checks: ragged within each batch,
+# and a target sentence shorter than a discriminator window.
+SRC = [("abcd", "BMME"), ("ebc", "SBE")]
+TGT = [("ddca", "BESS"), ("a", "S")]
+
+
+def _encoded(model: DaatModel):
+    return model.encode([s for s, _ in SRC], [s for s, _ in TGT])
 
 
 def _check_discriminator(rng: np.random.Generator) -> float:
     model = _tiny_model(rng)
-    feats = _shared(model)  # detached by the loss: only disc gets gradient
-    return max_rel_error(lambda: discriminator_loss(model, *feats),
+    # detached by the loss: only disc gets gradient
+    return max_rel_error(lambda: discriminator_loss(model, _encoded(model)),
                          model.disc_params(), rng)
 
 
@@ -141,19 +164,17 @@ def _check_confusion(rng: np.random.Generator) -> float:
     model = _tiny_model(rng)
     params = {"embedding": model.embedding.table,
               **model.enc_shr.params("enc_shr"), **model.disc_params()}
-    return max_rel_error(lambda: confusion_loss(model, *_shared(model)),
+    return max_rel_error(lambda: confusion_loss(model, _encoded(model)),
                          params, rng)
 
 
 def _check_tagging(rng: np.random.Generator) -> float:
     model = _tiny_model(rng)
-    src = [("abcd", "BMME"), ("ebc", "SBE")]
-    tgt = [("ddca", "BESS")]
 
     def build() -> Tensor:
-        l_src, l_tgt = tagging_losses(
-            model, [(model.encode(s, "source"), t) for s, t in src],
-            [(model.encode(s, "target"), t) for s, t in tgt])
+        l_src, l_tgt = tagging_losses(model, _encoded(model),
+                                      [t for _, t in SRC],
+                                      [t for _, t in TGT])
         return l_src + l_tgt
 
     return max_rel_error(build, model.params(), rng)

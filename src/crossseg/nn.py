@@ -1,10 +1,13 @@
 """Neural building blocks: embeddings, gated convolutional encoder,
 text-CNN classifier, and the Adam optimizer.
 
-Shapes are per sentence: a length-n sentence becomes an (n, emb) matrix and
-flows through the stack one sentence at a time. All parameters are float64
-Tensors registered under stable dotted names so optimizers and the model
-container see them in a fixed order.
+Shapes are batched: B sentences become one (B, T, emb) tensor, T being the
+longest length, together with a (B, T) boolean length mask that is true at
+the real characters. Rows past a sentence's length are padding: they read
+no embedding row, every convolution sees them as zeros, and they get no
+gradient. All parameters are float64 Tensors registered under stable
+dotted names so optimizers and the model container see them in a fixed
+order.
 """
 from __future__ import annotations
 
@@ -39,14 +42,21 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.table.data.shape[1]
 
-    def indices(self, sentence: str) -> np.ndarray:
-        return np.array([self.vocab.get(c, UNK_INDEX) for c in sentence],
-                        dtype=np.int64)
-
-    def embed(self, sentence: str) -> Tensor:
-        if not sentence:
+    def indices(self, sentences: list[str]) -> np.ndarray:
+        """(B, T) table rows of a batch of sentences, -1 past each end."""
+        if not sentences or not all(sentences):
             raise ValueError("cannot embed an empty sentence")
-        return gather_rows(self.table, self.indices(sentence))
+        idx = np.full((len(sentences), max(map(len, sentences))), -1,
+                      dtype=np.int64)
+        for row, s in zip(idx, sentences):
+            row[:len(s)] = [self.vocab.get(c, UNK_INDEX) for c in s]
+        return idx
+
+    def embed(self, sentences: list[str]) -> tuple[Tensor, np.ndarray]:
+        """The (B, T, dim) embedded batch, zero past each sentence's end,
+        and its (B, T) length mask."""
+        idx = self.indices(sentences)
+        return gather_rows(self.table, idx), idx >= 0
 
 
 @dataclass
@@ -75,6 +85,7 @@ class GcnnLayer:
         return self.w.data.shape[0]
 
     def forward(self, x: Tensor) -> Tensor:
+        """(B, T, d_in) -> (B, T, d_out); rows past T read zeros."""
         pad = (self.k - 1) // 2
         lin = add(conv1d(x, self.w, pad, pad), self.b)
         gate = sigmoid(add(conv1d(x, self.v, pad, pad), self.c))
@@ -85,7 +96,10 @@ class GcnnLayer:
 class GcnnEncoder:
     """Stack of gated convolution layers with same-length output.
 
-    Dropout is applied to the input of every layer, only while training.
+    The input of every layer is zeroed at padded rows, so the last real
+    character of a sentence sees zeros on its right as it would alone.
+    Dropout is applied to the input of every layer, only while training,
+    with one mask per layer for the whole batch.
     """
     layers: list[GcnnLayer]
     dropout: float = 0.0
@@ -99,10 +113,14 @@ class GcnnEncoder:
                                            d_out, rng))
         return GcnnEncoder(layers, drop)
 
-    def forward(self, x: Tensor, training: bool = False,
+    def forward(self, x: Tensor, mask: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
+        """(B, T, d_in) features of a batch with length mask (B, T) ->
+        (B, T, d_out); output rows past a sentence's end are unspecified."""
+        keep = mask[:, :, None]
         h = x
         for layer in self.layers:
+            h = mul(h, keep)
             if training and self.dropout > 0.0:
                 if rng is None:
                     raise ValueError("training forward needs an rng")
@@ -145,14 +163,20 @@ class TextCnn:
         proj_b = Tensor(np.zeros((1, 1)))
         return TextCnn(tuple(windows), convs, proj_w, proj_b)
 
-    def forward(self, h: Tensor) -> Tensor:
-        """Probability (1, 1) that the sentence is from the source domain."""
-        n = h.data.shape[0]
+    def forward(self, h: Tensor, mask: np.ndarray) -> Tensor:
+        """Probabilities (B, 1) that each sentence of a batch (B, T, d) with
+        length mask (B, T) is from the source domain. Each window bank pools
+        over the windows that start inside the sentence and, for a sentence
+        shorter than the window, over the one window at its start."""
+        h = mul(h, mask[:, :, None])
+        n = h.data.shape[1]
+        lengths = mask.sum(axis=1)
         pooled = []
         for w, (cw, cb) in zip(self.windows, self.convs):
-            pad_right = max(0, w - n)
-            c = add(conv1d(h, cw, 0, pad_right), cb)
-            pooled.append(max_over_time(c))
+            c = add(conv1d(h, cw, 0, max(0, w - n)), cb)
+            last = np.maximum(lengths, w) - w  # last window start
+            starts = np.arange(c.data.shape[1])
+            pooled.append(max_over_time(c, starts[None, :] <= last[:, None]))
         cat = concat_cols(pooled)
         logit = add(matmul(cat, self.proj_w), self.proj_b)
         return sigmoid(logit)

@@ -5,9 +5,12 @@ The baseline segmenter is embedding -> gated convolution stack -> CRF. The
 adversarial model keeps three encoders over one shared embedding table: a
 private encoder per domain plus a shared one. A sentence from domain d is
 scored by the CRF head of d on the concatenation [private_d ; shared]. A
-text-CNN discriminator reads the same shared features: each sentence of a
-step is encoded once, and that one pass feeds both its CRF head and the
-discriminator. Steps alternate between sharpening the discriminator (odd
+text-CNN discriminator reads the same shared features. Every step runs on
+padded (B, T, d) batches with a (B, T) length mask: the shared encoder
+runs once over the source and the target batch together, each private
+encoder once over its domain's batch, and that one shared pass feeds both
+the CRF heads and the discriminator. Decoding runs a batch of one. Steps
+alternate between sharpening the discriminator (odd
 steps, discriminator loss on detached shared features) and confusing it
 (even steps, confusion loss, discriminator frozen). All randomness flows
 from the config seed, so two runs with equal inputs produce identical
@@ -25,11 +28,13 @@ import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import crf as crf_mod
-from .autodiff import Tensor, backward, concat_cols, log, scale, sub
+from .autodiff import (Tensor, backward, concat_cols, gather_rows, log, mul,
+                       scale, sub, sum_all)
 from .corpus import TAGS, TAG_INDEX, LabeledDataset, tags_to_words
 from .errors import DataError
 from .model_io import load_container, save_container
@@ -55,8 +60,8 @@ class TrainConfig:
                      "gcnn_layers", "textcnn_filters", "window"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
@@ -108,30 +113,28 @@ def _config(values: dict, path: str) -> TrainConfig:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _mean(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return scale(total, 1.0 / len(terms))
-
-
-def _sentence_loss(h: Tensor, head: crf_mod.CrfHead, tags: str) -> Tensor:
-    """CRF negative log-likelihood of the gold tags given a sentence's
-    features and CRF head; one path for both trainers."""
-    gold = np.array([TAG_INDEX[t] for t in tags], dtype=np.int64)
-    return crf_mod.nll_loss(crf_mod.emission_scores(h, head), head, gold)
+def _batch_loss(h: Tensor, head: crf_mod.CrfHead, mask: np.ndarray,
+                tags: list[str]) -> Tensor:
+    """Mean CRF negative log-likelihood of the gold tags of a batch given
+    its features (B, T, d), CRF head and length mask; one path for both
+    trainers."""
+    gold = np.zeros(mask.shape, dtype=np.int64)
+    for row, t in zip(gold, tags):
+        row[:len(t)] = [TAG_INDEX[c] for c in t]
+    nll = crf_mod.nll_loss(crf_mod.emission_scores(h, head), head, gold, mask)
+    return scale(nll, 1.0 / len(tags))
 
 
 def _segment(model: "Segmenter | DaatModel", sentence: str,
              domain: str = "target") -> list[str]:
-    """Words of the Viterbi tag path; domain picks the tower of a DAAT
-    model and is ignored by a Segmenter."""
+    """Words of the Viterbi tag path, decoded as a batch of one; domain
+    picks the tower of a DAAT model and is ignored by a Segmenter."""
     if not sentence:
         return []
-    h, head = model._tower(sentence, domain)
+    h, head, mask = model._tower([sentence], domain)
     emis = crf_mod.emission_scores(h, head)
     path = crf_mod.viterbi_decode(emis.data, head.trans.data,
-                                  head.start.data, head.stop.data)
+                                  head.start.data, head.stop.data, mask)[0]
     return tags_to_words(sentence, "".join(TAGS[i] for i in path))
 
 
@@ -175,11 +178,13 @@ class Segmenter:
         out.update(self.head.params("crf"))
         return out
 
-    def _tower(self, sentence: str, domain: str, training: bool = False,
+    def _tower(self, sentences: list[str], domain: str,
+               training: bool = False,
                rng: np.random.Generator | None = None):
-        """Encoder features and the CRF head; domain is ignored."""
-        h = self.encoder.forward(self.embedding.embed(sentence), training, rng)
-        return h, self.head
+        """Encoder features of a batch, the CRF head and the length mask;
+        domain is ignored."""
+        x, mask = self.embedding.embed(sentences)
+        return self.encoder.forward(x, mask, training, rng), self.head, mask
 
     segment = _segment
 
@@ -208,10 +213,11 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
             for j, lo in enumerate(range(0, len(order), cfg.batch_size),
                                    start=1):
                 t0 = time.monotonic()
-                batch = [ds.items[i] for i in order[lo:lo + cfg.batch_size]]
-                loss = _mean([_sentence_loss(
-                    *model._tower(s, ds.domain, True, rng), t)
-                    for s, t in batch])
+                sents, tags = zip(*(ds.items[i]
+                                    for i in order[lo:lo + cfg.batch_size]))
+                h, head, mask = model._tower(list(sents), ds.domain, True,
+                                             rng)
+                loss = _batch_loss(h, head, mask, list(tags))
                 backward(loss)
                 opt.step()
                 opt.zero_grad()
@@ -219,6 +225,29 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
                 _log_row(log_f, t0, epoch, j, loss.item(), None, None)
             model.loss_history.append(float(np.mean(epoch_losses)))
     return model
+
+
+class Encoded(NamedTuple):
+    """One encoding of a source and a target batch (DaatModel.encode):
+    the tagger features [private ; shared] of each domain's rows, padded
+    to that domain's longest sentence (None for a domain without rows or
+    without a trained tower), the shared features and length mask of all
+    rows, and the number of source rows, which come first."""
+    src: Tensor | None
+    tgt: Tensor | None
+    shared: Tensor
+    mask: np.ndarray
+    n_src: int
+
+
+def _crop(x: Tensor, lo: int, shape: tuple[int, int]) -> Tensor:
+    """The (b, t) block of a batch tensor that starts at row lo and
+    position 0; x itself when that is all of it."""
+    b, t = shape
+    if (lo, b, t) == (0, *x.data.shape[:2]):
+        return x
+    return gather_rows(x, (np.arange(lo, lo + b)[:, None],
+                           np.arange(t)[None, :]))
 
 
 class DaatModel:
@@ -275,30 +304,39 @@ class DaatModel:
         out.update(self.disc_params())
         return out
 
-    def encode(self, sentence: str, domain: str, training: bool = False,
-               rng: np.random.Generator | None = None):
-        """One embedding gather and one pass of each encoder a sentence of
-        the domain needs: the tagger features [private ; shared], the
-        domain's CRF head, and the shared features. The target tower is
-        never trained in AT mode, so there a target sentence gets the
-        shared pass only, with None for the features and the head."""
+    def encode(self, src: list[str], tgt: list[str], training: bool = False,
+               rng: np.random.Generator | None = None) -> "Encoded":
+        """One shared-encoder pass over the source and the target sentences
+        as one padded batch (source rows first), then one pass of each
+        private encoder over its domain's sentences, padded to their own
+        longest one. The target tower is never trained in AT mode, so there
+        target rows get the shared pass only."""
+        x, mask = self.embedding.embed([*src, *tgt])
+        shared = self.enc_shr.forward(x, mask, training, rng)
+        towers = []
+        for enc, rows, lo in ((self.enc_src, src, 0),
+                              (self.enc_tgt, tgt, len(src))):
+            if not rows or (enc is self.enc_tgt and self.mode == "at"):
+                towers.append(None)
+                continue
+            xd, md = (x, mask) if len(rows) == len(mask) else \
+                self.embedding.embed(rows)
+            private = enc.forward(xd, md, training, rng)
+            towers.append(concat_cols([private,
+                                       _crop(shared, lo, md.shape)]))
+        return Encoded(*towers, shared, mask, len(src))
+
+    def _tower(self, sentences: list[str], domain: str):
+        """Features, CRF head and length mask that decode a batch of the
+        domain; AT mode decodes both domains with the source tower it
+        trains."""
         if domain not in ("source", "target"):
             raise ValueError(f"unknown domain {domain!r}")
-        e = self.embedding.embed(sentence)
-        if self.mode == "at" and domain == "target":
-            return None, None, self.enc_shr.forward(e, training, rng)
-        src = domain == "source"
-        private = (self.enc_src if src else self.enc_tgt).forward(
-            e, training, rng)
-        shared = self.enc_shr.forward(e, training, rng)
-        return (concat_cols([private, shared]),
-                self.crf_src if src else self.crf_tgt, shared)
-
-    def _tower(self, sentence: str, domain: str):
-        """Features and CRF head that decode a sentence of the domain; AT
-        mode decodes both domains with the source tower it trains."""
-        at_target = self.mode == "at" and domain == "target"
-        return self.encode(sentence, "source" if at_target else domain)[:2]
+        if domain == "source" or self.mode == "at":
+            enc = self.encode(sentences, [])
+            return enc.src, self.crf_src, enc.mask
+        enc = self.encode([], sentences)
+        return enc.tgt, self.crf_tgt, enc.mask
 
     segment = _segment
 
@@ -380,68 +418,63 @@ def load_model(path: str) -> "Segmenter | DaatModel":
     return model
 
 
-def _domain_bce(model: DaatModel, shared_src: list[Tensor],
-                shared_tgt: list[Tensor], flip: bool) -> Tensor:
+def _domain_bce(model: DaatModel, shared: Tensor, enc: Encoded,
+                flip: bool) -> Tensor:
     """Binary cross-entropy of the discriminator over the shared features
-    of both batches: minus the sum of the two per-domain mean
-    log-probabilities.
+    of both batches, read in one pass: minus the sum of the two per-domain
+    mean log-probabilities.
 
     flip=False scores the true domains (discriminator loss); flip=True
     swaps them (confusion loss). Probabilities are clamped to 1e-7.
     """
-    means = []
-    for feats, is_src in ((shared_src, True), (shared_tgt, False)):
-        terms = []
-        for f in feats:
-            p = clamped(model.disc.forward(f))
-            terms.append(log(p) if is_src != flip else log(sub(1.0, p)))
-        means.append(_mean(terms))
-    return sub(0.0, means[0] + means[1])
+    p = clamped(model.disc.forward(shared, enc.mask))  # (B, 1)
+    n, b = enc.n_src, len(enc.mask)
+    is_src = (np.arange(b) < n)[:, None]
+    weight = np.where(is_src, 1.0 / n, 1.0 / (b - n))  # per-domain means
+    says_src = is_src != flip  # rows scored by log p, the rest by log(1-p)
+    total = sum_all(mul(log(p), weight * says_src)) \
+        + sum_all(mul(log(sub(1.0, p)), weight * ~says_src))
+    return sub(0.0, total)
 
 
-def discriminator_loss(model: DaatModel, shared_src: list[Tensor],
-                       shared_tgt: list[Tensor]) -> Tensor:
+def discriminator_loss(model: DaatModel, enc: Encoded) -> Tensor:
     """Loss the discriminator minimizes to tell the domains apart, given
-    the shared features of each batch. They are detached, so the loss
-    trains the discriminator only and never the shared encoder."""
-    return _domain_bce(model, [f.detach() for f in shared_src],
-                       [f.detach() for f in shared_tgt], flip=False)
+    an encoded step. The shared features are detached, so the loss trains
+    the discriminator only and never the shared encoder."""
+    return _domain_bce(model, enc.shared.detach(), enc, flip=False)
 
 
-def confusion_loss(model: DaatModel, shared_src: list[Tensor],
-                   shared_tgt: list[Tensor]) -> Tensor:
+def confusion_loss(model: DaatModel, enc: Encoded) -> Tensor:
     """Domain-flipped loss the shared encoder minimizes to fool the
-    discriminator, given the shared features of each batch."""
-    return _domain_bce(model, shared_src, shared_tgt, flip=True)
+    discriminator, given an encoded step."""
+    return _domain_bce(model, enc.shared, enc, flip=True)
 
 
-def tagging_losses(model: DaatModel, batch_src: list[tuple[tuple, str]],
-                   batch_tgt: list[tuple[tuple, str]],
-                   ) -> tuple[Tensor, Tensor | None]:
-    """Mean CRF negative log-likelihood per domain tower over (encoded,
-    tags) pairs, each encoded as DaatModel.encode returns it. The target
+def tagging_losses(model: DaatModel, enc: Encoded, tags_src: list[str],
+                   tags_tgt: list[str]) -> tuple[Tensor, Tensor | None]:
+    """Mean CRF negative log-likelihood per domain tower of an encoded
+    step, given the gold tags of its source and target rows. The target
     loss is None in AT mode or for an empty target batch."""
-    l_src = _mean([_sentence_loss(h, head, t)
-                   for (h, head, _), t in batch_src])
-    if model.mode == "at" or not batch_tgt:
+    n = enc.n_src
+    l_src = _batch_loss(enc.src, model.crf_src,
+                        enc.mask[:n, :enc.src.data.shape[1]], tags_src)
+    if enc.tgt is None:
         return l_src, None
-    l_tgt = _mean([_sentence_loss(h, head, t)
-                   for (h, head, _), t in batch_tgt])
-    return l_src, l_tgt
+    return l_src, _batch_loss(enc.tgt, model.crf_tgt,
+                              enc.mask[n:, :enc.tgt.data.shape[1]], tags_tgt)
 
 
 def _step_losses(model: DaatModel, batch_src: list[tuple[str, str]],
                  batch_tgt: list[tuple[str, str]], odd: bool,
                  rng: np.random.Generator):
     """L_src, L_tgt (None in AT mode) and the adversarial loss of one
-    step. Each sentence is encoded once; its shared features feed both its
-    CRF head and the discriminator (L_d on odd steps, L_c on even ones)."""
-    src = [(model.encode(s, "source", True, rng), t) for s, t in batch_src]
-    tgt = [(model.encode(s, "target", True, rng), t) for s, t in batch_tgt]
-    l_src, l_tgt = tagging_losses(model, src, tgt)
+    step. Both batches are encoded once; the shared features feed both the
+    CRF heads and the discriminator (L_d on odd steps, L_c on even ones)."""
+    (s_src, t_src), (s_tgt, t_tgt) = zip(*batch_src), zip(*batch_tgt)
+    enc = model.encode(list(s_src), list(s_tgt), True, rng)
+    l_src, l_tgt = tagging_losses(model, enc, list(t_src), list(t_tgt))
     adv = discriminator_loss if odd else confusion_loss
-    l_adv = adv(model, [e[2] for e, _ in src], [e[2] for e, _ in tgt])
-    return l_src, l_tgt, l_adv
+    return l_src, l_tgt, adv(model, enc)
 
 
 class _Cursor:

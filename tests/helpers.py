@@ -1,8 +1,8 @@
 """Independent oracles the tests compare library output against.
 
 Everything here is written from scratch in the most direct way possible
-(full enumeration, Counter arithmetic) so agreement with the library is
-meaningful rather than circular.
+(full enumeration, Counter arithmetic, one sentence at a time) so
+agreement with the library is meaningful rather than circular.
 """
 from __future__ import annotations
 
@@ -12,6 +12,11 @@ import unicodedata
 from collections import Counter
 
 import numpy as np
+
+from crossseg.autodiff import (Tensor, add, concat_cols, gather_rows, log,
+                               matmul, mul, scale, sigmoid, sub)
+from crossseg.corpus import TAG_INDEX
+from crossseg.nn import UNK_INDEX, clamped
 
 N_TAGS = 4
 
@@ -225,3 +230,189 @@ def linear_probe_accuracy(X: np.ndarray, y: np.ndarray, iters: int = 300,
         b -= lr * g.mean()
     pred = (Xn[te] @ w + b) > 0
     return float((pred == (y[te] > 0.5)).mean())
+
+
+# -- per-sentence reference of the batched neural stack ---------------------
+#
+# The model computed the direct way: every sentence is its own (n, d)
+# graph, convolutions pad with np.pad, the text-CNN pools one sentence,
+# and the CRF loss loops over positions. It builds library Tensors (and
+# uses only the library's elementwise and affine ops, which do not depend
+# on batching) so tests compare gradients as well as values. Everything
+# runs in eval mode: compare with the library at dropout 0.
+
+
+def conv1d_ref(x: Tensor, w: Tensor, pad_left: int, pad_right: int) -> Tensor:
+    """(n, d_in) * (k, d_in, d_out) -> (n + pads - k + 1, d_out)."""
+    k = w.data.shape[0]
+    xp = np.pad(x.data, ((pad_left, pad_right), (0, 0)))
+    n_out = xp.shape[0] - k + 1
+    y = np.zeros((n_out, w.data.shape[2]))
+    for o in range(k):
+        y += xp[o:o + n_out] @ w.data[o]
+    out = Tensor(y, (x, w))
+
+    def bwd(g):
+        dxp = np.zeros_like(xp)
+        dw = np.zeros_like(w.data)
+        for o in range(k):
+            dw[o] = xp[o:o + n_out].T @ g
+            dxp[o:o + n_out] += g @ w.data[o].T
+        x._accumulate(dxp[pad_left:pad_left + x.data.shape[0]])
+        w._accumulate(dw)
+
+    out._bwd = bwd
+    return out
+
+
+def max_over_time_ref(x: Tensor) -> Tensor:
+    """(t, f) -> (1, f); ties send the gradient to the earliest row."""
+    am = np.argmax(x.data, axis=0)
+    cols = np.arange(x.data.shape[1])
+    out = Tensor(x.data[am, cols][None, :], (x,))
+
+    def bwd(g):
+        grad = np.zeros_like(x.data)
+        grad[am, cols] = g[0]
+        x._accumulate(grad)
+
+    out._bwd = bwd
+    return out
+
+
+def _lse(a: np.ndarray, axis: int) -> np.ndarray:
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(m + np.log(np.exp(a - m).sum(axis=axis,
+                                                    keepdims=True)), axis)
+
+
+def nll_loss_ref(emissions: Tensor, head, gold) -> Tensor:
+    """CRF negative log-likelihood of one sentence's gold path by a
+    position-by-position forward-backward."""
+    gold = np.asarray(gold, dtype=np.int64)
+    e, t = emissions.data, head.trans.data
+    sv, pv = head.start.data, head.stop.data
+    n = e.shape[0]
+    alpha = np.empty((n, N_TAGS))
+    alpha[0] = sv + e[0]
+    for i in range(1, n):
+        alpha[i] = _lse(alpha[i - 1][:, None] + t, 0) + e[i]
+    log_z = float(_lse((alpha[n - 1] + pv)[None, :], 1)[0])
+    beta = np.empty((n, N_TAGS))
+    beta[n - 1] = pv
+    for i in range(n - 2, -1, -1):
+        beta[i] = _lse(t + (e[i + 1] + beta[i + 1])[None, :], 1)
+    score = sv[gold[0]] + e[np.arange(n), gold].sum() + pv[gold[-1]]
+    score += t[gold[:-1], gold[1:]].sum()
+    out = Tensor(log_z - score, (emissions, head.trans, head.start,
+                                 head.stop))
+
+    def bwd(g):
+        gs = float(g)
+        marg = np.exp(alpha + beta - log_z)
+        de = marg.copy()
+        de[np.arange(n), gold] -= 1.0
+        emissions._accumulate(gs * de)
+        dt = np.zeros((N_TAGS, N_TAGS))
+        for i in range(n - 1):
+            dt += np.exp(alpha[i][:, None] + t
+                         + (e[i + 1] + beta[i + 1])[None, :] - log_z)
+            dt[gold[i], gold[i + 1]] -= 1.0
+        head.trans._accumulate(gs * dt)
+        ds = marg[0].copy()
+        ds[gold[0]] -= 1.0
+        head.start._accumulate(gs * ds)
+        dp = marg[n - 1].copy()
+        dp[gold[-1]] -= 1.0
+        head.stop._accumulate(gs * dp)
+
+    out._bwd = bwd
+    return out
+
+
+def viterbi_ref(e, trans, start, stop) -> list[int]:
+    """One sentence's best path, ties to the lowest tag index."""
+    n = e.shape[0]
+    delta = start + e[0]
+    back = np.zeros((n, N_TAGS), dtype=np.int64)
+    for i in range(1, n):
+        cand = delta[:, None] + trans
+        back[i] = np.argmax(cand, axis=0)
+        delta = cand[back[i], np.arange(N_TAGS)] + e[i]
+    path = [int(np.argmax(delta + stop))]
+    for i in range(n - 1, 0, -1):
+        path.append(int(back[i, path[-1]]))
+    return path[::-1]
+
+
+def embed_ref(emb, sentence: str) -> Tensor:
+    return gather_rows(emb.table, np.array(
+        [emb.vocab.get(c, UNK_INDEX) for c in sentence], dtype=np.int64))
+
+
+def gcnn_ref(enc, x: Tensor) -> Tensor:
+    """A GCNN encoder over one sentence (n, d_in) -> (n, d_out)."""
+    h = x
+    for layer in enc.layers:
+        pad = (layer.k - 1) // 2
+        lin = add(conv1d_ref(h, layer.w, pad, pad), layer.b)
+        gate = sigmoid(add(conv1d_ref(h, layer.v, pad, pad), layer.c))
+        h = mul(lin, gate)
+    return h
+
+
+def textcnn_ref(disc, h: Tensor) -> Tensor:
+    """Source-domain probability (1, 1) of one sentence (n, d); a sentence
+    shorter than a window is zero padded at the end to the window size."""
+    n = h.data.shape[0]
+    pooled = [max_over_time_ref(add(conv1d_ref(h, cw, 0, max(0, w - n)), cb))
+              for w, (cw, cb) in zip(disc.windows, disc.convs)]
+    return sigmoid(add(matmul(concat_cols(pooled), disc.proj_w),
+                       disc.proj_b))
+
+
+def sentence_nll_ref(h: Tensor, head, tags: str) -> Tensor:
+    emis = add(matmul(h, head.emit_w), head.emit_b)
+    return nll_loss_ref(emis, head, [TAG_INDEX[c] for c in tags])
+
+
+def mean_ref(terms: list[Tensor]) -> Tensor:
+    return scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
+
+
+def base_loss_ref(model, batch: list[tuple[str, str]]) -> Tensor:
+    """Mean per-sentence CRF loss of a Segmenter over (sentence, tags)."""
+    return mean_ref([sentence_nll_ref(
+        gcnn_ref(model.encoder, embed_ref(model.embedding, s)), model.head, t)
+        for s, t in batch])
+
+
+def daat_losses_ref(model, batch_src, batch_tgt, odd: bool):
+    """L_src, L_tgt (None in AT mode) and the adversarial loss (L_d on odd
+    steps, with detached shared features, L_c on even ones) of a DAAT
+    model, one sentence at a time."""
+    at = model.mode == "at"
+
+    def encode(sentence, src):
+        e = embed_ref(model.embedding, sentence)
+        shared = gcnn_ref(model.enc_shr, e)
+        if at and not src:
+            return None, shared
+        private = gcnn_ref(model.enc_src if src else model.enc_tgt, e)
+        return concat_cols([private, shared]), shared
+
+    src = [(encode(s, True), t) for s, t in batch_src]
+    tgt = [(encode(s, False), t) for s, t in batch_tgt]
+    l_src = mean_ref([sentence_nll_ref(h, model.crf_src, t)
+                      for (h, _), t in src])
+    l_tgt = None if at else mean_ref([sentence_nll_ref(h, model.crf_tgt, t)
+                                      for (h, _), t in tgt])
+    means = []
+    for enc, is_src in ((src, True), (tgt, False)):
+        terms = []
+        for (_, shared), _ in enc:
+            p = clamped(textcnn_ref(model.disc,
+                                    shared.detach() if odd else shared))
+            terms.append(log(p) if is_src == odd else log(sub(1.0, p)))
+        means.append(mean_ref(terms))
+    return l_src, l_tgt, sub(0.0, means[0] + means[1])

@@ -124,10 +124,11 @@ def test_criterion_1_crf_agrees_with_brute_force():
                        start=tensor(start.copy()),
                        stop=tensor(stop.copy()))
         gold = [int(g) for g in rng.integers(0, 4, size=n)]
-        loss = nll_loss(tensor(e.copy()), head, gold)
+        one = np.ones((1, n), dtype=bool)  # a batch of one sentence
+        loss = nll_loss(tensor(e[None].copy()), head, [gold], one)
         want = helpers.gold_path_probability(e, t, start, stop, gold)
         assert math.exp(-loss.item()) == pytest.approx(want, abs=1e-10)
-        got = viterbi_decode(e, t, start, stop)
+        got = viterbi_decode(e[None], t, start, stop, one)[0]
         assert tuple(got) == helpers.crf_best_path(e, t, start, stop)
     assert time.perf_counter() - t0 < 10.0
 
@@ -208,9 +209,10 @@ def test_criterion_7_shared_features_hide_domain(world, pipeline):
     probe_src, probe_tgt = world["probe"]
     shared, private, labels = [], [], []
     for s, dom in [(x, 0) for x in probe_src] + [(x, 1) for x in probe_tgt]:
-        shared.append(daat.enc_shr.forward(daat.embedding.embed(s)).data)
+        x, mask = daat.embedding.embed([s])
+        shared.append(daat.enc_shr.forward(x, mask).data[0])
         enc = daat.enc_src if dom == 0 else daat.enc_tgt
-        private.append(enc.forward(daat.embedding.embed(s)).data)
+        private.append(enc.forward(x, mask).data[0])
         labels.extend([dom] * len(s))
     y = np.array(labels, dtype=float)
     acc_shared = helpers.linear_probe_accuracy(np.vstack(shared), y)

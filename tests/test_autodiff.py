@@ -76,35 +76,51 @@ def test_clamp_blocks_gradient_outside():
     np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0]])
 
 
+def test_matmul_batched_left_operand():
+    a = RNG.normal(size=(2, 3, 4))
+    b = RNG.normal(size=(4, 2))
+    check_grad(lambda x, y: sum_all(mul(matmul(x, y), matmul(x, y))), a, b)
+
+
 def test_concat_cols():
     a = RNG.normal(size=(3, 2))
     b = RNG.normal(size=(3, 4))
     check_grad(lambda x, y: sum_all(mul(concat_cols([x, y]),
                                         concat_cols([x, y]))), a, b)
+    c = RNG.normal(size=(2, 3, 2))  # batched: joins the last axis
+    d = RNG.normal(size=(2, 3, 1))
+    assert concat_cols([tensor(c), tensor(d)]).shape == (2, 3, 3)
+    check_grad(lambda x, y: sum_all(mul(concat_cols([x, y]),
+                                        concat_cols([x, y]))), c, d)
 
 
 def test_conv1d_values_match_manual():
-    x = RNG.normal(size=(5, 3))
+    x = RNG.normal(size=(2, 5, 3))
     w = RNG.normal(size=(3, 3, 2))
     out = conv1d(tensor(x), tensor(w), pad_left=1, pad_right=1).data
-    padded = np.vstack([np.zeros((1, 3)), x, np.zeros((1, 3))])
-    want = np.zeros((5, 2))
-    for i in range(5):
-        for k in range(3):
-            want[i] += padded[i + k] @ w[k]
-    np.testing.assert_allclose(out, want, atol=1e-12)
+    assert out.shape == (2, 5, 2)
+    for b in range(2):
+        padded = np.vstack([np.zeros((1, 3)), x[b], np.zeros((1, 3))])
+        want = np.zeros((5, 2))
+        for i in range(5):
+            for k in range(3):
+                want[i] += padded[i + k] @ w[k]
+        np.testing.assert_allclose(out[b], want, atol=1e-12)
 
 
 def test_conv1d_grad():
-    x = RNG.normal(size=(4, 2))
+    x = RNG.normal(size=(2, 4, 2))
     w = RNG.normal(size=(3, 2, 3))
     check_grad(lambda a, b: sum_all(conv1d(a, b, 1, 1)), x, w)
+    check_grad(lambda a, b: sum_all(conv1d(a, b, 0, 2)), x, w)
 
 
 def test_conv1d_valid_when_unpadded():
-    x = RNG.normal(size=(5, 2))
+    x = RNG.normal(size=(3, 5, 2))
     w = RNG.normal(size=(2, 2, 1))
-    assert conv1d(tensor(x), tensor(w), 0, 0).shape == (4, 1)
+    assert conv1d(tensor(x), tensor(w), 0, 0).shape == (3, 4, 1)
+    with pytest.raises(ValueError):
+        conv1d(tensor(x[:, :1]), tensor(w), 0, 0)
 
 
 def test_gather_rows_accumulates_repeats():
@@ -116,17 +132,50 @@ def test_gather_rows_accumulates_repeats():
     np.testing.assert_allclose(table.grad[0], 0.0)
 
 
+def test_gather_rows_negative_index_is_zero_without_gradient():
+    table = tensor(RNG.normal(size=(4, 3)))
+    idx = np.array([[2, 0, -1], [1, -1, -1]])
+    out = gather_rows(table, idx)
+    assert out.shape == (2, 3, 3)
+    np.testing.assert_array_equal(out.data[0, 2], 0.0)
+    np.testing.assert_array_equal(out.data[1, 1:], 0.0)
+    np.testing.assert_array_equal(out.data[0, 1], table.data[0])
+    backward(sum_all(mul(out, out)))
+    np.testing.assert_array_equal(table.grad[0], 2.0 * table.data[0])
+    np.testing.assert_array_equal(table.grad[3], 0.0)
+
+
+def test_gather_rows_tuple_index_cuts_a_block():
+    x = RNG.normal(size=(3, 4, 2))
+    rows, cols = np.array([[1], [2]]), np.array([[0, 1, 2]])
+    out = gather_rows(tensor(x), (rows, cols))
+    np.testing.assert_array_equal(out.data, x[1:3, :3])
+    check_grad(lambda a: sum_all(mul(gather_rows(a, (rows, cols)),
+                                     gather_rows(a, (rows, cols)))), x)
+
+
 def test_max_over_time_first_tie_wins():
-    x = tensor(np.array([[1.0, 5.0], [3.0, 5.0]]))
-    out = max_over_time(x)
+    x = tensor(np.array([[[1.0, 5.0], [3.0, 5.0]]]))
+    out = max_over_time(x, np.ones((1, 2), dtype=bool))
     np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
     backward(sum_all(out))
-    np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(x.grad, [[[0.0, 1.0], [1.0, 0.0]]])
 
 
 def test_max_over_time_grad():
-    x = RNG.normal(size=(6, 3))
-    check_grad(lambda a: sum_all(max_over_time(a)), x)
+    x = RNG.normal(size=(2, 6, 3))
+    valid = np.arange(6)[None, :] < np.array([[6], [2]])
+    check_grad(lambda a: sum_all(max_over_time(a, valid)), x)
+
+
+def test_max_over_time_skips_invalid_rows():
+    x = tensor(np.array([[[1.0], [9.0]], [[2.0], [9.0]]]))
+    out = max_over_time(x, np.array([[True, True], [True, False]]))
+    np.testing.assert_array_equal(out.data, [[9.0], [2.0]])
+    backward(sum_all(out))
+    np.testing.assert_array_equal(x.grad[:, :, 0], [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        max_over_time(x, np.array([[True, True], [False, False]]))
 
 
 def test_dropout_scales_survivors():

@@ -1,0 +1,207 @@
+"""The batched training path against the per-sentence reference in
+helpers.py, and the edge cases padding could get wrong: length-1 and
+all-unknown sentences beside the longest one, very long lines, padded
+positions, and saturated discriminator logits.
+"""
+import math
+
+import numpy as np
+import pytest
+
+import crossseg.train as train_mod
+from crossseg import crf as crf_mod
+from crossseg.autodiff import (Tensor, backward, concat_cols, gather_rows,
+                               sum_all)
+from crossseg.corpus import words_to_tags
+from crossseg.nn import UNK_INDEX
+from crossseg.train import (DaatModel, Segmenter, TrainConfig,
+                            confusion_loss, discriminator_loss,
+                            tagging_losses)
+
+import helpers
+import toylang
+from test_acceptance import TRAIN_CFG
+
+EXACT = dict(rtol=1e-12, atol=1e-12)  # for np.testing
+APPROX = dict(rel=1e-12, abs=1e-12)  # the same, for pytest.approx
+
+
+def _grads(model, loss) -> dict:
+    """Run backward on loss; return and clear every parameter gradient."""
+    backward(loss)
+    out = {}
+    for name, p in model.params().items():
+        out[name] = None if p.grad is None else p.grad.copy()
+        p.zero_grad()
+    return out
+
+
+def _assert_same_grads(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for name, g in got.items():
+        if g is None or want[name] is None:
+            assert g is None and want[name] is None, name
+        else:
+            np.testing.assert_allclose(g, want[name], err_msg=name, **EXACT)
+
+
+def _total(losses):
+    return sum((l for l in losses[1:] if l is not None), losses[0])
+
+
+def _tagged(segs):
+    return [("".join(ws), words_to_tags(ws)) for ws in segs]
+
+
+@pytest.fixture(scope="module")
+def acceptance_batches():
+    """One source and one target batch of the acceptance language."""
+    _, gold = toylang.target_mining_corpus()
+    return (_tagged(toylang.source_corpus()[:TRAIN_CFG["batch_size"]]),
+            _tagged(gold[:TRAIN_CFG["batch_size"]]))
+
+
+def test_acceptance_shaped_steps_match_per_sentence_reference(
+        acceptance_batches):
+    """One train_base step and one DAAT step (both adversarial branches,
+    both modes) at acceptance shapes and dropout 0: the batched losses and
+    every parameter gradient equal the per-sentence reference."""
+    src, tgt = acceptance_batches
+    cfg = TrainConfig(**{**TRAIN_CFG, "dropout": 0.0})
+    rng = np.random.default_rng(1)
+    seg = Segmenter.create([s for s, _ in src], cfg, rng)
+    h, head, mask = seg._tower([s for s, _ in src], "source", True, rng)
+    loss = train_mod._batch_loss(h, head, mask, [t for _, t in src])
+    value, grads = loss.item(), _grads(seg, loss)
+    ref = helpers.base_loss_ref(seg, src)
+    assert value == pytest.approx(ref.item(), **APPROX)
+    _assert_same_grads(grads, _grads(seg, ref))
+    for mode in ("daat", "at"):
+        model = DaatModel.create([s for s, _ in src + tgt], cfg, mode, rng)
+        model.disc.proj_w.data[:] = 0.5 * rng.normal(
+            size=model.disc.proj_w.data.shape)  # a fresh projection is zero
+        for odd in (True, False):
+            losses = train_mod._step_losses(model, src, tgt, odd, rng)
+            values = [l if l is None else l.item() for l in losses]
+            grads = _grads(model, _total(losses))
+            ref = helpers.daat_losses_ref(model, src, tgt, odd)
+            for got, want in zip(values, ref):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got == pytest.approx(want.item(), **APPROX)
+            _assert_same_grads(grads, _grads(model, _total(ref)))
+
+
+SMALL = dict(epochs=1, batch_size=4, dropout=0.0, char_emb=6, gcnn_dim=5,
+             gcnn_layers=3, window=3, textcnn_filters=3, filter_sizes=(2, 5))
+# a length-1 sentence, an all-unknown sentence and the longest sentence
+MIXED = [("a", "S"), ("xyz", "BME"), ("abcdabcdcba", "BEBMEBMEBME")]
+
+
+def _row_losses(model, batch, encode):
+    """Each row's tagging loss read from the features of the whole batch,
+    encoded afresh for every row; encode maps sentences to (features,
+    head, mask)."""
+    out = []
+    for i, (_, tags) in enumerate(batch):
+        h, head, mask = encode([s for s, _ in batch])
+        row = gather_rows(h, np.array([i]))
+        out.append(train_mod._batch_loss(row, head, mask[i:i + 1], [tags]))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["segmenter", "daat"])
+def test_mixed_batch_rows_equal_sentences_alone(kind):
+    rng = np.random.default_rng(7)
+    cfg = TrainConfig(**SMALL)
+    model = Segmenter.create(["abcd"], cfg, rng) if kind == "segmenter" \
+        else DaatModel.create(["abcd"], cfg, kind, rng)
+
+    def encode(sentences):
+        return model._tower(sentences, "target")
+
+    total = 0.0
+    for i, row in enumerate(_row_losses(model, MIXED, encode)):
+        value, grads = row.item(), _grads(model, row)
+        alone = _row_losses(model, [MIXED[i]], encode)[0]
+        assert value == pytest.approx(alone.item(), **APPROX)
+        _assert_same_grads(grads, _grads(model, alone))
+        total += value
+    h, head, mask = encode([s for s, _ in MIXED])
+    batch = train_mod._batch_loss(h, head, mask, [t for _, t in MIXED])
+    assert batch.item() == pytest.approx(total / len(MIXED), **APPROX)
+
+
+def test_padded_positions_get_exactly_zero_gradient():
+    rng = np.random.default_rng(8)
+    model = DaatModel.create(["abcd"], TrainConfig(**SMALL), "daat", rng)
+    model.disc.proj_w.data[:] = rng.normal(size=model.disc.proj_w.data.shape)
+    sentences = ["a", "abcdabcdcba", "ab"]  # no unknown character
+    gold = np.zeros((3, 11), dtype=np.int64)
+    for row, t in zip(gold, ["S", "BEBMEBMEBME", "BE"]):
+        row[:len(t)] = ["BMES".index(c) for c in t]
+    x, mask = model.embedding.embed(sentences)
+    pad = ~mask
+    assert pad.sum() == 10 + 9
+
+    def losses(x):
+        """Tagging plus discriminator loss through every encoder."""
+        shared = model.enc_shr.forward(x, mask)
+        private = model.enc_src.forward(x, mask)
+        emis = crf_mod.emission_scores(concat_cols([private, shared]),
+                                       model.crf_src)
+        tagging = crf_mod.nll_loss(emis, model.crf_src, gold, mask)
+        return tagging + sum_all(model.disc.forward(shared, mask)), emis, \
+            shared
+
+    # backward keeps the gradients of leaves: cut one at each input
+    x_in = Tensor(x.data)
+    total, emis, shared = losses(x_in)
+    emis_in, shared_in = Tensor(emis.data), Tensor(shared.data)
+    backward(total)
+    backward(crf_mod.nll_loss(emis_in, model.crf_src, gold, mask))
+    backward(sum_all(model.disc.forward(shared_in, mask)))
+    np.testing.assert_array_equal(x_in.grad[pad], 0.0)
+    np.testing.assert_array_equal(emis_in.grad[pad], 0.0)
+    np.testing.assert_array_equal(shared_in.grad[pad], 0.0)
+    for leaf in (x_in, emis_in, shared_in):  # not vacuous: every row
+        assert np.abs(leaf.grad).sum(axis=(1, 2)).min() > 0
+    model.embedding.table.zero_grad()
+    backward(losses(x)[0])
+    np.testing.assert_array_equal(model.embedding.table.grad[UNK_INDEX], 0.0)
+
+
+@pytest.mark.parametrize("kind", ["segmenter", "daat", "at"])
+def test_very_long_line_segments_and_joins_back(kind):
+    rng = np.random.default_rng(9)
+    cfg = TrainConfig(**SMALL)
+    model = Segmenter.create(["abcd"], cfg, rng) if kind == "segmenter" \
+        else DaatModel.create(["abcd"], cfg, kind, rng)
+    line = "".join(rng.choice(list("abcdxy"), size=5000))
+    for domain in ("source", "target"):
+        words = model.segment(line, domain)
+        assert "".join(words) == line
+        assert all(words)
+
+
+@pytest.mark.parametrize("logit", [1e3, -1e3])
+def test_saturated_discriminator_logits_give_finite_clamped_loss(logit):
+    rng = np.random.default_rng(10)
+    model = DaatModel.create(["abcd", "xyz"], TrainConfig(**SMALL), "daat",
+                             rng)
+    model.disc.proj_b.data[:] = logit  # every row's logit is +-1e3
+    clamp_cost = -math.log(1e-7)  # one domain's mean hits the clamp
+    for loss_fn in (discriminator_loss, confusion_loss):
+        enc = model.encode(["a", "abcd"], ["xyz", "x", "zyxzyx"])
+        loss = loss_fn(model, enc)
+        assert loss.item() == pytest.approx(clamp_cost, rel=1e-6)
+        l_src, l_tgt = tagging_losses(model, enc, ["S", "BMME"],
+                                      ["BME", "S", "BEBMME"])
+        grads = _grads(model, l_src + l_tgt + loss)
+        assert all(np.isfinite(g).all() for g in grads.values()
+                   if g is not None)
+        # the clamp is active on every row: no gradient reaches the
+        # discriminator through the saturated probabilities
+        for name, g in grads.items():
+            if name.startswith("disc."):
+                assert g is None or not g.any(), name

@@ -156,6 +156,23 @@ def test_config_file_and_flag_precedence(workdir, tmp_path):
     assert loaded.config.char_emb == 8
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_lr_is_rejected(workdir, tmp_path, capsys, lr):
+    # nan <= 0 is false: an unchecked nan trains to NaN parameters, exit 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"epochs=1\nlr={lr}\n")
+    model = tmp_path / "m.bin"
+    argv = ["train-base", "--train", str(workdir / "train.txt"),
+            "--out-model", str(model), "--char-emb", "4", "--gcnn-dim", "4",
+            "--gcnn-layers", "1"]
+    assert main(argv + ["--config", str(cfg)]) == 2  # a bad data file
+    err = capsys.readouterr().err
+    assert f"{cfg}: lr must be positive and finite" in err
+    assert main(argv + ["--lr", lr]) == 1  # a bad flag value
+    assert "lr must be positive and finite" in capsys.readouterr().err
+    assert not model.exists()
+
+
 # Containers written by the save code of commit c7f9867, before save and
 # load shared one path: a segmenter and a DAAT model trained 4 epochs on
 # "ab cd ef gh" (source) and "ab xy ef zw" (target) sentences with

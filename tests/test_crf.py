@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from crossseg.autodiff import backward, tensor
 from crossseg.crf import (CrfHead, emission_scores, nll_loss, viterbi_decode)
 
-from helpers import (crf_best_path, crf_log_partition, gold_path_probability)
+from helpers import (crf_best_path, crf_log_partition, gold_path_probability,
+                     nll_loss_ref, viterbi_ref)
 
 
 def random_instance(rng, n):
@@ -25,70 +27,134 @@ def head_from(t, start, stop):
                    stop=tensor(stop.copy()))
 
 
+def ragged(rng, lengths):
+    """Emissions (B, T, 4) of random sentences with the given lengths,
+    garbage past each end, with their length mask and gold paths."""
+    n = max(lengths)
+    mask = np.arange(n)[None, :] < np.array(lengths)[:, None]
+    e = rng.normal(size=(len(lengths), n, 4))
+    e[~mask] = rng.normal(size=(int((~mask).sum()), 4)) * 1e3
+    gold = rng.integers(0, 4, size=mask.shape)
+    return e, mask, gold
+
+
 def test_loss_matches_enumeration():
     rng = np.random.default_rng(11)
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        e, t, start, stop = random_instance(rng, n)
-        gold = [int(g) for g in rng.integers(0, 4, size=n)]
+    for _ in range(20):
+        lengths = [int(v) for v in rng.integers(1, 6, size=3)]
+        e, mask, gold = ragged(rng, lengths)
+        _, t, start, stop = random_instance(rng, 1)
         head = head_from(t, start, stop)
-        loss = nll_loss(tensor(e.copy()), head, gold)
-        want = gold_path_probability(e, t, start, stop, gold)
-        assert math.exp(-loss.item()) == pytest.approx(want, abs=1e-12)
+        want = [-math.log(gold_path_probability(
+            e[b, :n], t, start, stop, list(gold[b, :n])))
+            for b, n in enumerate(lengths)]
+        loss = nll_loss(tensor(e.copy()), head, gold, mask)
+        assert loss.item() == pytest.approx(sum(want), abs=1e-12)
+        for b, n in enumerate(lengths):  # each sentence as a batch of one
+            one = nll_loss(tensor(e[b:b + 1, :n].copy()), head,
+                           gold[b:b + 1, :n], mask[b:b + 1, :n])
+            assert math.exp(-one.item()) == pytest.approx(
+                math.exp(-want[b]), abs=1e-12)
 
 
 def test_viterbi_matches_enumeration():
     rng = np.random.default_rng(12)
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        e, t, start, stop = random_instance(rng, n)
-        got = viterbi_decode(e, t, start, stop)
-        assert tuple(got) == crf_best_path(e, t, start, stop)
+    for _ in range(20):
+        lengths = [int(v) for v in rng.integers(1, 6, size=3)]
+        e, mask, _ = ragged(rng, lengths)
+        _, t, start, stop = random_instance(rng, 1)
+        got = viterbi_decode(e, t, start, stop, mask)
+        assert got.shape == mask.shape
+        for b, n in enumerate(lengths):
+            assert tuple(got[b, :n]) == crf_best_path(e[b, :n], t, start,
+                                                      stop)
+            assert tuple(got[b, :n]) == tuple(viterbi_ref(e[b, :n], t, start,
+                                                          stop))
+
+
+def test_viterbi_matches_per_sentence_reference_on_long_ragged_batch():
+    rng = np.random.default_rng(15)
+    lengths = [1, 45, 10, 33, 2]
+    e, mask, _ = ragged(rng, lengths)
+    _, t, start, stop = random_instance(rng, 1)
+    got = viterbi_decode(e, t, start, stop, mask)
+    for b, n in enumerate(lengths):
+        assert list(got[b, :n]) == viterbi_ref(e[b, :n], t, start, stop)
 
 
 def test_loss_gradient_is_marginal_gap():
-    # d nll / d e[i, y] = P(tag_i = y) - [gold_i = y]
+    # d nll / d e[b, i, y] = P(tag_i = y) - [gold_i = y] within a sentence,
+    # exactly zero past its end
     rng = np.random.default_rng(13)
-    n = 5
-    e, t, start, stop = random_instance(rng, n)
-    gold = [0, 2, 1, 3, 3]
+    lengths = [5, 3]
+    e, mask, gold = ragged(rng, lengths)
+    _, t, start, stop = random_instance(rng, 1)
     head = head_from(t, start, stop)
     et = tensor(e.copy())
-    backward(nll_loss(et, head, gold))
-    log_z = crf_log_partition(e, t, start, stop)
-    for i in range(n):
-        for y in range(4):
-            e2 = e.copy()
-            marg = 0.0
-            import itertools
-            for path in itertools.product(range(4), repeat=n):
-                if path[i] != y:
-                    continue
-                s = start[path[0]] + stop[path[-1]]
-                s += sum(e2[k, p] for k, p in enumerate(path))
-                s += sum(t[a, b] for a, b in zip(path, path[1:]))
-                marg += math.exp(s - log_z)
-            want = marg - (1.0 if gold[i] == y else 0.0)
-            assert et.grad[i, y] == pytest.approx(want, abs=1e-9)
+    backward(nll_loss(et, head, gold, mask))
+    np.testing.assert_array_equal(et.grad[~mask], 0.0)
+    for b, n in enumerate(lengths):
+        eb = e[b, :n]
+        log_z = crf_log_partition(eb, t, start, stop)
+        for i in range(n):
+            for y in range(4):
+                marg = 0.0
+                for path in itertools.product(range(4), repeat=n):
+                    if path[i] != y:
+                        continue
+                    s = start[path[0]] + stop[path[-1]]
+                    s += sum(eb[k, p] for k, p in enumerate(path))
+                    s += sum(t[a, c] for a, c in zip(path, path[1:]))
+                    marg += math.exp(s - log_z)
+                want = marg - (1.0 if gold[b, i] == y else 0.0)
+                assert et.grad[b, i, y] == pytest.approx(want, abs=1e-9)
+
+
+def test_batched_loss_and_gradients_match_per_sentence_reference():
+    rng = np.random.default_rng(16)
+    lengths = [1, 45, 10, 33, 2]
+    e, mask, gold = ragged(rng, lengths)
+    _, t, start, stop = random_instance(rng, 1)
+    head = head_from(t, start, stop)
+    et = tensor(e.copy())
+    loss = nll_loss(et, head, gold, mask)
+    backward(loss)
+    ref_head = head_from(t, start, stop)
+    total = 0.0
+    want_e = np.zeros_like(e)
+    for b, n in enumerate(lengths):
+        eb = tensor(e[b, :n].copy())
+        one = nll_loss_ref(eb, ref_head, gold[b, :n])
+        backward(one)
+        total += one.item()
+        want_e[b, :n] = eb.grad
+    assert loss.item() == pytest.approx(total, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(et.grad, want_e, rtol=1e-12, atol=1e-12)
+    for name in ("trans", "start", "stop"):
+        np.testing.assert_allclose(getattr(head, name).grad,
+                                   getattr(ref_head, name).grad,
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_fresh_head_single_char_loss_is_ln4():
     # zero emissions and transitions leave a uniform path distribution
     head = head_from(np.zeros((4, 4)), np.zeros(4), np.zeros(4))
-    loss = nll_loss(tensor(np.zeros((1, 4))), head, [3])
-    assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
+    loss = nll_loss(tensor(np.zeros((2, 1, 4))), head, [[3], [0]],
+                    np.ones((2, 1), dtype=bool))
+    assert loss.item() == pytest.approx(2 * math.log(4.0), abs=1e-12)
 
 
 def test_viterbi_ties_prefer_lowest_index():
-    got = viterbi_decode(np.zeros((3, 4)), np.zeros((4, 4)),
-                         np.zeros(4), np.zeros(4))
-    assert list(got) == [0, 0, 0]
+    got = viterbi_decode(np.zeros((2, 3, 4)), np.zeros((4, 4)),
+                         np.zeros(4), np.zeros(4),
+                         np.array([[True] * 3, [True, False, False]]))
+    assert got.tolist() == [[0, 0, 0], [0, 0, 0]]
 
 
 def test_emission_scores_affine():
     rng = np.random.default_rng(14)
     head = CrfHead.create(hidden=6, rng=rng)
-    h = rng.normal(size=(3, 6))
+    h = rng.normal(size=(2, 3, 6))
     got = emission_scores(tensor(h), head).data
     want = h @ head.emit_w.data + head.emit_b.data
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -106,7 +172,15 @@ def test_create_shapes_and_zero_structure():
 
 def test_nll_rejects_bad_gold():
     head = head_from(np.zeros((4, 4)), np.zeros(4), np.zeros(4))
+    ones = np.ones((1, 2), dtype=bool)
     with pytest.raises(ValueError):
-        nll_loss(tensor(np.zeros((2, 4))), head, [0])
+        nll_loss(tensor(np.zeros((1, 2, 4))), head, [[0]], ones)
     with pytest.raises(ValueError):
-        nll_loss(tensor(np.zeros((0, 4))), head, [])
+        nll_loss(tensor(np.zeros((1, 0, 4))), head, [[]],
+                 np.ones((1, 0), dtype=bool))
+    with pytest.raises(ValueError):  # a mask that is not a prefix
+        nll_loss(tensor(np.zeros((1, 2, 4))), head, [[0, 0]],
+                 np.array([[False, True]]))
+    with pytest.raises(ValueError):  # an empty sentence
+        nll_loss(tensor(np.zeros((2, 2, 4))), head, [[0, 0], [0, 0]],
+                 np.array([[True, True], [False, False]]))

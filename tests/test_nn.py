@@ -10,13 +10,21 @@ def test_embedding_rows_and_unk():
     emb = EmbeddingTable.build(["ca", "b"], dim=4,
                                rng=np.random.default_rng(0))
     assert emb.vocab == {"a": 1, "b": 2, "c": 3}
-    assert emb.indices("bax").tolist() == [2, 1, UNK_INDEX]
+    assert emb.indices(["bax", "c"]).tolist() == [[2, 1, UNK_INDEX],
+                                                  [3, -1, -1]]
     assert emb.table.shape == (4, 4)
-    out = emb.embed("ab")
-    assert out.shape == (2, 4)
-    np.testing.assert_array_equal(out.data[0], emb.table.data[1])
+    out, mask = emb.embed(["ab", "x"])
+    assert out.shape == (2, 2, 4)
+    assert mask.tolist() == [[True, True], [True, False]]
+    np.testing.assert_array_equal(out.data[0, 0], emb.table.data[1])
+    np.testing.assert_array_equal(out.data[1, 0], emb.table.data[UNK_INDEX])
+    np.testing.assert_array_equal(out.data[1, 1], 0.0)  # padding reads none
     with pytest.raises(ValueError):
-        emb.embed("")
+        emb.embed([""])
+    with pytest.raises(ValueError):
+        emb.embed(["ab", ""])
+    with pytest.raises(ValueError):
+        emb.embed([])
     with pytest.raises(ValueError):
         EmbeddingTable.build(["a b"], dim=2, rng=np.random.default_rng(0))
 
@@ -28,7 +36,7 @@ def test_gcnn_layer_can_represent_identity():
     layer = GcnnLayer(w=tensor(w), b=tensor(np.zeros(d)),
                       v=tensor(np.zeros((1, d, d))),
                       c=tensor(np.full(d, 50.0)))
-    x = np.random.default_rng(1).normal(size=(6, d))
+    x = np.random.default_rng(1).normal(size=(2, 6, d))
     out = layer.forward(tensor(x)).data
     np.testing.assert_allclose(out, x, atol=1e-9)
 
@@ -47,18 +55,19 @@ def test_gcnn_layer_matches_manual_computation():
             lin[i] += padded[i + k] @ layer.w.data[k]
             gate[i] += padded[i + k] @ layer.v.data[k]
     want = (lin + layer.b.data) / (1 + np.exp(-(gate + layer.c.data)))
-    got = layer.forward(tensor(x)).data
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    got = layer.forward(tensor(x[None])).data
+    np.testing.assert_allclose(got[0], want, atol=1e-12)
 
 
 def test_gcnn_layer_single_step_shift_consistency():
     # zero padding equals a zero input row, so prepending one shifts output
     rng = np.random.default_rng(3)
     layer = GcnnLayer.create(k=3, d_in=2, d_out=2, rng=rng)
-    x = rng.normal(size=(5, 2))
+    x = rng.normal(size=(1, 5, 2))
     y = layer.forward(tensor(x)).data
-    y2 = layer.forward(tensor(np.vstack([np.zeros((1, 2)), x]))).data
-    np.testing.assert_allclose(y2[1:], y, atol=1e-12)
+    y2 = layer.forward(tensor(np.concatenate([np.zeros((1, 1, 2)), x],
+                                             axis=1))).data
+    np.testing.assert_allclose(y2[:, 1:], y, atol=1e-12)
 
 
 def test_gcnn_layer_rejects_even_width():
@@ -70,13 +79,14 @@ def test_encoder_stacks_and_dropout_gating():
     rng = np.random.default_rng(4)
     enc = GcnnEncoder.create(n_layers=3, k=3, d_in=4, d_out=4, drop=0.5,
                              rng=rng)
-    x = rng.normal(size=(6, 4))
-    still = enc.forward(tensor(x), training=False).data
-    again = enc.forward(tensor(x), training=False).data
+    x = rng.normal(size=(1, 6, 4))
+    mask = np.ones((1, 6), dtype=bool)
+    still = enc.forward(tensor(x), mask, training=False).data
+    again = enc.forward(tensor(x), mask, training=False).data
     np.testing.assert_array_equal(still, again)
     with pytest.raises(ValueError):
-        enc.forward(tensor(x), training=True)  # rng required
-    noisy = enc.forward(tensor(x), training=True,
+        enc.forward(tensor(x), mask, training=True)  # rng required
+    noisy = enc.forward(tensor(x), mask, training=True,
                         rng=np.random.default_rng(5)).data
     assert not np.allclose(noisy, still)
     names = set(enc.params("enc"))
@@ -88,19 +98,34 @@ def test_encoder_zero_dropout_training_matches_eval():
     rng = np.random.default_rng(6)
     enc = GcnnEncoder.create(n_layers=2, k=3, d_in=3, d_out=3, drop=0.0,
                              rng=rng)
-    x = rng.normal(size=(4, 3))
-    a = enc.forward(tensor(x), training=True,
+    x = rng.normal(size=(2, 4, 3))
+    mask = np.array([[True] * 4, [True, True, False, False]])
+    a = enc.forward(tensor(x), mask, training=True,
                     rng=np.random.default_rng(0)).data
-    b = enc.forward(tensor(x), training=False).data
+    b = enc.forward(tensor(x), mask, training=False).data
     np.testing.assert_array_equal(a, b)
+
+
+def test_encoder_padded_rows_match_the_sentence_alone():
+    # every layer reads zeros past the end, whatever the padding holds
+    rng = np.random.default_rng(12)
+    enc = GcnnEncoder.create(n_layers=3, k=3, d_in=3, d_out=3, drop=0.0,
+                             rng=rng)
+    x = rng.normal(size=(2, 5, 3))
+    mask = np.array([[True] * 5, [True, True, False, False, False]])
+    got = enc.forward(tensor(x), mask).data
+    alone = enc.forward(tensor(x[1:, :2]), mask[1:, :2]).data
+    np.testing.assert_allclose(got[1, :2], alone[0], rtol=0, atol=1e-14)
 
 
 def test_textcnn_fresh_probability_is_half():
     rng = np.random.default_rng(7)
     net = TextCnn.create(windows=(3, 4, 5), d_in=8, filters=6, rng=rng)
-    x = rng.normal(size=(10, 8))
-    p = net.forward(tensor(x)).item()
-    assert p == pytest.approx(0.5, abs=1e-12)
+    x = rng.normal(size=(2, 10, 8))
+    mask = np.arange(10)[None, :] < np.array([[10], [4]])
+    p = net.forward(tensor(x), mask).data
+    assert p.shape == (2, 1)
+    np.testing.assert_allclose(p, 0.5, rtol=0, atol=1e-12)
 
 
 def test_textcnn_accepts_inputs_shorter_than_windows():
@@ -108,9 +133,18 @@ def test_textcnn_accepts_inputs_shorter_than_windows():
     net = TextCnn.create(windows=(3, 5), d_in=4, filters=2, rng=rng)
     net.proj_w.data[:] = rng.normal(size=net.proj_w.shape)
     for n in (1, 2, 4, 7):
-        out = net.forward(tensor(rng.normal(size=(n, 4))))
+        out = net.forward(tensor(rng.normal(size=(1, n, 4))),
+                          np.ones((1, n), dtype=bool))
         assert out.shape == (1, 1)
         assert 0.0 < out.item() < 1.0
+    # in one batch, short rows pool as if zero padded to the window
+    lengths = np.array([1, 2, 4, 7])
+    x = rng.normal(size=(4, 7, 4))
+    mask = np.arange(7)[None, :] < lengths[:, None]
+    batch = net.forward(tensor(x), mask).data
+    for b, n in enumerate(lengths):
+        alone = net.forward(tensor(x[b:b + 1, :n]), mask[b:b + 1, :n]).data
+        np.testing.assert_allclose(batch[b], alone[0], rtol=0, atol=1e-14)
 
 
 def test_textcnn_matches_manual_oracle():
@@ -126,7 +160,7 @@ def test_textcnn_matches_manual_oracle():
         pooled.append(vals.max(axis=0))
     z = np.concatenate(pooled)[None, :] @ net.proj_w.data + net.proj_b.data
     want = 1 / (1 + np.exp(-z))
-    got = net.forward(tensor(x)).data
+    got = net.forward(tensor(x[None]), np.ones((1, 5), dtype=bool)).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -134,8 +168,9 @@ def test_textcnn_gradients_flow_everywhere():
     rng = np.random.default_rng(10)
     net = TextCnn.create(windows=(2, 3), d_in=3, filters=2, rng=rng)
     net.proj_w.data[:] = rng.normal(size=net.proj_w.shape)
-    x = tensor(rng.normal(size=(4, 3)))
-    backward(sum_all(net.forward(x)))
+    x = tensor(rng.normal(size=(2, 4, 3)))
+    backward(sum_all(net.forward(x, np.array([[True] * 4,
+                                              [True, False, False, False]]))))
     for name, p in net.params("d").items():
         assert p.grad is not None, name
     assert x.grad is not None

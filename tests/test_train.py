@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-import crossseg.crf as crf_mod
 import crossseg.train as train_mod
-from crossseg.autodiff import backward, scale
+from crossseg.autodiff import backward
 from crossseg.corpus import dataset_from_segmented
 from crossseg.errors import DataError
 from crossseg.evaluate import prf
@@ -13,6 +12,8 @@ from crossseg.train import (DaatModel, Segmenter, TrainConfig,
                             adversarial_train, confusion_loss,
                             discriminator_loss, load_config, load_model,
                             tagging_losses, train_base)
+
+from helpers import daat_losses_ref
 
 SMALL = dict(epochs=3, batch_size=16, lr=0.005, dropout=0.1, char_emb=16,
              gcnn_dim=16, gcnn_layers=2, window=3, textcnn_filters=4,
@@ -56,6 +57,9 @@ def test_config_defaults_and_validation():
         TrainConfig(filter_sizes=(3, 3))  # both convs would share one name
     with pytest.raises(ValueError):
         TrainConfig(seed=-1)  # numpy rejects it only when training starts
+    for lr in (0.0, -1.0, math.nan, math.inf):  # nan <= 0 is false
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
 
 
 def test_load_config(tmp_path):
@@ -152,20 +156,18 @@ def test_daat_segment_rejects_unknown_domain(kind):
         _untrained(kind).segment("abcd", "bogus")
 
 
-def _shared(model, src=("abc",), tgt=("xyz",)):
-    """The shared features of a source and a target batch, as the
-    adversarial losses take them."""
-    return ([model.encode(s, "source")[2] for s in src],
-            [model.encode(s, "target")[2] for s in tgt])
+def _encoded(model, src=("abc",), tgt=("xyz",)):
+    """A source and a target batch encoded as the losses take them."""
+    return model.encode(list(src), list(tgt))
 
 
 def test_fresh_discriminator_loss_is_2ln2():
     cfg = TrainConfig(**SMALL)
     rng = np.random.default_rng(0)
     model = DaatModel.create(["abc", "xyz"], cfg, "daat", rng)
-    loss = discriminator_loss(model, *_shared(model))
+    loss = discriminator_loss(model, _encoded(model))
     assert loss.item() == pytest.approx(2 * math.log(2.0), abs=1e-12)
-    conf = confusion_loss(model, *_shared(model))
+    conf = confusion_loss(model, _encoded(model))
     assert conf.item() == pytest.approx(2 * math.log(2.0), abs=1e-12)
 
 
@@ -174,7 +176,7 @@ def test_confident_discriminator_is_clamped():
     model = DaatModel.create(["abc", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
     model.disc.proj_b.data[:] = 60.0  # always shouts "source"
-    loss = confusion_loss(model, *_shared(model))
+    loss = confusion_loss(model, _encoded(model))
     # source term hits the 1e-7 clamp, target term is almost free
     assert loss.item() == pytest.approx(-math.log(1e-7), rel=1e-3)
 
@@ -184,7 +186,7 @@ def test_detached_discriminator_loss_keeps_shared_clean():
     model = DaatModel.create(["abc", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
     model.disc.proj_w.data[:] = 0.01
-    loss = discriminator_loss(model, *_shared(model))
+    loss = discriminator_loss(model, _encoded(model))
     backward(loss)
     assert all(p.grad is None
                for p in model.enc_shr.params("enc_shr").values())
@@ -197,7 +199,7 @@ def test_confusion_loss_reaches_shared_encoder():
     model = DaatModel.create(["abc", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
     model.disc.proj_w.data[:] = 0.01
-    backward(confusion_loss(model, *_shared(model)))
+    backward(confusion_loss(model, _encoded(model)))
     shared = model.enc_shr.params("enc_shr")
     assert shared
     assert all(p.grad is not None for p in shared.values())
@@ -207,39 +209,18 @@ def test_tagging_losses_modes():
     cfg = TrainConfig(**SMALL)
     model = DaatModel.create(["abcd", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
-    l_src, l_tgt = tagging_losses(
-        model, [(model.encode("abcd", "source"), "BEBE")],
-        [(model.encode("xyz", "target"), "BME")])
+    enc = model.encode(["abcd"], ["xyz", "x"])
+    assert enc.src.shape == (1, 4, 32) and enc.tgt.shape == (2, 3, 32)
+    assert enc.shared.shape == (3, 4, 16) and enc.n_src == 1
+    l_src, l_tgt = tagging_losses(model, enc, ["BEBE"], ["BME", "S"])
     assert l_src.item() > 0 and l_tgt.item() > 0
     at = DaatModel.create(["abcd", "xyz"], cfg, "at",
                           np.random.default_rng(0))
-    encoded = at.encode("xyz", "target")
-    assert encoded[:2] == (None, None)  # the shared pass only
-    l_src, l_tgt = tagging_losses(
-        at, [(at.encode("abcd", "source"), "BEBE")], [(encoded, "BME")])
+    encoded = at.encode(["abcd"], ["xyz"])
+    assert encoded.tgt is None  # the shared pass only
+    assert encoded.shared.shape == (2, 4, 16)
+    l_src, l_tgt = tagging_losses(at, encoded, ["BEBE"], [""])
     assert l_src.item() > 0 and l_tgt is None
-
-
-def _two_pass_losses(model, batch_src, batch_tgt, odd):
-    """The step's losses as two separate passes per sentence: the tagging
-    tower, then a fresh shared pass for the discriminator."""
-    def nll(sentence, tags, domain):
-        h, head = model._tower(sentence, domain)
-        gold = np.array(["BMES".index(t) for t in tags])
-        return crf_mod.nll_loss(crf_mod.emission_scores(h, head), head, gold)
-
-    def shared(batch):
-        return [model.enc_shr.forward(model.embedding.embed(s), False)
-                for s, _ in batch]
-
-    def mean(terms):
-        return scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
-
-    l_src = mean([nll(s, t, "source") for s, t in batch_src])
-    l_tgt = None if model.mode == "at" else \
-        mean([nll(s, t, "target") for s, t in batch_tgt])
-    adv = discriminator_loss if odd else confusion_loss
-    return l_src, l_tgt, adv(model, shared(batch_src), shared(batch_tgt))
 
 
 def _losses_and_grads(model, losses):
@@ -257,8 +238,9 @@ def _losses_and_grads(model, losses):
 @pytest.mark.parametrize("mode", ["daat", "at"])
 @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
 def test_one_pass_step_matches_two_pass_reference(mode, odd):
-    # dropout 0: the step's training forward draws no mask and equals the
-    # eval forward of the reference
+    # the batched step against the per-sentence reference, which encodes
+    # each sentence alone; dropout 0: the step's training forward draws no
+    # mask and equals the eval forward of the reference
     cfg = TrainConfig(**{**SMALL, "dropout": 0.0})
     rng = np.random.default_rng(5)
     model = DaatModel.create(["abcdxyz"], cfg, mode, rng)
@@ -269,8 +251,8 @@ def test_one_pass_step_matches_two_pass_reference(mode, odd):
                  else [("xyz", ""), ("xyzab", "")])
     one = _losses_and_grads(model, train_mod._step_losses(
         model, batch_src, batch_tgt, odd, rng))
-    two = _losses_and_grads(model, _two_pass_losses(model, batch_src,
-                                                    batch_tgt, odd))
+    two = _losses_and_grads(model, daat_losses_ref(model, batch_src,
+                                                   batch_tgt, odd))
     assert (one[0][1] is None) == (mode == "at") == (two[0][1] is None)
     for a, b in zip(one[0], two[0]):
         assert a == b or abs(a - b) <= 1e-12
