@@ -3,8 +3,10 @@
 Spans found by forward maximum matching against the mined lexicon are
 tagged directly; every residual gap is handed to the base segmenter as an
 isolated string, so lexicon evidence never leaks into the segmenter
-context. Each character records which of the two annotators produced its
-tag.
+context. The gaps of a whole corpus are collected first and decoded in one
+segment_batch call, which sorts them into length buckets; each gap is its
+own row of a bucket, so it is still segmented in isolation. Each character
+records which of the two annotators produced its tag.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .miner import WordCollection
 
 
 class SegmenterLike(Protocol):
-    def segment(self, sentence: str) -> list[str]: ...
+    def segment_batch(self, sentences: list[str]) -> list[list[str]]: ...
 
 
 def forward_max_match(sentence: str, collection: WordCollection,
@@ -59,30 +61,48 @@ class AnnotatedSentence:
             raise ValueError("annotation fields differ in length")
 
 
+def _pieces(sentence: str, collection: WordCollection,
+            ) -> list[tuple[str, bool]]:
+    """The sentence cut into its lexicon spans and the gaps between them,
+    in order, as (text, from_lexicon) pairs."""
+    pieces: list[tuple[str, bool]] = []
+    pos = 0
+    for start, end in forward_max_match(sentence, collection):
+        if pos < start:
+            pieces.append((sentence[pos:start], False))
+        pieces.append((sentence[start:end], True))
+        pos = end
+    if pos < len(sentence):
+        pieces.append((sentence[pos:], False))
+    return pieces
+
+
+def _annotate(raw: list[str], collection: WordCollection,
+              base: SegmenterLike) -> list[AnnotatedSentence]:
+    """Tag every sentence with its lexicon spans; all gaps of the corpus
+    are filled by one segment_batch call of the base segmenter."""
+    if not all(raw):
+        raise ValueError("cannot annotate an empty sentence")
+    cut = [_pieces(s, collection) for s in raw]
+    fills = iter(base.segment_batch(
+        [text for pieces in cut for text, lexical in pieces if not lexical]))
+    out = []
+    for sentence, pieces in zip(raw, cut):
+        tags, prov = [], []
+        for text, lexical in pieces:
+            if lexical:
+                tags.append("B" + "M" * (len(text) - 2) + "E")
+            else:
+                tags.append(words_to_tags(next(fills)))
+            prov.append(("L" if lexical else "S") * len(text))
+        out.append(AnnotatedSentence(sentence, "".join(tags), "".join(prov)))
+    return out
+
+
 def distant_annotate(sentence: str, collection: WordCollection,
                      base: SegmenterLike) -> AnnotatedSentence:
     """Tag one sentence with lexicon spans plus base segmenter gap fills."""
-    if not sentence:
-        raise ValueError("cannot annotate an empty sentence")
-    spans = forward_max_match(sentence, collection)
-    tags: list[str] = []
-    prov: list[str] = []
-    pos = 0
-
-    def fill_gap(lo: int, hi: int) -> None:
-        if lo >= hi:
-            return
-        words = base.segment(sentence[lo:hi])
-        tags.append(words_to_tags(words))
-        prov.append("S" * (hi - lo))
-
-    for start, end in spans:
-        fill_gap(pos, start)
-        tags.append("B" + "M" * (end - start - 2) + "E")
-        prov.append("L" * (end - start))
-        pos = end
-    fill_gap(pos, len(sentence))
-    return AnnotatedSentence(sentence, "".join(tags), "".join(prov))
+    return _annotate([sentence], collection, base)[0]
 
 
 def build_target_dataset(raw: list[str], collection: WordCollection,
@@ -90,7 +110,7 @@ def build_target_dataset(raw: list[str], collection: WordCollection,
                          ) -> tuple[LabeledDataset, list[str]]:
     """Annotate a raw target corpus; returns the dataset plus per-sentence
     provenance strings."""
-    annotated = [distant_annotate(s, collection, base) for s in raw]
+    annotated = _annotate(raw, collection, base)
     items = tuple((a.sentence, a.tags) for a in annotated)
     ds = LabeledDataset(items, "target", ("distant",) * len(items))
     return ds, [a.char_provenance for a in annotated]

@@ -135,7 +135,7 @@ def _cmd_train_daat(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     raw = raw_lines(args.input)  # output line i segments input line i
-    save_segmented(args.out, [model.segment(s, args.domain) for s in raw])
+    save_segmented(args.out, model.segment_batch(raw, args.domain))
     print(f"segmented {len(raw)} lines")
     return 0
 

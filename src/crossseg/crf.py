@@ -165,14 +165,15 @@ def viterbi_decode(emissions: np.ndarray, trans: np.ndarray,
     e = np.asarray(emissions, dtype=np.float64)
     bsz, n = e.shape[:2]
     n_min = int(_lengths(mask, (bsz, n)).min())
+    e = np.ascontiguousarray(e.transpose(1, 0, 2))  # (T, B, 4)
     valid = np.asarray(mask, dtype=bool).T[:, :, None]  # (T, B, 1)
     stay = np.broadcast_to(np.arange(N_TAGS), (bsz, N_TAGS))
-    delta = start + e[:, 0]
+    delta = start + e[0]
     back = np.empty((n, bsz, N_TAGS), dtype=np.int64)
     for i in range(1, n):
         cand = delta[:, :, None] + trans  # (B, from, to)
-        best = np.argmax(cand, axis=1)
-        step = np.max(cand, axis=1) + e[:, i]
+        best = cand.argmax(axis=1)
+        step = cand.max(axis=1) + e[i]
         if i < n_min:
             back[i], delta = best, step
         else:
@@ -180,7 +181,7 @@ def viterbi_decode(emissions: np.ndarray, trans: np.ndarray,
             delta = np.where(valid[i], step, delta)
     path = np.empty((bsz, n), dtype=np.int64)
     rows = np.arange(bsz)
-    path[:, n - 1] = np.argmax(delta + stop, axis=1)
+    path[:, n - 1] = (delta + stop).argmax(axis=1)
     for i in range(n - 1, 0, -1):
         path[:, i - 1] = back[i, rows, path[:, i]]
     return path

@@ -9,12 +9,13 @@ text-CNN discriminator reads the same shared features. Every step runs on
 padded (B, T, d) batches with a (B, T) length mask: the shared encoder
 runs once over the source and the target batch together, each private
 encoder once over its domain's batch, and that one shared pass feeds both
-the CRF heads and the discriminator. Decoding runs a batch of one. Steps
-alternate between sharpening the discriminator (odd
-steps, discriminator loss on detached shared features) and confusing it
-(even steps, confusion loss, discriminator frozen). All randomness flows
-from the config seed, so two runs with equal inputs produce identical
-parameters.
+the CRF heads and the discriminator. Decoding sorts sentences by length
+into buckets of at most DECODE_BUDGET padded positions and runs one tower
+pass and one Viterbi per bucket. Steps alternate between sharpening the
+discriminator (odd steps, discriminator loss on detached shared features)
+and confusing it (even steps, confusion loss, discriminator frozen). All
+randomness flows from the config seed, so two runs with equal inputs
+produce identical parameters.
 
 Both model kinds save and load through one path: a container holds the
 kind (and mode), the config fields stored for that kind, the vocabulary,
@@ -125,17 +126,49 @@ def _batch_loss(h: Tensor, head: crf_mod.CrfHead, mask: np.ndarray,
     return scale(nll, 1.0 / len(tags))
 
 
+# Padded positions (sentences times the longest length) of one decoding
+# bucket; 1,024 measured faster than 256 or 4,096. A longer sentence gets a
+# bucket of its own.
+DECODE_BUDGET = 1024
+
+
+def _buckets(sentences: list[str]) -> list[list[int]]:
+    """Indices of the non-empty sentences, sorted by length and cut into
+    runs of at most DECODE_BUDGET padded positions each."""
+    order = sorted((i for i, s in enumerate(sentences) if s),
+                   key=lambda i: len(sentences[i]))
+    out: list[list[int]] = []
+    for i in order:
+        if out and (len(out[-1]) + 1) * len(sentences[i]) <= DECODE_BUDGET:
+            out[-1].append(i)
+        else:
+            out.append([i])
+    return out
+
+
+def _segment_batch(model: "Segmenter | DaatModel", sentences: list[str],
+                   domain: str = "target") -> list[list[str]]:
+    """Words of the Viterbi tag path of every sentence, in input order (an
+    empty sentence gives []). Each length bucket runs one tower pass and
+    one Viterbi; domain picks the tower of a DAAT model and is ignored by a
+    Segmenter."""
+    out: list[list[str]] = [[] for _ in sentences]
+    for bucket in _buckets(sentences):
+        batch = [sentences[i] for i in bucket]
+        h, head, mask = model._tower(batch, domain)
+        emis = crf_mod.emission_scores(h, head)
+        paths = crf_mod.viterbi_decode(emis.data, head.trans.data,
+                                       head.start.data, head.stop.data, mask)
+        for i, s, path in zip(bucket, batch, paths):
+            tags = "".join(TAGS[k] for k in path[:len(s)])
+            out[i] = tags_to_words(s, tags)
+    return out
+
+
 def _segment(model: "Segmenter | DaatModel", sentence: str,
              domain: str = "target") -> list[str]:
-    """Words of the Viterbi tag path, decoded as a batch of one; domain
-    picks the tower of a DAAT model and is ignored by a Segmenter."""
-    if not sentence:
-        return []
-    h, head, mask = model._tower([sentence], domain)
-    emis = crf_mod.emission_scores(h, head)
-    path = crf_mod.viterbi_decode(emis.data, head.trans.data,
-                                  head.start.data, head.stop.data, mask)[0]
-    return tags_to_words(sentence, "".join(TAGS[i] for i in path))
+    """Words of the Viterbi tag path of one sentence (segment_batch)."""
+    return model.segment_batch([sentence], domain)[0]
 
 
 def _open_log(path: str | None):
@@ -186,6 +219,7 @@ class Segmenter:
         x, mask = self.embedding.embed(sentences)
         return self.encoder.forward(x, mask, training, rng), self.head, mask
 
+    segment_batch = _segment_batch
     segment = _segment
 
     def save(self, path: str) -> None:
@@ -338,6 +372,7 @@ class DaatModel:
         enc = self.encode([], sentences)
         return enc.tgt, self.crf_tgt, enc.mask
 
+    segment_batch = _segment_batch
     segment = _segment
 
     def save(self, path: str) -> None:
@@ -425,10 +460,14 @@ def _domain_bce(model: DaatModel, shared: Tensor, enc: Encoded,
     mean log-probabilities.
 
     flip=False scores the true domains (discriminator loss); flip=True
-    swaps them (confusion loss). Probabilities are clamped to 1e-7.
+    swaps them (confusion loss). Probabilities are clamped to 1e-7. An
+    encoding without source or without target rows is a ValueError.
     """
-    p = clamped(model.disc.forward(shared, enc.mask))  # (B, 1)
     n, b = enc.n_src, len(enc.mask)
+    for domain, rows in (("source", n), ("target", b - n)):
+        if not rows:
+            raise ValueError(f"the encoding has no {domain} rows")
+    p = clamped(model.disc.forward(shared, enc.mask))  # (B, 1)
     is_src = (np.arange(b) < n)[:, None]
     weight = np.where(is_src, 1.0 / n, 1.0 / (b - n))  # per-domain means
     says_src = is_src != flip  # rows scored by log p, the rest by log(1-p)

@@ -15,7 +15,7 @@ import numpy as np
 
 from crossseg.autodiff import (Tensor, add, concat_cols, gather_rows, log,
                                matmul, mul, scale, sigmoid, sub)
-from crossseg.corpus import TAG_INDEX
+from crossseg.corpus import TAG_INDEX, tags_to_words
 from crossseg.nn import UNK_INDEX, clamped
 
 N_TAGS = 4
@@ -198,6 +198,28 @@ class DictStub:
                 i += 1
         return out
 
+    def segment_batch(self, sentences: list[str]) -> list[list[str]]:
+        return [self.segment(s) for s in sentences]
+
+
+def distant_annotate_ref(sentence: str, collection, base):
+    """One sentence annotated the direct way: lexicon spans tagged in
+    place, each gap between them segmented by its own base.segment call.
+    Returns (tags, provenance)."""
+    spans = fmm_spans(sentence, set(collection.entries))
+    tags, prov = "", ""
+    pos = 0
+    for start, end in [*spans, (len(sentence), len(sentence))]:
+        if pos < start:
+            for w in base.segment(sentence[pos:start]):
+                tags += "S" if len(w) == 1 else "B" + "M" * (len(w) - 2) + "E"
+            prov += "S" * (start - pos)
+        if start < end:
+            tags += "B" + "M" * (end - start - 2) + "E"
+            prov += "L" * (end - start)
+        pos = end
+    return tags, prov
+
 
 def random_segmentation(rng: np.random.Generator, alphabet: str,
                         max_words: int = 8, max_len: int = 4) -> list[str]:
@@ -369,6 +391,24 @@ def textcnn_ref(disc, h: Tensor) -> Tensor:
               for w, (cw, cb) in zip(disc.windows, disc.convs)]
     return sigmoid(add(matmul(concat_cols(pooled), disc.proj_w),
                        disc.proj_b))
+
+
+def segment_ref(model, sentence: str, domain: str) -> list[str]:
+    """One sentence decoded the direct way: its own graph through the
+    tower of the domain (AT mode and a Segmenter ignore it), then a
+    one-sentence Viterbi."""
+    e = embed_ref(model.embedding, sentence)
+    if hasattr(model, "encoder"):  # a Segmenter
+        h, head = gcnn_ref(model.encoder, e), model.head
+    else:
+        src = domain == "source" or model.mode == "at"
+        private = gcnn_ref(model.enc_src if src else model.enc_tgt, e)
+        h = concat_cols([private, gcnn_ref(model.enc_shr, e)])
+        head = model.crf_src if src else model.crf_tgt
+    emis = add(matmul(h, head.emit_w), head.emit_b).data
+    path = viterbi_ref(emis, head.trans.data, head.start.data,
+                       head.stop.data)
+    return tags_to_words(sentence, "".join("BMES"[i] for i in path))
 
 
 def sentence_nll_ref(h: Tensor, head, tags: str) -> Tensor:

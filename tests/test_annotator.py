@@ -9,7 +9,7 @@ from crossseg.annotator import (AnnotatedSentence, build_target_dataset,
 from crossseg.corpus import tags_to_words
 from crossseg.miner import CandidateScore, WordCollection
 
-from helpers import DictStub, fmm_spans
+from helpers import DictStub, distant_annotate_ref, fmm_spans
 
 
 def make_collection(words):
@@ -50,21 +50,49 @@ def test_distant_annotate_mixed_provenance():
         "溶酶菌", "的", "科学", "研究"]
 
 
+class Recorder:
+    """A base segmenter that splits into characters and records every
+    batch it is given."""
+
+    def __init__(self):
+        self.batches = []
+
+    def segment_batch(self, sentences):
+        self.batches.append(list(sentences))
+        return [list(s) for s in sentences]
+
+
 def test_distant_annotate_gap_isolation():
     # gaps are segmented alone, so the base never sees lexicon spans
-    class Recorder:
-        def __init__(self):
-            self.calls = []
-
-        def segment(self, s):
-            self.calls.append(s)
-            return list(s)
-
     coll = make_collection({"bb"})
     rec = Recorder()
     ann = distant_annotate("abbca", coll, rec)
-    assert rec.calls == ["a", "ca"]
+    assert rec.batches == [["a", "ca"]]
     assert ann.tags == "SBESS"
+
+
+def test_build_target_dataset_decodes_every_gap_in_one_batch():
+    coll = make_collection({"bb", "xyz"})
+    rec = Recorder()
+    raw = ["abbca", "bb", "xyzxyz", "qbbxyzq", "c"]
+    ds, prov = build_target_dataset(raw, coll, rec)
+    # one batch: the gaps of every sentence in corpus order, never a span
+    assert rec.batches == [["a", "ca", "q", "q", "c"]]
+    assert [t for _, t in ds.items] == ["SBESS", "BE", "BMEBME", "SBEBMES",
+                                        "S"]
+    assert prov == ["SLLSS", "LL", "LLLLLL", "SLLLLLS", "S"]
+
+
+def test_build_target_dataset_matches_per_gap_oracle():
+    rng = random.Random(5)
+    words = {"ab", "bca", "dd", "cde", "eab"}
+    coll = make_collection(words)
+    base = DictStub({"ca", "ee", "abc"})
+    raw = ["".join(rng.choice("abcde") for _ in range(rng.randint(1, 30)))
+           for _ in range(200)]
+    ds, prov = build_target_dataset(raw, coll, base)
+    assert [(t, p) for (_, t), p in zip(ds.items, prov)] == [
+        distant_annotate_ref(s, coll, base) for s in raw]
 
 
 def test_distant_annotate_rejects_empty():

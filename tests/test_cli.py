@@ -9,7 +9,7 @@ from crossseg.cli import main
 from crossseg.corpus import load_segmented, save_segmented
 from crossseg.miner import load_lexicon
 from crossseg.model_io import load_container, save_container
-from crossseg.train import load_model
+from crossseg.train import _buckets, load_model
 
 from test_miner import build_cohesion_corpus
 
@@ -315,6 +315,25 @@ def test_segment_keeps_blank_lines(kind, ending, tmp_path, capsys):
     assert pred.read_text().split("\n") == [
         " ".join(seg("abc", "target")), "", "", " ".join(seg("de", "target")),
         ""]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_segment_file_of_several_buckets_equals_per_line(kind, tmp_path):
+    """A file whose lines fill several decoding buckets segments exactly
+    as its lines do one at a time, blank lines and line order included."""
+    rng = random.Random(11)
+    lines = ["".join(rng.choice("abcdefghxyzwq") for _ in
+                     range(rng.choice([0, 1, 2, 5, 9, 30, 80, 300])))
+             for _ in range(200)]
+    plain, pred = tmp_path / "plain.txt", tmp_path / "pred.txt"
+    plain.write_text("\n".join(lines) + "\n")
+    assert len(_buckets(lines)) > 5
+    model = DATA / f"{kind}.bin"
+    assert main(["segment", "--model", str(model), "--input", str(plain),
+                 "--out", str(pred)]) == 0
+    seg = load_model(model).segment
+    assert pred.read_text().split("\n") == [
+        " ".join(seg(s, "target")) for s in lines] + [""]
 
 
 # Seeded fuzzing of the data files the CLI reads: every truncation or

@@ -205,6 +205,16 @@ def test_confusion_loss_reaches_shared_encoder():
     assert all(p.grad is not None for p in shared.values())
 
 
+@pytest.mark.parametrize("loss_fn", [discriminator_loss, confusion_loss])
+@pytest.mark.parametrize("empty", ["source", "target"])
+def test_adversarial_losses_reject_an_empty_domain(loss_fn, empty):
+    model = _untrained("daat")
+    rows = {"source": ["abc"], "target": ["xyz", "ab"], empty: []}
+    enc = model.encode(rows["source"], rows["target"])
+    with pytest.raises(ValueError, match=f"no {empty} rows"):
+        loss_fn(model, enc)
+
+
 def test_tagging_losses_modes():
     cfg = TrainConfig(**SMALL)
     model = DaatModel.create(["abcd", "xyz"], cfg, "daat",
