@@ -5,9 +5,9 @@ Candidate character n-grams are scored on three axes:
   cohesion        MIS(t) = min over split points of p(t) / (p(left) p(right)),
                   probabilities relative to the total count of same-length
                   n-grams
-  flexibility     ES(t) = min of the left and right neighbour distribution
-                  entropies (natural log); a side with no recorded
-                  neighbours contributes 0
+  flexibility     ES(t) = min of the left and right branching entropies
+                  (natural log), read off the counts of the (n+1)-grams
+                  c+t and t+c; a side with no such gram contributes 0
   importance      tfidf(t) = tf * ln(num_docs / doc_freq), one document per
                   input line
 
@@ -18,17 +18,20 @@ p_val clears the threshold and its frequency strictly exceeds the floor.
 
 Counting walks maximal runs between boundary characters (punctuation and
 whitespace) after removing stop-word occurrences, so no counted n-gram
-crosses a hard boundary. Statistics collection is pure, and every
-structure here is read-only after construction.
+crosses a hard boundary, and it counts grams up to n_max + 1 characters so
+that every candidate's neighbours are counts too. Statistics collection
+is pure, and every structure here is read-only after construction.
 """
 from __future__ import annotations
 
 import math
 import re
 import unicodedata
+from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from .errors import UndefinedProbabilityError
+from .errors import DecodeError, UndefinedProbabilityError
 
 
 @dataclass(frozen=True)
@@ -48,27 +51,25 @@ class MinerConfig:
             raise ValueError("min_frequency must be non-negative")
 
 
-def _is_boundary(c: str) -> bool:
-    return c.isspace() or unicodedata.category(c).startswith("P")
+def _run_splitter(corpus: list[str], cfg: MinerConfig,
+                  ) -> Callable[[str], list[str]]:
+    """A function giving the maximal substrings of a corpus sentence free of
+    boundary characters (whitespace and punctuation) and stop-words. The
+    punctuation table and the stop-word pattern, longest word first, are
+    built once."""
+    punct = {ord(c): " " for c in set().union(*corpus)
+             if unicodedata.category(c).startswith("P")}
+    pat = re.compile("|".join(
+        re.escape(w) for w in sorted(cfg.stop_words, key=len, reverse=True)))
 
+    def runs(sentence: str) -> list[str]:
+        # str.split() breaks on exactly the characters str.isspace() accepts
+        parts = sentence.translate(punct).split()
+        if cfg.stop_words:
+            parts = [piece for run in parts for piece in pat.split(run) if piece]
+        return parts
 
-def _runs(sentence: str, cfg: MinerConfig) -> list[str]:
-    """Maximal substrings free of boundary characters and stop-words."""
-    parts, cur = [], []
-    for c in sentence:
-        if _is_boundary(c):
-            if cur:
-                parts.append("".join(cur))
-                cur = []
-        else:
-            cur.append(c)
-    if cur:
-        parts.append("".join(cur))
-    if cfg.stop_words:
-        pat = re.compile("|".join(
-            re.escape(w) for w in sorted(cfg.stop_words, key=len, reverse=True)))
-        parts = [piece for run in parts for piece in pat.split(run) if piece]
-    return [p for p in parts if p]
+    return runs
 
 
 @dataclass
@@ -76,53 +77,31 @@ class NGramStats:
     """Raw counts gathered from a corpus."""
     counts: dict[str, int] = field(default_factory=dict)
     total_per_length: dict[int, int] = field(default_factory=dict)
-    left: dict[str, dict[str, int]] = field(default_factory=dict)
-    right: dict[str, dict[str, int]] = field(default_factory=dict)
     doc_freq: dict[str, int] = field(default_factory=dict)
     num_docs: int = 0
 
 
 def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
-    """Count n-grams of length 1..n_max, neighbours and document frequency.
+    """Count n-grams of length 1..n_max + 1 and the document frequency of
+    those up to n_max.
 
-    Every input sentence is one document. Neighbours are the characters
-    immediately adjacent to an occurrence inside its run; occurrences at
-    run edges record nothing on that side.
+    Every input sentence is one document. The (n_max + 1)-grams are kept
+    only as neighbour counts for the entropy scores; none is a candidate.
     """
-    st = NGramStats()
-    counts = st.counts
-    totals = st.total_per_length
-    left, right = st.left, st.right
-    doc_freq = st.doc_freq
+    counts, totals, doc_freq = Counter(), {}, Counter()
+    runs = _run_splitter(corpus, cfg)
     for sentence in corpus:
-        st.num_docs += 1
         seen: set[str] = set()
-        for run in _runs(sentence, cfg):
+        for run in runs(sentence):
             m = len(run)
-            for l in range(1, cfg.n_max + 1):
-                if l > m:
-                    break
+            for l in range(1, min(m, cfg.n_max + 1) + 1):
                 totals[l] = totals.get(l, 0) + (m - l + 1)
-                for i in range(m - l + 1):
-                    g = run[i:i + l]
-                    counts[g] = counts.get(g, 0) + 1
-                    seen.add(g)
-                    if i > 0:
-                        d = left.get(g)
-                        if d is None:
-                            d = left[g] = {}
-                        c = run[i - 1]
-                        d[c] = d.get(c, 0) + 1
-                    j = i + l
-                    if j < m:
-                        d = right.get(g)
-                        if d is None:
-                            d = right[g] = {}
-                        c = run[j]
-                        d[c] = d.get(c, 0) + 1
-        for g in seen:
-            doc_freq[g] = doc_freq.get(g, 0) + 1
-    return st
+                grams = [run[i:i + l] for i in range(m - l + 1)]
+                counts.update(grams)
+                if l <= cfg.n_max:
+                    seen.update(grams)
+        doc_freq.update(seen)
+    return NGramStats(counts, totals, doc_freq, len(corpus))
 
 
 def probability(stats: NGramStats, t: str) -> float:
@@ -146,9 +125,8 @@ def mutual_information_score(stats: NGramStats, t: str) -> float:
     return best
 
 
-def _entropy(neigh: dict[str, int] | None) -> float:
-    if not neigh:
-        return 0.0
+def _entropy(neigh: dict[str, int]) -> float:
+    """Entropy of a neighbour count map, 0 when it is empty."""
     total = sum(neigh.values())
     h = 0.0
     # fixed summation order keeps the result invariant to corpus order
@@ -158,17 +136,35 @@ def _entropy(neigh: dict[str, int] | None) -> float:
     return h
 
 
+def _neighbours(stats: NGramStats, texts: Iterable[str]) -> tuple[dict, dict]:
+    """Left and right neighbour counts of every n-gram in texts, read off
+    the counted grams one character longer in one pass: a gram g puts
+    counts[g] at right[g[:-1]][g[-1]] and at left[g[1:]][g[0]]."""
+    left: dict[str, dict[str, int]] = {t: {} for t in texts}
+    right: dict[str, dict[str, int]] = {t: {} for t in texts}
+    for g, k in stats.counts.items():
+        r = right.get(g[:-1])
+        if r is not None:
+            r[g[-1]] = k
+        l = left.get(g[1:])
+        if l is not None:
+            l[g[0]] = k
+    return left, right
+
+
 def entropy_score(stats: NGramStats, t: str) -> float:
     """min(left neighbour entropy, right neighbour entropy)."""
     if t not in stats.counts:
         raise UndefinedProbabilityError(f"n-gram never recorded: {t!r}")
-    return min(_entropy(stats.left.get(t)), _entropy(stats.right.get(t)))
+    left, right = _neighbours(stats, (t,))
+    return min(_entropy(left[t]), _entropy(right[t]))
 
 
 def tfidf_score(stats: NGramStats, t: str) -> float:
     """Length-relative term frequency times ln(num_docs / doc_freq)."""
-    tf = probability(stats, t)
-    return tf * math.log(stats.num_docs / stats.doc_freq[t])
+    if t not in stats.doc_freq:
+        raise UndefinedProbabilityError(f"no document frequency: {t!r}")
+    return probability(stats, t) * math.log(stats.num_docs / stats.doc_freq[t])
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,8 @@ def score_candidates(stats: NGramStats, cfg: MinerConfig) -> list[CandidateScore
     if not cand:
         return []
     mis = [mutual_information_score(stats, g) for g in cand]
-    es = [entropy_score(stats, g) for g in cand]
+    left, right = _neighbours(stats, cand)
+    es = [min(_entropy(left[g]), _entropy(right[g])) for g in cand]
     tfidf = [tfidf_score(stats, g) for g in cand]
     n_mis, n_es, n_tf = _normalize(mis), _normalize(es), _normalize(tfidf)
     out = []
@@ -219,10 +216,12 @@ def score_candidates(stats: NGramStats, cfg: MinerConfig) -> list[CandidateScore
 class WordCollection:
     """Mined lexicon: word -> scores, ordered for deterministic export."""
     entries: dict[str, CandidateScore]
+    max_word_len: int = field(init=False, compare=False)
 
-    @property
-    def max_word_len(self) -> int:
-        return max((len(w) for w in self.entries), default=0)
+    def __post_init__(self):
+        # forward maximum matching reads this once per sentence
+        object.__setattr__(self, "max_word_len",
+                           max(map(len, self.entries), default=0))
 
     def __contains__(self, w: str) -> bool:
         return w in self.entries
@@ -264,7 +263,6 @@ def save_lexicon(path: str, collection: WordCollection) -> None:
 
 
 def load_lexicon(path: str) -> WordCollection:
-    from .errors import DecodeError
     entries: dict[str, CandidateScore] = {}
     with open(path, "rb") as f:
         for i, raw in enumerate(f.read().split(b"\n"), start=1):

@@ -35,6 +35,15 @@ def test_mine_writes_lexicon(workdir):
     assert set(load_lexicon(out).entries) == {"qzj"}
 
 
+def test_mine_boundary_only_file_writes_empty_lexicon(tmp_path):
+    raw = tmp_path / "punct.txt"
+    raw.write_text("，。！\n,. ;\n-\n", encoding="utf-8")
+    out = tmp_path / "lex.tsv"
+    rc = main(["mine", "--input", str(raw), "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == b""
+
+
 def test_mine_missing_input_is_io_error(workdir):
     rc = main(["mine", "--input", str(workdir / "absent.txt"),
                "--out", str(workdir / "x.tsv")])

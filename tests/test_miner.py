@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,12 +6,15 @@ import pytest
 
 from crossseg.errors import DecodeError, UndefinedProbabilityError
 from crossseg.miner import (CandidateScore, MinerConfig, NGramStats,
-                            WordCollection, collect_stats, entropy_score,
-                            lexicon_to_tsv, load_lexicon, mine,
-                            mutual_information_score, probability,
-                            save_lexicon, score_candidates, tfidf_score)
+                            WordCollection, _neighbours, _run_splitter,
+                            collect_stats, entropy_score, lexicon_to_tsv,
+                            load_lexicon, mine, mutual_information_score,
+                            probability, save_lexicon, score_candidates,
+                            tfidf_score)
 
+import toylang
 from helpers import OracleStats
+from test_acceptance import MINE_CFG
 
 
 def test_probability_and_undefined():
@@ -57,10 +61,14 @@ def test_tfidf_pinned():
 
 
 def test_neighbors_stay_within_runs():
-    stats = collect_stats(["xy,ab"], MinerConfig())
-    assert "xy" not in stats.left or not stats.left["xy"]
+    # 'xy' has two left neighbours; its right ones lie across a boundary
+    stats = collect_stats(["cxy,a", "dxy.b"], MinerConfig())
+    assert entropy_score(stats, "xy") == 0.0
     assert stats.counts.get("ya") is None
-    assert stats.counts["xy"] == 1
+    assert stats.counts.get("xya") is None
+    assert stats.counts["xy"] == 2
+    joined = collect_stats(["cxya", "dxyb"], MinerConfig())
+    assert entropy_score(joined, "xy") == pytest.approx(math.log(2.0))
 
 
 def test_stop_words_split_runs():
@@ -71,10 +79,59 @@ def test_stop_words_split_runs():
     assert stats.counts["a"] == 3
 
 
+def test_overlapping_stop_words_split_leftmost_then_longest():
+    corpus = ["xabcdy", "zbcdef", "q,abcde bcde", "abc"]
+    runs = _run_splitter(corpus, MinerConfig(
+        stop_words=frozenset({"ab", "abc", "bc", "cde"})))
+    assert [runs(s) for s in corpus] == [
+        ["x", "dy"],        # 'abc' beats 'ab' at one start
+        ["z", "def"],       # 'bc' starts before 'cde'
+        ["q", "de", "de"],
+        []]
+
+
+def test_neighbour_maps_match_oracle_on_random_corpora():
+    rng = random.Random(11)
+    alphabet = "abcdefgx,. "
+    stop_words = frozenset({"x", "fg"})  # no two occurrences can overlap
+    edge_candidates = 0
+    for _ in range(10):
+        corpus = ["".join(rng.choice(alphabet)
+                          for _ in range(rng.randint(1, 30)))
+                  for _ in range(rng.randint(2, 40))]
+        cfg = MinerConfig(n_min=2, n_max=4, min_frequency=0,
+                          stop_words=stop_words)
+        stats = collect_stats(corpus, cfg)
+        oracle = OracleStats(corpus, n_max=4, stop_words=stop_words)
+        cand = [c.text for c in score_candidates(stats, cfg)]
+        assert sorted(cand) == sorted(g for g in oracle.counts
+                                      if 2 <= len(g) <= 4)
+        left, right = _neighbours(stats, cand)
+        for g in cand:
+            assert left[g] == dict(oracle.left.get(g, {}))
+            assert right[g] == dict(oracle.right.get(g, {}))
+            if len(g) == 4 and oracle.counts[g] > sum(right[g].values()):
+                edge_candidates += 1
+    assert edge_candidates > 0
+
+
+def test_longest_counted_grams_are_only_neighbours():
+    cfg = MinerConfig(n_min=2, n_max=3, min_frequency=0)
+    stats = collect_stats(["abcdab"] * 5, cfg)
+    assert stats.counts["abcd"] == 5
+    assert "abcda" not in stats.counts
+    assert max(map(len, stats.doc_freq)) == 3
+    assert "abcd" not in stats.doc_freq
+    scored = score_candidates(stats, cfg)
+    assert max(len(c.text) for c in scored) == 3
+    with pytest.raises(UndefinedProbabilityError):
+        tfidf_score(stats, "abcd")
+
+
 def test_scores_match_oracle_on_random_corpora():
     rng = random.Random(5)
     alphabet = "abcdefg,.x"
-    for trial in range(10):
+    for _ in range(10):
         corpus = ["".join(rng.choice(alphabet)
                           for _ in range(rng.randint(1, 30)))
                   for _ in range(rng.randint(2, 40))]
@@ -108,15 +165,19 @@ def test_scores_invariant_to_sentence_order():
 
 def test_normalization_extremes():
     # one candidate dominating every score reaches sigmoid(3); the one
-    # pinned to every minimum stays at sigmoid(0)
+    # pinned to every minimum stays at sigmoid(0); the neighbours are the
+    # 3-gram counts: 'ab' sees x and y on each side, 'cd' only x
     stats = NGramStats(
-        counts={"ab": 20, "cd": 15, "a": 20, "b": 20, "c": 40, "d": 40},
-        total_per_length={1: 140, 2: 100},
-        left={"ab": {"x": 10, "y": 10}, "cd": {"x": 20}},
-        right={"ab": {"x": 10, "y": 10}, "cd": {"x": 20}},
+        counts={"ab": 20, "cd": 15, "a": 20, "b": 20, "c": 40, "d": 40,
+                "xab": 10, "yab": 10, "abx": 10, "aby": 10,
+                "xcd": 20, "cdx": 20},
+        total_per_length={1: 140, 2: 100, 3: 80},
         doc_freq={"ab": 10, "cd": 50},
         num_docs=100)
-    scored = {c.text: c for c in score_candidates(stats, MinerConfig())}
+    scored = {c.text: c for c in
+              score_candidates(stats, MinerConfig(n_max=2))}
+    assert scored["ab"].es == pytest.approx(math.log(2.0))
+    assert scored["cd"].es == 0.0
     assert scored["ab"].p_val == pytest.approx(1 / (1 + math.exp(-3.0)))
     assert scored["cd"].p_val == pytest.approx(0.5)
 
@@ -187,7 +248,40 @@ def test_lexicon_tsv_roundtrip(tmp_path):
     save_lexicon(p, collection)
     loaded = load_lexicon(p)
     assert set(loaded.entries) == set(collection.entries)
+    assert loaded.max_word_len == 3
     assert lexicon_to_tsv(loaded) == blob
+
+
+# SHA-256 of the lexicon TSV mined from the acceptance corpus. The lexicon
+# is part of the pipeline's reproducible output, so a miner change that
+# alters one byte of it fails here.
+GOLDEN_LEXICON_SHA256 = [
+    (MINE_CFG,
+     "208bdd464b3bd107a8cd297cd34d3457ccbfa50dd00129b1a020c7ecf1fa4026"),
+    ({},  # MinerConfig() defaults, n_max 6
+     "208bdd464b3bd107a8cd297cd34d3457ccbfa50dd00129b1a020c7ecf1fa4026"),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", GOLDEN_LEXICON_SHA256,
+                         ids=["MINE_CFG", "default"])
+def test_golden_lexicon_bytes(cfg, digest):
+    raw, _ = toylang.target_mining_corpus()
+    blob = lexicon_to_tsv(mine(raw, MinerConfig(**cfg)))
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("corpus, cfg", [
+    (["，。！", " ,. ", "\t"], MinerConfig()),       # only boundaries
+    (["ab cd,ef"] * 20, MinerConfig(n_min=3, min_frequency=0)),  # short runs
+    (["ab,cd"] * 20, MinerConfig(n_max=6, min_frequency=0)),  # n_max > run
+    (["a"], MinerConfig()),                             # one character
+], ids=["boundaries", "short-runs", "long-n-max", "one-char"])
+def test_degenerate_corpora_mine_empty_lexicons(corpus, cfg):
+    collection = mine(corpus, cfg)
+    assert len(collection) == 0
+    assert lexicon_to_tsv(collection) == b""
+    assert collection.max_word_len == 0
 
 
 def test_load_lexicon_rejects_garbage(tmp_path):
