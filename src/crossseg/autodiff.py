@@ -8,16 +8,20 @@ the tape: running backward twice on the same graph raises StaleGraphError.
 
 Only the operations the segmentation stack needs are provided. Sequence
 operations work on padded batches: conv1d and max_over_time take (B, T, d)
-tensors, gather_rows takes index arrays whose negative entries mark
-padding (it also cuts rows and positions out of a batch), and matmul and
-concat_cols act on the last axis. Everything
-is float64; gradients match central finite differences to about 1e-9 in
+tensors, and matmul and concat_cols act on the last axis. gather_rows
+reads a table at one index array (embedding lookup) or at a tuple of
+index arrays (cutting rows and positions out of a batch); negative
+entries mark padding, which reads zeros and gets no gradient, and an entry
+read several times gets the sum of all of its gradients. Dropout is not an
+operation: a training forward multiplies by its mask. Everything is
+float64; gradients match central finite differences to about 1e-9 in
 relative error, far inside the 1e-4 contract checked by the gradcheck
 suite. Tensors are not thread safe while a graph is being built; parameter
 tensors may be read concurrently once training is done.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -265,20 +269,31 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     of index arrays on its leading axes (broadcast together, as numpy
     indexing does); the output has the index shape followed by the
     remaining axes of table. A negative index selects a zero entry that
-    reads nothing and gets no gradient; gradients scatter-add back."""
+    reads nothing and gets no gradient. Gradients scatter back: by one
+    assignment when the selected entries are distinct, else by one
+    bincount per trailing column, so an entry selected k times gets the
+    sum of its k gradients."""
     table = _to_tensor(table)
     idx = np.broadcast_arrays(*(np.asarray(i, dtype=np.int64) for i in
                                 (idx if isinstance(idx, tuple) else (idx,))))
     keep = np.logical_and.reduce([i >= 0 for i in idx])
-    sel = tuple(i[keep] for i in idx)
-    data = np.zeros(keep.shape + table.data.shape[len(idx):])
-    data[keep] = table.data[sel]
+    data = table.data[tuple(i * keep for i in idx)]  # padding reads entry 0
+    data[~keep] = 0.0
     out = Tensor(data, (table,))
+    lead = table.data.shape[:len(idx)]
+    n_lead = math.prod(lead)
+    width = math.prod(table.data.shape[len(idx):])
 
     def bwd(g: Array) -> None:
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, sel, g[keep])
+        flat = np.ravel_multi_index(tuple(i[keep] for i in idx), lead)
+        rows = g[keep].reshape(flat.size, width)
+        grad = np.zeros((n_lead, width))
+        if (np.bincount(flat, minlength=n_lead) <= 1).all():
+            grad[flat] = rows
+        else:
+            for j, col in enumerate(rows.T):
+                grad[:, j] = np.bincount(flat, weights=col, minlength=n_lead)
+        table._accumulate(grad.reshape(table.data.shape))
 
     out._bwd = bwd
     return out
@@ -304,17 +319,6 @@ def max_over_time(x: Tensor, valid: np.ndarray) -> Tensor:
 
     out._bwd = bwd
     return out
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero entries with probability rate, scale the rest
-    by 1/(1 - rate) so the expectation is unchanged."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
-    if rate == 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return mul(x, Tensor(keep))
 
 
 def _topo(root: Tensor) -> list[Tensor]:

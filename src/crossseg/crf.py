@@ -2,10 +2,16 @@
 
 Scores factor into per-position emissions, a 4x4 transition matrix, and
 explicit start/stop vectors (zero vectors recover the plain two-factor
-form). The loss is the negative log-likelihood computed with a log-space
-forward pass; its gradient is marginals minus gold indicators, obtained by
-forward-backward inside a single autodiff primitive. Decoding is Viterbi
-with ties broken toward the lowest tag index in the order B, M, E, S.
+form). The loss is the negative log-likelihood; its gradient is marginals
+minus gold indicators, obtained by forward-backward inside a single
+autodiff primitive. Forward-backward runs in probability space with a
+rescale at every position (Rabiner 1989): the scores are exponentiated
+once, less their maxima, each position costs one (B, 4) @ (4, 4) product
+and one normalisation, and log Z is the sum of the log scales plus the
+maxima. Scores so far apart that a scale underflows to zero (a spread of
+transition, start or stop scores beyond about 700) raise ValueError
+rather than give inf or NaN. Decoding is Viterbi in max-plus form, with
+ties broken toward the lowest tag index in the order B, M, E, S.
 
 Both run on padded batches: emissions (B, T, 4) with a (B, T) length mask
 that is true on a prefix of each row. One recursion over T serves all B
@@ -59,12 +65,6 @@ def emission_scores(h: Tensor, head: CrfHead) -> Tensor:
     return add(matmul(h, head.emit_w), head.emit_b)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
-
-
 def _lengths(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sentence lengths of a (B, T) prefix mask matching shape (B, T)."""
     mask = np.asarray(mask, dtype=bool)
@@ -78,24 +78,56 @@ def _lengths(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _forward_backward(e: np.ndarray, valid: np.ndarray, t: np.ndarray,
-                      start: np.ndarray, stop: np.ndarray, n_min: int):
-    """Log alpha and log beta (T, B, 4) and log partitions (B,) for
-    time-major emissions e (T, B, 4) and validity valid (T, B, 1); every
-    sentence is at least n_min long."""
+                      start: np.ndarray, stop: np.ndarray,
+                      lengths: np.ndarray):
+    """Scaled forward-backward over time-major emissions e (T, B, 4) with
+    validity valid (T, B, 1) and sentence lengths (B,).
+
+    Every score is exponentiated once, less its maximum (per position and
+    sentence for the emissions), and each position rescales alpha to sum
+    to one. Returns alpha and beta (T, B, 4), whose product is the tag
+    marginals, the expected transition counts (4, 4) summed over the
+    batch, and the log partitions (B,). Raises ValueError when a scale
+    underflows to zero or beta overflows, so no inf or NaN leaves here.
+    """
     n = e.shape[0]
+    n_min = int(lengths.min())
+    em = e.max(axis=2, keepdims=True)
+    ee = np.exp(e - em)
+    tm, sm, pm = t.max(), start.max(), stop.max()
+    et, es, ep = np.exp(t - tm), np.exp(start - sm), np.exp(stop - pm)
+    scale = np.ones(e.shape[:2] + (1,))  # 1 past each sentence's end
     alpha = np.empty_like(e)
-    alpha[0] = start + e[0]
-    for i in range(1, n):
-        a = _logsumexp(alpha[i - 1][:, :, None] + t, axis=1) + e[i]
-        alpha[i] = a if i < n_min else np.where(valid[i], a, alpha[i - 1])
-    log_z = _logsumexp(alpha[n - 1] + stop, axis=1)
     beta = np.empty_like(e)
-    beta[n - 1] = stop
-    for i in range(n - 2, -1, -1):
-        b = _logsumexp(t + (e[i + 1] + beta[i + 1])[:, None, :], axis=2)
-        beta[i] = b if i + 1 < n_min else np.where(valid[i + 1], b,
-                                                   beta[i + 1])
-    return alpha, beta, log_z
+    right = np.zeros_like(e)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = es * ee[0]
+        scale[0] = a.sum(axis=1, keepdims=True)
+        alpha[0] = a / scale[0]
+        for i in range(1, n):
+            a = (alpha[i - 1] @ et) * ee[i]
+            c = a.sum(axis=1, keepdims=True)
+            if i < n_min:
+                scale[i], alpha[i] = c, a / c
+            else:
+                scale[i] = np.where(valid[i], c, 1.0)
+                alpha[i] = np.where(valid[i], a / scale[i], alpha[i - 1])
+        z = (alpha[n - 1] * ep).sum(axis=1)
+        beta[n - 1] = ep / z[:, None]
+        for i in range(n - 2, -1, -1):
+            right[i + 1] = ee[i + 1] * beta[i + 1] / scale[i + 1]
+            b = right[i + 1] @ et.T
+            beta[i] = b if i + 1 < n_min else np.where(valid[i + 1], b,
+                                                       beta[i + 1])
+        log_z = (np.log(scale[:, :, 0]).sum(axis=0) + np.log(z)
+                 + em[:, :, 0].sum(axis=0) + sm + pm + (lengths - 1) * tm)
+    if not (np.isfinite(log_z).all() and np.isfinite(beta).all()):
+        raise ValueError("CRF scores too far apart: a forward-backward "
+                         "scale underflowed")
+    right[n_min:] *= valid[n_min:]
+    pairs = et * (alpha[:-1].reshape(-1, N_TAGS).T
+                  @ right[1:].reshape(-1, N_TAGS))
+    return alpha, beta, pairs, log_z
 
 
 def nll_loss(emissions: Tensor, head: CrfHead, gold: np.ndarray,
@@ -106,7 +138,10 @@ def nll_loss(emissions: Tensor, head: CrfHead, gold: np.ndarray,
     Returns a scalar graph node; its backward pass sets the emission
     gradient to (marginals - gold indicators), zero past each sentence's
     end, and the transition and start/stop gradients to expected minus
-    observed counts, all computed by forward-backward in log space.
+    observed counts, all from one scaled forward-backward (probability
+    space, rescaled at every position). Raises ValueError if the scores
+    are so far apart that a scale underflows (a spread of transition,
+    start or stop scores beyond about 700); the emissions cannot cause it.
     """
     gold = np.asarray(gold, dtype=np.int64)
     bsz, n = emissions.data.shape[:2]
@@ -119,8 +154,8 @@ def nll_loss(emissions: Tensor, head: CrfHead, gold: np.ndarray,
     t = head.trans.data
     sv = head.start.data
     pv = head.stop.data
-    alpha, beta, log_z = _forward_backward(e, valid, t, sv, pv,
-                                           int(lengths.min()))
+    alpha, beta, pairs, log_z = _forward_backward(e, valid, t, sv, pv,
+                                                  lengths)
     rows = np.arange(bsz)
     last = g_t[lengths - 1, rows]
     gold_score = (sv[g_t[0]].sum() + pv[last].sum()
@@ -132,24 +167,17 @@ def nll_loss(emissions: Tensor, head: CrfHead, gold: np.ndarray,
 
     def bwd(g: np.ndarray) -> None:
         gs = float(g)
-        # position marginals (T, B, 4), zero past each sentence's end
-        marg = np.where(valid, np.exp(alpha + beta - log_z[:, None]), 0.0)
-        de = marg.copy()
-        de[np.arange(n)[:, None], rows, g_t] -= valid[:, :, 0]
-        emissions._accumulate(gs * de.transpose(1, 0, 2))
-        # pair marginals of positions (i, i + 1); -inf where i + 1 is padding
-        right = np.where(valid[1:], e[1:] + beta[1:], -np.inf)
-        pair = np.exp(alpha[:-1, :, :, None] + t + right[:, :, None, :]
-                      - log_z[:, None, None])
-        dt = pair.sum(axis=(0, 1))
-        np.subtract.at(dt, (g_t[:-1][valid[1:, :, 0]],
-                            g_t[1:][valid[1:, :, 0]]), 1.0)
-        head.trans._accumulate(gs * dt)
-        ds = marg[0].sum(axis=0)
-        np.subtract.at(ds, g_t[0], 1.0)
+        marg = alpha * beta * valid  # (T, B, 4), zero past each end
+        ds = marg[0].sum(axis=0) - np.bincount(g_t[0], minlength=N_TAGS)
+        dp = (marg[lengths - 1, rows].sum(axis=0)
+              - np.bincount(last, minlength=N_TAGS))
+        seen = np.bincount((g_t[:-1] * N_TAGS + g_t[1:]).ravel(),
+                           weights=valid[1:, :, 0].ravel(),
+                           minlength=N_TAGS * N_TAGS)
+        marg[np.arange(n)[:, None], rows, g_t] -= valid[:, :, 0]
+        emissions._accumulate(gs * marg.transpose(1, 0, 2))
+        head.trans._accumulate(gs * (pairs - seen.reshape(N_TAGS, N_TAGS)))
         head.start._accumulate(gs * ds)
-        dp = marg[lengths - 1, rows].sum(axis=0)
-        np.subtract.at(dp, last, 1.0)
         head.stop._accumulate(gs * dp)
 
     out._bwd = bwd

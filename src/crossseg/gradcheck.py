@@ -9,6 +9,7 @@ repeated evaluation is deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +198,8 @@ def run_suite(trials: int = 2, tolerance: float = TOLERANCE,
     worst error seen per check."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be positive and finite")
     results = []
     for i, (name, check) in enumerate(CHECKS):
         worst = 0.0

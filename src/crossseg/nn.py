@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, add, clamp, concat_cols, conv1d, dropout,
-                       gather_rows, matmul, max_over_time, mul, sigmoid)
+from .autodiff import (Tensor, add, clamp, concat_cols, conv1d, gather_rows,
+                       matmul, max_over_time, mul, sigmoid)
 
 UNK_INDEX = 0
 
@@ -98,11 +98,16 @@ class GcnnEncoder:
 
     The input of every layer is zeroed at padded rows, so the last real
     character of a sentence sees zeros on its right as it would alone.
-    Dropout is applied to the input of every layer, only while training,
-    with one mask per layer for the whole batch.
+    Inverted dropout is applied to the input of every layer, only while
+    training, with one draw per layer for the whole batch; it joins the
+    length mask in one multiply.
     """
     layers: list[GcnnLayer]
     dropout: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout rate must be in [0, 1)")
 
     @staticmethod
     def create(n_layers: int, k: int, d_in: int, d_out: int, drop: float,
@@ -117,14 +122,17 @@ class GcnnEncoder:
                 rng: np.random.Generator | None = None) -> Tensor:
         """(B, T, d_in) features of a batch with length mask (B, T) ->
         (B, T, d_out); output rows past a sentence's end are unspecified."""
+        drop = training and self.dropout > 0.0
+        if drop and rng is None:
+            raise ValueError("training forward needs an rng")
         keep = mask[:, :, None]
         h = x
         for layer in self.layers:
-            h = mul(h, keep)
-            if training and self.dropout > 0.0:
-                if rng is None:
-                    raise ValueError("training forward needs an rng")
-                h = dropout(h, self.dropout, rng)
+            if drop:  # inverted dropout, one draw per layer input
+                survive = rng.random(h.data.shape) >= self.dropout
+                h = mul(h, keep * (survive / (1.0 - self.dropout)))
+            else:
+                h = mul(h, keep)
             h = layer.forward(h)
         return h
 

@@ -340,11 +340,12 @@ class DaatModel:
 
     def encode(self, src: list[str], tgt: list[str], training: bool = False,
                rng: np.random.Generator | None = None) -> "Encoded":
-        """One shared-encoder pass over the source and the target sentences
-        as one padded batch (source rows first), then one pass of each
-        private encoder over its domain's sentences, padded to their own
-        longest one. The target tower is never trained in AT mode, so there
-        target rows get the shared pass only."""
+        """One embedding and one shared-encoder pass over the source and
+        the target sentences as one padded batch (source rows first), then
+        one pass of each private encoder over its domain's block of that
+        embedding, cut to the domain's longest sentence. The target tower
+        is never trained in AT mode, so there target rows get the shared
+        pass only."""
         x, mask = self.embedding.embed([*src, *tgt])
         shared = self.enc_shr.forward(x, mask, training, rng)
         towers = []
@@ -353,9 +354,8 @@ class DaatModel:
             if not rows or (enc is self.enc_tgt and self.mode == "at"):
                 towers.append(None)
                 continue
-            xd, md = (x, mask) if len(rows) == len(mask) else \
-                self.embedding.embed(rows)
-            private = enc.forward(xd, md, training, rng)
+            md = mask[lo:lo + len(rows), :max(map(len, rows))]
+            private = enc.forward(_crop(x, lo, md.shape), md, training, rng)
             towers.append(concat_cols([private,
                                        _crop(shared, lo, md.shape)]))
         return Encoded(*towers, shared, mask, len(src))

@@ -352,6 +352,62 @@ def nll_loss_ref(emissions: Tensor, head, gold) -> Tensor:
     return out
 
 
+def nll_loss_batched_ref(emissions: Tensor, head, gold, mask) -> Tensor:
+    """CRF negative log-likelihood of a padded batch (B, T, 4) with length
+    mask (B, T) by a log-space forward-backward over the whole batch: at
+    positions past a sentence's end its alpha and beta are carried over.
+    The library's scaled recursion must agree with it where both are
+    finite, which includes scores far too large to exponentiate."""
+    gold = np.asarray(gold, dtype=np.int64)
+    bsz, n = emissions.data.shape[:2]
+    lengths = np.asarray(mask).sum(axis=1)
+    valid = np.asarray(mask, dtype=bool).T[:, :, None]  # (T, B, 1)
+    e = np.where(valid, emissions.data.transpose(1, 0, 2), 0.0)
+    g_t = np.where(valid[:, :, 0], gold.T, 0)  # (T, B), tag 0 on padding
+    t, sv, pv = head.trans.data, head.start.data, head.stop.data
+    alpha = np.empty_like(e)
+    alpha[0] = sv + e[0]
+    for i in range(1, n):
+        a = _lse(alpha[i - 1][:, :, None] + t, 1) + e[i]
+        alpha[i] = np.where(valid[i], a, alpha[i - 1])
+    log_z = _lse(alpha[n - 1] + pv, 1)
+    beta = np.empty_like(e)
+    beta[n - 1] = pv
+    for i in range(n - 2, -1, -1):
+        b = _lse(t + (e[i + 1] + beta[i + 1])[:, None, :], 2)
+        beta[i] = np.where(valid[i + 1], b, beta[i + 1])
+    rows = np.arange(bsz)
+    last = g_t[lengths - 1, rows]
+    gold_score = (sv[g_t[0]].sum() + pv[last].sum()
+                  + np.take_along_axis(e, g_t[:, :, None], 2).sum()
+                  + (t[g_t[:-1], g_t[1:]] * valid[1:, :, 0]).sum())
+    out = Tensor(log_z.sum() - gold_score,
+                 (emissions, head.trans, head.start, head.stop))
+
+    def bwd(g):
+        gs = float(g)
+        marg = np.where(valid, np.exp(alpha + beta - log_z[:, None]), 0.0)
+        de = marg.copy()
+        de[np.arange(n)[:, None], rows, g_t] -= valid[:, :, 0]
+        emissions._accumulate(gs * de.transpose(1, 0, 2))
+        right = np.where(valid[1:], e[1:] + beta[1:], -np.inf)
+        pair = np.exp(alpha[:-1, :, :, None] + t + right[:, :, None, :]
+                      - log_z[:, None, None])
+        dt = pair.sum(axis=(0, 1))
+        np.subtract.at(dt, (g_t[:-1][valid[1:, :, 0]],
+                            g_t[1:][valid[1:, :, 0]]), 1.0)
+        head.trans._accumulate(gs * dt)
+        ds = marg[0].sum(axis=0)
+        np.subtract.at(ds, g_t[0], 1.0)
+        head.start._accumulate(gs * ds)
+        dp = marg[lengths - 1, rows].sum(axis=0)
+        np.subtract.at(dp, last, 1.0)
+        head.stop._accumulate(gs * dp)
+
+    out._bwd = bwd
+    return out
+
+
 def viterbi_ref(e, trans, start, stop) -> list[int]:
     """One sentence's best path, ties to the lowest tag index."""
     n = e.shape[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crossseg.autodiff import (Tensor, add, backward, clamp, concat_cols,
-                               conv1d, dropout, gather_rows, log, matmul,
+                               conv1d, gather_rows, log, matmul,
                                max_over_time, mul, scale, sigmoid,
                                sub, sum_all, tensor)
 from crossseg.errors import StaleGraphError
@@ -154,6 +154,31 @@ def test_gather_rows_tuple_index_cuts_a_block():
                                      gather_rows(a, (rows, cols)))), x)
 
 
+def test_gather_rows_tuple_index_accumulates_repeats():
+    table = tensor(RNG.normal(size=(3, 2, 2)))
+    rows, cols = np.array([[1], [1], [2]]), np.array([[0, 1, 0]])
+    out = gather_rows(table, (rows, cols))
+    assert out.shape == (3, 3, 2)
+    np.testing.assert_array_equal(out.data[1, 2], table.data[1, 0])
+    g = RNG.normal(size=out.shape)
+    backward(sum_all(mul(out, tensor(g))))
+    want = np.zeros_like(table.data)
+    np.add.at(want, np.broadcast_arrays(rows, cols), g)
+    np.testing.assert_allclose(table.grad, want, rtol=0, atol=1e-15)
+    # (1, 0) is read four times, (0, *) never
+    np.testing.assert_allclose(table.grad[1, 0], g[:2][:, [0, 2]].sum(
+        axis=(0, 1)), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(table.grad[0], 0.0)
+
+
+def test_gather_rows_all_padding_gets_no_gradient():
+    table = tensor(RNG.normal(size=(4, 3)))
+    out = gather_rows(table, np.full((2, 2), -1))
+    np.testing.assert_array_equal(out.data, 0.0)
+    backward(sum_all(out))
+    np.testing.assert_array_equal(table.grad, 0.0)
+
+
 def test_max_over_time_first_tie_wins():
     x = tensor(np.array([[[1.0, 5.0], [3.0, 5.0]]]))
     out = max_over_time(x, np.ones((1, 2), dtype=bool))
@@ -176,25 +201,6 @@ def test_max_over_time_skips_invalid_rows():
     np.testing.assert_array_equal(x.grad[:, :, 0], [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         max_over_time(x, np.array([[True, True], [False, False]]))
-
-
-def test_dropout_scales_survivors():
-    rng = np.random.default_rng(0)
-    x = tensor(np.ones((200, 4)))
-    y = dropout(x, 0.25, rng)
-    kept = y.data[y.data != 0]
-    np.testing.assert_allclose(kept, 1.0 / 0.75)
-    drop_frac = np.mean(y.data == 0)
-    assert 0.15 < drop_frac < 0.35
-    backward(sum_all(y))
-    mask = (y.data != 0).astype(float) / 0.75
-    np.testing.assert_array_equal(x.grad, mask)
-
-
-def test_dropout_zero_rate_is_identity():
-    x = tensor(RNG.normal(size=(3, 3)))
-    y = dropout(x, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(y.data, x.data)
 
 
 def test_backward_requires_scalar():

@@ -151,6 +151,15 @@ def test_gradcheck_command(capsys):
     assert "ok" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_gradcheck_rejects_bad_tolerance(tol, capsys):
+    # a usage error: exit 1 before any check runs, not 2 (bad data file)
+    assert main(["gradcheck", "--trials", "1", "--tolerance", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance" in captured.err
+
+
 def test_config_file_and_flag_precedence(workdir, tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("epochs=1\nchar_emb=8\ngcnn_dim=8\ngcnn_layers=1\n"

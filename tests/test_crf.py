@@ -8,7 +8,7 @@ from crossseg.autodiff import backward, tensor
 from crossseg.crf import (CrfHead, emission_scores, nll_loss, viterbi_decode)
 
 from helpers import (crf_best_path, crf_log_partition, gold_path_probability,
-                     nll_loss_ref, viterbi_ref)
+                     nll_loss_batched_ref, nll_loss_ref, viterbi_ref)
 
 
 def random_instance(rng, n):
@@ -134,6 +134,71 @@ def test_batched_loss_and_gradients_match_per_sentence_reference():
         np.testing.assert_allclose(getattr(head, name).grad,
                                    getattr(ref_head, name).grad,
                                    rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def assert_matches_oracle(e, mask, gold, t, start, stop):
+    """The scaled forward-backward's loss and its emission, transition,
+    start and stop gradients are finite and match the log-space oracle."""
+    runs = []
+    for loss_fn in (nll_loss, nll_loss_batched_ref):
+        head = head_from(t, start, stop)
+        et = tensor(e.copy())
+        loss = loss_fn(et, head, gold, mask)
+        backward(loss)
+        runs.append((loss.item(), et.grad, head.trans.grad, head.start.grad,
+                     head.stop.grad))
+    got, want = runs
+    assert np.isfinite(got[0])
+    assert got[0] == pytest.approx(want[0], rel=1e-10)
+    for name, g, w in zip(("emissions", "trans", "start", "stop"),
+                          got[1:], want[1:]):
+        assert np.isfinite(g).all(), name
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-9, err_msg=name)
+
+
+@pytest.mark.parametrize("emit, other", [(1.0, 1.0), (50.0, 30.0),
+                                         (1e4, 1.0)])
+def test_scaled_recursion_matches_log_space_oracle(emit, other):
+    # normal scores, then emissions in +-50 with transitions, start and
+    # stop in +-30, then emissions in +-1e4: each position's largest
+    # emission scales to one, so emissions alone never underflow
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        lengths = [int(v) for v in rng.integers(1, 40,
+                                                size=rng.integers(1, 7))]
+        e, mask, gold = ragged(rng, lengths)
+        e[mask] = rng.uniform(-emit, emit, size=(int(mask.sum()), 4))
+        t = rng.uniform(-other, other, size=(4, 4))
+        start, stop = rng.uniform(-other, other, size=(2, 4))
+        assert_matches_oracle(e, mask, gold, t, start, stop)
+
+
+def test_scale_underflow_raises():
+    # start allows only tag 0 and every transition out of it is 1e4 below
+    # the best one, so the first rescale meets a zero total
+    big = 1e4
+    t = np.full((4, 4), -big)
+    t[1, 1] = 0.0
+    start = np.array([0.0, -big, -big, -big])
+    e = np.zeros((2, 3, 4))
+    mask = np.array([[True] * 3, [True, True, False]])
+    gold = np.zeros((2, 3), dtype=np.int64)
+    oracle = nll_loss_batched_ref(tensor(e), head_from(t, start, np.zeros(4)),
+                                  gold, mask)
+    assert np.isfinite(oracle.item())  # the log-space form stays finite
+    with pytest.raises(ValueError, match="underflow"):
+        nll_loss(tensor(e), head_from(t, start, np.zeros(4)), gold, mask)
+    with pytest.raises(ValueError, match="underflow"):  # likewise for stop
+        nll_loss(tensor(e[:, :1]), head_from(t, start, -start), gold[:, :1],
+                 mask[:, :1])
+
+
+def test_non_finite_emissions_raise():
+    head = head_from(np.zeros((4, 4)), np.zeros(4), np.zeros(4))
+    e = np.zeros((1, 2, 4))
+    e[0, 1, 2] = np.nan
+    with pytest.raises(ValueError):
+        nll_loss(tensor(e), head, [[0, 0]], np.ones((1, 2), dtype=bool))
 
 
 def test_fresh_head_single_char_loss_is_ln4():

@@ -1,3 +1,5 @@
+import pytest
+
 from crossseg.gradcheck import CHECKS, GradCheckResult, run_suite
 
 
@@ -24,3 +26,9 @@ def test_results_deterministic_for_seed():
     b = run_suite(trials=1, seed=1)
     assert [(r.name, r.max_rel_error) for r in a] == \
         [(r.name, r.max_rel_error) for r in b]
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_suite_rejects_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        run_suite(trials=1, tolerance=tol)

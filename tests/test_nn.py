@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crossseg.autodiff import backward, sum_all, tensor
+from crossseg.autodiff import backward, mul, sum_all, tensor
 from crossseg.nn import (Adam, EmbeddingTable, GcnnEncoder, GcnnLayer,
                          TextCnn, UNK_INDEX, clamped)
 
@@ -104,6 +104,85 @@ def test_encoder_zero_dropout_training_matches_eval():
                     rng=np.random.default_rng(0)).data
     b = enc.forward(tensor(x), mask, training=False).data
     np.testing.assert_array_equal(a, b)
+
+
+class _Identity:
+    """A layer stand-in that returns its input: the encoder then outputs
+    its masked, dropped-out input."""
+
+    def forward(self, x):
+        return x
+
+
+def test_encoder_dropout_scales_survivors():
+    enc = GcnnEncoder([_Identity()], dropout=0.25)
+    x = tensor(np.ones((2, 100, 4)))
+    mask = np.arange(100)[None, :] < np.array([[100], [60]])
+    y = enc.forward(x, mask, training=True, rng=np.random.default_rng(0))
+    np.testing.assert_array_equal(y.data[~mask], 0.0)
+    kept = y.data[y.data != 0]
+    np.testing.assert_allclose(kept, 1.0 / 0.75)
+    drop_frac = np.mean(y.data[mask] == 0)
+    assert 0.15 < drop_frac < 0.35
+    backward(sum_all(y))
+    np.testing.assert_array_equal(x.grad, y.data)  # mask * keep / 0.75
+
+
+def test_encoder_rejects_dropout_rate_outside_unit_interval():
+    for rate in (-0.1, 1.0):
+        with pytest.raises(ValueError):
+            GcnnEncoder([_Identity()], dropout=rate)
+
+
+def test_encoder_zero_rate_is_identity_and_draws_nothing():
+    enc = GcnnEncoder([_Identity()], dropout=0.0)
+    x = np.random.default_rng(1).normal(size=(2, 3, 3))
+    mask = np.array([[True] * 3, [True, False, False]])
+    rng = np.random.default_rng(0)
+    y = enc.forward(tensor(x), mask, training=True, rng=rng)
+    np.testing.assert_array_equal(y.data, x * mask[:, :, None])
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+def _separate_mask_and_dropout(enc, x, mask, rng):
+    """A training forward that masks each layer input, then applies
+    inverted dropout as a second factor, from the same draws in the same
+    order as the encoder."""
+    h = x
+    for layer in enc.layers:
+        h = mul(h, mask[:, :, None])
+        keep = (rng.random(h.data.shape) >= enc.dropout) / (1.0 - enc.dropout)
+        h = layer.forward(mul(h, tensor(keep)))
+    return h
+
+
+def test_encoder_training_forward_equals_separate_mask_and_dropout():
+    # one multiply by mask * keep gives exactly the two multiplies' values
+    # and gradients: the mask is 0 or 1
+    rng = np.random.default_rng(8)
+    enc = GcnnEncoder.create(n_layers=3, k=3, d_in=4, d_out=5, drop=0.3,
+                             rng=rng)
+    x = rng.normal(size=(3, 6, 4))
+    mask = np.arange(6)[None, :] < np.array([[6], [2], [4]])
+    g = rng.normal(size=(3, 6, 5))
+
+    def run(forward):
+        xt = tensor(x.copy())
+        out = forward(xt, mask, np.random.default_rng(9))
+        backward(sum_all(mul(out, tensor(g))))
+        grads = {}
+        for name, p in enc.params("enc").items():
+            grads[name] = p.grad
+            p.zero_grad()
+        return out.data, xt.grad, grads
+
+    got = run(lambda *a: enc.forward(a[0], a[1], True, a[2]))
+    want = run(lambda *a: _separate_mask_and_dropout(enc, *a))
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    for name in want[2]:
+        np.testing.assert_array_equal(got[2][name], want[2][name],
+                                      err_msg=name)
 
 
 def test_encoder_padded_rows_match_the_sentence_alone():
