@@ -9,9 +9,8 @@ the tape: running backward twice on the same graph raises StaleGraphError.
 Only the operations the segmentation stack needs are provided. Sequence
 operations work on padded batches: conv1d and max_over_time take (B, T, d)
 tensors, and matmul and concat_cols act on the last axis. gather_rows
-reads a table at one index array (embedding lookup) or at a tuple of
-index arrays (cutting rows and positions out of a batch); negative
-entries mark padding, which reads zeros and gets no gradient, and an entry
+reads the rows of a table at one index array (embedding lookup); negative
+entries mark padding, which reads zeros and gets no gradient, and a row
 read several times gets the sum of all of its gradients. Dropout is not an
 operation: a training forward multiplies by its mask. Everything is
 float64; gradients match central finite differences to about 1e-9 in
@@ -265,34 +264,26 @@ def conv1d(x: Tensor, w: Tensor, pad_left: int, pad_right: int) -> Tensor:
 
 
 def gather_rows(table: Tensor, idx) -> Tensor:
-    """Entries of table at an index array on its first axis, or at a tuple
-    of index arrays on its leading axes (broadcast together, as numpy
-    indexing does); the output has the index shape followed by the
-    remaining axes of table. A negative index selects a zero entry that
-    reads nothing and gets no gradient. Gradients scatter back: by one
-    assignment when the selected entries are distinct, else by one
-    bincount per trailing column, so an entry selected k times gets the
-    sum of its k gradients."""
+    """Rows of table at an index array on its first axis; the output has
+    the index shape followed by the remaining axes of table. A negative
+    index selects a zero row that reads nothing and gets no gradient.
+    Gradients scatter back by one bincount per trailing column, so a row
+    selected k times gets the sum of its k gradients."""
     table = _to_tensor(table)
-    idx = np.broadcast_arrays(*(np.asarray(i, dtype=np.int64) for i in
-                                (idx if isinstance(idx, tuple) else (idx,))))
-    keep = np.logical_and.reduce([i >= 0 for i in idx])
-    data = table.data[tuple(i * keep for i in idx)]  # padding reads entry 0
+    idx = np.asarray(idx, dtype=np.int64)
+    keep = idx >= 0
+    data = table.data[idx * keep]  # padding reads row 0
     data[~keep] = 0.0
     out = Tensor(data, (table,))
-    lead = table.data.shape[:len(idx)]
-    n_lead = math.prod(lead)
-    width = math.prod(table.data.shape[len(idx):])
+    n = table.data.shape[0]
+    width = math.prod(table.data.shape[1:])
 
     def bwd(g: Array) -> None:
-        flat = np.ravel_multi_index(tuple(i[keep] for i in idx), lead)
+        flat = idx[keep]
         rows = g[keep].reshape(flat.size, width)
-        grad = np.zeros((n_lead, width))
-        if (np.bincount(flat, minlength=n_lead) <= 1).all():
-            grad[flat] = rows
-        else:
-            for j, col in enumerate(rows.T):
-                grad[:, j] = np.bincount(flat, weights=col, minlength=n_lead)
+        grad = np.empty((n, width))
+        for j, col in enumerate(rows.T):
+            grad[:, j] = np.bincount(flat, weights=col, minlength=n)
         table._accumulate(grad.reshape(table.data.shape))
 
     out._bwd = bwd

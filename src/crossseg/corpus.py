@@ -105,8 +105,10 @@ def is_well_formed(tags: str) -> bool:
 class LabeledDataset:
     """Tagged sentences from one domain.
 
-    items holds (sentence, tags) pairs; provenance marks, per item, whether
-    the tags are human gold or produced by distant annotation.
+    items holds (sentence, tags) pairs, each a non-empty sentence and a
+    BMES tag of each of its characters; provenance marks, per item, whether
+    the tags are human gold or produced by distant annotation. A bad item
+    is a ValueError naming its index.
     """
     items: tuple[tuple[str, str], ...]
     domain: str
@@ -124,9 +126,14 @@ class LabeledDataset:
         for p in prov:
             if p not in ("gold", "distant"):
                 raise ValueError(f"unknown provenance {p!r}")
-        for s, t in self.items:
+        for i, (s, t) in enumerate(self.items):
+            if not s:
+                raise ValueError(f"item {i}: empty sentence")
             if len(s) != len(t):
-                raise ValueError("sentence and tags differ in length")
+                raise ValueError(f"item {i}: {len(t)} tags, {len(s)} chars")
+            bad = set(t) - TAG_INDEX.keys()
+            if bad:
+                raise ValueError(f"item {i}: unknown tag {min(bad)!r}")
 
     def __len__(self) -> int:
         return len(self.items)

@@ -6,16 +6,17 @@ adversarial model keeps three encoders over one shared embedding table: a
 private encoder per domain plus a shared one. A sentence from domain d is
 scored by the CRF head of d on the concatenation [private_d ; shared]. A
 text-CNN discriminator reads the same shared features. Every step runs on
-padded (B, T, d) batches with a (B, T) length mask: the shared encoder
-runs once over the source and the target batch together, each private
-encoder once over its domain's batch, and that one shared pass feeds both
-the CRF heads and the discriminator. Decoding sorts sentences by length
-into buckets of at most DECODE_BUDGET padded positions and runs one tower
-pass and one Viterbi per bucket. Steps alternate between sharpening the
-discriminator (odd steps, discriminator loss on detached shared features)
-and confusing it (even steps, confusion loss, discriminator frozen). All
-randomness flows from the config seed, so two runs with equal inputs
-produce identical parameters.
+padded (B, T, d) batches with a (B, T) length mask. Each domain's batch
+is encoded on its own, padded only to its own longest sentence: one
+embedding, one shared-encoder pass and one pass of its private encoder,
+and that one shared pass feeds both the domain's CRF head and the
+discriminator. Decoding sorts sentences by length into buckets of at most
+DECODE_BUDGET padded positions and runs one tower pass and one Viterbi
+per bucket. Steps alternate between sharpening the discriminator (odd
+steps, discriminator loss on detached shared features) and confusing it
+(even steps, confusion loss, discriminator frozen). All randomness flows
+from the config seed, so two runs with equal inputs produce identical
+parameters.
 
 Both model kinds save and load through one path: a container holds the
 kind (and mode), the config fields stored for that kind, the vocabulary,
@@ -34,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import crf as crf_mod
-from .autodiff import (Tensor, backward, concat_cols, gather_rows, log, mul,
-                       scale, sub, sum_all)
+from .autodiff import (Tensor, backward, concat_cols, log, scale, sub,
+                       sum_all)
 from .corpus import TAGS, TAG_INDEX, LabeledDataset, tags_to_words
 from .errors import DataError
 from .model_io import load_container, save_container
@@ -261,27 +262,17 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
     return model
 
 
-class Encoded(NamedTuple):
-    """One encoding of a source and a target batch (DaatModel.encode):
-    the tagger features [private ; shared] of each domain's rows, padded
-    to that domain's longest sentence (None for a domain without rows or
-    without a trained tower), the shared features and length mask of all
-    rows, and the number of source rows, which come first."""
-    src: Tensor | None
-    tgt: Tensor | None
+class Block(NamedTuple):
+    """One domain's rows of DaatModel.encode, padded to their longest."""
+    tagger: Tensor | None  # [private ; shared], None without a trained tower
     shared: Tensor
     mask: np.ndarray
-    n_src: int
 
 
-def _crop(x: Tensor, lo: int, shape: tuple[int, int]) -> Tensor:
-    """The (b, t) block of a batch tensor that starts at row lo and
-    position 0; x itself when that is all of it."""
-    b, t = shape
-    if (lo, b, t) == (0, *x.data.shape[:2]):
-        return x
-    return gather_rows(x, (np.arange(lo, lo + b)[:, None],
-                           np.arange(t)[None, :]))
+class Encoded(NamedTuple):
+    """DaatModel.encode: a Block per domain, None for one without rows."""
+    src: Block | None
+    tgt: Block | None
 
 
 class DaatModel:
@@ -339,26 +330,26 @@ class DaatModel:
         return out
 
     def encode(self, src: list[str], tgt: list[str], training: bool = False,
-               rng: np.random.Generator | None = None) -> "Encoded":
-        """One embedding and one shared-encoder pass over the source and
-        the target sentences as one padded batch (source rows first), then
-        one pass of each private encoder over its domain's block of that
-        embedding, cut to the domain's longest sentence. The target tower
-        is never trained in AT mode, so there target rows get the shared
-        pass only."""
-        x, mask = self.embedding.embed([*src, *tgt])
-        shared = self.enc_shr.forward(x, mask, training, rng)
-        towers = []
-        for enc, rows, lo in ((self.enc_src, src, 0),
-                              (self.enc_tgt, tgt, len(src))):
-            if not rows or (enc is self.enc_tgt and self.mode == "at"):
-                towers.append(None)
+               rng: np.random.Generator | None = None) -> Encoded:
+        """Each domain's sentences as one batch of their own: one
+        embedding, one shared-encoder pass and one pass of the domain's
+        private encoder, source first and, within a domain, shared first
+        (the order of the dropout draws). The target tower is never
+        trained in AT mode, so there target rows get the shared pass
+        only."""
+        blocks = []
+        for rows, enc in ((src, self.enc_src), (tgt, self.enc_tgt)):
+            if not rows:
+                blocks.append(None)
                 continue
-            md = mask[lo:lo + len(rows), :max(map(len, rows))]
-            private = enc.forward(_crop(x, lo, md.shape), md, training, rng)
-            towers.append(concat_cols([private,
-                                       _crop(shared, lo, md.shape)]))
-        return Encoded(*towers, shared, mask, len(src))
+            x, mask = self.embedding.embed(rows)
+            shared = self.enc_shr.forward(x, mask, training, rng)
+            tagger = None
+            if not (enc is self.enc_tgt and self.mode == "at"):
+                private = enc.forward(x, mask, training, rng)
+                tagger = concat_cols([private, shared])
+            blocks.append(Block(tagger, shared, mask))
+        return Encoded(*blocks)
 
     def _tower(self, sentences: list[str], domain: str):
         """Features, CRF head and length mask that decode a batch of the
@@ -367,10 +358,10 @@ class DaatModel:
         if domain not in ("source", "target"):
             raise ValueError(f"unknown domain {domain!r}")
         if domain == "source" or self.mode == "at":
-            enc = self.encode(sentences, [])
-            return enc.src, self.crf_src, enc.mask
-        enc = self.encode([], sentences)
-        return enc.tgt, self.crf_tgt, enc.mask
+            block, head = self.encode(sentences, []).src, self.crf_src
+        else:
+            block, head = self.encode([], sentences).tgt, self.crf_tgt
+        return block.tagger, head, block.mask
 
     segment_batch = _segment_batch
     segment = _segment
@@ -453,40 +444,38 @@ def load_model(path: str) -> "Segmenter | DaatModel":
     return model
 
 
-def _domain_bce(model: DaatModel, shared: Tensor, enc: Encoded,
-                flip: bool) -> Tensor:
-    """Binary cross-entropy of the discriminator over the shared features
-    of both batches, read in one pass: minus the sum of the two per-domain
-    mean log-probabilities.
+def _domain_bce(model: DaatModel, enc: Encoded, flip: bool) -> Tensor:
+    """Binary cross-entropy of the discriminator, read once per domain
+    block: minus the sum of the two per-domain mean log-probabilities.
 
-    flip=False scores the true domains (discriminator loss); flip=True
-    swaps them (confusion loss). Probabilities are clamped to 1e-7. An
+    flip=False scores the true domains on detached shared features
+    (discriminator loss); flip=True swaps them and reaches the shared
+    encoder (confusion loss). Probabilities are clamped to 1e-7. An
     encoding without source or without target rows is a ValueError.
     """
-    n, b = enc.n_src, len(enc.mask)
-    for domain, rows in (("source", n), ("target", b - n)):
-        if not rows:
+    means = []
+    for block, domain in ((enc.src, "source"), (enc.tgt, "target")):
+        if block is None:
             raise ValueError(f"the encoding has no {domain} rows")
-    p = clamped(model.disc.forward(shared, enc.mask))  # (B, 1)
-    is_src = (np.arange(b) < n)[:, None]
-    weight = np.where(is_src, 1.0 / n, 1.0 / (b - n))  # per-domain means
-    says_src = is_src != flip  # rows scored by log p, the rest by log(1-p)
-    total = sum_all(mul(log(p), weight * says_src)) \
-        + sum_all(mul(log(sub(1.0, p)), weight * ~says_src))
-    return sub(0.0, total)
+        shared = block.shared if flip else block.shared.detach()
+        p = clamped(model.disc.forward(shared, block.mask))  # (B, 1)
+        says_src = (domain == "source") != flip  # scored by log p
+        logp = log(p) if says_src else log(sub(1.0, p))
+        means.append(scale(sum_all(logp), 1.0 / len(block.mask)))
+    return sub(0.0, means[0] + means[1])
 
 
 def discriminator_loss(model: DaatModel, enc: Encoded) -> Tensor:
     """Loss the discriminator minimizes to tell the domains apart, given
     an encoded step. The shared features are detached, so the loss trains
     the discriminator only and never the shared encoder."""
-    return _domain_bce(model, enc.shared.detach(), enc, flip=False)
+    return _domain_bce(model, enc, flip=False)
 
 
 def confusion_loss(model: DaatModel, enc: Encoded) -> Tensor:
     """Domain-flipped loss the shared encoder minimizes to fool the
     discriminator, given an encoded step."""
-    return _domain_bce(model, enc.shared, enc, flip=True)
+    return _domain_bce(model, enc, flip=True)
 
 
 def tagging_losses(model: DaatModel, enc: Encoded, tags_src: list[str],
@@ -494,13 +483,12 @@ def tagging_losses(model: DaatModel, enc: Encoded, tags_src: list[str],
     """Mean CRF negative log-likelihood per domain tower of an encoded
     step, given the gold tags of its source and target rows. The target
     loss is None in AT mode or for an empty target batch."""
-    n = enc.n_src
-    l_src = _batch_loss(enc.src, model.crf_src,
-                        enc.mask[:n, :enc.src.data.shape[1]], tags_src)
-    if enc.tgt is None:
+    l_src = _batch_loss(enc.src.tagger, model.crf_src, enc.src.mask,
+                        tags_src)
+    if enc.tgt is None or enc.tgt.tagger is None:
         return l_src, None
-    return l_src, _batch_loss(enc.tgt, model.crf_tgt,
-                              enc.mask[n:, :enc.tgt.data.shape[1]], tags_tgt)
+    return l_src, _batch_loss(enc.tgt.tagger, model.crf_tgt, enc.tgt.mask,
+                              tags_tgt)
 
 
 def _step_losses(model: DaatModel, batch_src: list[tuple[str, str]],
@@ -549,13 +537,17 @@ def adversarial_train(ds_src: LabeledDataset,
     features are detached on its path. Even steps optimize
     L_src + L_tgt + L_c with the discriminator frozen, so the confusion
     gradient lands in the shared encoder. AT mode drops L_tgt, reading the
-    target batch as raw sentences. An epoch is ceil(max(|src|, |target|) /
-    batch) steps, each domain advancing an independent shuffled cursor.
+    target batch as raw sentences, none of which may be empty. An epoch is
+    ceil(max(|src|, |target|) / batch) steps, each domain advancing an
+    independent shuffled cursor.
     """
     tagged = isinstance(target, LabeledDataset)
     if mode == "daat" and not tagged:
         raise ValueError("daat mode needs a tagged target dataset")
     tgt_items = list(target.items) if tagged else [(s, "") for s in target]
+    for i, (s, _) in enumerate(tgt_items):
+        if not s:
+            raise ValueError(f"target sentence {i} is empty")
     if len(ds_src) == 0 or not tgt_items:
         raise ValueError("both domains need at least one sentence")
     rng = np.random.default_rng(cfg.seed)

@@ -145,32 +145,6 @@ def test_gather_rows_negative_index_is_zero_without_gradient():
     np.testing.assert_array_equal(table.grad[3], 0.0)
 
 
-def test_gather_rows_tuple_index_cuts_a_block():
-    x = RNG.normal(size=(3, 4, 2))
-    rows, cols = np.array([[1], [2]]), np.array([[0, 1, 2]])
-    out = gather_rows(tensor(x), (rows, cols))
-    np.testing.assert_array_equal(out.data, x[1:3, :3])
-    check_grad(lambda a: sum_all(mul(gather_rows(a, (rows, cols)),
-                                     gather_rows(a, (rows, cols)))), x)
-
-
-def test_gather_rows_tuple_index_accumulates_repeats():
-    table = tensor(RNG.normal(size=(3, 2, 2)))
-    rows, cols = np.array([[1], [1], [2]]), np.array([[0, 1, 0]])
-    out = gather_rows(table, (rows, cols))
-    assert out.shape == (3, 3, 2)
-    np.testing.assert_array_equal(out.data[1, 2], table.data[1, 0])
-    g = RNG.normal(size=out.shape)
-    backward(sum_all(mul(out, tensor(g))))
-    want = np.zeros_like(table.data)
-    np.add.at(want, np.broadcast_arrays(rows, cols), g)
-    np.testing.assert_allclose(table.grad, want, rtol=0, atol=1e-15)
-    # (1, 0) is read four times, (0, *) never
-    np.testing.assert_allclose(table.grad[1, 0], g[:2][:, [0, 2]].sum(
-        axis=(0, 1)), rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(table.grad[0], 0.0)
-
-
 def test_gather_rows_all_padding_gets_no_gradient():
     table = tensor(RNG.normal(size=(4, 3)))
     out = gather_rows(table, np.full((2, 2), -1))

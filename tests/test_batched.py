@@ -61,6 +61,21 @@ def acceptance_batches():
             _tagged(gold[:TRAIN_CFG["batch_size"]]))
 
 
+def _assert_step_matches_reference(model, src, tgt, odd, rng) -> dict:
+    """One DAAT step's losses and every parameter gradient equal the
+    per-sentence reference; returns the step's gradients."""
+    losses = train_mod._step_losses(model, src, tgt, odd, rng)
+    values = [l if l is None else l.item() for l in losses]
+    grads = _grads(model, _total(losses))
+    ref = helpers.daat_losses_ref(model, src, tgt, odd)
+    for got, want in zip(values, ref):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got == pytest.approx(want.item(), **APPROX)
+    _assert_same_grads(grads, _grads(model, _total(ref)))
+    return grads
+
+
 def test_acceptance_shaped_steps_match_per_sentence_reference(
         acceptance_batches):
     """One train_base step and one DAAT step (both adversarial branches,
@@ -81,15 +96,7 @@ def test_acceptance_shaped_steps_match_per_sentence_reference(
         model.disc.proj_w.data[:] = 0.5 * rng.normal(
             size=model.disc.proj_w.data.shape)  # a fresh projection is zero
         for odd in (True, False):
-            losses = train_mod._step_losses(model, src, tgt, odd, rng)
-            values = [l if l is None else l.item() for l in losses]
-            grads = _grads(model, _total(losses))
-            ref = helpers.daat_losses_ref(model, src, tgt, odd)
-            for got, want in zip(values, ref):
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got == pytest.approx(want.item(), **APPROX)
-            _assert_same_grads(grads, _grads(model, _total(ref)))
+            _assert_step_matches_reference(model, src, tgt, odd, rng)
 
 
 SMALL = dict(epochs=1, batch_size=4, dropout=0.0, char_emb=6, gcnn_dim=5,
@@ -205,3 +212,21 @@ def test_saturated_discriminator_logits_give_finite_clamped_loss(logit):
         for name, g in grads.items():
             if name.startswith("disc."):
                 assert g is None or not g.any(), name
+
+
+@pytest.mark.parametrize("mode", ["daat", "at"])
+@pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+def test_short_blocks_step_matches_per_sentence_reference(mode, odd):
+    """A step whose whole target block is shorter than every discriminator
+    window, beside length-1 source rows: each domain is padded only to its
+    own longest sentence, so the text-CNN pads the target block itself."""
+    cfg = TrainConfig(**{**SMALL, "filter_sizes": (3, 4, 5)})
+    rng = np.random.default_rng(11)
+    model = DaatModel.create(["abcd"], cfg, mode, rng)
+    model.disc.proj_w.data[:] = 0.5 * rng.normal(
+        size=model.disc.proj_w.data.shape)  # a fresh projection is zero
+    src = [("a", "S"), ("abcd", "BEBE"), ("c", "S")]
+    tgt = [("a", "S"), ("b", "S")] if mode == "daat" \
+        else [("a", ""), ("b", "")]
+    grads = _assert_step_matches_reference(model, src, tgt, odd, rng)
+    assert grads["disc.conv5.w"] is not None  # not vacuous

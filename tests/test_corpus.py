@@ -90,6 +90,15 @@ def test_dataset_validation():
         LabeledDataset(items=(("ab", "B"),), domain="source")
 
 
+@pytest.mark.parametrize("item, match", [
+    (("ab", "XY"), "item 1: unknown tag 'X'"),
+    (("", ""), "item 1: empty sentence"),
+], ids=["tag-outside-bmes", "empty-sentence"])
+def test_dataset_rejects_bad_item_by_index(item, match):
+    with pytest.raises(ValueError, match=match):
+        LabeledDataset((("ab", "BE"), item), "source", ("gold",))
+
+
 def test_raw_io(tmp_path):
     p = tmp_path / "raw.txt"
     p.write_bytes("ab cd\n\n  \nef\tgh\n".encode("utf-8"))

@@ -37,12 +37,12 @@ def test_tracer_installs_and_restores_everything():
     assert tracer.leftover_patches(crossseg) == []
 
 
-@pytest.mark.parametrize("mode, passes", [("daat", 3), ("at", 2)])
+@pytest.mark.parametrize("mode, passes", [("daat", 4), ("at", 3)])
 def test_traced_adversarial_step_encodes_each_sentence_once(mode, passes):
-    """Per step, whatever the batch size: one shared encoder pass over the
-    source and target batch together and one private pass per trained
-    tower (AT mode trains the source tower only), one tagging span and one
-    adversarial-loss span."""
+    """Per step, whatever the batch size: per domain batch, one shared
+    encoder pass, one private pass if its tower is trained (AT mode trains
+    the source tower only) and one discriminator pass; one tagging span
+    and one adversarial-loss span."""
     words = ["ab", "cd", "ef", "gh"]
     src = crossseg.dataset_from_segmented(
         [[words[i % 4], words[(i + 1) % 4]] for i in range(6)], "source")
@@ -66,5 +66,6 @@ def test_traced_adversarial_step_encodes_each_sentence_once(mode, passes):
         spans = Counter(tr.names[n] for n, r in zip(tr.name, tr.req)
                         if r == step)
         assert spans["nn.gcnn_forward"] == passes
+        assert spans["nn.textcnn_forward"] == 2
         assert spans["train.tagging_losses"] == 1
         assert spans["train.adversarial_loss"] == 1

@@ -215,20 +215,48 @@ def test_adversarial_losses_reject_an_empty_domain(loss_fn, empty):
         loss_fn(model, enc)
 
 
+@pytest.mark.parametrize("mode", ["daat", "at"])
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+def test_encode_gives_each_domain_its_features_alone(mode, training):
+    # a training forward draws dropout for the source block (shared, then
+    # private) before the target block, so one rng stream read in that
+    # order repeats the joint encoding
+    model = DaatModel.create(["abcdxyz"], TrainConfig(**SMALL), mode,
+                             np.random.default_rng(0))
+    src, tgt = ["abcd", "a", "cd"], ["xyzab", "x"]
+    rng = np.random.default_rng(3) if training else None
+    joint = model.encode(src, tgt, training, rng)
+    rng = np.random.default_rng(3) if training else None
+    alone = (model.encode(src, [], training, rng).src,
+             model.encode([], tgt, training, rng).tgt)
+    assert model.encode(src, []).tgt is None
+    assert model.encode([], tgt).src is None
+    for got, want in zip(joint, alone):
+        assert (got.tagger is None) == (want.tagger is None)
+        if got.tagger is not None:
+            np.testing.assert_array_equal(got.tagger.data, want.tagger.data)
+        np.testing.assert_array_equal(got.shared.data, want.shared.data)
+        np.testing.assert_array_equal(got.mask, want.mask)
+    assert (joint.tgt.tagger is None) == (mode == "at")
+
+
 def test_tagging_losses_modes():
     cfg = TrainConfig(**SMALL)
     model = DaatModel.create(["abcd", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
     enc = model.encode(["abcd"], ["xyz", "x"])
-    assert enc.src.shape == (1, 4, 32) and enc.tgt.shape == (2, 3, 32)
-    assert enc.shared.shape == (3, 4, 16) and enc.n_src == 1
+    # each domain padded to its own longest sentence
+    assert enc.src.tagger.shape == (1, 4, 32)
+    assert enc.src.shared.shape == (1, 4, 16) and enc.src.mask.shape == (1, 4)
+    assert enc.tgt.tagger.shape == (2, 3, 32)
+    assert enc.tgt.shared.shape == (2, 3, 16) and enc.tgt.mask.shape == (2, 3)
     l_src, l_tgt = tagging_losses(model, enc, ["BEBE"], ["BME", "S"])
     assert l_src.item() > 0 and l_tgt.item() > 0
     at = DaatModel.create(["abcd", "xyz"], cfg, "at",
                           np.random.default_rng(0))
     encoded = at.encode(["abcd"], ["xyz"])
-    assert encoded.tgt is None  # the shared pass only
-    assert encoded.shared.shape == (2, 4, 16)
+    assert encoded.tgt.tagger is None  # the shared pass only
+    assert encoded.tgt.shared.shape == (1, 3, 16)
     l_src, l_tgt = tagging_losses(at, encoded, ["BEBE"], [""])
     assert l_src.item() > 0 and l_tgt is None
 
@@ -330,6 +358,15 @@ def test_adversarial_train_daat_requires_tagged_target():
     with pytest.raises(ValueError):
         adversarial_train(toy_source(8), toy_target_raw(8), cfg,
                           mode="daat")
+
+
+def test_adversarial_train_at_mode_rejects_empty_target_before_a_step():
+    cfg = TrainConfig(**{**SMALL, "epochs": 1, "batch_size": 2})
+    steps = []
+    with pytest.raises(ValueError, match="target sentence 3 is empty"):
+        adversarial_train(toy_source(8), [*toy_target_raw(3), "", "xyz"],
+                          cfg, mode="at", hook=steps.append)
+    assert steps == []
 
 
 def test_adversarial_train_at_mode_ignores_target_tower():
