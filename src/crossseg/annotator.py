@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
-from .corpus import LabeledDataset, words_to_tags
+from .corpus import LabeledDataset, read_lines, words_to_tags
+from .errors import DecodeError
 from .miner import WordCollection
 
 
@@ -90,10 +91,8 @@ def _annotate(raw: list[str], collection: WordCollection,
     for sentence, pieces in zip(raw, cut):
         tags, prov = [], []
         for text, lexical in pieces:
-            if lexical:
-                tags.append("B" + "M" * (len(text) - 2) + "E")
-            else:
-                tags.append(words_to_tags(next(fills)))
+            words = [text] if lexical else next(fills)
+            tags.append(words_to_tags(words))
             prov.append(("L" if lexical else "S") * len(text))
         out.append(AnnotatedSentence(sentence, "".join(tags), "".join(prov)))
     return out
@@ -124,15 +123,13 @@ def save_provenance(path: str, prov: list[str]) -> None:
 
 
 def load_provenance(path: str) -> list[str]:
-    from .errors import DecodeError
+    """The non-empty lines of a provenance file; a line holding anything
+    but L and S raises DecodeError naming it."""
     out = []
-    with open(path, "rb") as f:
-        for i, raw in enumerate(f.read().split(b"\n"), start=1):
-            if not raw:
-                continue
-            line = raw.decode("ascii", "replace")
-            if set(line) - {"L", "S"}:
-                raise DecodeError(f"{path}: line {i}: provenance must be "
-                                  "L/S only")
+    for i, line in enumerate(read_lines(path), start=1):
+        if set(line) - {"L", "S"}:
+            raise DecodeError(f"{path}: line {i}: provenance must be "
+                              "L/S only")
+        if line:
             out.append(line)
     return out

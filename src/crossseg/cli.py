@@ -13,14 +13,14 @@ import sys
 from dataclasses import replace
 
 from .annotator import build_target_dataset, save_provenance
-from .corpus import (_decode_lines, dataset_from_segmented, load_raw,
-                     load_segmented, raw_lines, save_segmented, tags_to_words)
+from .corpus import (dataset_from_segmented, load_raw, load_segmented,
+                     raw_lines, read_lines, save_segmented, tags_to_words)
 from .errors import AlignmentError, DataError
 from .evaluate import prf, report_json, write_report
 from .gradcheck import run_suite
 from .miner import MinerConfig, load_lexicon, mine, save_lexicon
-from .train import (TrainConfig, adversarial_train, load_config, load_model,
-                    train_base)
+from .train import (_STORED_FIELDS, TrainConfig, adversarial_train,
+                    load_config, load_model, parse_field, train_base)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,38 +32,44 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _train_flags(p: argparse.ArgumentParser, with_disc: bool) -> None:
+# The TrainConfig fields each training command takes as flags: the
+# schedule plus the fields its model stores.
+_FLAG_FIELDS = {
+    "train-base": ("epochs", "batch_size", "lr") + _STORED_FIELDS["segmenter"],
+    "train-daat": ("epochs", "batch_size", "lr") + _STORED_FIELDS["daat"],
+}
+
+
+def _flag(name: str) -> str:
+    """The flag of a TrainConfig field: its name with -, but --batch for
+    batch_size."""
+    return "--batch" if name == "batch_size" else "--" + name.replace("_", "-")
+
+
+def _train_flags(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", help="key=value file of training settings")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--char-emb", type=int, dest="char_emb")
-    p.add_argument("--gcnn-dim", type=int, dest="gcnn_dim")
-    p.add_argument("--gcnn-layers", type=int, dest="gcnn_layers")
-    p.add_argument("--window", type=int)
-    if with_disc:
-        p.add_argument("--textcnn-filters", type=int, dest="textcnn_filters")
-        p.add_argument("--filter-sizes", dest="filter_sizes",
-                       help="comma separated window widths, e.g. 3,4,5")
+    for name in _FLAG_FIELDS[command]:
+        p.add_argument(_flag(name), dest=name, help=(
+            "comma separated window widths, e.g. 3,4,5"
+            if name == "filter_sizes" else None))
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
-    cfg = load_config(args.config) if args.config else TrainConfig()
+    """The config file's settings, or the defaults, overridden by the
+    flags given. A bad flag value is a ValueError naming the flag, raised
+    before the config file is read."""
     overrides: dict = {}
-    for name in ("epochs", "batch_size", "lr", "dropout", "char_emb",
-                 "gcnn_dim", "gcnn_layers", "window", "textcnn_filters"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    fs = getattr(args, "filter_sizes", None)
-    if fs is not None:
-        try:
-            overrides["filter_sizes"] = tuple(int(x) for x in fs.split(","))
-        except ValueError:
-            raise ValueError(f"bad --filter-sizes value {fs!r}") from None
+    for name in _FLAG_FIELDS[args.command]:
+        text = getattr(args, name)
+        if text is not None:
+            try:
+                overrides[name] = parse_field(name, text)
+                TrainConfig(**{name: overrides[name]})
+            except ValueError as exc:
+                raise ValueError(f"{_flag(name)}: {exc}") from None
     if args.seed is not None:
         overrides["seed"] = args.seed
+    cfg = load_config(args.config) if args.config else TrainConfig()
     return replace(cfg, **overrides)
 
 
@@ -78,7 +84,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     corpus = load_raw(args.input)
     stop = frozenset()
     if args.stopwords:
-        stop = frozenset(w.strip() for w in _decode_lines(args.stopwords)
+        stop = frozenset(w.strip() for w in read_lines(args.stopwords)
                          if w.strip())
     cfg = MinerConfig(n_min=args.nmin, n_max=args.nmax,
                       p_val_threshold=args.pval,
@@ -105,9 +111,9 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_base(args: argparse.Namespace) -> int:
+    cfg = _resolve_config(args)
     ds = dataset_from_segmented(
         _nonempty(load_segmented(args.train), args.train), "source")
-    cfg = _resolve_config(args)
     model = train_base(ds, cfg)
     model.save(args.out_model)
     print(f"trained on {len(ds)} sentences for {cfg.epochs} epochs; "
@@ -116,6 +122,7 @@ def _cmd_train_base(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_daat(args: argparse.Namespace) -> int:
+    cfg = _resolve_config(args)
     src = dataset_from_segmented(
         _nonempty(load_segmented(args.source), args.source), "source")
     if args.mode == "daat":
@@ -124,7 +131,6 @@ def _cmd_train_daat(args: argparse.Namespace) -> int:
     else:
         target = load_raw(args.target)
     _nonempty(target, args.target)
-    cfg = _resolve_config(args)
     model = adversarial_train(src, target, cfg, mode=args.mode)
     model.save(args.out_model)
     print(f"adversarially trained ({args.mode}) on {len(src)} source and "
@@ -198,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train the single-domain segmenter")
     p.add_argument("--train", required=True, help="segmented training file")
     p.add_argument("--out-model", required=True, dest="out_model")
-    _train_flags(p, with_disc=False)
+    _train_flags(p, "train-base")
     p.set_defaults(func=_cmd_train_base)
 
     p = sub.add_parser("train-daat", parents=[common],
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="segmented target file (daat) or raw text (at)")
     p.add_argument("--out-model", required=True, dest="out_model")
     p.add_argument("--mode", choices=("daat", "at"), default="daat")
-    _train_flags(p, with_disc=True)
+    _train_flags(p, "train-daat")
     p.set_defaults(func=_cmd_train_daat)
 
     p = sub.add_parser("segment", parents=[common],

@@ -1,19 +1,27 @@
 """Sentences, BMES tag sequences, datasets and corpus file IO.
 
 A sentence is a plain str of characters with no internal whitespace. A tag
-sequence is a str over the alphabet {B, M, E, S} of the same length. A
-segmented sentence is a list of non-empty words whose concatenation equals
-the sentence. All objects here are immutable values; sharing them across
-threads is safe.
+sequence is a str over the alphabet {B, M, E, S} of the same length; it is
+well formed when it matches (S | B M* E)*, and any tag sequence cuts its
+sentence into words by one rule (tags_to_words). A segmented sentence is a
+list of non-empty words whose concatenation equals the sentence. All
+objects here are immutable values; sharing them across threads is safe.
+
+Every text file the toolkit reads (corpora, lexicons, provenance,
+stop-words, training configs) goes through read_lines: UTF-8 lines, and a
+DecodeError naming the file and line for any that does not decode.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 from .errors import DecodeError
 
 TAGS = "BMES"
 TAG_INDEX = {t: i for i, t in enumerate(TAGS)}
+_NOT_A_TAG = re.compile(f"[^{TAGS}]")
+_WELL_FORMED = re.compile("(?:S|BM*E)*")
 
 
 def words_to_tags(words: list[str]) -> str:
@@ -38,67 +46,27 @@ def words_to_tags(words: list[str]) -> str:
 def tags_to_words(sentence: str, tags: str) -> list[str]:
     """Cut a sentence according to a BMES tag string.
 
-    Well-formed input ((S | B M* E)*) is inverted exactly. Ill-formed input
-    is repaired greedily: a new word starts at every B or S and at any tag
-    that cannot legally continue the open word (M or E with no open word).
-    The concatenation of the result always equals the sentence.
+    A word starts at position i > 0 exactly when tags[i] is B or S or
+    tags[i-1] is E or S. This inverts a well-formed tag string
+    ((S | B M* E)*) and repairs an ill-formed one, and the concatenation of
+    the words always equals the sentence.
     """
     if len(sentence) != len(tags):
         raise ValueError(
             f"length mismatch: {len(sentence)} chars vs {len(tags)} tags")
     if not sentence:
         raise ValueError("empty sentence")
-    words: list[str] = []
-    cur = ""
-    open_word = False
-    for ch, tag in zip(sentence, tags):
-        if tag not in TAG_INDEX:
-            raise ValueError(f"unknown tag {tag!r}")
-        if tag in ("B", "S"):
-            if cur:
-                words.append(cur)
-            cur = ch
-            open_word = tag == "B"
-            if tag == "S":
-                words.append(cur)
-                cur = ""
-        else:  # M or E
-            if open_word:
-                cur += ch
-            else:
-                if cur:
-                    words.append(cur)
-                cur = ch
-            if tag == "E":
-                words.append(cur)
-                cur = ""
-                open_word = False
-            else:
-                open_word = True
-    if cur:
-        words.append(cur)
-    return words
+    bad = _NOT_A_TAG.search(tags)
+    if bad:
+        raise ValueError(f"unknown tag {bad.group()!r}")
+    cuts = [0] + [i for i in range(1, len(tags))
+                  if tags[i] in "BS" or tags[i - 1] in "ES"] + [len(tags)]
+    return [sentence[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def is_well_formed(tags: str) -> bool:
     """True iff tags matches (S | B M* E)*."""
-    state = 0  # 0: outside a word, 1: inside
-    for t in tags:
-        if state == 0:
-            if t == "S":
-                continue
-            if t == "B":
-                state = 1
-            else:
-                return False
-        else:
-            if t == "M":
-                continue
-            if t == "E":
-                state = 0
-            else:
-                return False
-    return state == 0
+    return _WELL_FORMED.fullmatch(tags) is not None
 
 
 @dataclass(frozen=True)
@@ -112,7 +80,7 @@ class LabeledDataset:
     """
     items: tuple[tuple[str, str], ...]
     domain: str
-    provenance: tuple[str, ...] = field(default=())
+    provenance: tuple[str, ...] = ("gold",)
 
     def __post_init__(self):
         if self.domain not in ("source", "target"):
@@ -145,7 +113,10 @@ def dataset_from_segmented(segs: list[list[str]], domain: str,
     return LabeledDataset(items, domain, (provenance,) * len(items))
 
 
-def _decode_lines(path: str) -> list[str]:
+def read_lines(path: str) -> list[str]:
+    """Every line of a UTF-8 text file without its line ending (LF or
+    CRLF); a final newline leaves an empty last line. Invalid UTF-8 raises
+    DecodeError naming the line."""
     with open(path, "rb") as f:
         blob = f.read()
     lines: list[str] = []
@@ -162,7 +133,7 @@ def raw_lines(path: str) -> list[str]:
     """Every line of a raw corpus as a sentence, whitespace dropped, so a
     blank line gives an empty one; a final newline adds no line. Invalid
     UTF-8 raises DecodeError naming the line."""
-    lines = _decode_lines(path)
+    lines = read_lines(path)
     if not lines[-1]:
         lines.pop()
     return ["".join(line.split()) for line in lines]
@@ -180,7 +151,7 @@ def load_segmented(path: str) -> list[list[str]]:
     internal whitespace raises DecodeError naming the line.
     """
     out = []
-    for i, line in enumerate(_decode_lines(path), start=1):
+    for i, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue

@@ -16,7 +16,6 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
-    oov_rate: float
     gold: int
     pred: int
     correct: int
@@ -31,8 +30,7 @@ def _spans(words: list[str]) -> set[tuple[int, int]]:
     return out
 
 
-def prf(gold: list[list[str]], pred: list[list[str]],
-        oov_rate: float = 0.0) -> EvalReport:
+def prf(gold: list[list[str]], pred: list[list[str]]) -> EvalReport:
     """Micro precision/recall/F1 by exact span match.
 
     Sentences pair up by index; differing underlying text raises
@@ -54,15 +52,14 @@ def prf(gold: list[list[str]], pred: list[list[str]],
     recall = n_corr / n_gold if n_gold else 0.0
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall else 0.0)
-    return EvalReport(precision, recall, f1, oov_rate, n_gold, n_pred, n_corr)
+    return EvalReport(precision, recall, f1, n_gold, n_pred, n_corr)
 
 
 def report_json(ev: EvalReport) -> bytes:
     """Single-line JSON with fixed six-decimal reals, byte deterministic."""
     line = ('{{"precision":{:.6f},"recall":{:.6f},"f1":{:.6f},'
-            '"oov_rate":{:.6f},"gold":{},"pred":{},"correct":{}}}').format(
-        ev.precision, ev.recall, ev.f1, ev.oov_rate, ev.gold, ev.pred,
-        ev.correct)
+            '"gold":{},"pred":{},"correct":{}}}').format(
+        ev.precision, ev.recall, ev.f1, ev.gold, ev.pred, ev.correct)
     return (line + "\n").encode("ascii")
 
 

@@ -2,7 +2,7 @@
 
 Each check builds a scalar loss from a small randomized model, runs one
 backward pass, then perturbs sampled coordinates of every parameter by
-+-h and compares the numeric slope against the stored gradient. Every
++-H and compares the numeric slope against the stored gradient. Every
 check runs on a padded batch of sentences of different lengths, so the
 differences also cover the masking. All forwards run in eval mode so
 repeated evaluation is deterministic.
@@ -21,6 +21,7 @@ from .train import (DaatModel, TrainConfig, confusion_loss,
                     discriminator_loss, tagging_losses)
 
 H = 1e-4
+MAX_COORDS = 20
 TOLERANCE = 1e-4
 
 
@@ -36,10 +37,10 @@ class GradCheckResult:
 
 
 def max_rel_error(build, params: dict[str, Tensor],
-                  rng: np.random.Generator, h: float = H,
-                  max_coords: int = 20) -> float:
+                  rng: np.random.Generator) -> float:
     """Worst relative error between analytic and central-difference
-    gradients over up to max_coords sampled coordinates per parameter."""
+    gradients (step H) over up to MAX_COORDS sampled coordinates per
+    parameter."""
     loss = build()
     backward(loss)
     analytic = {}
@@ -50,19 +51,19 @@ def max_rel_error(build, params: dict[str, Tensor],
     worst = 0.0
     for name, t in params.items():
         flat = t.data.reshape(-1)
-        if flat.size <= max_coords:
+        if flat.size <= MAX_COORDS:
             coords = np.arange(flat.size)
         else:
-            coords = rng.choice(flat.size, size=max_coords, replace=False)
+            coords = rng.choice(flat.size, size=MAX_COORDS, replace=False)
         ana = analytic[name].reshape(-1)
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + h
+            flat[c] = orig + H
             fp = build().item()
-            flat[c] = orig - h
+            flat[c] = orig - H
             fm = build().item()
             flat[c] = orig
-            num = (fp - fm) / (2.0 * h)
+            num = (fp - fm) / (2.0 * H)
             err = abs(num - ana[c]) / max(1.0, abs(num), abs(ana[c]))
             worst = max(worst, err)
     return worst

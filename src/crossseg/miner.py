@@ -30,7 +30,9 @@ import unicodedata
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from numbers import Integral
 
+from .corpus import read_lines
 from .errors import DecodeError, UndefinedProbabilityError
 
 
@@ -43,6 +45,10 @@ class MinerConfig:
     stop_words: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        for name in ("n_min", "n_max", "min_frequency"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer")
         if not (2 <= self.n_min <= self.n_max):
             raise ValueError("need 2 <= n_min <= n_max")
         if not (0.0 < self.p_val_threshold < 1.0):
@@ -264,17 +270,15 @@ def save_lexicon(path: str, collection: WordCollection) -> None:
 
 def load_lexicon(path: str) -> WordCollection:
     entries: dict[str, CandidateScore] = {}
-    with open(path, "rb") as f:
-        for i, raw in enumerate(f.read().split(b"\n"), start=1):
-            if not raw:
-                continue
-            try:
-                word, freq, mis, es, tfidf, p_val = \
-                    raw.decode("utf-8").split("\t")
-                entries[word] = CandidateScore(
-                    word, int(freq), float(mis), float(es), float(tfidf),
-                    float(p_val))
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise DecodeError(f"{path}: line {i}: bad lexicon row "
-                                  f"({exc})") from None
+    for i, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        try:
+            word, freq, mis, es, tfidf, p_val = line.split("\t")
+            entries[word] = CandidateScore(
+                word, int(freq), float(mis), float(es), float(tfidf),
+                float(p_val))
+        except ValueError as exc:
+            raise DecodeError(f"{path}: line {i}: bad lexicon row "
+                              f"({exc})") from None
     return WordCollection(entries)

@@ -207,6 +207,11 @@ def clamped(p: Tensor) -> Tensor:
     return clamp(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class Adam:
     """Adam with bias correction; one instance owns one parameter group.
@@ -216,11 +221,9 @@ class Adam:
     """
     params: dict[str, Tensor]
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    t: int = field(default=0, init=False)
+    moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False)
 
     def __post_init__(self):
         for name, p in self.params.items():
@@ -228,16 +231,16 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m, v = self.moments[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

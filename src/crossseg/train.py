@@ -30,6 +30,7 @@ import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +38,8 @@ import numpy as np
 from . import crf as crf_mod
 from .autodiff import (Tensor, backward, concat_cols, log, scale, sub,
                        sum_all)
-from .corpus import TAGS, TAG_INDEX, LabeledDataset, tags_to_words
+from .corpus import (TAGS, TAG_INDEX, LabeledDataset, read_lines,
+                     tags_to_words)
 from .errors import DataError
 from .model_io import load_container, save_container
 from .nn import (Adam, EmbeddingTable, GcnnEncoder, TextCnn, clamped)
@@ -58,8 +60,12 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "char_emb", "gcnn_dim",
-                     "gcnn_layers", "textcnn_filters", "window"):
+        ints = ("epochs", "batch_size", "char_emb", "gcnn_dim",
+                "gcnn_layers", "textcnn_filters", "window")
+        for name in ints + ("seed",):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        for name in ints:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -70,45 +76,53 @@ class TrainConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.window % 2 != 1:
             raise ValueError("window must be odd")
-        self.filter_sizes = tuple(int(w) for w in self.filter_sizes)
+        self.filter_sizes = tuple(self.filter_sizes)
+        if not all(map(_is_int, self.filter_sizes)):
+            raise ValueError("filter_sizes must be integers")
         if not self.filter_sizes or min(self.filter_sizes) <= 0:
             raise ValueError("filter_sizes must be positive")
         if len(set(self.filter_sizes)) != len(self.filter_sizes):
             raise ValueError("filter_sizes must be distinct")
 
 
-def load_config(path: str) -> TrainConfig:
-    """Parse key=value lines into a TrainConfig; unknown keys are errors."""
-    spec = {f.name for f in fields(TrainConfig)}
-    values: dict = {}
-    with open(path, "rb") as f:
-        data = f.read()
-    for i, raw in enumerate(data.split(b"\n"), start=1):
-        line = raw.decode("utf-8", "replace").strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}: line {i}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in spec:
-            raise DataError(f"{path}: line {i}: unknown key {key!r}")
-        values[key] = _parse_value(key, value, f"{path}: line {i}")
-    return _config(values, path)
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def _parse_value(key: str, text: str, where: str):
-    """The TrainConfig field `key` from its text form; errors name `where`."""
+_FIELD_NAMES = frozenset(f.name for f in fields(TrainConfig))
+
+
+def parse_field(key: str, text: str):
+    """The value of TrainConfig field `key` from its text form: a float
+    for lr and dropout, comma separated ints for filter_sizes, an int for
+    the rest. An unknown key or a bad value is a ValueError naming the key;
+    TrainConfig checks the range."""
+    if key not in _FIELD_NAMES:
+        raise ValueError(f"unknown key {key!r}")
     try:
         if key == "filter_sizes":
             return tuple(int(v) for v in text.split(","))
-        if key in ("lr", "dropout"):
-            return float(text)
-        return int(text)
+        return (float if key in ("lr", "dropout") else int)(text)
     except ValueError:
-        raise DataError(f"{where}: bad value for {key!r}") from None
+        raise ValueError(f"bad value for {key!r}") from None
 
 
-def _config(values: dict, path: str) -> TrainConfig:
+def load_config(path: str) -> TrainConfig:
+    """Parse key=value lines into a TrainConfig; blank lines and lines
+    starting with # are skipped. A line without =, an unknown key, a bad
+    value or invalid UTF-8 is a DataError naming the line."""
+    values: dict = {}
+    for i, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, text = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise DataError(f"{path}: line {i}: expected key=value")
+        try:
+            values[key] = parse_field(key, text)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {i}: {exc}") from None
     try:
         return TrainConfig(**values)
     except ValueError as exc:
@@ -417,7 +431,10 @@ def load_model(path: str) -> "Segmenter | DaatModel":
     for key in hyper:
         if key not in expected:
             raise DataError(f"{path}: unexpected key {key!r}")
-    cfg = _config({k: _parse_value(k, hyper[k], path) for k in keys}, path)
+    try:
+        cfg = TrainConfig(**{k: parse_field(k, hyper[k]) for k in keys})
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     vocab = hyper["vocab"]
     try:
         if kind == "segmenter":

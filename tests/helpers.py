@@ -221,6 +221,69 @@ def distant_annotate_ref(sentence: str, collection, base):
     return tags, prov
 
 
+def tags_to_words_ref(sentence: str, tags: str) -> list[str]:
+    """The BMES cut as a state machine over the tags: a word opens at
+    every B or S and at an M or E with no open word, and closes after E or
+    S. Raises ValueError for a length mismatch, an empty sentence or a tag
+    outside BMES (the first one)."""
+    if len(sentence) != len(tags):
+        raise ValueError(
+            f"length mismatch: {len(sentence)} chars vs {len(tags)} tags")
+    if not sentence:
+        raise ValueError("empty sentence")
+    words: list[str] = []
+    cur = ""
+    open_word = False
+    for ch, tag in zip(sentence, tags):
+        if tag not in TAG_INDEX:
+            raise ValueError(f"unknown tag {tag!r}")
+        if tag in ("B", "S"):
+            if cur:
+                words.append(cur)
+            cur = ch
+            open_word = tag == "B"
+            if tag == "S":
+                words.append(cur)
+                cur = ""
+        else:  # M or E
+            if open_word:
+                cur += ch
+            else:
+                if cur:
+                    words.append(cur)
+                cur = ch
+            if tag == "E":
+                words.append(cur)
+                cur = ""
+                open_word = False
+            else:
+                open_word = True
+    if cur:
+        words.append(cur)
+    return words
+
+
+def is_well_formed_ref(tags: str) -> bool:
+    """(S | B M* E)* as a two-state automaton: outside or inside a word."""
+    state = 0  # 0: outside a word, 1: inside
+    for t in tags:
+        if state == 0:
+            if t == "S":
+                continue
+            if t == "B":
+                state = 1
+            else:
+                return False
+        else:
+            if t == "M":
+                continue
+            if t == "E":
+                state = 0
+            else:
+                return False
+    return state == 0
+
+
 def random_segmentation(rng: np.random.Generator, alphabet: str,
                         max_words: int = 8, max_len: int = 4) -> list[str]:
     n_words = int(rng.integers(1, max_words + 1))

@@ -7,6 +7,7 @@ from crossseg.annotator import (AnnotatedSentence, build_target_dataset,
                                 distant_annotate, forward_max_match,
                                 load_provenance, save_provenance)
 from crossseg.corpus import tags_to_words
+from crossseg.errors import DecodeError
 from crossseg.miner import CandidateScore, WordCollection
 
 from helpers import DictStub, distant_annotate_ref, fmm_spans
@@ -122,6 +123,11 @@ def test_provenance_io(tmp_path):
     p = tmp_path / "prov.txt"
     save_provenance(p, ["LLSS", "S"])
     assert load_provenance(p) == ["LLSS", "S"]
+    p.write_bytes(b"LLSS\r\nS\r\n")  # CRLF line endings
+    assert load_provenance(p) == ["LLSS", "S"]
     p.write_text("LX\n")
-    with pytest.raises(Exception):
+    with pytest.raises(DecodeError, match="line 1: provenance must be"):
+        load_provenance(p)
+    p.write_bytes(b"LS\n\xffS\n")
+    with pytest.raises(DecodeError, match="line 2: invalid UTF-8"):
         load_provenance(p)

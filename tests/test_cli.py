@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossseg.cli import main
+from crossseg.cli import _resolve_config, build_parser, main
 from crossseg.corpus import load_segmented, save_segmented
 from crossseg.miner import load_lexicon
 from crossseg.model_io import load_container, save_container
-from crossseg.train import _buckets, load_model
+from crossseg.train import TrainConfig, _buckets, load_model
 
 from test_miner import build_cohesion_corpus
 
@@ -172,6 +172,98 @@ def test_config_file_and_flag_precedence(workdir, tmp_path):
     loaded = load_model(model)
     assert loaded.config.gcnn_dim == 12
     assert loaded.config.char_emb == 8
+
+
+# Each training flag with a value off its default, by TrainConfig field.
+FLAG_VALUES = {
+    "epochs": ("--epochs", "3"), "batch_size": ("--batch", "7"),
+    "lr": ("--lr", "0.02"), "dropout": ("--dropout", "0.2"),
+    "char_emb": ("--char-emb", "9"), "gcnn_dim": ("--gcnn-dim", "11"),
+    "gcnn_layers": ("--gcnn-layers", "2"), "window": ("--window", "5"),
+    "textcnn_filters": ("--textcnn-filters", "6"),
+    "filter_sizes": ("--filter-sizes", "2,4"),
+}
+DAAT_ONLY = ("textcnn_filters", "filter_sizes")
+
+
+def _train_argv(command: str) -> list[str]:
+    if command == "train-base":
+        return [command, "--train", "t.txt", "--out-model", "m.bin"]
+    return [command, "--source", "s.txt", "--target", "t.txt",
+            "--out-model", "m.bin"]
+
+
+def test_training_flags_are_the_config_fields():
+    sub = build_parser()._subparsers._group_actions[0].choices
+    for command in ("train-base", "train-daat"):
+        flags = {f for a in sub[command]._actions for f in a.option_strings}
+        want = {flag for name, (flag, _) in FLAG_VALUES.items()
+                if command == "train-daat" or name not in DAAT_ONLY}
+        assert flags - {"-h", "--help", "--seed", "--config", "--train",
+                        "--source", "--target", "--out-model",
+                        "--mode"} == want
+
+
+@pytest.mark.parametrize("command", ["train-base", "train-daat"])
+def test_flag_and_config_line_give_equal_configs(command, tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    parser = build_parser()
+    for name, (flag, text) in FLAG_VALUES.items():
+        if command == "train-base" and name in DAAT_ONLY:
+            continue
+        cfg.write_text(f"{name}={text}\n")
+        by_flag = _resolve_config(parser.parse_args(
+            _train_argv(command) + [flag, text]))
+        by_line = _resolve_config(parser.parse_args(
+            _train_argv(command) + ["--config", str(cfg)]))
+        assert by_flag == by_line != TrainConfig(), name
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("train-base", "--epochs", "2.5"), ("train-base", "--batch", "0"),
+    ("train-base", "--window", "4"), ("train-base", "--dropout", "x"),
+    ("train-daat", "--filter-sizes", "3,x"),
+    ("train-daat", "--textcnn-filters", "-1"),
+])
+def test_bad_flag_value_exits_1_naming_the_flag(command, flag, text,
+                                                tmp_path, capsys):
+    # the flag is checked before any file is read, so none needs to exist
+    model = tmp_path / "m.bin"
+    argv = _train_argv(command)
+    argv[argv.index("--out-model") + 1] = str(model)
+    assert main(argv + [flag, text]) == 1
+    assert f"error: {flag}: " in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"epochs=2\nwindow=abc\n", "line 2: bad value for 'window'"),
+    (b"epochs=2\nspeed=3\n", "line 2: unknown key 'speed'"),
+    (b"epochs=2\n\nwindow\n", "line 3: expected key=value"),
+    (b"epochs=2\n# caf\xe9\n", "line 2: invalid UTF-8"),
+], ids=["bad-value", "unknown-key", "no-equals", "invalid-utf8"])
+def test_bad_config_line_exits_2_naming_file_and_line(data, message,
+                                                      workdir, tmp_path,
+                                                      capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(data)
+    rc = main(["train-base", "--train", str(workdir / "train.txt"),
+               "--out-model", str(tmp_path / "m.bin"), "--config",
+               str(cfg)])
+    assert rc == 2
+    assert f"{cfg}: {message}" in capsys.readouterr().err
+
+
+def test_invalid_utf8_lexicon_exits_2_naming_the_line(tmp_path, capsys):
+    raw, lex = tmp_path / "raw.txt", tmp_path / "lex.tsv"
+    raw.write_text("abxyzcd\n")
+    lex.write_bytes(b"ab\t12\t1.5\t0.8\t0.3\t0.97\n"
+                    b"x\xffz\t10\t2\t1\t1\t1\n")
+    rc = main(["annotate", "--input", str(raw), "--lexicon", str(lex),
+               "--model", str(DATA / "segmenter.bin"), "--out",
+               str(tmp_path / "out.txt")])
+    assert rc == 2
+    assert f"{lex}: line 2: invalid UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])

@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from crossseg.corpus import (LabeledDataset, dataset_from_segmented,
                              is_well_formed, load_raw, load_segmented,
-                             oov_rate, save_segmented, tags_to_words,
-                             vocabulary_of, words_to_tags)
+                             oov_rate, read_lines, save_segmented,
+                             tags_to_words, vocabulary_of, words_to_tags)
 from crossseg.errors import DataError, DecodeError
 
-from helpers import random_segmentation
+from helpers import (is_well_formed_ref, random_segmentation,
+                     tags_to_words_ref)
 
 ALPHABET = "abcdefghijklmnop"
 
@@ -70,6 +73,29 @@ def test_repair_random_preserves_sentence():
         assert is_well_formed(words_to_tags(words))
 
 
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def test_bmes_grammar_matches_state_machine_oracle():
+    # Every tag string up to length 8 over BMES plus one letter outside it,
+    # cut from a sentence of as many distinct characters.
+    sentence = "abcdefgh"
+    for n in range(9):
+        for tags in map("".join, itertools.product("BMESx", repeat=n)):
+            s = sentence[:n]
+            assert _outcome(tags_to_words, s, tags) == \
+                _outcome(tags_to_words_ref, s, tags), tags
+            assert is_well_formed(tags) == is_well_formed_ref(tags), tags
+    for s, tags in (("ab", "B"), ("a", "BE")):
+        assert _outcome(tags_to_words, s, tags) == \
+            _outcome(tags_to_words_ref, s, tags)
+
+
 def test_is_well_formed():
     assert is_well_formed("S")
     assert is_well_formed("BMME")
@@ -86,8 +112,10 @@ def test_dataset_validation():
     assert ds.provenance == ("gold",)
     with pytest.raises(ValueError):
         LabeledDataset(items=(("ab", "BE"),), domain="up")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="item 0: 1 tags, 2 chars"):
         LabeledDataset(items=(("ab", "B"),), domain="source")
+    ds = LabeledDataset((("ab", "BE"), ("c", "S")), "target")
+    assert ds.provenance == ("gold", "gold")
 
 
 @pytest.mark.parametrize("item, match", [
@@ -127,3 +155,12 @@ def test_vocabulary_and_oov():
     assert oov_rate({"ab", "c"}, test) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         oov_rate({"ab"}, [])
+
+
+def test_read_lines_strips_line_endings_and_names_bad_utf8(tmp_path):
+    p = tmp_path / "lines.txt"
+    p.write_bytes("ab\r\ncd\n\nef".encode("utf-8"))
+    assert read_lines(p) == ["ab", "cd", "", "ef"]
+    p.write_bytes(b"ok\n\n\xc3(\n")
+    with pytest.raises(DecodeError, match="line 3: invalid UTF-8"):
+        read_lines(p)

@@ -56,18 +56,17 @@ def test_prf_alignment_errors():
 
 
 def test_report_json_fixed_format():
-    r = EvalReport(precision=0.5, recall=1 / 3, f1=0.4, oov_rate=0.125,
-                   gold=3, pred=2, correct=1)
+    r = EvalReport(precision=0.5, recall=1 / 3, f1=0.4, gold=3, pred=2,
+                   correct=1)
     line = report_json(r)
     assert line == ('{"precision":0.500000,"recall":0.333333,"f1":0.400000,'
-                    '"oov_rate":0.125000,"gold":3,"pred":2,"correct":1}\n'
-                    ).encode("ascii")
+                    '"gold":3,"pred":2,"correct":1}\n').encode("ascii")
     parsed = json.loads(line)
     assert parsed["gold"] == 3
 
 
 def test_write_report_bytes(tmp_path):
-    r = prf([["ab", "c"]], [["a", "b", "c"]], oov_rate=0.25)
+    r = prf([["ab", "c"]], [["a", "b", "c"]])
     p = tmp_path / "report.json"
     write_report(p, r)
     assert p.read_bytes() == report_json(r)

@@ -304,3 +304,12 @@ def test_config_validation():
         MinerConfig(p_val_threshold=1.0)
     with pytest.raises(ValueError):
         MinerConfig(min_frequency=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_max", 4.0), ("n_min", 2.5), ("min_frequency", True),
+])
+def test_config_rejects_non_integer_sizes(field, value):
+    # n_max=4.0 used to pass here and fail inside mine with a TypeError
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        MinerConfig(**{field: value})

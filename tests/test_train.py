@@ -11,7 +11,7 @@ from crossseg.evaluate import prf
 from crossseg.train import (DaatModel, Segmenter, TrainConfig,
                             adversarial_train, confusion_loss,
                             discriminator_loss, load_config, load_model,
-                            tagging_losses, train_base)
+                            parse_field, tagging_losses, train_base)
 
 from helpers import daat_losses_ref
 
@@ -60,6 +60,36 @@ def test_config_defaults_and_validation():
     for lr in (0.0, -1.0, math.nan, math.inf):  # nan <= 0 is false
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=lr)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 2.5), ("char_emb", 4.0), ("window", 3.0), ("seed", 1.5),
+    ("batch_size", True), ("gcnn_layers", "2"), ("filter_sizes", (3.7,)),
+    ("filter_sizes", (3, False)),
+])
+def test_config_rejects_non_integer_sizes(field, value):
+    # these used to pass validation and fail in training with a TypeError,
+    # or (filter_sizes) be truncated silently
+    with pytest.raises(ValueError, match=f"^{field} must be (an integer|integers)$"):
+        TrainConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = TrainConfig(epochs=np.int64(2), filter_sizes=[np.int32(3), 4])
+    assert cfg.epochs == 2 and cfg.filter_sizes == (3, 4)
+
+
+def test_parse_field():
+    assert parse_field("epochs", "4") == 4
+    assert parse_field("lr", "1e-3") == pytest.approx(0.001)
+    assert parse_field("dropout", " 0.25 ") == pytest.approx(0.25)
+    assert parse_field("filter_sizes", "2, 3") == (2, 3)
+    for key, text in (("epochs", "2.5"), ("lr", "fast"),
+                      ("filter_sizes", "3,,4"), ("seed", "")):
+        with pytest.raises(ValueError, match=f"bad value for {key!r}"):
+            parse_field(key, text)
+    with pytest.raises(ValueError, match="unknown key 'speed'"):
+        parse_field("speed", "1")
 
 
 def test_load_config(tmp_path):
