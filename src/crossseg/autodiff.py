@@ -72,10 +72,6 @@ class Tensor:
         return add(self, other)
 
 
-def tensor(data) -> Tensor:
-    return Tensor(data)
-
-
 def _to_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 

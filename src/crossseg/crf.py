@@ -88,7 +88,9 @@ def _forward_backward(e: np.ndarray, valid: np.ndarray, t: np.ndarray,
     to one. Returns alpha and beta (T, B, 4), whose product is the tag
     marginals, the expected transition counts (4, 4) summed over the
     batch, and the log partitions (B,). Raises ValueError when a scale
-    underflows to zero or beta overflows, so no inf or NaN leaves here.
+    underflows to zero or beta or the expected transition counts overflow
+    (their sum over the batch can overflow where every beta is finite),
+    so no inf or NaN leaves here.
     """
     n = e.shape[0]
     n_min = int(lengths.min())
@@ -121,12 +123,12 @@ def _forward_backward(e: np.ndarray, valid: np.ndarray, t: np.ndarray,
                                                        beta[i + 1])
         log_z = (np.log(scale[:, :, 0]).sum(axis=0) + np.log(z)
                  + em[:, :, 0].sum(axis=0) + sm + pm + (lengths - 1) * tm)
-    if not (np.isfinite(log_z).all() and np.isfinite(beta).all()):
+        right[n_min:] *= valid[n_min:]
+        pairs = et * (alpha[:-1].reshape(-1, N_TAGS).T
+                      @ right[1:].reshape(-1, N_TAGS))
+    if not all(np.isfinite(x).all() for x in (log_z, beta, pairs)):
         raise ValueError("CRF scores too far apart: a forward-backward "
-                         "scale underflowed")
-    right[n_min:] *= valid[n_min:]
-    pairs = et * (alpha[:-1].reshape(-1, N_TAGS).T
-                  @ right[1:].reshape(-1, N_TAGS))
+                         "scale underflowed or a sum overflowed")
     return alpha, beta, pairs, log_z
 
 

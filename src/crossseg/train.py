@@ -1,5 +1,5 @@
 """Segmenter training: single-domain baseline and the dual-encoder
-adversarial trainer.
+adversarial trainer, both run by one training loop.
 
 The baseline segmenter is embedding -> gated convolution stack -> CRF. The
 adversarial model keeps three encoders over one shared embedding table: a
@@ -18,6 +18,11 @@ steps, discriminator loss on detached shared features) and confusing it
 from the config seed, so two runs with equal inputs produce identical
 parameters.
 
+One loop, _fit, runs both trainers; each gives it a batch source per epoch
+and a step function. It backpropagates, steps the optimizers, sends one
+record per step to the hook and the TSV log, and names the epoch and step
+of a step whose scores diverge.
+
 Both model kinds save and load through one path: a container holds the
 kind (and mode), the config fields stored for that kind, the vocabulary,
 and every params() tensor under exactly its params() name. load_model
@@ -29,7 +34,8 @@ from __future__ import annotations
 import math
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from itertools import islice
 from numbers import Integral
 from typing import NamedTuple
 
@@ -186,30 +192,63 @@ def _segment(model: "Segmenter | DaatModel", sentence: str,
     return model.segment_batch([sentence], domain)[0]
 
 
-def _open_log(path: str | None):
-    return open(path, "w", encoding="utf-8") if path else nullcontext()
+# The losses a step reports, in the order of their TSV columns.
+_LOSSES = ("l_src", "l_tgt", "l_adv")
 
 
-def _log_row(f, t0: float, epoch: int, step: int, *losses) -> None:
-    """One TSV step row of either trainer, if there is a log file: epoch,
-    step, source, target and adversarial loss ("-" where a trainer has
-    none), and the step's milliseconds."""
-    if f:
-        ms = (time.monotonic() - t0) * 1000.0
-        cols = [f"{v:.6f}" if v is not None else "-" for v in losses]
-        f.write("\t".join([str(epoch), str(step), *cols, f"{ms:.1f}"]) + "\n")
+def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
+         log_path: str | None, hook=None) -> list[dict]:
+    """The training loop of both trainers; returns the step records.
+
+    Each epoch walks the iterator batches() returns; step(j, batch) gives
+    the losses in _LOSSES order (None where the trainer has none), the
+    optimizers to step and the branch. After zero_grad the record goes to
+    hook and to a TSV row: epoch, step, the losses ("-" for None) and the
+    milliseconds since before the batch was assembled. A step's ValueError
+    is re-raised naming the epoch, the step and the last record's losses.
+    """
+    records: list[dict] = []
+    with open(log_path, "w", encoding="utf-8") if log_path \
+            else nullcontext() as log_f:
+        for epoch in range(1, cfg.epochs + 1):
+            epoch_batches = batches()
+            t0 = time.monotonic()
+            for j, batch in enumerate(epoch_batches, start=1):
+                try:
+                    losses, stepped, branch = step(j, batch)
+                    present = [l for l in losses if l is not None]
+                    backward(sum(present[1:], present[0]))
+                except ValueError as exc:
+                    last = {k: r[k] for r in records[-1:] for k in _LOSSES}
+                    raise ValueError(f"epoch {epoch}, step {j}: {exc}; "
+                                     f"last losses {last}") from exc
+                for opt in stepped:
+                    opt.step()
+                for opt in opts:
+                    opt.zero_grad()
+                rec = {"epoch": epoch, "step": j, "branch": branch,
+                       **{k: None if l is None else l.item()
+                          for k, l in zip(_LOSSES, losses)}}
+                records.append(rec)
+                if hook:
+                    hook(rec)
+                if log_f:
+                    ms = (time.monotonic() - t0) * 1000.0
+                    print(epoch, j, *("-" if rec[k] is None else
+                                      f"{rec[k]:.6f}" for k in _LOSSES),
+                          f"{ms:.1f}", sep="\t", file=log_f)
+                t0 = time.monotonic()
+    return records
 
 
+@dataclass(eq=False)
 class Segmenter:
     """Single-domain GCNN-CRF segmenter."""
-
-    def __init__(self, embedding: EmbeddingTable, encoder: GcnnEncoder,
-                 head: crf_mod.CrfHead, config: TrainConfig):
-        self.embedding = embedding
-        self.encoder = encoder
-        self.head = head
-        self.config = config
-        self.loss_history: list[float] = []
+    embedding: EmbeddingTable
+    encoder: GcnnEncoder
+    head: crf_mod.CrfHead
+    config: TrainConfig
+    loss_history: list[float] = field(default_factory=list, init=False)
 
     @staticmethod
     def create(sentences: list[str], cfg: TrainConfig,
@@ -255,24 +294,19 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     model = Segmenter.create([s for s, _ in ds.items], cfg, rng)
     opt = Adam(model.params(), lr=cfg.lr)
-    with _open_log(log_path) as log_f:
-        for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(len(ds))
-            epoch_losses = []
-            for j, lo in enumerate(range(0, len(order), cfg.batch_size),
-                                   start=1):
-                t0 = time.monotonic()
-                sents, tags = zip(*(ds.items[i]
-                                    for i in order[lo:lo + cfg.batch_size]))
-                h, head, mask = model._tower(list(sents), ds.domain, True,
-                                             rng)
-                loss = _batch_loss(h, head, mask, list(tags))
-                backward(loss)
-                opt.step()
-                opt.zero_grad()
-                epoch_losses.append(loss.item())
-                _log_row(log_f, t0, epoch, j, loss.item(), None, None)
-            model.loss_history.append(float(np.mean(epoch_losses)))
+
+    def batches():
+        order = rng.permutation(len(ds))  # drawn before the epoch's dropout
+        return ([ds.items[i] for i in order[lo:lo + cfg.batch_size]]
+                for lo in range(0, len(ds), cfg.batch_size))
+
+    def step(j: int, batch: list[tuple[str, str]]):
+        sents, tags = map(list, zip(*batch))
+        h, head, mask = model._tower(sents, ds.domain, True, rng)
+        return (_batch_loss(h, head, mask, tags), None, None), (opt,), None
+
+    losses = [r["l_src"] for r in _fit(cfg, batches, step, [opt], log_path)]
+    model.loss_history = np.reshape(losses, (cfg.epochs, -1)).mean(1).tolist()
     return model
 
 
@@ -289,24 +323,22 @@ class Encoded(NamedTuple):
     tgt: Block | None
 
 
+@dataclass(eq=False)
 class DaatModel:
     """Dual private encoders plus a shared adversarial encoder."""
+    embedding: EmbeddingTable
+    enc_src: GcnnEncoder
+    enc_tgt: GcnnEncoder
+    enc_shr: GcnnEncoder
+    disc: TextCnn
+    crf_src: crf_mod.CrfHead
+    crf_tgt: crf_mod.CrfHead
+    config: TrainConfig
+    mode: str = "daat"
 
-    def __init__(self, embedding: EmbeddingTable, enc_src: GcnnEncoder,
-                 enc_tgt: GcnnEncoder, enc_shr: GcnnEncoder, disc: TextCnn,
-                 crf_src: crf_mod.CrfHead, crf_tgt: crf_mod.CrfHead,
-                 config: TrainConfig, mode: str = "daat"):
-        if mode not in ("daat", "at"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.embedding = embedding
-        self.enc_src = enc_src
-        self.enc_tgt = enc_tgt
-        self.enc_shr = enc_shr
-        self.disc = disc
-        self.crf_src = crf_src
-        self.crf_tgt = crf_tgt
-        self.config = config
-        self.mode = mode
+    def __post_init__(self):
+        if self.mode not in ("daat", "at"):
+            raise ValueError(f"unknown mode {self.mode!r}")
 
     @staticmethod
     def create(sentences: list[str], cfg: TrainConfig, mode: str,
@@ -521,24 +553,10 @@ def _step_losses(model: DaatModel, batch_src: list[tuple[str, str]],
     return l_src, l_tgt, adv(model, enc)
 
 
-class _Cursor:
-    """Endless shuffled index stream over one dataset."""
-
-    def __init__(self, n: int, rng: np.random.Generator):
-        self.n = n
-        self.rng = rng
-        self.order = rng.permutation(n)
-        self.pos = 0
-
-    def take(self, k: int) -> list[int]:
-        out: list[int] = []
-        while len(out) < k:
-            if self.pos == self.n:
-                self.order = self.rng.permutation(self.n)
-                self.pos = 0
-            out.append(int(self.order[self.pos]))
-            self.pos += 1
-        return out
+def _cursor(n: int, rng: np.random.Generator):
+    """Endless index stream over n items, a permutation drawn per pass."""
+    while True:
+        yield from rng.permutation(n)
 
 
 def adversarial_train(ds_src: LabeledDataset,
@@ -573,36 +591,19 @@ def adversarial_train(ds_src: LabeledDataset,
     opt_tag = Adam(model.tagger_params(), lr=cfg.lr)
     opt_disc = Adam(model.disc_params(), lr=cfg.lr)
     steps = math.ceil(max(len(ds_src), len(tgt_items)) / cfg.batch_size)
-    cur_src = _Cursor(len(ds_src), rng)
-    cur_tgt = _Cursor(len(tgt_items), rng)
-    with _open_log(log_path) as log_f:
-        for epoch in range(1, cfg.epochs + 1):
-            for j in range(1, steps + 1):
-                t0 = time.monotonic()
-                batch_src = [ds_src.items[i]
-                             for i in cur_src.take(cfg.batch_size)]
-                batch_tgt = [tgt_items[i]
-                             for i in cur_tgt.take(cfg.batch_size)]
-                odd = j % 2 == 1
-                l_src, l_tgt, l_adv = _step_losses(model, batch_src,
-                                                   batch_tgt, odd, rng)
-                total = l_src + l_adv if l_tgt is None \
-                    else l_src + l_tgt + l_adv
-                backward(total)
-                opt_tag.step()
-                if odd:
-                    opt_disc.step()
-                opt_tag.zero_grad()
-                opt_disc.zero_grad()
-                rec = {
-                    "epoch": epoch, "step": j,
-                    "branch": "d" if odd else "c",
-                    "l_src": l_src.item(),
-                    "l_tgt": l_tgt.item() if l_tgt is not None else None,
-                    "l_adv": l_adv.item(),
-                }
-                if hook:
-                    hook(rec)
-                _log_row(log_f, t0, epoch, j, rec["l_src"], rec["l_tgt"],
-                         rec["l_adv"])
+    cur_src = _cursor(len(ds_src), rng)
+    cur_tgt = _cursor(len(tgt_items), rng)
+
+    def batches():
+        return (([ds_src.items[i] for i in islice(cur_src, cfg.batch_size)],
+                 [tgt_items[i] for i in islice(cur_tgt, cfg.batch_size)])
+                for _ in range(steps))
+
+    def step(j: int, batch):
+        odd = j % 2 == 1
+        return (_step_losses(model, *batch, odd, rng),
+                (opt_tag, opt_disc) if odd else (opt_tag,),
+                "d" if odd else "c")
+
+    _fit(cfg, batches, step, [opt_tag, opt_disc], log_path, hook)
     return model

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from crossseg.autodiff import tensor
+from crossseg.autodiff import Tensor
 from crossseg.corpus import (LabeledDataset, dataset_from_segmented,
                              is_well_formed, oov_rate, tags_to_words,
                              vocabulary_of, words_to_tags)
@@ -118,14 +118,14 @@ def test_criterion_1_crf_agrees_with_brute_force():
         t = rng.normal(size=(4, 4))
         start = rng.normal(size=4)
         stop = rng.normal(size=4)
-        head = CrfHead(emit_w=tensor(np.zeros((1, 4))),
-                       emit_b=tensor(np.zeros((1, 4))),
-                       trans=tensor(t.copy()),
-                       start=tensor(start.copy()),
-                       stop=tensor(stop.copy()))
+        head = CrfHead(emit_w=Tensor(np.zeros((1, 4))),
+                       emit_b=Tensor(np.zeros((1, 4))),
+                       trans=Tensor(t.copy()),
+                       start=Tensor(start.copy()),
+                       stop=Tensor(stop.copy()))
         gold = [int(g) for g in rng.integers(0, 4, size=n)]
         one = np.ones((1, n), dtype=bool)  # a batch of one sentence
-        loss = nll_loss(tensor(e[None].copy()), head, [gold], one)
+        loss = nll_loss(Tensor(e[None].copy()), head, [gold], one)
         want = helpers.gold_path_probability(e, t, start, stop, gold)
         assert math.exp(-loss.item()) == pytest.approx(want, abs=1e-10)
         got = viterbi_decode(e[None], t, start, stop, one)[0]

@@ -4,7 +4,7 @@ import pytest
 from crossseg.autodiff import (Tensor, add, backward, clamp, concat_cols,
                                conv1d, gather_rows, log, matmul,
                                max_over_time, mul, scale, sigmoid,
-                               sub, sum_all, tensor)
+                               sub, sum_all)
 from crossseg.errors import StaleGraphError
 
 H = 1e-6
@@ -27,13 +27,13 @@ def numeric_grad(f, x: np.ndarray, h: float = H) -> np.ndarray:
 
 def check_grad(build, *arrays, atol=1e-7):
     """build(*tensors) -> scalar Tensor; compares backward against FD."""
-    ts = [tensor(a.copy()) for a in arrays]
+    ts = [Tensor(a.copy()) for a in arrays]
     out = build(*ts)
     backward(out)
     for t, a in zip(ts, arrays):
         got = t.grad
         want = numeric_grad(lambda a=a: build(
-            *[tensor(x) for x in arrays]).item(), a)
+            *[Tensor(x) for x in arrays]).item(), a)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=atol)
 
 
@@ -63,14 +63,14 @@ def test_sigmoid_log():
 
 
 def test_sigmoid_stable_at_extremes():
-    v = sigmoid(tensor(np.array([[-800.0, 800.0]]))).data
+    v = sigmoid(Tensor(np.array([[-800.0, 800.0]]))).data
     assert np.all(np.isfinite(v))
     assert v[0, 0] == pytest.approx(0.0, abs=1e-300)
     assert v[0, 1] == pytest.approx(1.0)
 
 
 def test_clamp_blocks_gradient_outside():
-    x = tensor(np.array([[0.5, 2.0, -2.0]]))
+    x = Tensor(np.array([[0.5, 2.0, -2.0]]))
     y = sum_all(clamp(x, 0.0, 1.0))
     backward(y)
     np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0]])
@@ -89,7 +89,7 @@ def test_concat_cols():
                                         concat_cols([x, y]))), a, b)
     c = RNG.normal(size=(2, 3, 2))  # batched: joins the last axis
     d = RNG.normal(size=(2, 3, 1))
-    assert concat_cols([tensor(c), tensor(d)]).shape == (2, 3, 3)
+    assert concat_cols([Tensor(c), Tensor(d)]).shape == (2, 3, 3)
     check_grad(lambda x, y: sum_all(mul(concat_cols([x, y]),
                                         concat_cols([x, y]))), c, d)
 
@@ -97,7 +97,7 @@ def test_concat_cols():
 def test_conv1d_values_match_manual():
     x = RNG.normal(size=(2, 5, 3))
     w = RNG.normal(size=(3, 3, 2))
-    out = conv1d(tensor(x), tensor(w), pad_left=1, pad_right=1).data
+    out = conv1d(Tensor(x), Tensor(w), pad_left=1, pad_right=1).data
     assert out.shape == (2, 5, 2)
     for b in range(2):
         padded = np.vstack([np.zeros((1, 3)), x[b], np.zeros((1, 3))])
@@ -118,13 +118,13 @@ def test_conv1d_grad():
 def test_conv1d_valid_when_unpadded():
     x = RNG.normal(size=(3, 5, 2))
     w = RNG.normal(size=(2, 2, 1))
-    assert conv1d(tensor(x), tensor(w), 0, 0).shape == (3, 4, 1)
+    assert conv1d(Tensor(x), Tensor(w), 0, 0).shape == (3, 4, 1)
     with pytest.raises(ValueError):
-        conv1d(tensor(x[:, :1]), tensor(w), 0, 0)
+        conv1d(Tensor(x[:, :1]), Tensor(w), 0, 0)
 
 
 def test_gather_rows_accumulates_repeats():
-    table = tensor(RNG.normal(size=(4, 3)))
+    table = Tensor(RNG.normal(size=(4, 3)))
     out = sum_all(gather_rows(table, np.array([1, 1, 2])))
     backward(out)
     np.testing.assert_allclose(table.grad[1], [2.0, 2.0, 2.0])
@@ -133,7 +133,7 @@ def test_gather_rows_accumulates_repeats():
 
 
 def test_gather_rows_negative_index_is_zero_without_gradient():
-    table = tensor(RNG.normal(size=(4, 3)))
+    table = Tensor(RNG.normal(size=(4, 3)))
     idx = np.array([[2, 0, -1], [1, -1, -1]])
     out = gather_rows(table, idx)
     assert out.shape == (2, 3, 3)
@@ -146,7 +146,7 @@ def test_gather_rows_negative_index_is_zero_without_gradient():
 
 
 def test_gather_rows_all_padding_gets_no_gradient():
-    table = tensor(RNG.normal(size=(4, 3)))
+    table = Tensor(RNG.normal(size=(4, 3)))
     out = gather_rows(table, np.full((2, 2), -1))
     np.testing.assert_array_equal(out.data, 0.0)
     backward(sum_all(out))
@@ -154,7 +154,7 @@ def test_gather_rows_all_padding_gets_no_gradient():
 
 
 def test_max_over_time_first_tie_wins():
-    x = tensor(np.array([[[1.0, 5.0], [3.0, 5.0]]]))
+    x = Tensor(np.array([[[1.0, 5.0], [3.0, 5.0]]]))
     out = max_over_time(x, np.ones((1, 2), dtype=bool))
     np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
     backward(sum_all(out))
@@ -168,7 +168,7 @@ def test_max_over_time_grad():
 
 
 def test_max_over_time_skips_invalid_rows():
-    x = tensor(np.array([[[1.0], [9.0]], [[2.0], [9.0]]]))
+    x = Tensor(np.array([[[1.0], [9.0]], [[2.0], [9.0]]]))
     out = max_over_time(x, np.array([[True, True], [True, False]]))
     np.testing.assert_array_equal(out.data, [[9.0], [2.0]])
     backward(sum_all(out))
@@ -179,11 +179,11 @@ def test_max_over_time_skips_invalid_rows():
 
 def test_backward_requires_scalar():
     with pytest.raises(ValueError):
-        backward(tensor(np.zeros((2, 2))))
+        backward(Tensor(np.zeros((2, 2))))
 
 
 def test_backward_consumes_graph():
-    x = tensor(np.ones((1, 1)))
+    x = Tensor(np.ones((1, 1)))
     y = sum_all(mul(x, x))
     backward(y)
     with pytest.raises(StaleGraphError):
@@ -191,7 +191,7 @@ def test_backward_consumes_graph():
 
 
 def test_backward_rejects_cross_graph_reuse():
-    x = tensor(np.ones((1, 1)))
+    x = Tensor(np.ones((1, 1)))
     shared = mul(x, x)
     first = sum_all(shared)
     backward(first)
@@ -200,7 +200,7 @@ def test_backward_rejects_cross_graph_reuse():
 
 
 def test_detach_cuts_flow():
-    x = tensor(np.full((1, 1), 3.0))
+    x = Tensor(np.full((1, 1), 3.0))
     y = mul(x, x)
     z = sum_all(mul(y.detach(), x))
     backward(z)
@@ -209,7 +209,7 @@ def test_detach_cuts_flow():
 
 
 def test_grad_accumulates_across_uses():
-    x = tensor(np.full((1, 1), 2.0))
+    x = Tensor(np.full((1, 1), 2.0))
     y = sum_all(add(mul(x, x), x))
     backward(y)
     np.testing.assert_allclose(x.grad, [[5.0]])

@@ -283,6 +283,22 @@ def test_non_finite_lr_is_rejected(workdir, tmp_path, capsys, lr):
     assert not model.exists()
 
 
+@pytest.mark.filterwarnings("error")  # no overflow warning either
+def test_diverging_training_exits_1_naming_epoch_and_step(workdir, tmp_path,
+                                                         capsys):
+    model = tmp_path / "m.bin"
+    rc = main(["train-base", "--train", str(workdir / "train.txt"),
+               "--out-model", str(model), "--epochs", "2", "--batch", "8",
+               "--lr", "1000", "--char-emb", "16", "--gcnn-dim", "16",
+               "--gcnn-layers", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch 1, step 2: CRF scores too far apart")
+    assert "; last losses {'l_src': " in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 # Containers written by the save code of commit c7f9867, before save and
 # load shared one path: a segmenter and a DAAT model trained 4 epochs on
 # "ab cd ef gh" (source) and "ab xy ef zw" (target) sentences with

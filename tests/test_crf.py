@@ -1,10 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from crossseg.autodiff import backward, tensor
+from crossseg.autodiff import Tensor, backward
 from crossseg.crf import (CrfHead, emission_scores, nll_loss, viterbi_decode)
 
 from helpers import (crf_best_path, crf_log_partition, gold_path_probability,
@@ -20,11 +21,11 @@ def random_instance(rng, n):
 
 
 def head_from(t, start, stop):
-    return CrfHead(emit_w=tensor(np.zeros((1, 4))),
-                   emit_b=tensor(np.zeros((1, 4))),
-                   trans=tensor(t.copy()),
-                   start=tensor(start.copy()),
-                   stop=tensor(stop.copy()))
+    return CrfHead(emit_w=Tensor(np.zeros((1, 4))),
+                   emit_b=Tensor(np.zeros((1, 4))),
+                   trans=Tensor(t.copy()),
+                   start=Tensor(start.copy()),
+                   stop=Tensor(stop.copy()))
 
 
 def ragged(rng, lengths):
@@ -48,10 +49,10 @@ def test_loss_matches_enumeration():
         want = [-math.log(gold_path_probability(
             e[b, :n], t, start, stop, list(gold[b, :n])))
             for b, n in enumerate(lengths)]
-        loss = nll_loss(tensor(e.copy()), head, gold, mask)
+        loss = nll_loss(Tensor(e.copy()), head, gold, mask)
         assert loss.item() == pytest.approx(sum(want), abs=1e-12)
         for b, n in enumerate(lengths):  # each sentence as a batch of one
-            one = nll_loss(tensor(e[b:b + 1, :n].copy()), head,
+            one = nll_loss(Tensor(e[b:b + 1, :n].copy()), head,
                            gold[b:b + 1, :n], mask[b:b + 1, :n])
             assert math.exp(-one.item()) == pytest.approx(
                 math.exp(-want[b]), abs=1e-12)
@@ -90,7 +91,7 @@ def test_loss_gradient_is_marginal_gap():
     e, mask, gold = ragged(rng, lengths)
     _, t, start, stop = random_instance(rng, 1)
     head = head_from(t, start, stop)
-    et = tensor(e.copy())
+    et = Tensor(e.copy())
     backward(nll_loss(et, head, gold, mask))
     np.testing.assert_array_equal(et.grad[~mask], 0.0)
     for b, n in enumerate(lengths):
@@ -116,14 +117,14 @@ def test_batched_loss_and_gradients_match_per_sentence_reference():
     e, mask, gold = ragged(rng, lengths)
     _, t, start, stop = random_instance(rng, 1)
     head = head_from(t, start, stop)
-    et = tensor(e.copy())
+    et = Tensor(e.copy())
     loss = nll_loss(et, head, gold, mask)
     backward(loss)
     ref_head = head_from(t, start, stop)
     total = 0.0
     want_e = np.zeros_like(e)
     for b, n in enumerate(lengths):
-        eb = tensor(e[b, :n].copy())
+        eb = Tensor(e[b, :n].copy())
         one = nll_loss_ref(eb, ref_head, gold[b, :n])
         backward(one)
         total += one.item()
@@ -142,7 +143,7 @@ def assert_matches_oracle(e, mask, gold, t, start, stop):
     runs = []
     for loss_fn in (nll_loss, nll_loss_batched_ref):
         head = head_from(t, start, stop)
-        et = tensor(e.copy())
+        et = Tensor(e.copy())
         loss = loss_fn(et, head, gold, mask)
         backward(loss)
         runs.append((loss.item(), et.grad, head.trans.grad, head.start.grad,
@@ -183,14 +184,41 @@ def test_scale_underflow_raises():
     e = np.zeros((2, 3, 4))
     mask = np.array([[True] * 3, [True, True, False]])
     gold = np.zeros((2, 3), dtype=np.int64)
-    oracle = nll_loss_batched_ref(tensor(e), head_from(t, start, np.zeros(4)),
+    oracle = nll_loss_batched_ref(Tensor(e), head_from(t, start, np.zeros(4)),
                                   gold, mask)
     assert np.isfinite(oracle.item())  # the log-space form stays finite
     with pytest.raises(ValueError, match="underflow"):
-        nll_loss(tensor(e), head_from(t, start, np.zeros(4)), gold, mask)
+        nll_loss(Tensor(e), head_from(t, start, np.zeros(4)), gold, mask)
     with pytest.raises(ValueError, match="underflow"):  # likewise for stop
-        nll_loss(tensor(e[:, :1]), head_from(t, start, -start), gold[:, :1],
+        nll_loss(Tensor(e[:, :1]), head_from(t, start, -start), gold[:, :1],
                  mask[:, :1])
+
+
+def test_transition_count_overflow_raises_without_warning():
+    # every transition into tag 0 is free and stopping in it costs 708, as
+    # do all other scores: each sentence alone has a finite log Z and a
+    # beta near 8e306, but the expected transition counts sum beta over
+    # the batch, and 32 sentences overflow them
+    s = 708.0
+    t = np.full((4, 4), -s)
+    t[:, 0] = 0.0
+    start = np.array([0.0, -s, -s, -s])
+    stop = np.array([-s, 0.0, 0.0, 0.0])
+
+    def loss(bsz, head):
+        return nll_loss(Tensor(np.zeros((bsz, 2, 4))), head,
+                        np.zeros((bsz, 2), dtype=np.int64),
+                        np.ones((bsz, 2), dtype=bool))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        head = head_from(t, start, stop)
+        backward(loss(16, head))
+        assert np.isfinite(head.trans.grad).all()
+        head = head_from(t, start, stop)
+        with pytest.raises(ValueError, match="too far apart"):
+            loss(32, head)
+        assert head.trans.grad is None
 
 
 def test_non_finite_emissions_raise():
@@ -198,13 +226,13 @@ def test_non_finite_emissions_raise():
     e = np.zeros((1, 2, 4))
     e[0, 1, 2] = np.nan
     with pytest.raises(ValueError):
-        nll_loss(tensor(e), head, [[0, 0]], np.ones((1, 2), dtype=bool))
+        nll_loss(Tensor(e), head, [[0, 0]], np.ones((1, 2), dtype=bool))
 
 
 def test_fresh_head_single_char_loss_is_ln4():
     # zero emissions and transitions leave a uniform path distribution
     head = head_from(np.zeros((4, 4)), np.zeros(4), np.zeros(4))
-    loss = nll_loss(tensor(np.zeros((2, 1, 4))), head, [[3], [0]],
+    loss = nll_loss(Tensor(np.zeros((2, 1, 4))), head, [[3], [0]],
                     np.ones((2, 1), dtype=bool))
     assert loss.item() == pytest.approx(2 * math.log(4.0), abs=1e-12)
 
@@ -220,7 +248,7 @@ def test_emission_scores_affine():
     rng = np.random.default_rng(14)
     head = CrfHead.create(hidden=6, rng=rng)
     h = rng.normal(size=(2, 3, 6))
-    got = emission_scores(tensor(h), head).data
+    got = emission_scores(Tensor(h), head).data
     want = h @ head.emit_w.data + head.emit_b.data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -239,13 +267,13 @@ def test_nll_rejects_bad_gold():
     head = head_from(np.zeros((4, 4)), np.zeros(4), np.zeros(4))
     ones = np.ones((1, 2), dtype=bool)
     with pytest.raises(ValueError):
-        nll_loss(tensor(np.zeros((1, 2, 4))), head, [[0]], ones)
+        nll_loss(Tensor(np.zeros((1, 2, 4))), head, [[0]], ones)
     with pytest.raises(ValueError):
-        nll_loss(tensor(np.zeros((1, 0, 4))), head, [[]],
+        nll_loss(Tensor(np.zeros((1, 0, 4))), head, [[]],
                  np.ones((1, 0), dtype=bool))
     with pytest.raises(ValueError):  # a mask that is not a prefix
-        nll_loss(tensor(np.zeros((1, 2, 4))), head, [[0, 0]],
+        nll_loss(Tensor(np.zeros((1, 2, 4))), head, [[0, 0]],
                  np.array([[False, True]]))
     with pytest.raises(ValueError):  # an empty sentence
-        nll_loss(tensor(np.zeros((2, 2, 4))), head, [[0, 0], [0, 0]],
+        nll_loss(Tensor(np.zeros((2, 2, 4))), head, [[0, 0], [0, 0]],
                  np.array([[True, True], [False, False]]))

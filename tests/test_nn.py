@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crossseg.autodiff import backward, mul, sum_all, tensor
+from crossseg.autodiff import Tensor, backward, mul, sum_all
 from crossseg.nn import (Adam, EmbeddingTable, GcnnEncoder, GcnnLayer,
                          TextCnn, UNK_INDEX, clamped)
 
@@ -33,11 +33,11 @@ def test_gcnn_layer_can_represent_identity():
     d = 3
     w = np.zeros((1, d, d))
     w[0] = np.eye(d)
-    layer = GcnnLayer(w=tensor(w), b=tensor(np.zeros(d)),
-                      v=tensor(np.zeros((1, d, d))),
-                      c=tensor(np.full(d, 50.0)))
+    layer = GcnnLayer(w=Tensor(w), b=Tensor(np.zeros(d)),
+                      v=Tensor(np.zeros((1, d, d))),
+                      c=Tensor(np.full(d, 50.0)))
     x = np.random.default_rng(1).normal(size=(2, 6, d))
-    out = layer.forward(tensor(x)).data
+    out = layer.forward(Tensor(x)).data
     np.testing.assert_allclose(out, x, atol=1e-9)
 
 
@@ -55,7 +55,7 @@ def test_gcnn_layer_matches_manual_computation():
             lin[i] += padded[i + k] @ layer.w.data[k]
             gate[i] += padded[i + k] @ layer.v.data[k]
     want = (lin + layer.b.data) / (1 + np.exp(-(gate + layer.c.data)))
-    got = layer.forward(tensor(x[None])).data
+    got = layer.forward(Tensor(x[None])).data
     np.testing.assert_allclose(got[0], want, atol=1e-12)
 
 
@@ -64,8 +64,8 @@ def test_gcnn_layer_single_step_shift_consistency():
     rng = np.random.default_rng(3)
     layer = GcnnLayer.create(k=3, d_in=2, d_out=2, rng=rng)
     x = rng.normal(size=(1, 5, 2))
-    y = layer.forward(tensor(x)).data
-    y2 = layer.forward(tensor(np.concatenate([np.zeros((1, 1, 2)), x],
+    y = layer.forward(Tensor(x)).data
+    y2 = layer.forward(Tensor(np.concatenate([np.zeros((1, 1, 2)), x],
                                              axis=1))).data
     np.testing.assert_allclose(y2[:, 1:], y, atol=1e-12)
 
@@ -81,12 +81,12 @@ def test_encoder_stacks_and_dropout_gating():
                              rng=rng)
     x = rng.normal(size=(1, 6, 4))
     mask = np.ones((1, 6), dtype=bool)
-    still = enc.forward(tensor(x), mask, training=False).data
-    again = enc.forward(tensor(x), mask, training=False).data
+    still = enc.forward(Tensor(x), mask, training=False).data
+    again = enc.forward(Tensor(x), mask, training=False).data
     np.testing.assert_array_equal(still, again)
     with pytest.raises(ValueError):
-        enc.forward(tensor(x), mask, training=True)  # rng required
-    noisy = enc.forward(tensor(x), mask, training=True,
+        enc.forward(Tensor(x), mask, training=True)  # rng required
+    noisy = enc.forward(Tensor(x), mask, training=True,
                         rng=np.random.default_rng(5)).data
     assert not np.allclose(noisy, still)
     names = set(enc.params("enc"))
@@ -100,9 +100,9 @@ def test_encoder_zero_dropout_training_matches_eval():
                              rng=rng)
     x = rng.normal(size=(2, 4, 3))
     mask = np.array([[True] * 4, [True, True, False, False]])
-    a = enc.forward(tensor(x), mask, training=True,
+    a = enc.forward(Tensor(x), mask, training=True,
                     rng=np.random.default_rng(0)).data
-    b = enc.forward(tensor(x), mask, training=False).data
+    b = enc.forward(Tensor(x), mask, training=False).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -116,7 +116,7 @@ class _Identity:
 
 def test_encoder_dropout_scales_survivors():
     enc = GcnnEncoder([_Identity()], dropout=0.25)
-    x = tensor(np.ones((2, 100, 4)))
+    x = Tensor(np.ones((2, 100, 4)))
     mask = np.arange(100)[None, :] < np.array([[100], [60]])
     y = enc.forward(x, mask, training=True, rng=np.random.default_rng(0))
     np.testing.assert_array_equal(y.data[~mask], 0.0)
@@ -139,7 +139,7 @@ def test_encoder_zero_rate_is_identity_and_draws_nothing():
     x = np.random.default_rng(1).normal(size=(2, 3, 3))
     mask = np.array([[True] * 3, [True, False, False]])
     rng = np.random.default_rng(0)
-    y = enc.forward(tensor(x), mask, training=True, rng=rng)
+    y = enc.forward(Tensor(x), mask, training=True, rng=rng)
     np.testing.assert_array_equal(y.data, x * mask[:, :, None])
     assert rng.random() == np.random.default_rng(0).random()
 
@@ -152,7 +152,7 @@ def _separate_mask_and_dropout(enc, x, mask, rng):
     for layer in enc.layers:
         h = mul(h, mask[:, :, None])
         keep = (rng.random(h.data.shape) >= enc.dropout) / (1.0 - enc.dropout)
-        h = layer.forward(mul(h, tensor(keep)))
+        h = layer.forward(mul(h, Tensor(keep)))
     return h
 
 
@@ -167,9 +167,9 @@ def test_encoder_training_forward_equals_separate_mask_and_dropout():
     g = rng.normal(size=(3, 6, 5))
 
     def run(forward):
-        xt = tensor(x.copy())
+        xt = Tensor(x.copy())
         out = forward(xt, mask, np.random.default_rng(9))
-        backward(sum_all(mul(out, tensor(g))))
+        backward(sum_all(mul(out, Tensor(g))))
         grads = {}
         for name, p in enc.params("enc").items():
             grads[name] = p.grad
@@ -192,8 +192,8 @@ def test_encoder_padded_rows_match_the_sentence_alone():
                              rng=rng)
     x = rng.normal(size=(2, 5, 3))
     mask = np.array([[True] * 5, [True, True, False, False, False]])
-    got = enc.forward(tensor(x), mask).data
-    alone = enc.forward(tensor(x[1:, :2]), mask[1:, :2]).data
+    got = enc.forward(Tensor(x), mask).data
+    alone = enc.forward(Tensor(x[1:, :2]), mask[1:, :2]).data
     np.testing.assert_allclose(got[1, :2], alone[0], rtol=0, atol=1e-14)
 
 
@@ -202,7 +202,7 @@ def test_textcnn_fresh_probability_is_half():
     net = TextCnn.create(windows=(3, 4, 5), d_in=8, filters=6, rng=rng)
     x = rng.normal(size=(2, 10, 8))
     mask = np.arange(10)[None, :] < np.array([[10], [4]])
-    p = net.forward(tensor(x), mask).data
+    p = net.forward(Tensor(x), mask).data
     assert p.shape == (2, 1)
     np.testing.assert_allclose(p, 0.5, rtol=0, atol=1e-12)
 
@@ -212,7 +212,7 @@ def test_textcnn_accepts_inputs_shorter_than_windows():
     net = TextCnn.create(windows=(3, 5), d_in=4, filters=2, rng=rng)
     net.proj_w.data[:] = rng.normal(size=net.proj_w.shape)
     for n in (1, 2, 4, 7):
-        out = net.forward(tensor(rng.normal(size=(1, n, 4))),
+        out = net.forward(Tensor(rng.normal(size=(1, n, 4))),
                           np.ones((1, n), dtype=bool))
         assert out.shape == (1, 1)
         assert 0.0 < out.item() < 1.0
@@ -220,9 +220,9 @@ def test_textcnn_accepts_inputs_shorter_than_windows():
     lengths = np.array([1, 2, 4, 7])
     x = rng.normal(size=(4, 7, 4))
     mask = np.arange(7)[None, :] < lengths[:, None]
-    batch = net.forward(tensor(x), mask).data
+    batch = net.forward(Tensor(x), mask).data
     for b, n in enumerate(lengths):
-        alone = net.forward(tensor(x[b:b + 1, :n]), mask[b:b + 1, :n]).data
+        alone = net.forward(Tensor(x[b:b + 1, :n]), mask[b:b + 1, :n]).data
         np.testing.assert_allclose(batch[b], alone[0], rtol=0, atol=1e-14)
 
 
@@ -239,7 +239,7 @@ def test_textcnn_matches_manual_oracle():
         pooled.append(vals.max(axis=0))
     z = np.concatenate(pooled)[None, :] @ net.proj_w.data + net.proj_b.data
     want = 1 / (1 + np.exp(-z))
-    got = net.forward(tensor(x[None]), np.ones((1, 5), dtype=bool)).data
+    got = net.forward(Tensor(x[None]), np.ones((1, 5), dtype=bool)).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -247,7 +247,7 @@ def test_textcnn_gradients_flow_everywhere():
     rng = np.random.default_rng(10)
     net = TextCnn.create(windows=(2, 3), d_in=3, filters=2, rng=rng)
     net.proj_w.data[:] = rng.normal(size=net.proj_w.shape)
-    x = tensor(rng.normal(size=(2, 4, 3)))
+    x = Tensor(rng.normal(size=(2, 4, 3)))
     backward(sum_all(net.forward(x, np.array([[True] * 4,
                                               [True, False, False, False]]))))
     for name, p in net.params("d").items():
@@ -256,7 +256,7 @@ def test_textcnn_gradients_flow_everywhere():
 
 
 def test_clamped_bounds():
-    probs = tensor(np.array([[0.0, 0.5, 1.0]]))
+    probs = Tensor(np.array([[0.0, 0.5, 1.0]]))
     out = clamped(probs).data
     assert out[0, 0] == pytest.approx(1e-7)
     assert out[0, 1] == pytest.approx(0.5)
@@ -264,7 +264,7 @@ def test_clamped_bounds():
 
 
 def test_adam_first_step_magnitude():
-    p = tensor(np.zeros((1, 1)))
+    p = Tensor(np.zeros((1, 1)))
     p._accumulate(np.ones((1, 1)))
     opt = Adam(params={"p": p})
     opt.step()
@@ -277,7 +277,7 @@ def test_adam_first_step_magnitude():
 
 def test_adam_counts_steps_and_clears_grads():
     rng = np.random.default_rng(11)
-    a = tensor(rng.normal(size=(2, 2)))
+    a = Tensor(rng.normal(size=(2, 2)))
     opt = Adam(params={"a": a}, lr=0.01)
     for _ in range(3):
         a._accumulate(np.ones((2, 2)))

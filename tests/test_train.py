@@ -442,19 +442,48 @@ def test_daat_save_load_roundtrip(tmp_path):
 def test_training_log_written(tmp_path):
     cfg = TrainConfig(**{**SMALL, "epochs": 1, "batch_size": 8})
     log = tmp_path / "log.tsv"
+    records = []
     adversarial_train(toy_source(16), toy_target_tagged(16), cfg,
-                      log_path=str(log))
+                      log_path=str(log), hook=records.append)
     lines = log.read_text().strip().split("\n")
     assert len(lines) == 2
     assert all(len(l.split("\t")) == 6 for l in lines)
+    # one record per step: the row's losses are the hook record's
+    for line, rec in zip(lines, records, strict=True):
+        r = line.split("\t")
+        assert r[:2] == [str(rec["epoch"]), str(rec["step"])]
+        assert r[2:5] == [f"{rec[k]:.6f}" for k in ("l_src", "l_tgt",
+                                                     "l_adv")]
     # train_base writes the same six columns, with no target or
     # adversarial loss; the benchmark reads columns 3 and 6
     base_log = tmp_path / "base.tsv"
-    train_base(toy_source(16), cfg, log_path=str(base_log))
+    model = train_base(toy_source(20),
+                       TrainConfig(**{**SMALL, "epochs": 2, "batch_size": 8}),
+                       log_path=str(base_log))
     rows = [l.split("\t") for l in base_log.read_text().splitlines()]
-    assert [r[:2] for r in rows] == [["1", "1"], ["1", "2"]]
+    assert [r[:2] for r in rows] == [[str(e), str(j)] for e in (1, 2)
+                                     for j in (1, 2, 3)]
     for r in rows:
         assert len(r) == 6
         assert math.isfinite(float(r[2]))
         assert r[3:5] == ["-", "-"]
         float(r[5])
+    # the loss history is the per-epoch mean of the logged losses
+    means = [np.mean([float(r[2]) for r in rows if r[0] == e])
+             for e in ("1", "2")]
+    np.testing.assert_allclose(model.loss_history, means, rtol=0, atol=1e-6)
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning either
+def test_diverging_adversarial_step_names_epoch_and_step():
+    # lr 1000 drives the CRF scores apart within one step
+    cfg = TrainConfig(**{**SMALL, "epochs": 1, "batch_size": 8, "lr": 1000})
+    records = []
+    with pytest.raises(ValueError) as e:
+        adversarial_train(toy_source(16), toy_target_tagged(16), cfg,
+                          hook=records.append)
+    assert [(r["epoch"], r["step"]) for r in records] == [(1, 1)]
+    last = {k: records[0][k] for k in ("l_src", "l_tgt", "l_adv")}
+    assert str(e.value) == (
+        "epoch 1, step 2: CRF scores too far apart: a forward-backward "
+        f"scale underflowed or a sum overflowed; last losses {last}")
