@@ -194,24 +194,26 @@ def viterbi_decode(emissions: np.ndarray, trans: np.ndarray,
     past a sentence's length repeat its last tag."""
     e = np.asarray(emissions, dtype=np.float64)
     bsz, n = e.shape[:2]
-    n_min = int(_lengths(mask, (bsz, n)).min())
-    e = np.ascontiguousarray(e.transpose(1, 0, 2))  # (T, B, 4)
-    valid = np.asarray(mask, dtype=bool).T[:, :, None]  # (T, B, 1)
-    stay = np.broadcast_to(np.arange(N_TAGS), (bsz, N_TAGS))
-    delta = start + e[0]
-    back = np.empty((n, bsz, N_TAGS), dtype=np.int64)
+    lengths = _lengths(mask, (bsz, n))
+    valid = np.asarray(mask, dtype=bool).T  # (T, B)
+    # every step runs over the whole batch and each path is read off its
+    # sentence's last step; padding, which may hold NaN or inf, scores 0
+    e = np.where(valid[:, :, None], e.transpose(1, 0, 2), 0.0)  # (T, B, 4)
+    to_from = np.ascontiguousarray(trans.T)
+    delta = np.empty((n, bsz, 1, N_TAGS))
+    back = np.empty((n, bsz, N_TAGS), dtype=np.intp)
+    cand = np.empty((bsz, N_TAGS, N_TAGS))  # (B, to, from)
+    delta[0, :, 0] = start + e[0]
     for i in range(1, n):
-        cand = delta[:, :, None] + trans  # (B, from, to)
-        best = cand.argmax(axis=1)
-        step = cand.max(axis=1) + e[i]
-        if i < n_min:
-            back[i], delta = best, step
-        else:
-            back[i] = np.where(valid[i], best, stay)
-            delta = np.where(valid[i], step, delta)
-    path = np.empty((bsz, n), dtype=np.int64)
+        np.add(delta[i - 1], to_from, out=cand)
+        cand.argmax(axis=2, out=back[i])
+        best = cand.max(axis=2, out=delta[i, :, 0])
+        best += e[i]
     rows = np.arange(bsz)
-    path[:, n - 1] = (delta + stop).argmax(axis=1)
+    back[~valid] = np.arange(N_TAGS)  # past its end a path keeps its tag
+    path = np.empty((n, bsz), dtype=np.int64)
+    path[n - 1] = (delta[lengths - 1, rows, 0] + stop).argmax(axis=1)
+    offsets = rows * N_TAGS
     for i in range(n - 1, 0, -1):
-        path[:, i - 1] = back[i, rows, path[:, i]]
-    return path
+        path[i - 1] = back[i].take(offsets + path[i])
+    return path.T

@@ -18,9 +18,14 @@ p_val clears the threshold and its frequency strictly exceeds the floor.
 
 Counting walks maximal runs between boundary characters (punctuation and
 whitespace) after removing stop-word occurrences, so no counted n-gram
-crosses a hard boundary, and it counts grams up to n_max + 1 characters so
-that every candidate's neighbours are counts too. Statistics collection
-is pure, and every structure here is read-only after construction.
+crosses a hard boundary. It counts only the grams the frequency floor lets
+matter, level by level up to n_max + 1 characters (Apriori's rule: a gram
+clears the floor only if its prefix and suffix do): every frequent gram,
+every split of one that MIS reads and every (n+1)-gram neighbour that ES
+reads, each with its exact count. Scores are therefore defined for the
+frequent candidates and not for every recorded gram. Statistics
+collection is pure, and every structure here is read-only after
+construction.
 """
 from __future__ import annotations
 
@@ -30,6 +35,7 @@ import unicodedata
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from numbers import Integral
 
 from .corpus import read_lines
@@ -80,33 +86,91 @@ def _run_splitter(corpus: list[str], cfg: MinerConfig,
 
 @dataclass
 class NGramStats:
-    """Raw counts gathered from a corpus."""
+    """Counts gathered from a corpus by collect_stats.
+
+    counts holds exact counts of the recorded grams only: all characters,
+    and the longer grams whose prefix or suffix is frequent (counted more
+    often than the floor). A gram absent from counts may still occur in
+    the corpus, below the floor.
+    total_per_length counts every position of each length. doc_freq holds
+    exactly the frequent grams of length n_min..n_max, the candidates."""
     counts: dict[str, int] = field(default_factory=dict)
     total_per_length: dict[int, int] = field(default_factory=dict)
     doc_freq: dict[str, int] = field(default_factory=dict)
     num_docs: int = 0
 
 
-def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
-    """Count n-grams of length 1..n_max + 1 and the document frequency of
-    those up to n_max.
+def _next_starts(live: list[int], last: int) -> Iterable[int]:
+    """Start positions of the (l+1)-grams of a run whose l-gram prefix or
+    suffix starts at a live position; the run's l-grams start at 0..last."""
+    if len(live) == last + 1:  # every l-gram of the run is live
+        return range(last)
+    s = set(live)
+    s.update([i - 1 for i in live])
+    s.discard(-1)
+    s.discard(last)
+    return sorted(s)
 
-    Every input sentence is one document. The (n_max + 1)-grams are kept
-    only as neighbour counts for the entropy scores; none is a candidate.
+
+def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
+    """Count the n-grams that can matter at the frequency floor, level by
+    level, and the document frequency of the frequent candidates.
+
+    All characters are counted. An l-gram, 2 <= l <= n_max + 1, is counted
+    wherever its (l-1)-prefix or its (l-1)-suffix is frequent (count above
+    the floor). Whether a gram is counted depends only on its text, so
+    every recorded count is exact, and the recorded grams cover every
+    frequent gram (a frequent gram's prefix and suffix are at least as
+    frequent), every split of one, and every neighbour c+t and t+c of a
+    frequent t. Counting stops at the first level with nothing to count.
+    Each run keeps the start positions it has left to count, so a deep
+    level costs what survives, not every position.
+
+    total_per_length counts every position of every length, recorded or
+    not. doc_freq holds the frequent grams of length n_min..n_max only;
+    every input sentence is one document.
     """
-    counts, totals, doc_freq = Counter(), {}, Counter()
-    runs = _run_splitter(corpus, cfg)
-    for sentence in corpus:
-        seen: set[str] = set()
-        for run in runs(sentence):
-            m = len(run)
-            for l in range(1, min(m, cfg.n_max + 1) + 1):
-                totals[l] = totals.get(l, 0) + (m - l + 1)
-                grams = [run[i:i + l] for i in range(m - l + 1)]
-                counts.update(grams)
-                if l <= cfg.n_max:
-                    seen.update(grams)
-        doc_freq.update(seen)
+    floor, top = cfg.min_frequency, cfg.n_max + 1
+    split = _run_splitter(corpus, cfg)
+    runs, doc_of = [], []
+    for d, sentence in enumerate(corpus):
+        for run in split(sentence):
+            runs.append(run)
+            doc_of.append(d)
+    run_lengths = Counter(map(len, runs))
+    totals = {}
+    for l in range(1, top + 1):
+        total = sum(k * (m - l + 1) for m, k in run_lengths.items() if m >= l)
+        if total:
+            totals[l] = total
+    counts, doc_freq = {}, Counter()
+    level = [range(len(run)) for run in runs]  # start positions per run
+    for l in range(1, top + 1):
+        # each gram is sliced twice, to count it and then to test it
+        # against the floor: holding a whole level's grams in between
+        # would keep a string object per position alive, 24 MB more at
+        # peak on a 255k-character corpus
+        found = Counter()
+        for run, starts in zip(runs, level):
+            found.update([run[i:i + l] for i in starts])
+        counts.update(found)
+        if l == top:
+            break
+        frequent = {g for g, k in found.items() if k > floor}.__contains__
+        candidates = cfg.n_min <= l
+        nxt, seen = [], [set() for _ in corpus]
+        for d, run, starts in zip(doc_of, runs, level):
+            grams = [run[i:i + l] for i in starts]
+            keep = list(map(frequent, grams))
+            if candidates:
+                seen[d].update(compress(grams, keep))
+            nxt.append(_next_starts(list(compress(starts, keep)),
+                                    len(run) - l))
+        for s in seen:
+            doc_freq.update(s)
+        if not any(nxt):
+            break
+        level = nxt
     return NGramStats(counts, totals, doc_freq, len(corpus))
 
 
@@ -159,9 +223,14 @@ def _neighbours(stats: NGramStats, texts: Iterable[str]) -> tuple[dict, dict]:
 
 
 def entropy_score(stats: NGramStats, t: str) -> float:
-    """min(left neighbour entropy, right neighbour entropy)."""
-    if t not in stats.counts:
-        raise UndefinedProbabilityError(f"n-gram never recorded: {t!r}")
+    """min(left neighbour entropy, right neighbour entropy).
+
+    Defined only for the frequent candidates, the grams in doc_freq: every
+    neighbour of those is recorded, while a recorded neighbour gram's own
+    neighbours may not be, so its entropy would be partial. Raises
+    UndefinedProbabilityError for any other gram."""
+    if t not in stats.doc_freq:
+        raise UndefinedProbabilityError(f"no recorded neighbours: {t!r}")
     left, right = _neighbours(stats, (t,))
     return min(_entropy(left[t]), _entropy(right[t]))
 

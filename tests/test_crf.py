@@ -83,6 +83,25 @@ def test_viterbi_matches_per_sentence_reference_on_long_ragged_batch():
         assert list(got[b, :n]) == viterbi_ref(e[b, :n], t, start, stop)
 
 
+def test_viterbi_ragged_ties_and_non_finite_padding_match_reference():
+    # small integer scores tie often; NaN and infinities past an end must
+    # neither leak into a path nor raise a floating-point warning
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        lengths = [int(v) for v in rng.integers(1, 12, size=5)]
+        e, mask, _ = ragged(rng, lengths)
+        e = np.where(mask[:, :, None], rng.integers(-2, 3, size=e.shape),
+                     rng.choice([np.nan, np.inf, -np.inf], size=e.shape))
+        t, start, stop = (rng.integers(-1, 2, size=s).astype(float)
+                          for s in ((4, 4), 4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = viterbi_decode(e, t, start, stop, mask)
+        for b, n in enumerate(lengths):
+            want = viterbi_ref(e[b, :n], t, start, stop)
+            assert got[b].tolist() == want + want[-1:] * (max(lengths) - n)
+
+
 def test_loss_gradient_is_marginal_gap():
     # d nll / d e[b, i, y] = P(tag_i = y) - [gold_i = y] within a sentence,
     # exactly zero past its end

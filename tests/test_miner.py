@@ -18,7 +18,7 @@ from test_acceptance import MINE_CFG
 
 
 def test_probability_and_undefined():
-    stats = collect_stats(["xy"] * 10, MinerConfig())
+    stats = collect_stats(["xy"] * 10, MinerConfig(min_frequency=0))
     assert probability(stats, "xy") == pytest.approx(1.0)
     assert probability(stats, "x") == pytest.approx(0.5)
     with pytest.raises(UndefinedProbabilityError):
@@ -26,17 +26,18 @@ def test_probability_and_undefined():
 
 
 def test_mis_pinned_values():
-    stats = collect_stats(["xy"] * 10, MinerConfig())
+    stats = collect_stats(["xy"] * 10, MinerConfig(min_frequency=0))
     # p(xy)=1, p(x)=p(y)=1/2 -> 1 / (1/2 * 1/2)
     assert mutual_information_score(stats, "xy") == pytest.approx(4.0)
-    mixed = collect_stats(["xy"] * 5 + ["xz"] * 5, MinerConfig())
+    mixed = collect_stats(["xy"] * 5 + ["xz"] * 5,
+                          MinerConfig(min_frequency=0))
     # p(xy)=1/2, p(x)=1/2, p(y)=1/4
     assert mutual_information_score(mixed, "xy") == pytest.approx(4.0)
 
 
 def test_mis_takes_worst_split():
     stats = collect_stats(["abc"] * 4 + ["ab"] * 4 + ["zbc"] * 4,
-                          MinerConfig())
+                          MinerConfig(min_frequency=0))
     splits = [probability(stats, "abc") /
               (probability(stats, "a") * probability(stats, "bc")),
               probability(stats, "abc") /
@@ -46,11 +47,11 @@ def test_mis_takes_worst_split():
 
 
 def test_entropy_score_pinned():
-    stats = collect_stats(["axyb", "cxyd"], MinerConfig())
+    stats = collect_stats(["axyb", "cxyd"], MinerConfig(min_frequency=0))
     # each side sees two distinct neighbors once
     assert entropy_score(stats, "xy") == pytest.approx(math.log(2.0))
     # run edges contribute no neighbors: empty side scores zero
-    edge = collect_stats(["xya", "xyb"], MinerConfig())
+    edge = collect_stats(["xya", "xyb"], MinerConfig(min_frequency=0))
     assert entropy_score(edge, "xy") == 0.0
 
 
@@ -62,12 +63,12 @@ def test_tfidf_pinned():
 
 def test_neighbors_stay_within_runs():
     # 'xy' has two left neighbours; its right ones lie across a boundary
-    stats = collect_stats(["cxy,a", "dxy.b"], MinerConfig())
+    stats = collect_stats(["cxy,a", "dxy.b"], MinerConfig(min_frequency=0))
     assert entropy_score(stats, "xy") == 0.0
     assert stats.counts.get("ya") is None
     assert stats.counts.get("xya") is None
     assert stats.counts["xy"] == 2
-    joined = collect_stats(["cxya", "dxyb"], MinerConfig())
+    joined = collect_stats(["cxya", "dxyb"], MinerConfig(min_frequency=0))
     assert entropy_score(joined, "xy") == pytest.approx(math.log(2.0))
 
 
@@ -113,6 +114,63 @@ def test_neighbour_maps_match_oracle_on_random_corpora():
             if len(g) == 4 and oracle.counts[g] > sum(right[g].values()):
                 edge_candidates += 1
     assert edge_candidates > 0
+
+
+@pytest.mark.parametrize("floor", [0, 1, 2, 3])
+def test_pruned_counts_match_oracle_at_floors(floor):
+    # three letters carry most of the text, so 3- and 4-grams clear the
+    # floor and the deep levels run; at floor 0 nothing is pruned
+    rng = random.Random(23 + floor)
+    alphabet = "aaabbbcfgx,. "
+    stop_words = frozenset({"x", "fg"})
+    cfg = MinerConfig(n_min=2, n_max=4, min_frequency=floor,
+                      stop_words=stop_words)
+    long_candidates = pruned = 0
+    for _ in range(10):
+        corpus = ["".join(rng.choice(alphabet)
+                          for _ in range(rng.randint(1, 30)))
+                  for _ in range(rng.randint(2, 40))]
+        stats = collect_stats(corpus, cfg)
+        oracle = OracleStats(corpus, n_max=5, stop_words=stop_words)
+        if floor == 0:
+            assert stats.counts == oracle.counts
+        for g, k in stats.counts.items():
+            assert k == oracle.counts[g]
+        pruned += len(oracle.counts) - len(stats.counts)
+        scored = score_candidates(stats, cfg)
+        cand = [c.text for c in scored]
+        assert cand == sorted(g for g, k in oracle.counts.items()
+                              if 2 <= len(g) <= 4 and k > floor)
+        left, right = _neighbours(stats, cand)
+        for c in scored:
+            g = c.text
+            assert c.frequency == oracle.counts[g]
+            assert c.mis == pytest.approx(oracle.mis(g), abs=1e-9)
+            assert c.es == pytest.approx(oracle.es(g), abs=1e-9)
+            assert c.tfidf == pytest.approx(oracle.tfidf(g), abs=1e-9)
+            assert left[g] == dict(oracle.left.get(g, {}))
+            assert right[g] == dict(oracle.right.get(g, {}))
+            long_candidates += len(g) == 4
+    assert long_candidates > 0
+    assert (pruned > 0) == (floor > 0)
+
+
+def test_infrequent_grams_are_unrecorded_or_neighbours_only():
+    # at the default floor only q, x, y, z and their grams are frequent
+    corpus = ["qxyz"] * 11 + ["vwqx", "uwqy"]
+    stats = collect_stats(corpus, MinerConfig())
+    assert "vw" not in stats.counts
+    with pytest.raises(UndefinedProbabilityError):
+        probability(stats, "vw")
+    # 'wq' is recorded exactly as the left neighbour of 'q...' grams, but
+    # its own neighbours 'vwq', 'uwq' and 'wqy' are not: the full count
+    # gives it ln 2 on both sides, the recorded grams would give 0
+    assert stats.counts["wq"] == 2
+    assert "wqx" in stats.counts and "wqy" not in stats.counts
+    assert OracleStats(corpus, n_max=3).es("wq") == pytest.approx(
+        math.log(2.0))
+    with pytest.raises(UndefinedProbabilityError):
+        entropy_score(stats, "wq")
 
 
 def test_longest_counted_grams_are_only_neighbours():
@@ -269,6 +327,38 @@ def test_golden_lexicon_bytes(cfg, digest):
     raw, _ = toylang.target_mining_corpus()
     blob = lexicon_to_tsv(mine(raw, MinerConfig(**cfg)))
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# SHA-256 of every candidate row (text, frequency and the repr of each
+# score) on the acceptance corpus. The lexicon TSV keeps six significant
+# digits, so a change in the low bits of a score shows only here.
+GOLDEN_CANDIDATE_SHA256 = [
+    (MinerConfig(),  # 2,874 candidates
+     "21ab30090f4c47ef1873751eaae1bf343b889755fedbb1a020358301ba92407c"),
+    (MinerConfig(min_frequency=9, stop_words=frozenset({"\u4e00"})),
+     "45b7761eb568a8c863c63676c3139a039ec68e5c1eaba24e2b09f9e6a337a52f"),
+]
+
+
+@pytest.fixture(scope="module")
+def mining_corpus():
+    return toylang.target_mining_corpus()[0]
+
+
+@pytest.mark.parametrize("cfg, digest", GOLDEN_CANDIDATE_SHA256,
+                         ids=["default", "floor-9-stop-word"])
+def test_golden_candidate_scores(mining_corpus, cfg, digest):
+    h = hashlib.sha256()
+    for c in score_candidates(collect_stats(mining_corpus, cfg), cfg):
+        h.update(f"{c.text}\t{c.frequency}\t{c.mis!r}\t{c.es!r}\t"
+                 f"{c.tfidf!r}\t{c.p_val!r}\n".encode("utf-8"))
+    assert h.hexdigest() == digest
+
+
+def test_default_floor_prunes_counting(mining_corpus):
+    # counting every gram of length 1..7 records 329,042 of them
+    stats = collect_stats(mining_corpus, MinerConfig())
+    assert len(stats.counts) < 100_000
 
 
 @pytest.mark.parametrize("corpus, cfg", [
