@@ -23,20 +23,22 @@ matter, level by level up to n_max + 1 characters (Apriori's rule: a gram
 clears the floor only if its prefix and suffix do): every frequent gram,
 every split of one that MIS reads and every (n+1)-gram neighbour that ES
 reads, each with its exact count. Scores are therefore defined for the
-frequent candidates and not for every recorded gram. Statistics
-collection is pure, and every structure here is read-only after
-construction.
+frequent candidates and not for every recorded gram. Grams are counted as
+integer ids, one np.unique per level: a gram's int64 key is its prefix's
+id and its last character (a counted gram's prefix is always counted).
+Statistics collection is pure, and every structure here is read-only
+after construction.
 """
 from __future__ import annotations
 
 import math
 import re
 import unicodedata
-from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import chain, compress
 from numbers import Integral
+
+import numpy as np
 
 from .corpus import read_lines
 from .errors import DecodeError, UndefinedProbabilityError
@@ -61,6 +63,10 @@ class MinerConfig:
             raise ValueError("p_val_threshold must lie in (0, 1)")
         if self.min_frequency < 0:
             raise ValueError("min_frequency must be non-negative")
+        object.__setattr__(self, "stop_words", frozenset(self.stop_words))
+        for w in self.stop_words:
+            if not isinstance(w, str) or not w:
+                raise ValueError(f"stop word {w!r} must be a non-empty string")
 
 
 def _run_splitter(corpus: list[str], cfg: MinerConfig,
@@ -100,18 +106,6 @@ class NGramStats:
     num_docs: int = 0
 
 
-def _next_starts(live: list[int], last: int) -> Iterable[int]:
-    """Start positions of the (l+1)-grams of a run whose l-gram prefix or
-    suffix starts at a live position; the run's l-grams start at 0..last."""
-    if len(live) == last + 1:  # every l-gram of the run is live
-        return range(last)
-    s = set(live)
-    s.update([i - 1 for i in live])
-    s.discard(-1)
-    s.discard(last)
-    return sorted(s)
-
-
 def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
     """Count the n-grams that can matter at the frequency floor, level by
     level, and the document frequency of the frequent candidates.
@@ -123,8 +117,14 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
     frequent gram (a frequent gram's prefix and suffix are at least as
     frequent), every split of one, and every neighbour c+t and t+c of a
     frequent t. Counting stops at the first level with nothing to count.
-    Each run keeps the start positions it has left to count, so a deep
-    level costs what survives, not every position.
+
+    Grams are counted as integer ids, one np.unique per level over the
+    live positions of the joined runs; text is sliced once per recorded
+    gram. An l-gram's key is (prefix id, last character). Its prefix is
+    always counted: if its suffix is frequent, so is the suffix's own
+    prefix, which is the prefix's suffix. So, by induction on l, one text
+    always gets one id. Positions and ids are int32, so the runs must
+    hold under 2**31 characters; keys then stay below 2**31 * 0x110000.
 
     total_per_length counts every position of every length, recorded or
     not. doc_freq holds the frequent grams of length n_min..n_max only;
@@ -137,40 +137,47 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
         for run in split(sentence):
             runs.append(run)
             doc_of.append(d)
-    run_lengths = Counter(map(len, runs))
-    totals = {}
+    counts, doc_freq = {}, {}
+    text = "".join(runs)
+    lengths = np.fromiter(map(len, runs), np.int32, len(runs))
+    pos = np.arange(len(text), dtype=np.int32)  # live start positions
+    # characters from each position to the end of its run
+    room = np.repeat(np.cumsum(lengths, dtype=np.int32), lengths) - pos
+    totals = {l: k for l in range(1, top + 1)
+              if (k := int(np.count_nonzero(room >= l)))}
+    doc = np.repeat(np.array(doc_of, np.int32), lengths)
+    key = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
     for l in range(1, top + 1):
-        total = sum(k * (m - l + 1) for m, k in run_lengths.items() if m >= l)
-        if total:
-            totals[l] = total
-    counts, doc_freq = {}, Counter()
-    level = [range(len(run)) for run in runs]  # start positions per run
-    for l in range(1, top + 1):
-        # each gram is sliced twice, to count it and then to test it
-        # against the floor: holding a whole level's grams in between
-        # would keep a string object per position alive, 24 MB more at
-        # peak on a 255k-character corpus
-        found = Counter()
-        for run, starts in zip(runs, level):
-            found.update([run[i:i + l] for i in starts])
-        counts.update(found)
+        _, ids, found = np.unique(key, return_inverse=True,
+                                  return_counts=True)
+        del key
+        ids, num = ids.astype(np.int32), len(found)
+        at = np.empty(num, np.int32)
+        at[ids] = pos  # one occurrence of each gram
+        grams = [text[p:p + l] for p in at.tolist()]
+        counts.update(zip(grams, found.tolist()))
+        if l == 1:
+            width, char = num, ids  # every position is live at level 1
         if l == top:
             break
-        frequent = {g for g, k in found.items() if k > floor}.__contains__
-        candidates = cfg.n_min <= l
-        nxt, seen = [], [set() for _ in corpus]
-        for d, run, starts in zip(doc_of, runs, level):
-            grams = [run[i:i + l] for i in starts]
-            keep = list(map(frequent, grams))
-            if candidates:
-                seen[d].update(compress(grams, keep))
-            nxt.append(_next_starts(list(compress(starts, keep)),
-                                    len(run) - l))
-        for s in seen:
-            doc_freq.update(s)
-        if not any(nxt):
+        frequent = found > floor
+        hit = frequent[ids]
+        if cfg.n_min <= l:
+            pairs = np.unique(doc[pos[hit]] * np.int64(num) + ids[hit])
+            docs = np.bincount(pairs % num, minlength=num)
+            f = np.flatnonzero(frequent)
+            doc_freq.update(zip([grams[i] for i in f.tolist()],
+                                docs[f].tolist()))
+        flag = np.zeros(len(room) + 1, bool)
+        flag[pos[hit]] = True
+        flag[:-1] |= flag[1:]  # frequent prefix at p or suffix at p + 1
+        flag[:-1] &= room > l  # and the (l+1)-gram fits in its run
+        live = flag[pos]  # every next start has a counted prefix here
+        pos = pos[live]
+        if not len(pos):
             break
-        level = nxt
+        key = np.multiply(ids[live], width, dtype=np.int64)
+        key += char[pos + l]
     return NGramStats(counts, totals, doc_freq, len(corpus))
 
 
@@ -186,12 +193,18 @@ def mutual_information_score(stats: NGramStats, t: str) -> float:
     """Minimum over binary splits of p(t) / (p(left) * p(right))."""
     if len(t) < 2:
         raise ValueError("MIS needs at least two characters")
+    counts, totals, n = stats.counts, stats.total_per_length, len(t)
     pt = probability(stats, t)
     best = math.inf
-    for j in range(1, len(t)):
-        r = pt / (probability(stats, t[:j]) * probability(stats, t[j:]))
-        if r < best:
-            best = r
+    try:  # scoring calls this per candidate: read the counts inline
+        for j in range(1, n):
+            r = pt / ((counts[t[:j]] / totals[j])
+                      * (counts[t[j:]] / totals[n - j]))
+            if r < best:
+                best = r
+    except KeyError as e:
+        raise UndefinedProbabilityError(
+            f"n-gram never recorded: {e.args[0]!r}") from None
     return best
 
 

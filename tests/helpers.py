@@ -16,6 +16,7 @@ import numpy as np
 from crossseg.autodiff import (Tensor, add, concat_cols, gather_rows, log,
                                matmul, mul, scale, sigmoid, sub)
 from crossseg.corpus import TAG_INDEX, tags_to_words
+from crossseg.miner import MinerConfig, NGramStats, _run_splitter
 from crossseg.nn import UNK_INDEX, clamped
 
 N_TAGS = 4
@@ -137,6 +138,59 @@ class OracleStats:
 
     def tfidf(self, g: str) -> float:
         return self.prob(g) * math.log(self.num_docs / self.doc_freq[g])
+
+
+def _next_starts(live: list[int], last: int):
+    """Start positions of the (l+1)-grams of a run whose l-gram prefix or
+    suffix starts at a live position; the run's l-grams start at 0..last."""
+    if len(live) == last + 1:  # every l-gram of the run is live
+        return range(last)
+    s = set(live)
+    s.update([i - 1 for i in live])
+    s.discard(-1)
+    s.discard(last)
+    return sorted(s)
+
+
+def collect_stats_ref(corpus: list[str], cfg: MinerConfig) -> NGramStats:
+    """The miner's level-by-level counter in pure Python, one string slice
+    per position and level: an l-gram is counted wherever its
+    (l-1)-prefix or (l-1)-suffix clears the floor, up to n_max + 1, and
+    counting stops at the first level with nothing to count."""
+    floor, top = cfg.min_frequency, cfg.n_max + 1
+    split = _run_splitter(corpus, cfg)
+    runs, doc_of = [], []
+    for d, sentence in enumerate(corpus):
+        for run in split(sentence):
+            runs.append(run)
+            doc_of.append(d)
+    run_lengths = Counter(map(len, runs))
+    totals = {}
+    for l in range(1, top + 1):
+        total = sum(k * (m - l + 1) for m, k in run_lengths.items() if m >= l)
+        if total:
+            totals[l] = total
+    counts, doc_freq = {}, Counter()
+    level = [range(len(run)) for run in runs]  # start positions per run
+    for l in range(1, top + 1):
+        found = Counter()
+        for run, starts in zip(runs, level):
+            found.update([run[i:i + l] for i in starts])
+        counts.update(found)
+        if l == top:
+            break
+        nxt, seen = [], [set() for _ in corpus]
+        for d, run, starts in zip(doc_of, runs, level):
+            live = [i for i in starts if found[run[i:i + l]] > floor]
+            if cfg.n_min <= l:
+                seen[d].update(run[i:i + l] for i in live)
+            nxt.append(_next_starts(live, len(run) - l))
+        for s in seen:
+            doc_freq.update(s)
+        if not any(nxt):
+            break
+        level = nxt
+    return NGramStats(counts, totals, dict(doc_freq), len(corpus))
 
 
 def fmm_spans(sentence: str, words: set[str]) -> list[tuple[int, int]]:

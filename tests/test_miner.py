@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +15,7 @@ from crossseg.miner import (CandidateScore, MinerConfig, NGramStats,
                             tfidf_score)
 
 import toylang
-from helpers import OracleStats
+from helpers import OracleStats, collect_stats_ref
 from test_acceptance import MINE_CFG
 
 
@@ -44,6 +46,15 @@ def test_mis_takes_worst_split():
               (probability(stats, "ab") * probability(stats, "c"))]
     assert mutual_information_score(stats, "abc") == pytest.approx(
         min(splits))
+
+
+def test_mis_names_an_unrecorded_split():
+    stats = NGramStats(counts={"abc": 3, "a": 5, "bc": 3},
+                       total_per_length={1: 10, 2: 8, 3: 6})
+    with pytest.raises(UndefinedProbabilityError, match="'ab'"):
+        mutual_information_score(stats, "abc")
+    with pytest.raises(UndefinedProbabilityError, match="'abd'"):
+        mutual_information_score(stats, "abd")
 
 
 def test_entropy_score_pinned():
@@ -153,6 +164,76 @@ def test_pruned_counts_match_oracle_at_floors(floor):
             long_candidates += len(g) == 4
     assert long_candidates > 0
     assert (pruned > 0) == (floor > 0)
+
+
+def assert_same_stats(got: NGramStats, want: NGramStats):
+    assert got.counts == want.counts
+    assert got.doc_freq == want.doc_freq
+    assert got.total_per_length == want.total_per_length
+    assert got.num_docs == want.num_docs
+
+
+# a skewed alphabet so the deep levels run, with boundaries, a stop-word
+# letter, two characters outside the BMP and a lone surrogate
+WIDE_ALPHABET = "aaaaaabbbbbcx\U0001F600\U00020000\ud800,. "
+
+
+@pytest.mark.parametrize("floor", [0, 1, 2, 3])
+def test_counts_match_level_by_level_reference(floor):
+    rng = random.Random(41 + floor)
+    deepest = 0
+    for n_max in range(2, 7):
+        for stop_words in (frozenset(), frozenset({"x", "c\U0001F600"})):
+            cfg = MinerConfig(n_min=rng.randint(2, n_max), n_max=n_max,
+                              min_frequency=floor, stop_words=stop_words)
+            for _ in range(4):
+                corpus = ["".join(rng.choice(WIDE_ALPHABET)
+                                  for _ in range(rng.randint(0, 60)))
+                          for _ in range(rng.randint(1, 40))]
+                want = collect_stats_ref(corpus, cfg)
+                assert_same_stats(collect_stats(corpus, cfg), want)
+                deepest = max(deepest, *map(len, want.counts))
+    assert deepest >= 6  # grams of six characters or more were counted
+
+
+@pytest.mark.parametrize("floor", [0, 1, 2, 3])
+def test_counts_match_reference_on_one_long_line(floor):
+    rng = random.Random(7)
+    line = "".join(rng.choice("aab\U0001F600") for _ in range(20_000))
+    cfg = MinerConfig(n_max=5, min_frequency=floor)
+    stats = collect_stats([line], cfg)
+    assert_same_stats(stats, collect_stats_ref([line], cfg))
+    assert stats.total_per_length[1] == 20_000
+
+
+@pytest.mark.parametrize("corpus", [
+    [], [""], ["，。！", " ,. ", "\t"], ["xx x", "x"]])
+def test_counts_of_corpora_without_runs(corpus):
+    cfg = MinerConfig(min_frequency=0, stop_words=frozenset({"x"}))
+    stats = collect_stats(corpus, cfg)
+    assert_same_stats(stats, collect_stats_ref(corpus, cfg))
+    assert stats.counts == stats.doc_freq == stats.total_per_length == {}
+    assert stats.num_docs == len(corpus)
+
+
+def test_mine_memory_peak_stays_bounded(mining_corpus):
+    # tracemalloc peak of mine() at the defaults on the acceptance mining
+    # corpus: 15.4 MB when the miner counted strings in Counters, before it
+    # counted integer ids in numpy (19.3 MB since); numpy temporaries may
+    # not grow past 1.5 times the former
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mine(mining_corpus, MinerConfig())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1.5 * 15.4e6
 
 
 def test_infrequent_grams_are_unrecorded_or_neighbours_only():
@@ -394,6 +475,14 @@ def test_config_validation():
         MinerConfig(p_val_threshold=1.0)
     with pytest.raises(ValueError):
         MinerConfig(min_frequency=-1)
+    # an empty stop word would split every run into single characters
+    with pytest.raises(ValueError, match="stop word ''"):
+        MinerConfig(stop_words=frozenset({""}))
+    with pytest.raises(ValueError, match="stop word 3"):
+        MinerConfig(stop_words=["ab", 3])
+    cfg = MinerConfig(stop_words=["ab", "ab", "c"])
+    assert cfg.stop_words == frozenset({"ab", "c"})
+    assert hash(cfg) == hash(MinerConfig(stop_words=frozenset({"ab", "c"})))
 
 
 @pytest.mark.parametrize("field, value", [
