@@ -11,14 +11,12 @@ from .annotator import (AnnotatedSentence, build_target_dataset,
 from .corpus import (LabeledDataset, dataset_from_segmented, is_well_formed,
                      load_raw, load_segmented, oov_rate, save_segmented,
                      tags_to_words, vocabulary_of, words_to_tags)
-from .errors import (AlignmentError, DataError, DecodeError, StaleGraphError,
-                     UndefinedProbabilityError)
+from .errors import AlignmentError, DataError, DecodeError, StaleGraphError
 from .evaluate import EvalReport, prf, report_json, write_report
 from .gradcheck import GradCheckResult, run_suite
 from .miner import (CandidateScore, MinerConfig, NGramStats, WordCollection,
-                    collect_stats, entropy_score, lexicon_to_tsv,
-                    load_lexicon, mine, mutual_information_score,
-                    probability, save_lexicon, score_candidates, tfidf_score)
+                    collect_stats, lexicon_to_tsv, load_lexicon, mine,
+                    save_lexicon, score_candidates)
 from .model_io import load_container, save_container
 from .train import (DaatModel, Segmenter, TrainConfig, adversarial_train,
                     confusion_loss, discriminator_loss, load_config,
@@ -30,16 +28,14 @@ __all__ = [
     "AlignmentError", "AnnotatedSentence", "CandidateScore", "DaatModel",
     "DataError", "DecodeError", "EvalReport", "GradCheckResult",
     "LabeledDataset", "MinerConfig", "NGramStats", "Segmenter",
-    "StaleGraphError", "TrainConfig", "UndefinedProbabilityError",
-    "WordCollection", "adversarial_train", "build_target_dataset",
-    "collect_stats", "confusion_loss", "dataset_from_segmented",
-    "discriminator_loss", "distant_annotate", "entropy_score",
-    "forward_max_match", "is_well_formed", "lexicon_to_tsv",
-    "load_config", "load_container", "load_lexicon", "load_model",
-    "load_provenance", "load_raw", "load_segmented", "mine",
-    "mutual_information_score", "oov_rate", "prf", "probability",
-    "report_json", "run_suite", "save_container", "save_lexicon",
-    "save_provenance", "save_segmented", "score_candidates",
-    "tagging_losses", "tags_to_words", "tfidf_score", "train_base",
+    "StaleGraphError", "TrainConfig", "WordCollection",
+    "adversarial_train", "build_target_dataset", "collect_stats",
+    "confusion_loss", "dataset_from_segmented", "discriminator_loss",
+    "distant_annotate", "forward_max_match", "is_well_formed",
+    "lexicon_to_tsv", "load_config", "load_container", "load_lexicon",
+    "load_model", "load_provenance", "load_raw", "load_segmented", "mine",
+    "oov_rate", "prf", "report_json", "run_suite", "save_container",
+    "save_lexicon", "save_provenance", "save_segmented",
+    "score_candidates", "tagging_losses", "tags_to_words", "train_base",
     "vocabulary_of", "words_to_tags", "write_report",
 ]

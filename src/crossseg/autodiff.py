@@ -55,9 +55,6 @@ class Tensor:
         """A view of the same values cut off from the graph."""
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: Array) -> None:
         """Add g, which has this tensor's shape, to its gradient."""
         if self.grad is None:

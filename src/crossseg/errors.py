@@ -18,9 +18,5 @@ class AlignmentError(DataError):
     """Two segmentations of supposedly equal text do not align."""
 
 
-class UndefinedProbabilityError(DataError):
-    """A probability was requested for an n-gram never recorded."""
-
-
 class StaleGraphError(RuntimeError):
     """backward() was called twice on the same autodiff graph."""

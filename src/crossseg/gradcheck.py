@@ -47,7 +47,7 @@ def max_rel_error(build, params: dict[str, Tensor],
     for name, t in params.items():
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
         analytic[name] = g.copy()
-        t.zero_grad()
+        t.grad = None
     worst = 0.0
     for name, t in params.items():
         flat = t.data.reshape(-1)
@@ -155,8 +155,12 @@ STEPS = (([s for s, _ in SRC], [s for s, _ in TGT]),
          (["a", "abcd", "e"], ["d", "c"]))
 
 
+def _blocks(model: DaatModel, src: list[str], tgt: list[str]):
+    return model.encode(src, "source"), model.encode(tgt, "target")
+
+
 def _worst_over_steps(loss_fn, model: DaatModel, params, rng) -> float:
-    return max(max_rel_error(lambda: loss_fn(model, model.encode(*step)),
+    return max(max_rel_error(lambda: loss_fn(model, *_blocks(model, *step)),
                              params, rng) for step in STEPS)
 
 
@@ -178,7 +182,7 @@ def _check_tagging(rng: np.random.Generator) -> float:
     model = _tiny_model(rng)
 
     def build() -> Tensor:
-        l_src, l_tgt = tagging_losses(model, model.encode(*STEPS[0]),
+        l_src, l_tgt = tagging_losses(model, *_blocks(model, *STEPS[0]),
                                       [t for _, t in SRC],
                                       [t for _, t in TGT])
         return l_src + l_tgt

@@ -22,12 +22,13 @@ crosses a hard boundary. It counts only the grams the frequency floor lets
 matter, level by level up to n_max + 1 characters (Apriori's rule: a gram
 clears the floor only if its prefix and suffix do): every frequent gram,
 every split of one that MIS reads and every (n+1)-gram neighbour that ES
-reads, each with its exact count. Scores are therefore defined for the
-frequent candidates and not for every recorded gram. Grams are counted as
-integer ids, one np.unique per level: a gram's int64 key is its prefix's
-id and its last character (a counted gram's prefix is always counted).
-Statistics collection is pure, and every structure here is read-only
-after construction.
+reads, each with its exact count. Scores therefore exist only for the
+candidates, the grams in doc_freq (a recorded neighbour gram's own
+neighbours may be unrecorded), and score_candidates is the one scorer.
+Grams are counted as integer ids, one np.unique per level: a gram's int64
+key is its prefix's id and its last character (a counted gram's prefix is
+always counted). Statistics collection is pure, and every structure here
+is read-only after construction.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from numbers import Integral
 import numpy as np
 
 from .corpus import read_lines
-from .errors import DecodeError, UndefinedProbabilityError
+from .errors import DecodeError
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,9 @@ class MinerConfig:
             raise ValueError("p_val_threshold must lie in (0, 1)")
         if self.min_frequency < 0:
             raise ValueError("min_frequency must be non-negative")
+        if isinstance(self.stop_words, str):  # would mean its characters
+            raise ValueError("stop_words must be a collection of strings, "
+                             "not one string")
         object.__setattr__(self, "stop_words", frozenset(self.stop_words))
         for w in self.stop_words:
             if not isinstance(w, str) or not w:
@@ -181,33 +185,6 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
     return NGramStats(counts, totals, doc_freq, len(corpus))
 
 
-def probability(stats: NGramStats, t: str) -> float:
-    """count(t) / total count of n-grams with t's length."""
-    c = stats.counts.get(t)
-    if c is None:
-        raise UndefinedProbabilityError(f"n-gram never recorded: {t!r}")
-    return c / stats.total_per_length[len(t)]
-
-
-def mutual_information_score(stats: NGramStats, t: str) -> float:
-    """Minimum over binary splits of p(t) / (p(left) * p(right))."""
-    if len(t) < 2:
-        raise ValueError("MIS needs at least two characters")
-    counts, totals, n = stats.counts, stats.total_per_length, len(t)
-    pt = probability(stats, t)
-    best = math.inf
-    try:  # scoring calls this per candidate: read the counts inline
-        for j in range(1, n):
-            r = pt / ((counts[t[:j]] / totals[j])
-                      * (counts[t[j:]] / totals[n - j]))
-            if r < best:
-                best = r
-    except KeyError as e:
-        raise UndefinedProbabilityError(
-            f"n-gram never recorded: {e.args[0]!r}") from None
-    return best
-
-
 def _entropy(neigh: dict[str, int]) -> float:
     """Entropy of a neighbour count map, 0 when it is empty."""
     total = sum(neigh.values())
@@ -235,26 +212,6 @@ def _neighbours(stats: NGramStats, texts: Iterable[str]) -> tuple[dict, dict]:
     return left, right
 
 
-def entropy_score(stats: NGramStats, t: str) -> float:
-    """min(left neighbour entropy, right neighbour entropy).
-
-    Defined only for the frequent candidates, the grams in doc_freq: every
-    neighbour of those is recorded, while a recorded neighbour gram's own
-    neighbours may not be, so its entropy would be partial. Raises
-    UndefinedProbabilityError for any other gram."""
-    if t not in stats.doc_freq:
-        raise UndefinedProbabilityError(f"no recorded neighbours: {t!r}")
-    left, right = _neighbours(stats, (t,))
-    return min(_entropy(left[t]), _entropy(right[t]))
-
-
-def tfidf_score(stats: NGramStats, t: str) -> float:
-    """Length-relative term frequency times ln(num_docs / doc_freq)."""
-    if t not in stats.doc_freq:
-        raise UndefinedProbabilityError(f"no document frequency: {t!r}")
-    return probability(stats, t) * math.log(stats.num_docs / stats.doc_freq[t])
-
-
 @dataclass(frozen=True)
 class CandidateScore:
     text: str
@@ -280,17 +237,28 @@ def _normalize(values: list[float]) -> list[float]:
     return [(v - lo) / span for v in values]
 
 
-def score_candidates(stats: NGramStats, cfg: MinerConfig) -> list[CandidateScore]:
-    """Score every n-gram with n_min <= len <= n_max and frequency strictly
-    above the floor. Returns candidates sorted by text."""
-    cand = sorted(g for g, c in stats.counts.items()
-                  if cfg.n_min <= len(g) <= cfg.n_max and c > cfg.min_frequency)
+def score_candidates(stats: NGramStats) -> list[CandidateScore]:
+    """Score the candidates, the grams in stats.doc_freq (every n-gram with
+    n_min <= len <= n_max and frequency strictly above the floor), sorted
+    by text. p(t) is count(t) over the total count of t's length."""
+    cand = sorted(stats.doc_freq)
     if not cand:
         return []
-    mis = [mutual_information_score(stats, g) for g in cand]
+    counts, totals = stats.counts, stats.total_per_length
     left, right = _neighbours(stats, cand)
-    es = [min(_entropy(left[g]), _entropy(right[g])) for g in cand]
-    tfidf = [tfidf_score(stats, g) for g in cand]
+    mis, es, tfidf = [], [], []
+    for g in cand:
+        n = len(g)
+        pt = counts[g] / totals[n]
+        best = math.inf
+        for j in range(1, n):
+            r = pt / ((counts[g[:j]] / totals[j])
+                      * (counts[g[j:]] / totals[n - j]))
+            if r < best:
+                best = r
+        mis.append(best)
+        es.append(min(_entropy(left[g]), _entropy(right[g])))
+        tfidf.append(pt * math.log(stats.num_docs / stats.doc_freq[g]))
     n_mis, n_es, n_tf = _normalize(mis), _normalize(es), _normalize(tfidf)
     out = []
     for i, g in enumerate(cand):
@@ -325,7 +293,7 @@ def _lexicon_order(c: CandidateScore) -> tuple:
 def mine(corpus: list[str], cfg: MinerConfig) -> WordCollection:
     """Full pipeline: count, score, threshold."""
     stats = collect_stats(corpus, cfg)
-    scored = score_candidates(stats, cfg)
+    scored = score_candidates(stats)
     kept = sorted((c for c in scored if c.p_val >= cfg.p_val_threshold),
                   key=_lexicon_order)
     return WordCollection({c.text: c for c in kept})

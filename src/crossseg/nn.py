@@ -38,13 +38,11 @@ class EmbeddingTable:
         table = Tensor(rng.uniform(-0.1, 0.1, (len(chars) + 1, dim)))
         return EmbeddingTable(vocab, table)
 
-    @property
-    def dim(self) -> int:
-        return self.table.data.shape[1]
-
     def indices(self, sentences: list[str]) -> np.ndarray:
         """(B, T) table rows of a batch of sentences, -1 past each end."""
-        if not sentences or not all(sentences):
+        if not sentences:
+            raise ValueError("cannot embed an empty batch")
+        if not all(sentences):
             raise ValueError("cannot embed an empty sentence")
         idx = np.full((len(sentences), max(map(len, sentences))), -1,
                       dtype=np.int64)

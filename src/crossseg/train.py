@@ -6,13 +6,18 @@ adversarial model keeps three encoders over one shared embedding table: a
 private encoder per domain plus a shared one. A sentence from domain d is
 scored by the CRF head of d on the concatenation [private_d ; shared]. A
 text-CNN discriminator reads the same shared features. Every step runs on
-padded (B, T, d) batches with a (B, T) length mask. Each domain's batch
-is encoded on its own, padded only to its own longest sentence: one
-embedding, one shared-encoder pass and one pass of its private encoder,
-and that one shared pass feeds both the domain's CRF head and the
+padded (B, T, d) batches with a (B, T) length mask.
+
+Both model kinds have one encode(sentences, domain, training, rng) that
+turns one domain's batch into a Block: the features the domain's CRF head
+reads, that head, the length mask and, for the adversarial model, the
+shared features. Training, decoding and gradcheck all read Blocks. A
+DaatModel block costs one embedding, one shared-encoder pass and one pass
+of the domain's private encoder, padded only to the batch's own longest
+sentence, and that one shared pass feeds both the CRF head and the
 discriminator. Decoding sorts sentences by length into buckets of at most
-DECODE_BUDGET padded positions and runs one tower pass and one Viterbi
-per bucket. Steps alternate between sharpening the discriminator (odd
+DECODE_BUDGET padded positions and runs one encode and one Viterbi per
+bucket. Steps alternate between sharpening the discriminator (odd
 steps, discriminator loss on detached shared features) and confusing it
 (even steps, confusion loss, discriminator frozen). All randomness flows
 from the config seed, so two runs with equal inputs produce identical
@@ -135,15 +140,22 @@ def load_config(path: str) -> TrainConfig:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _batch_loss(h: Tensor, head: crf_mod.CrfHead, mask: np.ndarray,
-                tags: list[str]) -> Tensor:
-    """Mean CRF negative log-likelihood of the gold tags of a batch given
-    its features (B, T, d), CRF head and length mask; one path for both
-    trainers."""
-    gold = np.zeros(mask.shape, dtype=np.int64)
+class Block(NamedTuple):
+    """One domain's batch from encode, padded to its longest sentence."""
+    tagger: Tensor | None  # (B, T, d) features the CRF head reads
+    head: crf_mod.CrfHead | None  # None with tagger: an untrained tower
+    mask: np.ndarray  # (B, T), true at the real characters
+    shared: Tensor | None = None  # the discriminator's input (DaatModel)
+
+
+def _batch_loss(block: Block, tags: list[str]) -> Tensor:
+    """Mean CRF negative log-likelihood of the gold tags of a block; one
+    path for both trainers."""
+    gold = np.zeros(block.mask.shape, dtype=np.int64)
     for row, t in zip(gold, tags):
         row[:len(t)] = [TAG_INDEX[c] for c in t]
-    nll = crf_mod.nll_loss(crf_mod.emission_scores(h, head), head, gold, mask)
+    emis = crf_mod.emission_scores(block.tagger, block.head)
+    nll = crf_mod.nll_loss(emis, block.head, gold, block.mask)
     return scale(nll, 1.0 / len(tags))
 
 
@@ -170,16 +182,18 @@ def _buckets(sentences: list[str]) -> list[list[int]]:
 def _segment_batch(model: "Segmenter | DaatModel", sentences: list[str],
                    domain: str = "target") -> list[list[str]]:
     """Words of the Viterbi tag path of every sentence, in input order (an
-    empty sentence gives []). Each length bucket runs one tower pass and
+    empty sentence gives []). Each length bucket runs one _tower encode and
     one Viterbi; domain picks the tower of a DAAT model and is ignored by a
     Segmenter."""
     out: list[list[str]] = [[] for _ in sentences]
     for bucket in _buckets(sentences):
         batch = [sentences[i] for i in bucket]
-        h, head, mask = model._tower(batch, domain)
-        emis = crf_mod.emission_scores(h, head)
+        block = model._tower(batch, domain)
+        head = block.head
+        emis = crf_mod.emission_scores(block.tagger, head)
         paths = crf_mod.viterbi_decode(emis.data, head.trans.data,
-                                       head.start.data, head.stop.data, mask)
+                                       head.start.data, head.stop.data,
+                                       block.mask)
         for i, s, path in zip(bucket, batch, paths):
             tags = "".join(TAGS[k] for k in path[:len(s)])
             out[i] = tags_to_words(s, tags)
@@ -265,14 +279,16 @@ class Segmenter:
         out.update(self.head.params("crf"))
         return out
 
-    def _tower(self, sentences: list[str], domain: str,
+    def encode(self, sentences: list[str], domain: str,
                training: bool = False,
-               rng: np.random.Generator | None = None):
-        """Encoder features of a batch, the CRF head and the length mask;
+               rng: np.random.Generator | None = None) -> Block:
+        """A batch's encoder features, the CRF head and the length mask;
         domain is ignored."""
         x, mask = self.embedding.embed(sentences)
-        return self.encoder.forward(x, mask, training, rng), self.head, mask
+        return Block(self.encoder.forward(x, mask, training, rng), self.head,
+                     mask)
 
+    _tower = encode  # decoding reads the one tower a Segmenter trains
     segment_batch = _segment_batch
     segment = _segment
 
@@ -302,25 +318,12 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
 
     def step(j: int, batch: list[tuple[str, str]]):
         sents, tags = map(list, zip(*batch))
-        h, head, mask = model._tower(sents, ds.domain, True, rng)
-        return (_batch_loss(h, head, mask, tags), None, None), (opt,), None
+        block = model.encode(sents, ds.domain, True, rng)
+        return (_batch_loss(block, tags), None, None), (opt,), None
 
     losses = [r["l_src"] for r in _fit(cfg, batches, step, [opt], log_path)]
     model.loss_history = np.reshape(losses, (cfg.epochs, -1)).mean(1).tolist()
     return model
-
-
-class Block(NamedTuple):
-    """One domain's rows of DaatModel.encode, padded to their longest."""
-    tagger: Tensor | None  # [private ; shared], None without a trained tower
-    shared: Tensor
-    mask: np.ndarray
-
-
-class Encoded(NamedTuple):
-    """DaatModel.encode: a Block per domain, None for one without rows."""
-    src: Block | None
-    tgt: Block | None
 
 
 @dataclass(eq=False)
@@ -375,39 +378,31 @@ class DaatModel:
         out.update(self.disc_params())
         return out
 
-    def encode(self, src: list[str], tgt: list[str], training: bool = False,
-               rng: np.random.Generator | None = None) -> Encoded:
-        """Each domain's sentences as one batch of their own: one
-        embedding, one shared-encoder pass and one pass of the domain's
-        private encoder, source first and, within a domain, shared first
-        (the order of the dropout draws). The target tower is never
-        trained in AT mode, so there target rows get the shared pass
-        only."""
-        blocks = []
-        for rows, enc in ((src, self.enc_src), (tgt, self.enc_tgt)):
-            if not rows:
-                blocks.append(None)
-                continue
-            x, mask = self.embedding.embed(rows)
-            shared = self.enc_shr.forward(x, mask, training, rng)
-            tagger = None
-            if not (enc is self.enc_tgt and self.mode == "at"):
-                private = enc.forward(x, mask, training, rng)
-                tagger = concat_cols([private, shared])
-            blocks.append(Block(tagger, shared, mask))
-        return Encoded(*blocks)
-
-    def _tower(self, sentences: list[str], domain: str):
-        """Features, CRF head and length mask that decode a batch of the
-        domain; AT mode decodes both domains with the source tower it
-        trains."""
+    def encode(self, sentences: list[str], domain: str,
+               training: bool = False,
+               rng: np.random.Generator | None = None) -> Block:
+        """One domain's batch: one embedding, one shared-encoder pass, then
+        one pass of the domain's private encoder (the order of the dropout
+        draws), its tagger features [private ; shared] and CRF head. The
+        target tower is never trained in AT mode, so there a target batch
+        gets the shared pass only."""
         if domain not in ("source", "target"):
             raise ValueError(f"unknown domain {domain!r}")
-        if domain == "source" or self.mode == "at":
-            block, head = self.encode(sentences, []).src, self.crf_src
-        else:
-            block, head = self.encode([], sentences).tgt, self.crf_tgt
-        return block.tagger, head, block.mask
+        x, mask = self.embedding.embed(sentences)
+        shared = self.enc_shr.forward(x, mask, training, rng)
+        if domain == "target" and self.mode == "at":
+            return Block(None, None, mask, shared)
+        enc, head = (self.enc_src, self.crf_src) if domain == "source" \
+            else (self.enc_tgt, self.crf_tgt)
+        private = enc.forward(x, mask, training, rng)
+        return Block(concat_cols([private, shared]), head, mask, shared)
+
+    def _tower(self, sentences: list[str], domain: str) -> Block:
+        """The block that decodes a batch of the domain: AT mode decodes
+        the target domain with the source tower, the one it trains."""
+        if self.mode == "at" and domain == "target":
+            domain = "source"
+        return self.encode(sentences, domain)
 
     segment_batch = _segment_batch
     segment = _segment
@@ -493,64 +488,60 @@ def load_model(path: str) -> "Segmenter | DaatModel":
     return model
 
 
-def _domain_bce(model: DaatModel, enc: Encoded, flip: bool) -> Tensor:
+def _domain_bce(model: DaatModel, src: Block, tgt: Block,
+                flip: bool) -> Tensor:
     """Binary cross-entropy of the discriminator, read once per domain
     block: minus the sum of the two per-domain mean log-probabilities.
 
     flip=False scores the true domains on detached shared features
     (discriminator loss); flip=True swaps them and reaches the shared
-    encoder (confusion loss). Probabilities are clamped to 1e-7. An
-    encoding without source or without target rows is a ValueError.
+    encoder (confusion loss). Probabilities are clamped to 1e-7.
     """
     means = []
-    for block, domain in ((enc.src, "source"), (enc.tgt, "target")):
-        if block is None:
-            raise ValueError(f"the encoding has no {domain} rows")
+    for block, is_src in ((src, True), (tgt, False)):
         shared = block.shared if flip else block.shared.detach()
         p = clamped(model.disc.forward(shared, block.mask))  # (B, 1)
-        says_src = (domain == "source") != flip  # scored by log p
-        logp = log(p) if says_src else log(sub(1.0, p))
+        logp = log(p) if is_src != flip else log(sub(1.0, p))
         means.append(scale(sum_all(logp), 1.0 / len(block.mask)))
     return sub(0.0, means[0] + means[1])
 
 
-def discriminator_loss(model: DaatModel, enc: Encoded) -> Tensor:
+def discriminator_loss(model: DaatModel, src: Block, tgt: Block) -> Tensor:
     """Loss the discriminator minimizes to tell the domains apart, given
-    an encoded step. The shared features are detached, so the loss trains
-    the discriminator only and never the shared encoder."""
-    return _domain_bce(model, enc, flip=False)
+    a source and a target block. The shared features are detached, so the
+    loss trains the discriminator only and never the shared encoder."""
+    return _domain_bce(model, src, tgt, flip=False)
 
 
-def confusion_loss(model: DaatModel, enc: Encoded) -> Tensor:
+def confusion_loss(model: DaatModel, src: Block, tgt: Block) -> Tensor:
     """Domain-flipped loss the shared encoder minimizes to fool the
-    discriminator, given an encoded step."""
-    return _domain_bce(model, enc, flip=True)
+    discriminator, given a source and a target block."""
+    return _domain_bce(model, src, tgt, flip=True)
 
 
-def tagging_losses(model: DaatModel, enc: Encoded, tags_src: list[str],
+def tagging_losses(model: DaatModel, src: Block, tgt: Block,
+                   tags_src: list[str],
                    tags_tgt: list[str]) -> tuple[Tensor, Tensor | None]:
-    """Mean CRF negative log-likelihood per domain tower of an encoded
-    step, given the gold tags of its source and target rows. The target
-    loss is None in AT mode or for an empty target batch."""
-    l_src = _batch_loss(enc.src.tagger, model.crf_src, enc.src.mask,
-                        tags_src)
-    if enc.tgt is None or enc.tgt.tagger is None:
-        return l_src, None
-    return l_src, _batch_loss(enc.tgt.tagger, model.crf_tgt, enc.tgt.mask,
-                              tags_tgt)
+    """Mean CRF negative log-likelihood per domain tower, given a source
+    and a target block and the gold tags of their rows. The target loss is
+    None in AT mode, where the target block has no tower."""
+    l_src = _batch_loss(src, tags_src)
+    return l_src, None if tgt.tagger is None else _batch_loss(tgt, tags_tgt)
 
 
 def _step_losses(model: DaatModel, batch_src: list[tuple[str, str]],
                  batch_tgt: list[tuple[str, str]], odd: bool,
                  rng: np.random.Generator):
     """L_src, L_tgt (None in AT mode) and the adversarial loss of one
-    step. Both batches are encoded once; the shared features feed both the
-    CRF heads and the discriminator (L_d on odd steps, L_c on even ones)."""
+    step. The source batch is encoded, then the target batch, once each;
+    the shared features feed both the CRF heads and the discriminator
+    (L_d on odd steps, L_c on even ones)."""
     (s_src, t_src), (s_tgt, t_tgt) = zip(*batch_src), zip(*batch_tgt)
-    enc = model.encode(list(s_src), list(s_tgt), True, rng)
-    l_src, l_tgt = tagging_losses(model, enc, list(t_src), list(t_tgt))
+    src = model.encode(list(s_src), "source", True, rng)
+    tgt = model.encode(list(s_tgt), "target", True, rng)
+    l_src, l_tgt = tagging_losses(model, src, tgt, list(t_src), list(t_tgt))
     adv = discriminator_loss if odd else confusion_loss
-    return l_src, l_tgt, adv(model, enc)
+    return l_src, l_tgt, adv(model, src, tgt)
 
 
 def _cursor(n: int, rng: np.random.Generator):

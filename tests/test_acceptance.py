@@ -155,7 +155,7 @@ def test_criterion_3_miner_matches_brute_force():
         cfg = MinerConfig(n_min=2, n_max=4, min_frequency=0)
         stats = collect_stats(corpus, cfg)
         oracle = helpers.OracleStats(corpus, n_max=4)
-        scored = score_candidates(stats, cfg)
+        scored = score_candidates(stats)
         assert scored, "every corpus should yield candidates"
         for cand in scored:
             g = cand.text
@@ -166,7 +166,7 @@ def test_criterion_3_miner_matches_brute_force():
             assert 0.5 <= cand.p_val <= SIGMOID_3
         shuffled = corpus[:]
         rng.shuffle(shuffled)
-        perm = score_candidates(collect_stats(shuffled, cfg), cfg)
+        perm = score_candidates(collect_stats(shuffled, cfg))
         assert {c.text: c for c in perm} == {c.text: c for c in scored}
 
 

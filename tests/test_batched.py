@@ -14,7 +14,7 @@ from crossseg.autodiff import (Tensor, backward, concat_cols, gather_rows,
                                sum_all)
 from crossseg.corpus import words_to_tags
 from crossseg.nn import UNK_INDEX
-from crossseg.train import (DaatModel, Segmenter, TrainConfig,
+from crossseg.train import (Block, DaatModel, Segmenter, TrainConfig,
                             confusion_loss, discriminator_loss,
                             tagging_losses)
 
@@ -32,7 +32,7 @@ def _grads(model, loss) -> dict:
     out = {}
     for name, p in model.params().items():
         out[name] = None if p.grad is None else p.grad.copy()
-        p.zero_grad()
+        p.grad = None
     return out
 
 
@@ -85,8 +85,8 @@ def test_acceptance_shaped_steps_match_per_sentence_reference(
     cfg = TrainConfig(**{**TRAIN_CFG, "dropout": 0.0})
     rng = np.random.default_rng(1)
     seg = Segmenter.create([s for s, _ in src], cfg, rng)
-    h, head, mask = seg._tower([s for s, _ in src], "source", True, rng)
-    loss = train_mod._batch_loss(h, head, mask, [t for _, t in src])
+    block = seg.encode([s for s, _ in src], "source", True, rng)
+    loss = train_mod._batch_loss(block, [t for _, t in src])
     value, grads = loss.item(), _grads(seg, loss)
     ref = helpers.base_loss_ref(seg, src)
     assert value == pytest.approx(ref.item(), **APPROX)
@@ -107,13 +107,13 @@ MIXED = [("a", "S"), ("xyz", "BME"), ("abcdabcdcba", "BEBMEBMEBME")]
 
 def _row_losses(model, batch, encode):
     """Each row's tagging loss read from the features of the whole batch,
-    encoded afresh for every row; encode maps sentences to (features,
-    head, mask)."""
+    encoded afresh for every row; encode maps sentences to a Block."""
     out = []
     for i, (_, tags) in enumerate(batch):
-        h, head, mask = encode([s for s, _ in batch])
-        row = gather_rows(h, np.array([i]))
-        out.append(train_mod._batch_loss(row, head, mask[i:i + 1], [tags]))
+        block = encode([s for s, _ in batch])
+        row = Block(gather_rows(block.tagger, np.array([i])), block.head,
+                    block.mask[i:i + 1])
+        out.append(train_mod._batch_loss(row, [tags]))
     return out
 
 
@@ -125,7 +125,7 @@ def test_mixed_batch_rows_equal_sentences_alone(kind):
         else DaatModel.create(["abcd"], cfg, kind, rng)
 
     def encode(sentences):
-        return model._tower(sentences, "target")
+        return model.encode(sentences, "target")
 
     total = 0.0
     for i, row in enumerate(_row_losses(model, MIXED, encode)):
@@ -134,8 +134,8 @@ def test_mixed_batch_rows_equal_sentences_alone(kind):
         assert value == pytest.approx(alone.item(), **APPROX)
         _assert_same_grads(grads, _grads(model, alone))
         total += value
-    h, head, mask = encode([s for s, _ in MIXED])
-    batch = train_mod._batch_loss(h, head, mask, [t for _, t in MIXED])
+    batch = train_mod._batch_loss(encode([s for s, _ in MIXED]),
+                                  [t for _, t in MIXED])
     assert batch.item() == pytest.approx(total / len(MIXED), **APPROX)
 
 
@@ -173,7 +173,7 @@ def test_padded_positions_get_exactly_zero_gradient():
     np.testing.assert_array_equal(shared_in.grad[pad], 0.0)
     for leaf in (x_in, emis_in, shared_in):  # not vacuous: every row
         assert np.abs(leaf.grad).sum(axis=(1, 2)).min() > 0
-    model.embedding.table.zero_grad()
+    model.embedding.table.grad = None
     backward(losses(x)[0])
     np.testing.assert_array_equal(model.embedding.table.grad[UNK_INDEX], 0.0)
 
@@ -199,10 +199,11 @@ def test_saturated_discriminator_logits_give_finite_clamped_loss(logit):
     model.disc.proj_b.data[:] = logit  # every row's logit is +-1e3
     clamp_cost = -math.log(1e-7)  # one domain's mean hits the clamp
     for loss_fn in (discriminator_loss, confusion_loss):
-        enc = model.encode(["a", "abcd"], ["xyz", "x", "zyxzyx"])
-        loss = loss_fn(model, enc)
+        src = model.encode(["a", "abcd"], "source")
+        tgt = model.encode(["xyz", "x", "zyxzyx"], "target")
+        loss = loss_fn(model, src, tgt)
         assert loss.item() == pytest.approx(clamp_cost, rel=1e-6)
-        l_src, l_tgt = tagging_losses(model, enc, ["S", "BMME"],
+        l_src, l_tgt = tagging_losses(model, src, tgt, ["S", "BMME"],
                                       ["BME", "S", "BEBMME"])
         grads = _grads(model, l_src + l_tgt + loss)
         assert all(np.isfinite(g).all() for g in grads.values()

@@ -74,7 +74,7 @@ def test_one_tower_pass_per_bucket():
 
     def recorded(batch, domain):
         out = tower(batch, domain)
-        shapes.append(out[2].shape)
+        shapes.append(out.mask.shape)
         return out
 
     model._tower = recorded

@@ -6,81 +6,84 @@ import tracemalloc
 
 import pytest
 
-from crossseg.errors import DecodeError, UndefinedProbabilityError
-from crossseg.miner import (CandidateScore, MinerConfig, NGramStats,
-                            WordCollection, _neighbours, _run_splitter,
-                            collect_stats, entropy_score, lexicon_to_tsv,
-                            load_lexicon, mine, mutual_information_score,
-                            probability, save_lexicon, score_candidates,
-                            tfidf_score)
+from crossseg.errors import DecodeError
+from crossseg.miner import (MinerConfig, NGramStats, WordCollection,
+                            _neighbours, _run_splitter, collect_stats,
+                            lexicon_to_tsv, load_lexicon, mine, save_lexicon,
+                            score_candidates)
 
 import toylang
 from helpers import OracleStats, collect_stats_ref
 from test_acceptance import MINE_CFG
 
 
+def _scored(corpus, cfg=MinerConfig(min_frequency=0)) -> dict:
+    """The candidate scores of a corpus by text."""
+    return {c.text: c for c in score_candidates(collect_stats(corpus, cfg))}
+
+
 def test_probability_and_undefined():
-    stats = collect_stats(["xy"] * 10, MinerConfig(min_frequency=0))
-    assert probability(stats, "xy") == pytest.approx(1.0)
-    assert probability(stats, "x") == pytest.approx(0.5)
-    with pytest.raises(UndefinedProbabilityError):
-        probability(stats, "zz")
+    # p(xy) = 10/10 and p(x) = 10/30 show in tfidf and MIS; 'xy' occurs in
+    # half of the documents
+    scored = _scored(["xy"] * 10 + ["z"] * 10)
+    assert scored["xy"].tfidf == pytest.approx(1.0 * math.log(2.0))
+    assert scored["xy"].mis == pytest.approx(1.0 / (1 / 3 * 1 / 3))
+    # single characters and unseen grams are not scored
+    assert set(scored) == {"xy"}
 
 
 def test_mis_pinned_values():
-    stats = collect_stats(["xy"] * 10, MinerConfig(min_frequency=0))
     # p(xy)=1, p(x)=p(y)=1/2 -> 1 / (1/2 * 1/2)
-    assert mutual_information_score(stats, "xy") == pytest.approx(4.0)
-    mixed = collect_stats(["xy"] * 5 + ["xz"] * 5,
-                          MinerConfig(min_frequency=0))
+    assert _scored(["xy"] * 10)["xy"].mis == pytest.approx(4.0)
     # p(xy)=1/2, p(x)=1/2, p(y)=1/4
-    assert mutual_information_score(mixed, "xy") == pytest.approx(4.0)
+    mixed = _scored(["xy"] * 5 + ["xz"] * 5)
+    assert mixed["xy"].mis == pytest.approx(4.0)
 
 
 def test_mis_takes_worst_split():
-    stats = collect_stats(["abc"] * 4 + ["ab"] * 4 + ["zbc"] * 4,
-                          MinerConfig(min_frequency=0))
-    splits = [probability(stats, "abc") /
-              (probability(stats, "a") * probability(stats, "bc")),
-              probability(stats, "abc") /
-              (probability(stats, "ab") * probability(stats, "c"))]
-    assert mutual_information_score(stats, "abc") == pytest.approx(
-        min(splits))
+    corpus = ["abc"] * 4 + ["ab"] * 4 + ["zbc"] * 4
+    stats = collect_stats(corpus, MinerConfig(min_frequency=0))
+
+    def p(t):
+        return stats.counts[t] / stats.total_per_length[len(t)]
+
+    splits = [p("abc") / (p("a") * p("bc")), p("abc") / (p("ab") * p("c"))]
+    assert _scored(corpus)["abc"].mis == pytest.approx(min(splits))
 
 
 def test_mis_names_an_unrecorded_split():
+    # only the grams in doc_freq are candidates; collect_stats records
+    # every split of those, so a gram with an unrecorded split ('ab' of
+    # 'abc') is never scored
     stats = NGramStats(counts={"abc": 3, "a": 5, "bc": 3},
                        total_per_length={1: 10, 2: 8, 3: 6})
-    with pytest.raises(UndefinedProbabilityError, match="'ab'"):
-        mutual_information_score(stats, "abc")
-    with pytest.raises(UndefinedProbabilityError, match="'abd'"):
-        mutual_information_score(stats, "abd")
+    assert score_candidates(stats) == []
 
 
 def test_entropy_score_pinned():
-    stats = collect_stats(["axyb", "cxyd"], MinerConfig(min_frequency=0))
     # each side sees two distinct neighbors once
-    assert entropy_score(stats, "xy") == pytest.approx(math.log(2.0))
+    assert _scored(["axyb", "cxyd"])["xy"].es == pytest.approx(math.log(2.0))
     # run edges contribute no neighbors: empty side scores zero
-    edge = collect_stats(["xya", "xyb"], MinerConfig(min_frequency=0))
-    assert entropy_score(edge, "xy") == 0.0
+    assert _scored(["xya", "xyb"])["xy"].es == 0.0
 
 
 def test_tfidf_pinned():
-    stats = NGramStats(counts={"ab": 2}, total_per_length={2: 100},
+    stats = NGramStats(counts={"ab": 2, "a": 4, "b": 4},
+                       total_per_length={1: 200, 2: 100},
                        doc_freq={"ab": 10}, num_docs=100)
-    assert tfidf_score(stats, "ab") == pytest.approx(0.02 * math.log(10.0))
+    [ab] = score_candidates(stats)
+    assert ab.tfidf == pytest.approx(0.02 * math.log(10.0))
 
 
 def test_neighbors_stay_within_runs():
     # 'xy' has two left neighbours; its right ones lie across a boundary
-    stats = collect_stats(["cxy,a", "dxy.b"], MinerConfig(min_frequency=0))
-    assert entropy_score(stats, "xy") == 0.0
+    corpus = ["cxy,a", "dxy.b"]
+    stats = collect_stats(corpus, MinerConfig(min_frequency=0))
+    assert _scored(corpus)["xy"].es == 0.0
     assert stats.counts.get("ya") is None
     assert stats.counts.get("xya") is None
     assert stats.counts["xy"] == 2
-    joined = collect_stats(["cxya", "dxyb"], MinerConfig(min_frequency=0))
-    assert entropy_score(joined, "xy") == pytest.approx(math.log(2.0))
+    assert _scored(["cxya", "dxyb"])["xy"].es == pytest.approx(math.log(2.0))
 
 
 def test_stop_words_split_runs():
@@ -115,7 +118,7 @@ def test_neighbour_maps_match_oracle_on_random_corpora():
                           stop_words=stop_words)
         stats = collect_stats(corpus, cfg)
         oracle = OracleStats(corpus, n_max=4, stop_words=stop_words)
-        cand = [c.text for c in score_candidates(stats, cfg)]
+        cand = [c.text for c in score_candidates(stats)]
         assert sorted(cand) == sorted(g for g in oracle.counts
                                       if 2 <= len(g) <= 4)
         left, right = _neighbours(stats, cand)
@@ -148,7 +151,7 @@ def test_pruned_counts_match_oracle_at_floors(floor):
         for g, k in stats.counts.items():
             assert k == oracle.counts[g]
         pruned += len(oracle.counts) - len(stats.counts)
-        scored = score_candidates(stats, cfg)
+        scored = score_candidates(stats)
         cand = [c.text for c in scored]
         assert cand == sorted(g for g, k in oracle.counts.items()
                               if 2 <= len(g) <= 4 and k > floor)
@@ -241,8 +244,8 @@ def test_infrequent_grams_are_unrecorded_or_neighbours_only():
     corpus = ["qxyz"] * 11 + ["vwqx", "uwqy"]
     stats = collect_stats(corpus, MinerConfig())
     assert "vw" not in stats.counts
-    with pytest.raises(UndefinedProbabilityError):
-        probability(stats, "vw")
+    scored = {c.text for c in score_candidates(stats)}
+    assert "vw" not in scored
     # 'wq' is recorded exactly as the left neighbour of 'q...' grams, but
     # its own neighbours 'vwq', 'uwq' and 'wqy' are not: the full count
     # gives it ln 2 on both sides, the recorded grams would give 0
@@ -250,8 +253,7 @@ def test_infrequent_grams_are_unrecorded_or_neighbours_only():
     assert "wqx" in stats.counts and "wqy" not in stats.counts
     assert OracleStats(corpus, n_max=3).es("wq") == pytest.approx(
         math.log(2.0))
-    with pytest.raises(UndefinedProbabilityError):
-        entropy_score(stats, "wq")
+    assert "wq" not in scored
 
 
 def test_longest_counted_grams_are_only_neighbours():
@@ -261,10 +263,9 @@ def test_longest_counted_grams_are_only_neighbours():
     assert "abcda" not in stats.counts
     assert max(map(len, stats.doc_freq)) == 3
     assert "abcd" not in stats.doc_freq
-    scored = score_candidates(stats, cfg)
-    assert max(len(c.text) for c in scored) == 3
-    with pytest.raises(UndefinedProbabilityError):
-        tfidf_score(stats, "abcd")
+    scored = {c.text for c in score_candidates(stats)}
+    assert max(map(len, scored)) == 3
+    assert "abcd" not in scored
 
 
 def test_scores_match_oracle_on_random_corpora():
@@ -279,7 +280,7 @@ def test_scores_match_oracle_on_random_corpora():
         stats = collect_stats(corpus, cfg)
         oracle = OracleStats(corpus, n_max=4)
         assert stats.num_docs == oracle.num_docs
-        for cand in score_candidates(stats, cfg):
+        for cand in score_candidates(stats):
             g = cand.text
             assert cand.frequency == oracle.counts[g]
             assert cand.mis == pytest.approx(oracle.mis(g), abs=1e-9)
@@ -294,11 +295,11 @@ def test_scores_invariant_to_sentence_order():
               for _ in range(30)]
     cfg = MinerConfig(min_frequency=0)
     base = {c.text: c for c in
-            score_candidates(collect_stats(corpus, cfg), cfg)}
+            score_candidates(collect_stats(corpus, cfg))}
     shuffled = corpus[:]
     rng.shuffle(shuffled)
     perm = {c.text: c for c in
-            score_candidates(collect_stats(shuffled, cfg), cfg)}
+            score_candidates(collect_stats(shuffled, cfg))}
     assert base == perm
 
 
@@ -314,7 +315,7 @@ def test_normalization_extremes():
         doc_freq={"ab": 10, "cd": 50},
         num_docs=100)
     scored = {c.text: c for c in
-              score_candidates(stats, MinerConfig(n_max=2))}
+              score_candidates(stats)}
     assert scored["ab"].es == pytest.approx(math.log(2.0))
     assert scored["cd"].es == 0.0
     assert scored["ab"].p_val == pytest.approx(1 / (1 + math.exp(-3.0)))
@@ -355,7 +356,7 @@ def test_planted_word_substrings_rejected():
     corpus = build_cohesion_corpus()
     cfg = MinerConfig()
     scored = {c.text: c for c in
-              score_candidates(collect_stats(corpus, cfg), cfg)}
+              score_candidates(collect_stats(corpus, cfg))}
     assert set(scored) == {"qzj", "qz", "zj"}
     assert scored["qz"].p_val == pytest.approx(0.5)
     assert scored["zj"].p_val == pytest.approx(0.5)
@@ -430,7 +431,7 @@ def mining_corpus():
                          ids=["default", "floor-9-stop-word"])
 def test_golden_candidate_scores(mining_corpus, cfg, digest):
     h = hashlib.sha256()
-    for c in score_candidates(collect_stats(mining_corpus, cfg), cfg):
+    for c in score_candidates(collect_stats(mining_corpus, cfg)):
         h.update(f"{c.text}\t{c.frequency}\t{c.mis!r}\t{c.es!r}\t"
                  f"{c.tfidf!r}\t{c.p_val!r}\n".encode("utf-8"))
     assert h.hexdigest() == digest
@@ -483,6 +484,9 @@ def test_config_validation():
     cfg = MinerConfig(stop_words=["ab", "ab", "c"])
     assert cfg.stop_words == frozenset({"ab", "c"})
     assert hash(cfg) == hash(MinerConfig(stop_words=frozenset({"ab", "c"})))
+    # one string would mean its characters: the stop words 'a' and 'b'
+    with pytest.raises(ValueError, match="stop_words"):
+        MinerConfig(stop_words="ab")
 
 
 @pytest.mark.parametrize("field, value", [

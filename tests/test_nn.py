@@ -173,7 +173,7 @@ def test_encoder_training_forward_equals_separate_mask_and_dropout():
         grads = {}
         for name, p in enc.params("enc").items():
             grads[name] = p.grad
-            p.zero_grad()
+            p.grad = None
         return out.data, xt.grad, grads
 
     got = run(lambda *a: enc.forward(a[0], a[1], True, a[2]))
@@ -270,7 +270,7 @@ def test_adam_first_step_magnitude():
     opt.step()
     # bias-corrected first step moves by almost exactly lr
     assert p.data[0, 0] == pytest.approx(-0.001, abs=1e-9)
-    p.zero_grad()
+    p.grad = None
     opt.step()  # missing grad counts as zero, momentum decays
     assert -0.002 < p.data[0, 0] < -0.001
 

@@ -187,17 +187,17 @@ def test_daat_segment_rejects_unknown_domain(kind):
 
 
 def _encoded(model, src=("abc",), tgt=("xyz",)):
-    """A source and a target batch encoded as the losses take them."""
-    return model.encode(list(src), list(tgt))
+    """A source and a target block, as the losses take them."""
+    return model.encode(list(src), "source"), model.encode(list(tgt), "target")
 
 
 def test_fresh_discriminator_loss_is_2ln2():
     cfg = TrainConfig(**SMALL)
     rng = np.random.default_rng(0)
     model = DaatModel.create(["abc", "xyz"], cfg, "daat", rng)
-    loss = discriminator_loss(model, _encoded(model))
+    loss = discriminator_loss(model, *_encoded(model))
     assert loss.item() == pytest.approx(2 * math.log(2.0), abs=1e-12)
-    conf = confusion_loss(model, _encoded(model))
+    conf = confusion_loss(model, *_encoded(model))
     assert conf.item() == pytest.approx(2 * math.log(2.0), abs=1e-12)
 
 
@@ -206,7 +206,7 @@ def test_confident_discriminator_is_clamped():
     model = DaatModel.create(["abc", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
     model.disc.proj_b.data[:] = 60.0  # always shouts "source"
-    loss = confusion_loss(model, _encoded(model))
+    loss = confusion_loss(model, *_encoded(model))
     # source term hits the 1e-7 clamp, target term is almost free
     assert loss.item() == pytest.approx(-math.log(1e-7), rel=1e-3)
 
@@ -216,7 +216,7 @@ def test_detached_discriminator_loss_keeps_shared_clean():
     model = DaatModel.create(["abc", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
     model.disc.proj_w.data[:] = 0.01
-    loss = discriminator_loss(model, _encoded(model))
+    loss = discriminator_loss(model, *_encoded(model))
     backward(loss)
     assert all(p.grad is None
                for p in model.enc_shr.params("enc_shr").values())
@@ -229,65 +229,67 @@ def test_confusion_loss_reaches_shared_encoder():
     model = DaatModel.create(["abc", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
     model.disc.proj_w.data[:] = 0.01
-    backward(confusion_loss(model, _encoded(model)))
+    backward(confusion_loss(model, *_encoded(model)))
     shared = model.enc_shr.params("enc_shr")
     assert shared
     assert all(p.grad is not None for p in shared.values())
 
 
-@pytest.mark.parametrize("loss_fn", [discriminator_loss, confusion_loss])
-@pytest.mark.parametrize("empty", ["source", "target"])
-def test_adversarial_losses_reject_an_empty_domain(loss_fn, empty):
-    model = _untrained("daat")
-    rows = {"source": ["abc"], "target": ["xyz", "ab"], empty: []}
-    enc = model.encode(rows["source"], rows["target"])
-    with pytest.raises(ValueError, match=f"no {empty} rows"):
-        loss_fn(model, enc)
+@pytest.mark.parametrize("kind", ["segmenter", "daat"])
+@pytest.mark.parametrize("domain", ["source", "target"])
+def test_encode_rejects_an_empty_batch(kind, domain):
+    with pytest.raises(ValueError, match="empty batch"):
+        _untrained(kind).encode([], domain)
 
 
 @pytest.mark.parametrize("mode", ["daat", "at"])
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
 def test_encode_gives_each_domain_its_features_alone(mode, training):
-    # a training forward draws dropout for the source block (shared, then
-    # private) before the target block, so one rng stream read in that
-    # order repeats the joint encoding
+    # each block is the domain's batch alone: one embedding, the shared
+    # pass, then the private pass, so one rng stream read in that order
+    # repeats the dropout draws of the source block and then the target's
     model = DaatModel.create(["abcdxyz"], TrainConfig(**SMALL), mode,
                              np.random.default_rng(0))
-    src, tgt = ["abcd", "a", "cd"], ["xyzab", "x"]
+    batches = {"source": ["abcd", "a", "cd"], "target": ["xyzab", "x"]}
     rng = np.random.default_rng(3) if training else None
-    joint = model.encode(src, tgt, training, rng)
+    blocks = {d: model.encode(rows, d, training, rng)
+              for d, rows in batches.items()}
     rng = np.random.default_rng(3) if training else None
-    alone = (model.encode(src, [], training, rng).src,
-             model.encode([], tgt, training, rng).tgt)
-    assert model.encode(src, []).tgt is None
-    assert model.encode([], tgt).src is None
-    for got, want in zip(joint, alone):
-        assert (got.tagger is None) == (want.tagger is None)
-        if got.tagger is not None:
-            np.testing.assert_array_equal(got.tagger.data, want.tagger.data)
-        np.testing.assert_array_equal(got.shared.data, want.shared.data)
-        np.testing.assert_array_equal(got.mask, want.mask)
-    assert (joint.tgt.tagger is None) == (mode == "at")
+    towers = {"source": (model.enc_src, model.crf_src),
+              "target": (model.enc_tgt, model.crf_tgt)}
+    for domain, rows in batches.items():
+        block, (enc, head) = blocks[domain], towers[domain]
+        x, mask = model.embedding.embed(rows)
+        shared = model.enc_shr.forward(x, mask, training, rng)
+        np.testing.assert_array_equal(block.shared.data, shared.data)
+        np.testing.assert_array_equal(block.mask, mask)
+        if mode == "at" and domain == "target":
+            assert block.tagger is None and block.head is None
+            continue
+        private = enc.forward(x, mask, training, rng)
+        np.testing.assert_array_equal(
+            block.tagger.data, np.concatenate([private.data, shared.data], -1))
+        assert block.head is head
 
 
 def test_tagging_losses_modes():
     cfg = TrainConfig(**SMALL)
     model = DaatModel.create(["abcd", "xyz"], cfg, "daat",
                              np.random.default_rng(0))
-    enc = model.encode(["abcd"], ["xyz", "x"])
+    src, tgt = _encoded(model, ["abcd"], ["xyz", "x"])
     # each domain padded to its own longest sentence
-    assert enc.src.tagger.shape == (1, 4, 32)
-    assert enc.src.shared.shape == (1, 4, 16) and enc.src.mask.shape == (1, 4)
-    assert enc.tgt.tagger.shape == (2, 3, 32)
-    assert enc.tgt.shared.shape == (2, 3, 16) and enc.tgt.mask.shape == (2, 3)
-    l_src, l_tgt = tagging_losses(model, enc, ["BEBE"], ["BME", "S"])
+    assert src.tagger.shape == (1, 4, 32)
+    assert src.shared.shape == (1, 4, 16) and src.mask.shape == (1, 4)
+    assert tgt.tagger.shape == (2, 3, 32)
+    assert tgt.shared.shape == (2, 3, 16) and tgt.mask.shape == (2, 3)
+    l_src, l_tgt = tagging_losses(model, src, tgt, ["BEBE"], ["BME", "S"])
     assert l_src.item() > 0 and l_tgt.item() > 0
     at = DaatModel.create(["abcd", "xyz"], cfg, "at",
                           np.random.default_rng(0))
-    encoded = at.encode(["abcd"], ["xyz"])
-    assert encoded.tgt.tagger is None  # the shared pass only
-    assert encoded.tgt.shared.shape == (1, 3, 16)
-    l_src, l_tgt = tagging_losses(at, encoded, ["BEBE"], [""])
+    src, tgt = _encoded(at, ["abcd"], ["xyz"])
+    assert tgt.tagger is None  # the shared pass only
+    assert tgt.shared.shape == (1, 3, 16)
+    l_src, l_tgt = tagging_losses(at, src, tgt, ["BEBE"], [""])
     assert l_src.item() > 0 and l_tgt is None
 
 
@@ -299,7 +301,7 @@ def _losses_and_grads(model, losses):
     grads = {}
     for name, p in model.params().items():
         grads[name] = None if p.grad is None else p.grad.copy()
-        p.zero_grad()
+        p.grad = None
     return [l if l is None else l.item() for l in losses], grads
 
 
