@@ -495,13 +495,17 @@ def _domain_bce(model: DaatModel, src: Block, tgt: Block,
 
     flip=False scores the true domains on detached shared features
     (discriminator loss); flip=True swaps them and reaches the shared
-    encoder (confusion loss). Probabilities are clamped to 1e-7.
+    encoder (confusion loss). Probabilities are clamped to 1e-7. A block
+    without rows is a ValueError naming its domain.
     """
     means = []
-    for block, is_src in ((src, True), (tgt, False)):
+    for block, domain in ((src, "source"), (tgt, "target")):
+        if not len(block.mask):
+            raise ValueError(f"the step has no {domain} rows")
         shared = block.shared if flip else block.shared.detach()
         p = clamped(model.disc.forward(shared, block.mask))  # (B, 1)
-        logp = log(p) if is_src != flip else log(sub(1.0, p))
+        says_src = (domain == "source") != flip  # scored by log p
+        logp = log(p) if says_src else log(sub(1.0, p))
         means.append(scale(sum_all(logp), 1.0 / len(block.mask)))
     return sub(0.0, means[0] + means[1])
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import crossseg.train as train_mod
-from crossseg.autodiff import backward
+from crossseg.autodiff import Tensor, backward
 from crossseg.corpus import dataset_from_segmented
 from crossseg.errors import DataError
 from crossseg.evaluate import prf
@@ -233,6 +233,20 @@ def test_confusion_loss_reaches_shared_encoder():
     shared = model.enc_shr.params("enc_shr")
     assert shared
     assert all(p.grad is not None for p in shared.values())
+
+
+@pytest.mark.parametrize("loss_fn", [discriminator_loss, confusion_loss])
+@pytest.mark.parametrize("empty", ["source", "target"])
+def test_adversarial_losses_reject_an_empty_domain(loss_fn, empty):
+    # encode rejects an empty batch, so the rowless block is cut by hand
+    model = _untrained("daat")
+    blocks = {"source": model.encode(["abc"], "source"),
+              "target": model.encode(["xyz", "ab"], "target")}
+    cut = blocks[empty]
+    blocks[empty] = cut._replace(mask=cut.mask[:0],
+                                 shared=Tensor(cut.shared.data[:0]))
+    with pytest.raises(ValueError, match=f"no {empty} rows"):
+        loss_fn(model, blocks["source"], blocks["target"])
 
 
 @pytest.mark.parametrize("kind", ["segmenter", "daat"])
