@@ -10,17 +10,43 @@ once, less their maxima, each position costs one (B, 4) @ (4, 4) product
 and one normalisation, and log Z is the sum of the log scales plus the
 maxima. Scores so far apart that a scale underflows to zero (a spread of
 transition, start or stop scores beyond about 700) raise ValueError
-rather than give inf or NaN. Decoding is Viterbi in max-plus form, with
-ties broken toward the lowest tag index in the order B, M, E, S.
+rather than give inf or NaN.
+
+Decoding is Viterbi as a blocked max-plus scan. Step i of the recursion
+applies the matrix trans.T + e[i] (to, from) to the deltas of position
+i - 1 in the max-plus semiring (max for sum, + for product), whose
+products are associative, as in scan-parallel Viterbi (Hassan, Sarkka and
+Garcia-Fernandez 2021). The T - 1 steps are cut into blocks of
+k = isqrt(T - 1): k - 1 vectorised products give every prefix product
+inside every block, one short loop over the block starts carries the
+deltas from block to block, and one reduction gives every other delta from
+its block's start. One tournament over the deltas picks every back
+pointer, and pointer jumping (about log2 T gathers) turns them into paths.
+A call costs O(sqrt T) numpy calls, not O(T).
+
+Ties go to the lowest tag index in the order B, M, E, S, at every back
+pointer and at the last tag, as in the sequential recursion. The scan adds
+up each delta in another order than the sequential recursion, so a delta
+can differ from it in the last bits, and a path equals the sequential one
+except where two candidates lie within such rounding of each other (a
+float near-tie). Integer-valued scores add up exactly in any order, so
+their ties break exactly as in the sequential recursion. A NaN or infinite
+score at a real position, or in trans, start or stop, raises ValueError: a
+scan would spread one NaN over its whole block.
 
 Both run on padded batches: emissions (B, T, 4) with a (B, T) length mask
-that is true on a prefix of each row. One recursion over T serves all B
-sentences; at positions past a sentence's length its alpha, beta and
-Viterbi scores are carried over unchanged, so each sentence gets exactly
-the numbers it would get alone, and its padded emissions are never read.
+that is true on a prefix of each row, and one recursion or scan over T
+for all B sentences. Forward-backward carries alpha, beta and the scale
+past a sentence's length unchanged, so each sentence gets exactly the
+numbers it would get alone. Viterbi scores padding 0, starts each path
+from its sentence's delta at its last position and keeps a path's tag
+past its end, so padded deltas are never read; its blocks follow the
+batch's longest sentence, so a sentence's path differs from its path
+alone at most on a float near-tie.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,34 +212,81 @@ def nll_loss(emissions: Tensor, head: CrfHead, gold: np.ndarray,
     return out
 
 
+def _max_plus_scan(e: np.ndarray, trans: np.ndarray,
+                   start: np.ndarray) -> np.ndarray:
+    """Viterbi deltas (T, 4, B) of position-major emissions e (T, 4, B):
+    delta[i, y, b] is the best score of a path of sentence b that ends in
+    tag y at position i. Blocks of k = isqrt(T - 1) steps; steps that fill
+    out the last block score 0 and only reach deltas past T."""
+    n, _, bsz = e.shape
+    k = max(1, math.isqrt(n - 1))
+    m = max(1, -(-(n - 1) // k))
+    steps = np.zeros((m, k, N_TAGS, 1, bsz))
+    steps.reshape(m * k, N_TAGS, bsz)[:n - 1] = e[1:]
+    # step i's matrix is trans.T + e[i] (to, from); prefix[j] of block b
+    # becomes the max-plus product of its steps 1 + bk + j, ..., 1 + bk
+    prefix = np.empty((k, N_TAGS, N_TAGS, m, bsz))
+    np.add(trans.T[:, :, None, None], steps.transpose(1, 2, 3, 0, 4),
+           out=prefix)
+    prod = np.empty((N_TAGS,) + prefix.shape[1:])  # (to, mid, from, m, B)
+    for j in range(1, k):
+        np.add(prefix[j][:, :, None], prefix[j - 1], out=prod)
+        prod.max(axis=1, out=prefix[j])
+    # deltas at the block starts 0, k, 2k, ..., then all others from them
+    delta = np.empty((m * k + 1, N_TAGS, bsz))
+    delta[0] = start[:, None] + e[0]
+    whole = prefix[-1].transpose(2, 0, 1, 3)  # (m, to, from, B)
+    for b in range(1, m):
+        (whole[b - 1] + delta[(b - 1) * k]).max(axis=1, out=delta[b * k])
+    prefix += delta[:-1:k].transpose(1, 0, 2)
+    prefix.max(axis=2,
+               out=delta[1:].reshape(m, k, N_TAGS, bsz).transpose(1, 2, 0, 3))
+    return delta[:n]
+
+
 def viterbi_decode(emissions: np.ndarray, trans: np.ndarray,
                    start: np.ndarray, stop: np.ndarray,
                    mask: np.ndarray) -> np.ndarray:
     """Highest-scoring tag index paths (B, T) of a batch of emissions
     (B, T, 4) with length mask (B, T); ties pick the lowest index. Entries
-    past a sentence's length repeat its last tag."""
-    e = np.asarray(emissions, dtype=np.float64)
-    bsz, n = e.shape[:2]
+    past a sentence's length repeat its last tag. Raises ValueError when
+    a score at a real position, or in trans, start or stop, is NaN or
+    infinite; padding may hold anything."""
+    em = np.asarray(emissions, dtype=np.float64)
+    bsz, n = em.shape[:2]
     lengths = _lengths(mask, (bsz, n))
     valid = np.asarray(mask, dtype=bool).T  # (T, B)
-    # every step runs over the whole batch and each path is read off its
-    # sentence's last step; padding, which may hold NaN or inf, scores 0
-    e = np.where(valid[:, :, None], e.transpose(1, 0, 2), 0.0)  # (T, B, 4)
-    to_from = np.ascontiguousarray(trans.T)
-    delta = np.empty((n, bsz, 1, N_TAGS))
-    back = np.empty((n, bsz, N_TAGS), dtype=np.intp)
-    cand = np.empty((bsz, N_TAGS, N_TAGS))  # (B, to, from)
-    delta[0, :, 0] = start + e[0]
-    for i in range(1, n):
-        np.add(delta[i - 1], to_from, out=cand)
-        cand.argmax(axis=2, out=back[i])
-        best = cand.max(axis=2, out=delta[i, :, 0])
-        best += e[i]
+    # position-major emissions, batch last; padding scores 0
+    e = np.where(valid[:, None], em.transpose(1, 2, 0), 0.0)
+    if not all(np.isfinite(x).all() for x in (e, trans, start, stop)):
+        raise ValueError("Viterbi scores must be finite")
+    # the scan's block arrays are freed before the back pointers allocate
+    # theirs, which keeps the heap that each call grows and trims small
+    delta = _max_plus_scan(e, trans, start)
+    # back[i - 1, to]: the best tag at i - 1 before tag `to` at i, the
+    # argmax over `from` as a two-round tournament, ties to the lower tag
+    # (argmax over an axis of 4 costs a loop per row of 4)
+    cand = np.empty((N_TAGS, n - 1, N_TAGS, bsz))  # (from, T - 1, to, B)
+    np.add(delta[:n - 1].transpose(1, 0, 2)[:, :, None],
+           trans[:, None, :, None], out=cand)
+    back = np.where(np.maximum(cand[2], cand[3])
+                    > np.maximum(cand[0], cand[1]),
+                    (cand[3] > cand[2]) + 2, cand[1] > cand[0])
     rows = np.arange(bsz)
-    back[~valid] = np.arange(N_TAGS)  # past its end a path keeps its tag
-    path = np.empty((n, bsz), dtype=np.int64)
-    path[n - 1] = (delta[lengths - 1, rows, 0] + stop).argmax(axis=1)
-    offsets = rows * N_TAGS
-    for i in range(n - 1, 0, -1):
-        path[i - 1] = back[i].take(offsets + path[i])
-    return path.T
+    last = (delta[lengths - 1, :, rows] + stop).argmax(axis=1)
+    # pointer jumping: jump[i, t, b] is the flat index in jump of (i, s, b),
+    # s the tag at i of the best path through tag t at min(i + span, T - 1);
+    # past its end a path keeps its tag
+    same = np.arange(N_TAGS)[:, None]
+    width = N_TAGS * bsz
+    base = np.arange(n)[:, None] * width + rows  # (T, B)
+    jump = np.empty((n, N_TAGS, bsz), dtype=np.intp)
+    jump[:-1] = np.where(valid[1:, None], back, same)
+    jump[-1] = same
+    jump = jump * bsz + base[:, None]
+    flat = jump.reshape(-1)
+    span = 1
+    while span < n - 1:
+        flat.take(jump[span:] - span * width, out=jump[:n - span])
+        span *= 2
+    return ((flat.take(base + last * bsz) - base) // bsz).T

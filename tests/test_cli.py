@@ -397,11 +397,25 @@ def _wrong_shape(hyper, tensors):
     return "'embedding'"
 
 
+def _nan_tensor(hyper, tensors):
+    # caught at load, not at the first Viterbi call
+    name = next(n for n in tensors if n.endswith(".emit_b"))
+    tensors[name][1] = np.nan
+    return repr(name)
+
+
+def _inf_tensor(hyper, tensors):
+    name = next(n for n in tensors if n.endswith(".trans"))
+    tensors[name][0, 2] = -np.inf
+    return repr(name)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("edit", [
     _drop_key, _word_value, _even_window, _huge_value, _bad_vocab,
     _unknown_kind, _unknown_mode, _extra_key, _drop_tensor, _extra_tensor,
-    _wrong_shape], ids=lambda f: f.__name__.strip("_"))
+    _wrong_shape, _nan_tensor, _inf_tensor],
+    ids=lambda f: f.__name__.strip("_"))
 def test_segment_rejects_malformed_model(kind, edit, tmp_path, capsys):
     hyper, tensors = load_container(DATA / f"{kind}.bin")
     names = edit(hyper, tensors)

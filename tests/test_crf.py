@@ -102,6 +102,73 @@ def test_viterbi_ragged_ties_and_non_finite_padding_match_reference():
             assert got[b].tolist() == want + want[-1:] * (max(lengths) - n)
 
 
+def test_viterbi_every_length_to_80_matches_reference():
+    rng = np.random.default_rng(18)
+    for n in range(1, 81):
+        e, t, start, stop = random_instance(rng, n)
+        got = viterbi_decode(e[None], t, start, stop, np.ones((1, n), bool))
+        assert got[0].tolist() == viterbi_ref(e, t, start, stop), n
+        if n <= 6:
+            assert tuple(got[0]) == crf_best_path(e, t, start, stop), n
+
+
+# Lengths T whose T - 1 is k m - 1, k m or k m + 1 for m = k, k + 1, k + 2:
+# the scan takes blocks of k = isqrt(T - 1) steps, so its last block is one
+# step short, full or a single step, and k itself changes between them.
+BLOCK_EDGES = sorted({k * m + d + 1 for k in (1, 2, 3, 5, 20)
+                      for m in (k, k + 1, k + 2) for d in (-1, 0, 1)})
+
+
+def integer_scores(rng, shape):
+    return rng.integers(-2, 3, size=shape).astype(float)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["float", "int-ties"])
+def test_viterbi_block_edges_match_reference(ties):
+    # integer scores tie often, and their sums are exact in any order, so
+    # the scan must then break ties exactly as the sequential recursion
+    rng = np.random.default_rng(19)
+    draw = integer_scores if ties else (lambda r, s: r.normal(size=s))
+    t, start, stop = draw(rng, (4, 4)), draw(rng, 4), draw(rng, 4)
+    for n in BLOCK_EDGES:
+        e = draw(rng, (n, 4))
+        got = viterbi_decode(e[None], t, start, stop, np.ones((1, n), bool))
+        assert got[0].tolist() == viterbi_ref(e, t, start, stop), n
+    # rows ending inside different blocks, at block starts and block ends
+    # of the batch's own k (10 for T = 101, 21 for T = 442)
+    for lengths in ([1, 2, 10, 11, 12, 21, 55, 99, 100, 101], BLOCK_EDGES):
+        e, mask, _ = ragged(rng, lengths)
+        e[mask] = draw(rng, (int(mask.sum()), 4))
+        got = viterbi_decode(e, t, start, stop, mask)
+        for b, n in enumerate(lengths):
+            want = viterbi_ref(e[b, :n], t, start, stop)
+            assert got[b].tolist() == want + want[-1:] * (max(lengths) - n)
+
+
+def test_viterbi_long_sentence_matches_reference():
+    rng = np.random.default_rng(20)
+    e, t, start, stop = random_instance(rng, 5000)
+    got = viterbi_decode(e[None], t, start, stop, np.ones((1, 5000), bool))
+    assert got[0].tolist() == viterbi_ref(e, t, start, stop)
+
+
+def test_viterbi_non_finite_scores_raise():
+    # one NaN would spread over its whole block of the scan; padding may
+    # hold anything (see the ragged ties test above)
+    mask = np.array([[True, True, True], [True, False, False]])
+    for bad in (np.nan, np.inf, -np.inf):
+        e = np.zeros((2, 3, 4))
+        e[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            viterbi_decode(e, np.zeros((4, 4)), np.zeros(4), np.zeros(4),
+                           mask)
+        for i in range(3):
+            scores = [np.zeros((4, 4)), np.zeros(4), np.zeros(4)]
+            scores[i].flat[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                viterbi_decode(np.zeros((2, 3, 4)), *scores, mask)
+
+
 def test_loss_gradient_is_marginal_gap():
     # d nll / d e[b, i, y] = P(tag_i = y) - [gold_i = y] within a sentence,
     # exactly zero past its end

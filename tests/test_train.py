@@ -182,8 +182,19 @@ def test_segment_edge_sentences_join_back(kind, domain, sentence):
 
 @pytest.mark.parametrize("kind", ["daat", "at"])
 def test_daat_segment_rejects_unknown_domain(kind):
+    model = _untrained(kind)
     with pytest.raises(ValueError, match="bogus"):
-        _untrained(kind).segment("abcd", "bogus")
+        model.segment("abcd", "bogus")
+    with pytest.raises(ValueError, match="bogus"):  # nothing to encode
+        model.segment("", "bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        model.segment_batch(["", ""], "bogus")
+
+
+def test_segmenter_ignores_domain():
+    model = _untrained("segmenter")
+    assert model.segment_batch(["", "ab"], "bogus") == \
+        model.segment_batch(["", "ab"])
 
 
 def _encoded(model, src=("abc",), tgt=("xyz",)):
