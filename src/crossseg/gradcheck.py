@@ -17,7 +17,7 @@ import numpy as np
 from . import crf as crf_mod
 from .autodiff import Tensor, backward, log, mul, sub, sum_all
 from .nn import GcnnEncoder, GcnnLayer, TextCnn, clamped
-from .train import (DaatModel, TrainConfig, confusion_loss,
+from .train import (Segmenter, TrainConfig, confusion_loss,
                     discriminator_loss, tagging_losses)
 
 H = 1e-4
@@ -135,11 +135,11 @@ def _check_crf_nll(rng: np.random.Generator) -> float:
     return max_rel_error(build, params, rng)
 
 
-def _tiny_model(rng: np.random.Generator) -> DaatModel:
+def _tiny_model(rng: np.random.Generator) -> Segmenter:
     cfg = TrainConfig(epochs=1, batch_size=2, dropout=0.0, char_emb=3,
                       gcnn_dim=3, gcnn_layers=1, textcnn_filters=2,
                       filter_sizes=(2, 3), window=3)
-    model = DaatModel.create(["abcd", "ebc", "ddca"], cfg, "daat", rng)
+    model = Segmenter.create(["abcd", "ebc", "ddca"], cfg, rng, "daat")
     model.disc.proj_w.data[:] = 0.5 * rng.normal(
         size=model.disc.proj_w.data.shape)
     return model
@@ -155,26 +155,30 @@ STEPS = (([s for s, _ in SRC], [s for s, _ in TGT]),
          (["a", "abcd", "e"], ["d", "c"]))
 
 
-def _blocks(model: DaatModel, src: list[str], tgt: list[str]):
+def _blocks(model: Segmenter, src: list[str], tgt: list[str]):
     return model.encode(src, "source"), model.encode(tgt, "target")
 
 
-def _worst_over_steps(loss_fn, model: DaatModel, params, rng) -> float:
+def _worst_over_steps(loss_fn, model: Segmenter, params, rng) -> float:
     return max(max_rel_error(lambda: loss_fn(model, *_blocks(model, *step)),
                              params, rng) for step in STEPS)
+
+
+def _named(model: Segmenter, *prefixes: str) -> dict[str, Tensor]:
+    """The params() tensors whose names start with one of prefixes."""
+    return {k: v for k, v in model.params().items() if k.startswith(prefixes)}
 
 
 def _check_discriminator(rng: np.random.Generator) -> float:
     model = _tiny_model(rng)
     # detached by the loss: only disc gets gradient
-    return _worst_over_steps(discriminator_loss, model, model.disc_params(),
-                             rng)
+    return _worst_over_steps(discriminator_loss, model,
+                             _named(model, "disc."), rng)
 
 
 def _check_confusion(rng: np.random.Generator) -> float:
     model = _tiny_model(rng)
-    params = {"embedding": model.embedding.table,
-              **model.enc_shr.params("enc_shr"), **model.disc_params()}
+    params = _named(model, "embedding", "enc_shr.", "disc.")
     return _worst_over_steps(confusion_loss, model, params, rng)
 
 

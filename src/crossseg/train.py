@@ -1,38 +1,41 @@
-"""Segmenter training: single-domain baseline and the dual-encoder
-adversarial trainer, both run by one training loop.
+"""Segmenter training: the single-domain baseline and the dual-encoder
+adversarial trainer, both run by one training loop on one model type.
 
-The baseline segmenter is embedding -> gated convolution stack -> CRF. The
-adversarial model keeps three encoders over one shared embedding table: a
-private encoder per domain plus a shared one. A sentence from domain d is
-scored by the CRF head of d on the concatenation [private_d ; shared]. A
-text-CNN discriminator reads the same shared features. Every step runs on
-padded (B, T, d) batches with a (B, T) length mask.
+A Segmenter is built from named towers over one embedding table; a tower
+is a private gated convolution encoder and the CRF head that reads it.
+The baseline has one tower, "", that scores every domain: embedding ->
+gated convolution stack -> CRF. The adversarial model has a source and a
+target tower plus a shared encoder. A sentence from domain d is scored by
+the CRF head of d on the concatenation [private_d ; shared]. A text-CNN
+discriminator reads the same shared features. AT mode never trains its
+target tower and decodes the target domain with the source tower. Every
+step runs on padded (B, T, d) batches with a (B, T) length mask.
 
-Both model kinds have one encode(sentences, domain, training, rng) that
-turns one domain's batch into a Block: the features the domain's CRF head
-reads, that head, the length mask and, for the adversarial model, the
-shared features. Training, decoding and gradcheck all read Blocks. A
-DaatModel block costs one embedding, one shared-encoder pass and one pass
-of the domain's private encoder, padded only to the batch's own longest
-sentence, and that one shared pass feeds both the CRF head and the
-discriminator. Decoding sorts sentences by length into buckets of at most
-DECODE_BUDGET padded positions and runs one encode and one Viterbi per
-bucket. Steps alternate between sharpening the discriminator (odd
-steps, discriminator loss on detached shared features) and confusing it
-(even steps, confusion loss, discriminator frozen). All randomness flows
-from the config seed, so two runs with equal inputs produce identical
-parameters.
+One encode(sentences, domain, training, rng) turns one domain's batch
+into a Block: the features the domain's CRF head reads, that head, the
+length mask and the shared features, if any. Training, decoding and
+gradcheck all read Blocks. An adversarial block costs one embedding, one
+shared-encoder pass and one pass of the domain's private encoder, padded
+only to the batch's own longest sentence, and that one shared pass feeds
+both the CRF head and the discriminator. Decoding sorts sentences by
+length into buckets of at most DECODE_BUDGET padded positions and runs
+one encode and one Viterbi per bucket. Steps alternate between
+sharpening the discriminator (odd steps, discriminator loss on detached
+shared features) and confusing it (even steps, confusion loss,
+discriminator frozen). All randomness flows from the config seed, so two
+runs with equal inputs produce identical parameters.
 
 One loop, _fit, runs both trainers; each gives it a batch source per epoch
 and a step function. It backpropagates, steps the optimizers, sends one
 record per step to the hook and the TSV log, and names the epoch and step
 of a step whose scores diverge.
 
-Both model kinds save and load through one path: a container holds the
-kind (and mode), the config fields stored for that kind, the vocabulary,
-and every params() tensor under exactly its params() name. load_model
-checks the kind, mode, keys, tensor names and shapes; load_container has
-checked the layout up to EOF.
+A model saves and loads through one path: a container holds the kind
+("segmenter" for the baseline, "daat" with its mode for the adversarial
+model), the config fields stored for that kind, the vocabulary, and every
+params() tensor under exactly its params() name. load_model checks the
+kind, mode, keys, tensor names and shapes; load_container has checked the
+layout up to EOF.
 """
 from __future__ import annotations
 
@@ -145,7 +148,7 @@ class Block(NamedTuple):
     tagger: Tensor | None  # (B, T, d) features the CRF head reads
     head: crf_mod.CrfHead | None  # None with tagger: an untrained tower
     mask: np.ndarray  # (B, T), true at the real characters
-    shared: Tensor | None = None  # the discriminator's input (DaatModel)
+    shared: Tensor | None = None  # the discriminator's input, if any
 
 
 def _batch_loss(block: Block, tags: list[str]) -> Tensor:
@@ -180,33 +183,6 @@ def _buckets(sentences: list[str]) -> list[list[int]]:
         else:
             out.append([i])
     return out
-
-
-def _segment_batch(model: "Segmenter | DaatModel", sentences: list[str],
-                   domain: str = "target") -> list[list[str]]:
-    """Words of the Viterbi tag path of every sentence, in input order (an
-    empty sentence gives []). Each length bucket runs one _tower encode and
-    one Viterbi; domain picks the tower of a DAAT model and is ignored by a
-    Segmenter."""
-    out: list[list[str]] = [[] for _ in sentences]
-    for bucket in _buckets(sentences):
-        batch = [sentences[i] for i in bucket]
-        block = model._tower(batch, domain)
-        head = block.head
-        emis = crf_mod.emission_scores(block.tagger, head)
-        paths = crf_mod.viterbi_decode(emis.data, head.trans.data,
-                                       head.start.data, head.stop.data,
-                                       block.mask)
-        for i, s, path in zip(bucket, batch, paths):
-            tags = "".join(TAGS[k] for k in path[:len(s)])
-            out[i] = tags_to_words(s, tags)
-    return out
-
-
-def _segment(model: "Segmenter | DaatModel", sentence: str,
-             domain: str = "target") -> list[str]:
-    """Words of the Viterbi tag path of one sentence (segment_batch)."""
-    return model.segment_batch([sentence], domain)[0]
 
 
 # The losses a step reports, in the order of their TSV columns.
@@ -258,45 +234,152 @@ def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
     return records
 
 
-@dataclass(eq=False)
-class Segmenter:
-    """Single-domain GCNN-CRF segmenter."""
-    embedding: EmbeddingTable
+def _check_domain(domain: str) -> None:
+    if domain not in ("source", "target"):
+        raise ValueError(f"unknown domain {domain!r}")
+
+
+class Tower(NamedTuple):
+    """A private encoder and the CRF head that reads its features."""
     encoder: GcnnEncoder
     head: crf_mod.CrfHead
+
+
+# The suffix of a tower's tensor names: enc_src.*, crf_tgt.*; the
+# baseline's one tower "" writes enc.* and crf.*.
+_SUFFIX = {"": "", "source": "_src", "target": "_tgt"}
+
+
+@dataclass(eq=False)
+class Segmenter:
+    """GCNN-CRF segmenter built from named towers, domain -> Tower.
+
+    The baseline (mode None) has one tower, "", that scores every domain.
+    The adversarial model (mode "daat" or "at") has a source and a target
+    tower, a shared encoder whose features every CRF head also reads, and
+    a text-CNN discriminator over the shared features. AT mode never
+    trains its target tower.
+    """
+    embedding: EmbeddingTable
+    towers: dict[str, Tower]
     config: TrainConfig
+    shared: GcnnEncoder | None = None
+    disc: TextCnn | None = None
+    mode: str | None = None
     loss_history: list[float] = field(default_factory=list, init=False)
 
     @staticmethod
     def create(sentences: list[str], cfg: TrainConfig,
-               rng: np.random.Generator) -> "Segmenter":
+               rng: np.random.Generator,
+               mode: str | None = None) -> "Segmenter":
+        """A fresh model over the characters of sentences: the baseline
+        for mode None, else the adversarial model. The rng is drawn from
+        in the order embedding, encoders (towers, then shared),
+        discriminator, CRF heads."""
+        if mode not in (None, "daat", "at"):
+            raise ValueError(f"unknown mode {mode!r}")
         emb = EmbeddingTable.build(sentences, cfg.char_emb, rng)
-        enc = GcnnEncoder.create(cfg.gcnn_layers, cfg.window, cfg.char_emb,
-                                 cfg.gcnn_dim, cfg.dropout, rng)
-        head = crf_mod.CrfHead.create(cfg.gcnn_dim, rng)
-        return Segmenter(emb, enc, head, cfg)
+
+        def enc() -> GcnnEncoder:
+            return GcnnEncoder.create(cfg.gcnn_layers, cfg.window,
+                                      cfg.char_emb, cfg.gcnn_dim,
+                                      cfg.dropout, rng)
+
+        names = ("",) if mode is None else ("source", "target")
+        encoders = [enc() for _ in names]
+        shared = disc = None
+        if mode is not None:
+            shared = enc()
+            disc = TextCnn.create(cfg.filter_sizes, cfg.gcnn_dim,
+                                  cfg.textcnn_filters, rng)
+        hidden = cfg.gcnn_dim if shared is None else 2 * cfg.gcnn_dim
+        towers = {name: Tower(e, crf_mod.CrfHead.create(hidden, rng))
+                  for name, e in zip(names, encoders)}
+        return Segmenter(emb, towers, cfg, shared, disc, mode)
+
+    def tagger_params(self) -> dict[str, Tensor]:
+        """Every tensor but the discriminator's, in file order."""
+        out = {"embedding": self.embedding.table}
+        for name, tower in self.towers.items():
+            out.update(tower.encoder.params("enc" + _SUFFIX[name]))
+        if self.shared is not None:
+            out.update(self.shared.params("enc_shr"))
+        for name, tower in self.towers.items():
+            out.update(tower.head.params("crf" + _SUFFIX[name]))
+        return out
 
     def params(self) -> dict[str, Tensor]:
-        out = {"embedding": self.embedding.table}
-        out.update(self.encoder.params("enc"))
-        out.update(self.head.params("crf"))
+        out = self.tagger_params()
+        if self.disc is not None:
+            out.update(self.disc.params("disc"))
         return out
 
     def encode(self, sentences: list[str], domain: str,
                training: bool = False,
                rng: np.random.Generator | None = None) -> Block:
-        """A batch's encoder features, the CRF head and the length mask;
-        domain is ignored."""
+        """One domain's batch: one embedding, the shared-encoder pass if
+        there is one, then one pass of the domain's tower (the order of
+        the dropout draws); its tagger features, [private ; shared] or the
+        private ones alone, and its CRF head. The target tower is never
+        trained in AT mode, so there a target batch gets the shared pass
+        only."""
+        _check_domain(domain)
         x, mask = self.embedding.embed(sentences)
-        return Block(self.encoder.forward(x, mask, training, rng), self.head,
-                     mask)
+        shared = None if self.shared is None \
+            else self.shared.forward(x, mask, training, rng)
+        if domain == "target" and self.mode == "at":
+            return Block(None, None, mask, shared)
+        enc, head = self.towers[domain if domain in self.towers else ""]
+        private = enc.forward(x, mask, training, rng)
+        tagger = private if shared is None else concat_cols([private, shared])
+        return Block(tagger, head, mask, shared)
 
-    _tower = encode  # decoding reads the one tower a Segmenter trains
-    segment_batch = _segment_batch
-    segment = _segment
+    def segment_batch(self, sentences: list[str],
+                      domain: str = "target") -> list[list[str]]:
+        """Words of the Viterbi tag path of every sentence, in input order
+        (an empty sentence gives []). Each length bucket runs one encode
+        and one Viterbi. AT mode decodes the target domain with the source
+        tower, the one it trains. An unknown domain is a ValueError even
+        when no sentence has a character to encode."""
+        _check_domain(domain)
+        if domain == "target" and self.mode == "at":
+            domain = "source"
+        out: list[list[str]] = [[] for _ in sentences]
+        for bucket in _buckets(sentences):
+            batch = [sentences[i] for i in bucket]
+            block = self.encode(batch, domain)
+            head = block.head
+            emis = crf_mod.emission_scores(block.tagger, head)
+            paths = crf_mod.viterbi_decode(emis.data, head.trans.data,
+                                           head.start.data, head.stop.data,
+                                           block.mask)
+            for i, s, path in zip(bucket, batch, paths):
+                tags = "".join(TAGS[k] for k in path[:len(s)])
+                out[i] = tags_to_words(s, tags)
+        return out
+
+    def segment(self, sentence: str, domain: str = "target") -> list[str]:
+        """Words of the Viterbi tag path of one sentence (segment_batch)."""
+        return self.segment_batch([sentence], domain)[0]
 
     def save(self, path: str) -> None:
-        _save(self, path, {"kind": "segmenter"})
+        """Write the container load_model reads: the kind (and mode), the
+        config fields stored for the kind, the vocabulary, and every
+        params() tensor under exactly its params() name."""
+        hyper = {"kind": "segmenter"} if self.mode is None \
+            else {"kind": "daat", "mode": self.mode}
+        for key in _STORED_FIELDS[hyper["kind"]]:
+            value = getattr(self.config, key)
+            hyper[key] = ",".join(map(str, value)) if key == "filter_sizes" \
+                else str(value)
+        hyper["vocab"] = _vocab_string(self.embedding)
+        save_container(path, hyper,
+                       {k: v.data for k, v in self.params().items()})
+
+
+# crossseg.DaatModel is public (in __all__), and perfbench/tracer.py
+# patches train.DaatModel.segment and .save by name.
+DaatModel = Segmenter
 
 
 def _vocab_string(emb: EmbeddingTable) -> str:
@@ -329,101 +412,6 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
     return model
 
 
-def _check_domain(domain: str) -> None:
-    if domain not in ("source", "target"):
-        raise ValueError(f"unknown domain {domain!r}")
-
-
-@dataclass(eq=False)
-class DaatModel:
-    """Dual private encoders plus a shared adversarial encoder."""
-    embedding: EmbeddingTable
-    enc_src: GcnnEncoder
-    enc_tgt: GcnnEncoder
-    enc_shr: GcnnEncoder
-    disc: TextCnn
-    crf_src: crf_mod.CrfHead
-    crf_tgt: crf_mod.CrfHead
-    config: TrainConfig
-    mode: str = "daat"
-
-    def __post_init__(self):
-        if self.mode not in ("daat", "at"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    @staticmethod
-    def create(sentences: list[str], cfg: TrainConfig, mode: str,
-               rng: np.random.Generator) -> "DaatModel":
-        emb = EmbeddingTable.build(sentences, cfg.char_emb, rng)
-
-        def enc() -> GcnnEncoder:
-            return GcnnEncoder.create(cfg.gcnn_layers, cfg.window,
-                                      cfg.char_emb, cfg.gcnn_dim,
-                                      cfg.dropout, rng)
-
-        enc_src, enc_tgt, enc_shr = enc(), enc(), enc()
-        disc = TextCnn.create(cfg.filter_sizes, cfg.gcnn_dim,
-                              cfg.textcnn_filters, rng)
-        crf_src = crf_mod.CrfHead.create(2 * cfg.gcnn_dim, rng)
-        crf_tgt = crf_mod.CrfHead.create(2 * cfg.gcnn_dim, rng)
-        return DaatModel(emb, enc_src, enc_tgt, enc_shr, disc, crf_src,
-                         crf_tgt, cfg, mode)
-
-    def tagger_params(self) -> dict[str, Tensor]:
-        out = {"embedding": self.embedding.table}
-        out.update(self.enc_src.params("enc_src"))
-        out.update(self.enc_tgt.params("enc_tgt"))
-        out.update(self.enc_shr.params("enc_shr"))
-        out.update(self.crf_src.params("crf_src"))
-        out.update(self.crf_tgt.params("crf_tgt"))
-        return out
-
-    def disc_params(self) -> dict[str, Tensor]:
-        return self.disc.params("disc")
-
-    def params(self) -> dict[str, Tensor]:
-        out = self.tagger_params()
-        out.update(self.disc_params())
-        return out
-
-    def encode(self, sentences: list[str], domain: str,
-               training: bool = False,
-               rng: np.random.Generator | None = None) -> Block:
-        """One domain's batch: one embedding, one shared-encoder pass, then
-        one pass of the domain's private encoder (the order of the dropout
-        draws), its tagger features [private ; shared] and CRF head. The
-        target tower is never trained in AT mode, so there a target batch
-        gets the shared pass only."""
-        _check_domain(domain)
-        x, mask = self.embedding.embed(sentences)
-        shared = self.enc_shr.forward(x, mask, training, rng)
-        if domain == "target" and self.mode == "at":
-            return Block(None, None, mask, shared)
-        enc, head = (self.enc_src, self.crf_src) if domain == "source" \
-            else (self.enc_tgt, self.crf_tgt)
-        private = enc.forward(x, mask, training, rng)
-        return Block(concat_cols([private, shared]), head, mask, shared)
-
-    def _tower(self, sentences: list[str], domain: str) -> Block:
-        """The block that decodes a batch of the domain: AT mode decodes
-        the target domain with the source tower, the one it trains."""
-        if self.mode == "at" and domain == "target":
-            domain = "source"
-        return self.encode(sentences, domain)
-
-    def segment_batch(self, sentences: list[str],
-                      domain: str = "target") -> list[list[str]]:
-        """_segment_batch; an unknown domain is a ValueError even when no
-        sentence has a character to encode."""
-        _check_domain(domain)
-        return _segment_batch(self, sentences, domain)
-
-    segment = _segment
-
-    def save(self, path: str) -> None:
-        _save(self, path, {"kind": "daat", "mode": self.mode})
-
-
 # The TrainConfig fields a container stores for each model kind, in file
 # order. Everything else a model needs is in its params() tensors.
 _STORED_FIELDS = {
@@ -443,20 +431,8 @@ class _Skeleton:
         return np.broadcast_to(0.0, size)
 
 
-def _save(model: "Segmenter | DaatModel", path: str,
-          head: dict[str, str]) -> None:
-    hyper = dict(head)
-    for key in _STORED_FIELDS[head["kind"]]:
-        value = getattr(model.config, key)
-        hyper[key] = ",".join(map(str, value)) if key == "filter_sizes" \
-            else str(value)
-    hyper["vocab"] = _vocab_string(model.embedding)
-    save_container(path, hyper,
-                   {k: v.data for k, v in model.params().items()})
-
-
-def load_model(path: str) -> "Segmenter | DaatModel":
-    """Load either model kind from a container file holding exactly what
+def load_model(path: str) -> Segmenter:
+    """Load a model of either kind from a container file holding exactly what
     save writes, with finite tensors; any difference is a DataError naming
     the key or tensor."""
     hyper, tensors = load_container(path)
@@ -478,10 +454,7 @@ def load_model(path: str) -> "Segmenter | DaatModel":
         raise DataError(f"{path}: {exc}") from None
     vocab = hyper["vocab"]
     try:
-        if kind == "segmenter":
-            model = Segmenter.create([vocab], cfg, _Skeleton)
-        else:
-            model = DaatModel.create([vocab], cfg, hyper["mode"], _Skeleton)
+        model = Segmenter.create([vocab], cfg, _Skeleton, hyper.get("mode"))
     except ValueError as exc:  # unknown mode, whitespace in vocab, or sizes
         raise DataError(f"{path}: {exc}") from None
     except MemoryError:
@@ -505,7 +478,7 @@ def load_model(path: str) -> "Segmenter | DaatModel":
     return model
 
 
-def _domain_bce(model: DaatModel, src: Block, tgt: Block,
+def _domain_bce(model: Segmenter, src: Block, tgt: Block,
                 flip: bool) -> Tensor:
     """Binary cross-entropy of the discriminator, read once per domain
     block: minus the sum of the two per-domain mean log-probabilities.
@@ -527,20 +500,20 @@ def _domain_bce(model: DaatModel, src: Block, tgt: Block,
     return sub(0.0, means[0] + means[1])
 
 
-def discriminator_loss(model: DaatModel, src: Block, tgt: Block) -> Tensor:
+def discriminator_loss(model: Segmenter, src: Block, tgt: Block) -> Tensor:
     """Loss the discriminator minimizes to tell the domains apart, given
     a source and a target block. The shared features are detached, so the
     loss trains the discriminator only and never the shared encoder."""
     return _domain_bce(model, src, tgt, flip=False)
 
 
-def confusion_loss(model: DaatModel, src: Block, tgt: Block) -> Tensor:
+def confusion_loss(model: Segmenter, src: Block, tgt: Block) -> Tensor:
     """Domain-flipped loss the shared encoder minimizes to fool the
     discriminator, given a source and a target block."""
     return _domain_bce(model, src, tgt, flip=True)
 
 
-def tagging_losses(model: DaatModel, src: Block, tgt: Block,
+def tagging_losses(model: Segmenter, src: Block, tgt: Block,
                    tags_src: list[str],
                    tags_tgt: list[str]) -> tuple[Tensor, Tensor | None]:
     """Mean CRF negative log-likelihood per domain tower, given a source
@@ -550,7 +523,7 @@ def tagging_losses(model: DaatModel, src: Block, tgt: Block,
     return l_src, None if tgt.tagger is None else _batch_loss(tgt, tags_tgt)
 
 
-def _step_losses(model: DaatModel, batch_src: list[tuple[str, str]],
+def _step_losses(model: Segmenter, batch_src: list[tuple[str, str]],
                  batch_tgt: list[tuple[str, str]], odd: bool,
                  rng: np.random.Generator):
     """L_src, L_tgt (None in AT mode) and the adversarial loss of one
@@ -575,7 +548,7 @@ def adversarial_train(ds_src: LabeledDataset,
                       target: "LabeledDataset | list[str]",
                       cfg: TrainConfig, mode: str = "daat",
                       log_path: str | None = None,
-                      hook=None) -> DaatModel:
+                      hook=None) -> Segmenter:
     """Alternating adversarial training.
 
     Steps are numbered from 1 inside each epoch. Odd steps optimize
@@ -588,6 +561,8 @@ def adversarial_train(ds_src: LabeledDataset,
     ceil(max(|src|, |target|) / batch) steps, each domain advancing an
     independent shuffled cursor.
     """
+    if mode not in ("daat", "at"):
+        raise ValueError(f"unknown mode {mode!r}")
     tagged = isinstance(target, LabeledDataset)
     if mode == "daat" and not tagged:
         raise ValueError("daat mode needs a tagged target dataset")
@@ -598,10 +573,10 @@ def adversarial_train(ds_src: LabeledDataset,
     if len(ds_src) == 0 or not tgt_items:
         raise ValueError("both domains need at least one sentence")
     rng = np.random.default_rng(cfg.seed)
-    model = DaatModel.create([s for s, _ in [*ds_src.items, *tgt_items]],
-                             cfg, mode, rng)
+    model = Segmenter.create([s for s, _ in [*ds_src.items, *tgt_items]],
+                             cfg, rng, mode)
     opt_tag = Adam(model.tagger_params(), lr=cfg.lr)
-    opt_disc = Adam(model.disc_params(), lr=cfg.lr)
+    opt_disc = Adam(model.disc.params("disc"), lr=cfg.lr)
     steps = math.ceil(max(len(ds_src), len(tgt_items)) / cfg.batch_size)
     cur_src = _cursor(len(ds_src), rng)
     cur_tgt = _cursor(len(tgt_items), rng)

@@ -568,16 +568,19 @@ def textcnn_ref(disc, h: Tensor) -> Tensor:
 
 def segment_ref(model, sentence: str, domain: str) -> list[str]:
     """One sentence decoded the direct way: its own graph through the
-    tower of the domain (AT mode and a Segmenter ignore it), then a
-    one-sentence Viterbi."""
+    tower of the domain (the baseline's one tower "" scores every domain,
+    AT mode decodes with the source tower) and the shared encoder, if
+    any, then a one-sentence Viterbi."""
     e = embed_ref(model.embedding, sentence)
-    if hasattr(model, "encoder"):  # a Segmenter
-        h, head = gcnn_ref(model.encoder, e), model.head
+    if model.mode is None:
+        name = ""
     else:
-        src = domain == "source" or model.mode == "at"
-        private = gcnn_ref(model.enc_src if src else model.enc_tgt, e)
-        h = concat_cols([private, gcnn_ref(model.enc_shr, e)])
-        head = model.crf_src if src else model.crf_tgt
+        name = "source" if domain == "source" or model.mode == "at" \
+            else "target"
+    enc, head = model.towers[name]
+    h = gcnn_ref(enc, e)
+    if model.shared is not None:
+        h = concat_cols([h, gcnn_ref(model.shared, e)])
     emis = add(matmul(h, head.emit_w), head.emit_b).data
     path = viterbi_ref(emis, head.trans.data, head.start.data,
                        head.stop.data)
@@ -594,9 +597,10 @@ def mean_ref(terms: list[Tensor]) -> Tensor:
 
 
 def base_loss_ref(model, batch: list[tuple[str, str]]) -> Tensor:
-    """Mean per-sentence CRF loss of a Segmenter over (sentence, tags)."""
+    """Mean per-sentence CRF loss of a baseline over (sentence, tags)."""
+    enc, head = model.towers[""]
     return mean_ref([sentence_nll_ref(
-        gcnn_ref(model.encoder, embed_ref(model.embedding, s)), model.head, t)
+        gcnn_ref(enc, embed_ref(model.embedding, s)), head, t)
         for s, t in batch])
 
 
@@ -605,21 +609,22 @@ def daat_losses_ref(model, batch_src, batch_tgt, odd: bool):
     steps, with detached shared features, L_c on even ones) of a DAAT
     model, one sentence at a time."""
     at = model.mode == "at"
+    towers = model.towers
 
     def encode(sentence, src):
         e = embed_ref(model.embedding, sentence)
-        shared = gcnn_ref(model.enc_shr, e)
+        shared = gcnn_ref(model.shared, e)
         if at and not src:
             return None, shared
-        private = gcnn_ref(model.enc_src if src else model.enc_tgt, e)
+        private = gcnn_ref(towers["source" if src else "target"].encoder, e)
         return concat_cols([private, shared]), shared
 
     src = [(encode(s, True), t) for s, t in batch_src]
     tgt = [(encode(s, False), t) for s, t in batch_tgt]
-    l_src = mean_ref([sentence_nll_ref(h, model.crf_src, t)
+    l_src = mean_ref([sentence_nll_ref(h, towers["source"].head, t)
                       for (h, _), t in src])
-    l_tgt = None if at else mean_ref([sentence_nll_ref(h, model.crf_tgt, t)
-                                      for (h, _), t in tgt])
+    l_tgt = None if at else mean_ref([
+        sentence_nll_ref(h, towers["target"].head, t) for (h, _), t in tgt])
     means = []
     for enc, is_src in ((src, True), (tgt, False)):
         terms = []

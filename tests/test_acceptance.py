@@ -210,8 +210,8 @@ def test_criterion_7_shared_features_hide_domain(world, pipeline):
     shared, private, labels = [], [], []
     for s, dom in [(x, 0) for x in probe_src] + [(x, 1) for x in probe_tgt]:
         x, mask = daat.embedding.embed([s])
-        shared.append(daat.enc_shr.forward(x, mask).data[0])
-        enc = daat.enc_src if dom == 0 else daat.enc_tgt
+        shared.append(daat.shared.forward(x, mask).data[0])
+        enc = daat.towers["source" if dom == 0 else "target"].encoder
         private.append(enc.forward(x, mask).data[0])
         labels.extend([dom] * len(s))
     y = np.array(labels, dtype=float)

@@ -14,7 +14,7 @@ from crossseg.autodiff import (Tensor, backward, concat_cols, gather_rows,
                                sum_all)
 from crossseg.corpus import words_to_tags
 from crossseg.nn import UNK_INDEX
-from crossseg.train import (Block, DaatModel, Segmenter, TrainConfig,
+from crossseg.train import (Block, Segmenter, TrainConfig,
                             confusion_loss, discriminator_loss,
                             tagging_losses)
 
@@ -92,7 +92,8 @@ def test_acceptance_shaped_steps_match_per_sentence_reference(
     assert value == pytest.approx(ref.item(), **APPROX)
     _assert_same_grads(grads, _grads(seg, ref))
     for mode in ("daat", "at"):
-        model = DaatModel.create([s for s, _ in src + tgt], cfg, mode, rng)
+        model = Segmenter.create([s for s, _ in src + tgt], cfg, rng,
+                                 mode)
         model.disc.proj_w.data[:] = 0.5 * rng.normal(
             size=model.disc.proj_w.data.shape)  # a fresh projection is zero
         for odd in (True, False):
@@ -121,8 +122,8 @@ def _row_losses(model, batch, encode):
 def test_mixed_batch_rows_equal_sentences_alone(kind):
     rng = np.random.default_rng(7)
     cfg = TrainConfig(**SMALL)
-    model = Segmenter.create(["abcd"], cfg, rng) if kind == "segmenter" \
-        else DaatModel.create(["abcd"], cfg, kind, rng)
+    model = Segmenter.create(["abcd"], cfg, rng,
+                             None if kind == "segmenter" else kind)
 
     def encode(sentences):
         return model.encode(sentences, "target")
@@ -141,8 +142,9 @@ def test_mixed_batch_rows_equal_sentences_alone(kind):
 
 def test_padded_positions_get_exactly_zero_gradient():
     rng = np.random.default_rng(8)
-    model = DaatModel.create(["abcd"], TrainConfig(**SMALL), "daat", rng)
+    model = Segmenter.create(["abcd"], TrainConfig(**SMALL), rng, "daat")
     model.disc.proj_w.data[:] = rng.normal(size=model.disc.proj_w.data.shape)
+    enc_src, crf_src = model.towers["source"]
     sentences = ["a", "abcdabcdcba", "ab"]  # no unknown character
     gold = np.zeros((3, 11), dtype=np.int64)
     for row, t in zip(gold, ["S", "BEBMEBMEBME", "BE"]):
@@ -153,11 +155,11 @@ def test_padded_positions_get_exactly_zero_gradient():
 
     def losses(x):
         """Tagging plus discriminator loss through every encoder."""
-        shared = model.enc_shr.forward(x, mask)
-        private = model.enc_src.forward(x, mask)
+        shared = model.shared.forward(x, mask)
+        private = enc_src.forward(x, mask)
         emis = crf_mod.emission_scores(concat_cols([private, shared]),
-                                       model.crf_src)
-        tagging = crf_mod.nll_loss(emis, model.crf_src, gold, mask)
+                                       crf_src)
+        tagging = crf_mod.nll_loss(emis, crf_src, gold, mask)
         return tagging + sum_all(model.disc.forward(shared, mask)), emis, \
             shared
 
@@ -166,7 +168,7 @@ def test_padded_positions_get_exactly_zero_gradient():
     total, emis, shared = losses(x_in)
     emis_in, shared_in = Tensor(emis.data), Tensor(shared.data)
     backward(total)
-    backward(crf_mod.nll_loss(emis_in, model.crf_src, gold, mask))
+    backward(crf_mod.nll_loss(emis_in, crf_src, gold, mask))
     backward(sum_all(model.disc.forward(shared_in, mask)))
     np.testing.assert_array_equal(x_in.grad[pad], 0.0)
     np.testing.assert_array_equal(emis_in.grad[pad], 0.0)
@@ -182,8 +184,8 @@ def test_padded_positions_get_exactly_zero_gradient():
 def test_very_long_line_segments_and_joins_back(kind):
     rng = np.random.default_rng(9)
     cfg = TrainConfig(**SMALL)
-    model = Segmenter.create(["abcd"], cfg, rng) if kind == "segmenter" \
-        else DaatModel.create(["abcd"], cfg, kind, rng)
+    model = Segmenter.create(["abcd"], cfg, rng,
+                             None if kind == "segmenter" else kind)
     line = "".join(rng.choice(list("abcdxy"), size=5000))
     for domain in ("source", "target"):
         words = model.segment(line, domain)
@@ -194,8 +196,8 @@ def test_very_long_line_segments_and_joins_back(kind):
 @pytest.mark.parametrize("logit", [1e3, -1e3])
 def test_saturated_discriminator_logits_give_finite_clamped_loss(logit):
     rng = np.random.default_rng(10)
-    model = DaatModel.create(["abcd", "xyz"], TrainConfig(**SMALL), "daat",
-                             rng)
+    model = Segmenter.create(["abcd", "xyz"], TrainConfig(**SMALL), rng,
+                             "daat")
     model.disc.proj_b.data[:] = logit  # every row's logit is +-1e3
     clamp_cost = -math.log(1e-7)  # one domain's mean hits the clamp
     for loss_fn in (discriminator_loss, confusion_loss):
@@ -223,7 +225,7 @@ def test_short_blocks_step_matches_per_sentence_reference(mode, odd):
     own longest sentence, so the text-CNN pads the target block itself."""
     cfg = TrainConfig(**{**SMALL, "filter_sizes": (3, 4, 5)})
     rng = np.random.default_rng(11)
-    model = DaatModel.create(["abcd"], cfg, mode, rng)
+    model = Segmenter.create(["abcd"], cfg, rng, mode)
     model.disc.proj_w.data[:] = 0.5 * rng.normal(
         size=model.disc.proj_w.data.shape)  # a fresh projection is zero
     src = [("a", "S"), ("abcd", "BEBE"), ("c", "S")]

@@ -9,7 +9,7 @@ import crossseg.train as train_mod
 from crossseg.annotator import build_target_dataset
 from crossseg.corpus import dataset_from_segmented
 from crossseg.miner import CandidateScore, WordCollection
-from crossseg.train import DaatModel, Segmenter, TrainConfig, train_base
+from crossseg.train import Segmenter, TrainConfig, train_base
 
 import helpers
 import toylang
@@ -37,8 +37,8 @@ def _ragged(rng: np.random.Generator) -> list[str]:
 def test_segment_batch_equals_per_sentence_segment(kind, domain):
     rng = np.random.default_rng(3)
     cfg = TrainConfig(**SMALL)
-    model = Segmenter.create(["abcd"], cfg, rng) if kind == "segmenter" \
-        else DaatModel.create(["abcd"], cfg, kind, rng)
+    model = Segmenter.create(["abcd"], cfg, rng,
+                             None if kind == "segmenter" else kind)
     batch = _ragged(rng)
     got = model.segment_batch(batch, domain)
     assert got == [model.segment(s, domain) for s in batch]
@@ -67,17 +67,17 @@ def test_buckets_sort_by_length_within_the_budget():
 
 def test_one_tower_pass_per_bucket():
     rng = np.random.default_rng(5)
-    model = DaatModel.create(["abcd"], TrainConfig(**SMALL), "daat", rng)
+    model = Segmenter.create(["abcd"], TrainConfig(**SMALL), rng, "daat")
     sentences = _ragged(rng)
     shapes = []
-    tower = model._tower
+    encode = model.encode
 
     def recorded(batch, domain):
-        out = tower(batch, domain)
+        out = encode(batch, domain)
         shapes.append(out.mask.shape)
         return out
 
-    model._tower = recorded
+    model.encode = recorded
     model.segment_batch(sentences, "target")
     assert shapes == [(len(b), len(sentences[b[-1]]))
                       for b in train_mod._buckets(sentences)]
