@@ -124,7 +124,8 @@ def _check_crf_nll(rng: np.random.Generator) -> float:
     head.trans.data[:] = 0.3 * rng.normal(size=(4, 4))
     head.start.data[:] = 0.3 * rng.normal(size=4)
     head.stop.data[:] = 0.3 * rng.normal(size=4)
-    x, mask = _ragged(rng, (4, 2, 1), hidden)
+    # T - 1 = 10 steps make three scan blocks of three and a last of one
+    x, mask = _ragged(rng, (11, 6, 1), hidden)
     gold = rng.integers(0, 4, size=mask.shape)
 
     def build() -> Tensor:

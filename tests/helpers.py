@@ -471,17 +471,22 @@ def nll_loss_ref(emissions: Tensor, head, gold) -> Tensor:
 
 def nll_loss_batched_ref(emissions: Tensor, head, gold, mask) -> Tensor:
     """CRF negative log-likelihood of a padded batch (B, T, 4) with length
-    mask (B, T) by a log-space forward-backward over the whole batch: at
-    positions past a sentence's end its alpha and beta are carried over.
-    The library's scaled recursion must agree with it where both are
-    finite, which includes scores far too large to exponentiate."""
+    mask (B, T) by a sequential log-space forward-backward over the whole
+    batch: at positions past a sentence's end its alpha and beta are
+    carried over. The library's blocked scan must agree with it, which
+    includes scores far too large to exponentiate. It runs in extended
+    precision (np.longdouble, 64-bit mantissa on x86): in float64 its own
+    rounding, accumulated over a 5,000-position chain, reaches 1e-7 in
+    the transition gradient."""
     gold = np.asarray(gold, dtype=np.int64)
     bsz, n = emissions.data.shape[:2]
     lengths = np.asarray(mask).sum(axis=1)
     valid = np.asarray(mask, dtype=bool).T[:, :, None]  # (T, B, 1)
-    e = np.where(valid, emissions.data.transpose(1, 0, 2), 0.0)
+    e = np.where(valid, emissions.data.transpose(1, 0, 2),
+                 0.0).astype(np.longdouble)
     g_t = np.where(valid[:, :, 0], gold.T, 0)  # (T, B), tag 0 on padding
-    t, sv, pv = head.trans.data, head.start.data, head.stop.data
+    t, sv, pv = (x.data.astype(np.longdouble)
+                 for x in (head.trans, head.start, head.stop))
     alpha = np.empty_like(e)
     alpha[0] = sv + e[0]
     for i in range(1, n):

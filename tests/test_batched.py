@@ -12,7 +12,7 @@ import crossseg.train as train_mod
 from crossseg import crf as crf_mod
 from crossseg.autodiff import (Tensor, backward, concat_cols, gather_rows,
                                sum_all)
-from crossseg.corpus import words_to_tags
+from crossseg.corpus import dataset_from_segmented, words_to_tags
 from crossseg.nn import UNK_INDEX
 from crossseg.train import (Block, Segmenter, TrainConfig,
                             confusion_loss, discriminator_loss,
@@ -191,6 +191,33 @@ def test_very_long_line_segments_and_joins_back(kind):
         words = model.segment(line, domain)
         assert "".join(words) == line
         assert all(words)
+
+
+def test_batch_with_a_very_long_line_trains():
+    # one 5,000-character line beside short ones, in every domain's one
+    # batch: both trainers run an epoch on it and segment it back
+    rng = np.random.default_rng(11)
+    words = list(rng.choice(["ab", "cd", "xyz", "a", "dcba"], size=1600))
+    words += ["x"] * (5000 - sum(map(len, words)))
+    segs = [words, ["ab", "cd"], ["a"], ["xyz", "ab"]]
+    line = "".join(words)
+    assert len(line) == 5000
+    cfg = TrainConfig(**SMALL)
+    base = train_mod.train_base(
+        dataset_from_segmented(segs, domain="source"), cfg)
+    assert all(math.isfinite(l) for l in base.loss_history)
+    records = []
+    daat = train_mod.adversarial_train(
+        dataset_from_segmented(segs, domain="source"),
+        dataset_from_segmented(segs[::-1], domain="target",
+                               provenance="distant"),
+        cfg, hook=records.append)
+    assert records and all(math.isfinite(r[k]) for r in records
+                           for k in ("l_src", "l_tgt", "l_adv"))
+    for model, domain in ((base, "source"), (daat, "source"),
+                          (daat, "target")):
+        got = model.segment(line, domain)
+        assert "".join(got) == line and all(got)
 
 
 @pytest.mark.parametrize("logit", [1e3, -1e3])

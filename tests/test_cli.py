@@ -293,7 +293,7 @@ def test_diverging_training_exits_1_naming_epoch_and_step(workdir, tmp_path,
                "--gcnn-layers", "2"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: epoch 1, step 2: CRF scores too far apart")
+    assert err.startswith("error: epoch 1, step 2: CRF scores too large")
     assert "; last losses {'l_src': " in err
     assert "Traceback" not in err
     assert not model.exists()

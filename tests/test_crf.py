@@ -224,16 +224,19 @@ def test_batched_loss_and_gradients_match_per_sentence_reference():
 
 
 def assert_matches_oracle(e, mask, gold, t, start, stop):
-    """The scaled forward-backward's loss and its emission, transition,
-    start and stop gradients are finite and match the log-space oracle."""
+    """The loss and its emission, transition, start and stop gradients are
+    finite and match the log-space oracle, with no floating-point
+    warning."""
     runs = []
-    for loss_fn in (nll_loss, nll_loss_batched_ref):
-        head = head_from(t, start, stop)
-        et = Tensor(e.copy())
-        loss = loss_fn(et, head, gold, mask)
-        backward(loss)
-        runs.append((loss.item(), et.grad, head.trans.grad, head.start.grad,
-                     head.stop.grad))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loss_fn in (nll_loss, nll_loss_batched_ref):
+            head = head_from(t, start, stop)
+            et = Tensor(e.copy())
+            loss = loss_fn(et, head, gold, mask)
+            backward(loss)
+            runs.append((loss.item(), et.grad, head.trans.grad,
+                         head.start.grad, head.stop.grad))
     got, want = runs
     assert np.isfinite(got[0])
     assert got[0] == pytest.approx(want[0], rel=1e-10)
@@ -247,8 +250,7 @@ def assert_matches_oracle(e, mask, gold, t, start, stop):
                                          (1e4, 1.0)])
 def test_scaled_recursion_matches_log_space_oracle(emit, other):
     # normal scores, then emissions in +-50 with transitions, start and
-    # stop in +-30, then emissions in +-1e4: each position's largest
-    # emission scales to one, so emissions alone never underflow
+    # stop in +-30, then emissions in +-1e4, far beyond what exp can hold
     rng = np.random.default_rng(17)
     for _ in range(12):
         lengths = [int(v) for v in rng.integers(1, 40,
@@ -260,9 +262,30 @@ def test_scaled_recursion_matches_log_space_oracle(emit, other):
         assert_matches_oracle(e, mask, gold, t, start, stop)
 
 
-def test_scale_underflow_raises():
+def test_loss_block_edges_match_oracle():
+    # every length at a block edge of the scan, alone beside a shorter
+    # sentence and all in one ragged batch (see BLOCK_EDGES)
+    rng = np.random.default_rng(21)
+    t, start, stop = rng.normal(size=(4, 4)), *rng.normal(size=(2, 4))
+    for lengths in [[n, int(rng.integers(1, n + 1))] for n in BLOCK_EDGES] \
+            + [BLOCK_EDGES]:
+        e, mask, gold = ragged(rng, lengths)
+        assert_matches_oracle(e, mask, gold, t, start, stop)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the oracle needs extended precision here")
+def test_loss_long_sentence_matches_oracle():
+    rng = np.random.default_rng(22)
+    e, t, start, stop = random_instance(rng, 5000)
+    gold = rng.integers(0, 4, size=(1, 5000))
+    assert_matches_oracle(e[None], np.ones((1, 5000), bool), gold, t, start,
+                          stop)
+
+
+def test_tag_far_below_the_rest_matches_oracle():
     # start allows only tag 0 and every transition out of it is 1e4 below
-    # the best one, so the first rescale meets a zero total
+    # the best one; exponentiated scores would underflow to a zero total
     big = 1e4
     t = np.full((4, 4), -big)
     t[1, 1] = 0.0
@@ -270,49 +293,72 @@ def test_scale_underflow_raises():
     e = np.zeros((2, 3, 4))
     mask = np.array([[True] * 3, [True, True, False]])
     gold = np.zeros((2, 3), dtype=np.int64)
-    oracle = nll_loss_batched_ref(Tensor(e), head_from(t, start, np.zeros(4)),
-                                  gold, mask)
-    assert np.isfinite(oracle.item())  # the log-space form stays finite
-    with pytest.raises(ValueError, match="underflow"):
-        nll_loss(Tensor(e), head_from(t, start, np.zeros(4)), gold, mask)
-    with pytest.raises(ValueError, match="underflow"):  # likewise for stop
-        nll_loss(Tensor(e[:, :1]), head_from(t, start, -start), gold[:, :1],
-                 mask[:, :1])
+    assert_matches_oracle(e, mask, gold, t, start, np.zeros(4))
+    # likewise for stop
+    assert_matches_oracle(e[:, :1], mask[:, :1], gold[:, :1], t, start,
+                          -start)
 
 
-def test_transition_count_overflow_raises_without_warning():
+def test_transition_counts_of_a_large_batch_match_oracle():
     # every transition into tag 0 is free and stopping in it costs 708, as
-    # do all other scores: each sentence alone has a finite log Z and a
-    # beta near 8e306, but the expected transition counts sum beta over
-    # the batch, and 32 sentences overflow them
+    # do all other scores: scaled beta reaches about 8e306, and its sum
+    # over 32 sentences would overflow the expected transition counts
     s = 708.0
     t = np.full((4, 4), -s)
     t[:, 0] = 0.0
     start = np.array([0.0, -s, -s, -s])
     stop = np.array([-s, 0.0, 0.0, 0.0])
+    for bsz in (16, 32):
+        assert_matches_oracle(np.zeros((bsz, 2, 4)),
+                              np.ones((bsz, 2), dtype=bool),
+                              np.zeros((bsz, 2), dtype=np.int64), t, start,
+                              stop)
 
-    def loss(bsz, head):
-        return nll_loss(Tensor(np.zeros((bsz, 2, 4))), head,
-                        np.zeros((bsz, 2), dtype=np.int64),
-                        np.ones((bsz, 2), dtype=bool))
 
+@pytest.mark.parametrize("size", [1e17, 1e300])
+def test_scores_too_large_for_float64_raise(size):
+    # at 1e17 a sum of scores keeps no bit of their differences, and at
+    # 1e300 it overflows: either way the marginals cannot be normalised,
+    # so the loss raises before any gradient and with no warning
+    rng = np.random.default_rng(23)
+    e, mask, gold = ragged(rng, [7, 3])
+    e *= size
+    head = head_from(*(rng.normal(size=s) * size for s in ((4, 4), 4, 4)))
+    et = Tensor(e)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        head = head_from(t, start, stop)
-        backward(loss(16, head))
-        assert np.isfinite(head.trans.grad).all()
-        head = head_from(t, start, stop)
-        with pytest.raises(ValueError, match="too far apart"):
-            loss(32, head)
-        assert head.trans.grad is None
+        with pytest.raises(ValueError, match="too large"):
+            nll_loss(et, head, gold, mask)
+    assert et.grad is None and head.trans.grad is None
 
 
 def test_non_finite_emissions_raise():
-    head = head_from(np.zeros((4, 4)), np.zeros(4), np.zeros(4))
-    e = np.zeros((1, 2, 4))
-    e[0, 1, 2] = np.nan
-    with pytest.raises(ValueError):
-        nll_loss(Tensor(e), head, [[0, 0]], np.ones((1, 2), dtype=bool))
+    # as for Viterbi: a real position, or trans, start or stop, must be
+    # finite; NaN and infinities in padding change nothing
+    mask = np.array([[True, True, True], [True, False, False]])
+    gold = np.zeros((2, 3), dtype=np.int64)
+    zeros = head_from(np.zeros((4, 4)), np.zeros(4), np.zeros(4))
+    want = nll_loss(Tensor(np.zeros((2, 3, 4))), zeros, gold, mask).item()
+    for bad in (np.nan, np.inf, -np.inf):
+        e = np.zeros((2, 3, 4))
+        e[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nll_loss(Tensor(e), zeros, gold, mask)
+        for i in range(3):
+            scores = [np.zeros((4, 4)), np.zeros(4), np.zeros(4)]
+            scores[i].flat[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                nll_loss(Tensor(np.zeros((2, 3, 4))), head_from(*scores),
+                         gold, mask)
+        e = np.zeros((2, 3, 4))
+        e[1, 1:, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            et = Tensor(e)
+            loss = nll_loss(et, zeros, gold, mask)
+            backward(loss)
+        assert loss.item() == want
+        np.testing.assert_array_equal(et.grad[1, 1:], 0.0)
 
 
 def test_fresh_head_single_char_loss_is_ln4():
@@ -363,3 +409,12 @@ def test_nll_rejects_bad_gold():
     with pytest.raises(ValueError):  # an empty sentence
         nll_loss(Tensor(np.zeros((2, 2, 4))), head, [[0, 0], [0, 0]],
                  np.array([[True, True], [False, False]]))
+    mask = np.array([[True, True], [True, False]])
+    for bad in (-1, 4, 99):  # a tag outside 0..3 at a real position
+        with pytest.raises(ValueError, match="0..3"):
+            nll_loss(Tensor(np.zeros((2, 2, 4))), head, [[0, bad], [0, 0]],
+                     mask)
+        # padding may hold anything
+        loss = nll_loss(Tensor(np.zeros((2, 2, 4))), head, [[0, 0], [0, bad]],
+                        mask)
+        assert loss.item() == pytest.approx(3 * math.log(4.0), abs=1e-12)

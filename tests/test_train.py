@@ -539,5 +539,5 @@ def test_diverging_adversarial_step_names_epoch_and_step():
     assert [(r["epoch"], r["step"]) for r in records] == [(1, 1)]
     last = {k: records[0][k] for k in ("l_src", "l_tgt", "l_adv")}
     assert str(e.value) == (
-        "epoch 1, step 2: CRF scores too far apart: a forward-backward "
-        f"scale underflowed or a sum overflowed; last losses {last}")
+        "epoch 1, step 2: CRF scores too large for float64: the tag "
+        f"marginals do not sum to one; last losses {last}")
