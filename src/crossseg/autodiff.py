@@ -2,9 +2,18 @@
 
 A Tensor wraps an ndarray and remembers, when it was produced by an
 operation, its parent tensors and a closure that pushes the output gradient
-back to them. backward(root) runs the closures in reverse topological order
-and accumulates gradients on every leaf tensor of the graph, then consumes
+back to them; every operation hands both to the Tensor it returns.
+backward(root) runs the closures in reverse topological order and
+accumulates gradients on every leaf tensor of the graph, then consumes
 the tape: running backward twice on the same graph raises StaleGraphError.
+
+Operands: a Tensor is differentiable, anything else is a constant. add,
+sub and mul also take a plain array or float, which is not a parent and
+gets no gradient, so masks, dropout multipliers and numbers never become
+leaves of the tape. A constant broadcasts as numpy does, but a Tensor
+operand never does: it must have the result's shape, or the operation
+raises ValueError naming both shapes. The one broadcast a Tensor gets is
+a bias, which conv1d and matmul add themselves along the last axis.
 
 Only the operations the segmentation stack needs are provided. Sequence
 operations work on padded batches: conv1d and max_over_time take (B, T, d)
@@ -30,15 +39,11 @@ from .errors import StaleGraphError
 Array = np.ndarray
 
 
-def _arr(x) -> Array:
-    return np.asarray(x, dtype=np.float64)
-
-
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_bwd", "_spent")
 
     def __init__(self, data, parents: tuple = (), bwd: Callable | None = None):
-        self.data = _arr(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self._parents = parents
         self._bwd = bwd
@@ -69,139 +74,115 @@ class Tensor:
         return add(self, other)
 
 
-def _to_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _value(x):
+    return x.data if isinstance(x, Tensor) else x
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Reduce a gradient back to the shape the operand had before numpy
-    broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+def _binary(a, b, y: Array, bwd: Callable) -> Tensor:
+    """The node of a binary op with result y: its parents are the Tensor
+    operands, each of which must have the result's shape."""
+    parents = tuple(x for x in (a, b) if isinstance(x, Tensor))
+    if any(p.data.shape != y.shape for p in parents):
+        raise ValueError(f"operand shapes {np.shape(_value(a))} and "
+                         f"{np.shape(_value(b))}: a Tensor operand must "
+                         "have the result's shape")
+    return Tensor(y, parents, bwd)
 
 
 def add(a, b) -> Tensor:
-    a, b = _to_tensor(a), _to_tensor(b)
-    out = Tensor(a.data + b.data, (a, b))
-
     def bwd(g: Array) -> None:
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        for x in (a, b):
+            if isinstance(x, Tensor):
+                x._accumulate(g)
 
-    out._bwd = bwd
-    return out
+    return _binary(a, b, _value(a) + _value(b), bwd)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _to_tensor(a), _to_tensor(b)
-    out = Tensor(a.data - b.data, (a, b))
-
     def bwd(g: Array) -> None:
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(-g, b.data.shape))
+        if isinstance(a, Tensor):
+            a._accumulate(g)
+        if isinstance(b, Tensor):
+            b._accumulate(-g)
 
-    out._bwd = bwd
-    return out
+    return _binary(a, b, _value(a) - _value(b), bwd)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _to_tensor(a), _to_tensor(b)
-    out = Tensor(a.data * b.data, (a, b))
-
     def bwd(g: Array) -> None:
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if isinstance(a, Tensor):
+            a._accumulate(g * _value(b))
+        if isinstance(b, Tensor):
+            b._accumulate(g * _value(a))
 
-    out._bwd = bwd
-    return out
+    return _binary(a, b, _value(a) * _value(b), bwd)
 
 
-def scale(a, s: float) -> Tensor:
-    a = _to_tensor(a)
-    out = Tensor(a.data * s, (a,))
-
+def scale(a: Tensor, s: float) -> Tensor:
     def bwd(g: Array) -> None:
         a._accumulate(g * s)
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data * s, (a,), bwd)
 
 
-def matmul(a, b) -> Tensor:
-    """a (..., n) @ b (n, m); the leading axes of a are batch axes."""
-    a, b = _to_tensor(a), _to_tensor(b)
-    out = Tensor(a.data @ b.data, (a, b))
+def _bias_grad(g: Array, bias: Tensor) -> Array:
+    """The gradient of a bias added along the last axis: g summed over
+    every leading axis, in the bias's shape, (m,) or (1, m)."""
+    return g.sum(axis=tuple(range(g.ndim - 1))).reshape(bias.data.shape)
+
+
+def matmul(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """The affine map a (..., n) @ w (n, m) + bias; the leading axes of a
+    are batch axes, and bias, (m,) or (1, m), is added to every row."""
+    y = a.data @ w.data
+    y += bias.data
 
     def bwd(g: Array) -> None:
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.reshape(-1, a.data.shape[-1]).T
+        a._accumulate(g @ w.data.T)
+        w._accumulate(a.data.reshape(-1, a.data.shape[-1]).T
                       @ g.reshape(-1, g.shape[-1]))
+        bias._accumulate(_bias_grad(g, bias))
 
-    out._bwd = bwd
-    return out
+    return Tensor(y, (a, w, bias), bwd)
 
 
-def sigmoid(a) -> Tensor:
-    a = _to_tensor(a)
+def sigmoid(a: Tensor) -> Tensor:
     ez = np.exp(-np.abs(a.data))  # 1 / (1 + e^-x), or e^x / (1 + e^x)
     y = np.where(a.data >= 0, 1.0, ez) / (1.0 + ez)
-    out = Tensor(y, (a,))
 
     def bwd(g: Array) -> None:
         a._accumulate(g * y * (1.0 - y))
 
-    out._bwd = bwd
-    return out
+    return Tensor(y, (a,), bwd)
 
 
-def log(a) -> Tensor:
-    a = _to_tensor(a)
-    out = Tensor(np.log(a.data), (a,))
-
+def log(a: Tensor) -> Tensor:
     def bwd(g: Array) -> None:
         a._accumulate(g / a.data)
 
-    out._bwd = bwd
-    return out
+    return Tensor(np.log(a.data), (a,), bwd)
 
 
-def clamp(a, lo: float, hi: float) -> Tensor:
+def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values to [lo, hi]; gradient is zero where the clip is active."""
-    a = _to_tensor(a)
-    clipped = np.clip(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)
-    out = Tensor(clipped, (a,))
 
     def bwd(g: Array) -> None:
         a._accumulate(g * inside)
 
-    out._bwd = bwd
-    return out
+    return Tensor(np.clip(a.data, lo, hi), (a,), bwd)
 
 
-def sum_all(a) -> Tensor:
-    a = _to_tensor(a)
-    out = Tensor(a.data.sum(), (a,))
-
+def sum_all(a: Tensor) -> Tensor:
     def bwd(g: Array) -> None:
         a._accumulate(np.full_like(a.data, float(g)))
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data.sum(), (a,), bwd)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate tensors along their last axis."""
-    parts = [_to_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1),
-                 tuple(parts))
+    parts = tuple(parts)
     widths = [p.data.shape[-1] for p in parts]
 
     def bwd(g: Array) -> None:
@@ -210,20 +191,21 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
             p._accumulate(g[..., off:off + w])
             off += w
 
-    out._bwd = bwd
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=-1), parts,
+                  bwd)
 
 
-def conv1d(x: Tensor, w: Tensor, pad_left: int, pad_right: int) -> Tensor:
-    """1-d convolution along axis 1 of a batch of sequences.
+def conv1d(x: Tensor, w: Tensor, bias: Tensor, pad_left: int,
+           pad_right: int) -> Tensor:
+    """1-d convolution along axis 1 of a batch of sequences, plus a bias.
 
-    x has shape (B, T, d_in), w has shape (k, d_in, d_out). Each sequence
-    is copied into one zero buffer with pad_left zero rows before it and
-    pad_right after it; output row t is sum over offsets o of
-    buffer[t + o] @ w[o], one batched matmul per offset. With pad_left =
-    pad_right = (k - 1) // 2 and odd k the output has shape (B, T, d_out).
+    x has shape (B, T, d_in), w has shape (k, d_in, d_out) and bias
+    (d_out,). Each sequence is copied into one zero buffer with pad_left
+    zero rows before it and pad_right after it; output row t is sum over
+    offsets o of buffer[t + o] @ w[o], one batched matmul per offset, plus
+    bias. With pad_left = pad_right = (k - 1) // 2 and odd k the output
+    has shape (B, T, d_out).
     """
-    x, w = _to_tensor(x), _to_tensor(w)
     k, d_in, d_out = w.data.shape
     b, n, _ = x.data.shape
     n_out = n + pad_left + pad_right - k + 1
@@ -239,7 +221,7 @@ def conv1d(x: Tensor, w: Tensor, pad_left: int, pad_right: int) -> Tensor:
     y = xp[:, :n_out] @ w.data[0]
     for o in range(1, k):
         y += xp[:, o:o + n_out] @ w.data[o]
-    out = Tensor(y, (x, w))
+    y += bias.data
 
     def bwd(g: Array) -> None:
         xp = padded()  # rebuilt, not kept: the graph holds less memory
@@ -251,9 +233,9 @@ def conv1d(x: Tensor, w: Tensor, pad_left: int, pad_right: int) -> Tensor:
             dxp[:, o:o + n_out] += g @ wt[o]
         x._accumulate(dxp[:, pad_left:pad_left + n])
         w._accumulate(dw)
+        bias._accumulate(_bias_grad(g, bias))
 
-    out._bwd = bwd
-    return out
+    return Tensor(y, (x, w, bias), bwd)
 
 
 def gather_rows(table: Tensor, idx) -> Tensor:
@@ -262,12 +244,10 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     index selects a zero row that reads nothing and gets no gradient.
     Gradients scatter back by one bincount per trailing column, so a row
     selected k times gets the sum of its k gradients."""
-    table = _to_tensor(table)
     idx = np.asarray(idx, dtype=np.int64)
     keep = idx >= 0
     data = table.data[idx * keep]  # padding reads row 0
     data[~keep] = 0.0
-    out = Tensor(data, (table,))
     n = table.data.shape[0]
     width = math.prod(table.data.shape[1:])
 
@@ -279,30 +259,26 @@ def gather_rows(table: Tensor, idx) -> Tensor:
             grad[:, j] = np.bincount(flat, weights=col, minlength=n)
         table._accumulate(grad.reshape(table.data.shape))
 
-    out._bwd = bwd
-    return out
+    return Tensor(data, (table,), bwd)
 
 
 def max_over_time(x: Tensor, valid: np.ndarray) -> Tensor:
     """Masked max over axis 1: (B, T, f) -> (B, f), reading only the rows
     where valid (B, T) is true; each sequence needs at least one. Ties send
     the gradient to the earliest row, matching np.argmax."""
-    x = _to_tensor(x)
     valid = np.asarray(valid, dtype=bool)
     if not valid.any(axis=1).all():
         raise ValueError("every sequence needs a valid row")
     am = np.argmax(np.where(valid[:, :, None], x.data, -np.inf), axis=1)
     rows = np.arange(x.data.shape[0])[:, None]
     cols = np.arange(x.data.shape[2])[None, :]
-    out = Tensor(x.data[rows, am, cols], (x,))
 
     def bwd(g: Array) -> None:
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
         x.grad[rows, am, cols] += g
 
-    out._bwd = bwd
-    return out
+    return Tensor(x.data[rows, am, cols], (x,), bwd)
 
 
 def _topo(root: Tensor) -> list[Tensor]:

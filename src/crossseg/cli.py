@@ -171,16 +171,15 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    seeded = argparse.ArgumentParser(add_help=False)  # training, gradcheck
+    seeded.add_argument("--seed", type=int, default=None,
                         help="random seed (default 42)")
 
     parser = _Parser(prog="crossseg",
                      description="cross-domain Chinese word segmentation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mine", parents=[common],
-                       help="mine domain words from raw text")
+    p = sub.add_parser("mine", help="mine domain words from raw text")
     p.add_argument("--input", required=True, help="raw corpus, one "
                    "sentence per line")
     p.add_argument("--out", required=True, help="lexicon TSV to write")
@@ -191,8 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords", help="file with one stop-word per line")
     p.set_defaults(func=_cmd_mine)
 
-    p = sub.add_parser("annotate", parents=[common],
-                       help="distantly annotate raw target text")
+    p = sub.add_parser("annotate", help="distantly annotate raw target text")
     p.add_argument("--input", required=True)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--model", required=True, help="base segmenter container")
@@ -200,14 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="segmented output; provenance goes to <out>.prov")
     p.set_defaults(func=_cmd_annotate)
 
-    p = sub.add_parser("train-base", parents=[common],
+    p = sub.add_parser("train-base", parents=[seeded],
                        help="train the single-domain segmenter")
     p.add_argument("--train", required=True, help="segmented training file")
     p.add_argument("--out-model", required=True, dest="out_model")
     _train_flags(p, "train-base")
     p.set_defaults(func=_cmd_train_base)
 
-    p = sub.add_parser("train-daat", parents=[common],
+    p = sub.add_parser("train-daat", parents=[seeded],
                        help="train the adversarial cross-domain model")
     p.add_argument("--source", required=True, help="segmented source file")
     p.add_argument("--target", required=True,
@@ -217,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     _train_flags(p, "train-daat")
     p.set_defaults(func=_cmd_train_daat)
 
-    p = sub.add_parser("segment", parents=[common],
-                       help="segment raw text with a trained model")
+    p = sub.add_parser("segment", help="segment raw text with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--domain", choices=("source", "target"),
@@ -226,14 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_segment)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="score a segmentation against gold")
+    p = sub.add_parser("eval", help="score a segmentation against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("gradcheck", parents=[common],
+    p = sub.add_parser("gradcheck", parents=[seeded],
                        help="verify gradients by finite differences")
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--tolerance", type=float, default=1e-4)

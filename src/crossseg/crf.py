@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul
+from .autodiff import Tensor, matmul
 
 N_TAGS = 4
 
@@ -90,7 +90,7 @@ class CrfHead:
 
 def emission_scores(h: Tensor, head: CrfHead) -> Tensor:
     """Per-position tag scores: h @ emit_w + emit_b, shape (B, T, 4)."""
-    return add(matmul(h, head.emit_w), head.emit_b)
+    return matmul(h, head.emit_w, head.emit_b)
 
 
 def _lengths(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -210,7 +210,6 @@ def nll_loss(emissions: Tensor, head: CrfHead, gold: np.ndarray,
             and np.isfinite(pairs).all() and np.isfinite(value)):
         raise ValueError("CRF scores too large for float64: the tag "
                          "marginals do not sum to one")
-    out = Tensor(value, (emissions, head.trans, head.start, head.stop))
 
     def bwd(grad: np.ndarray) -> None:
         gs = float(grad)
@@ -226,8 +225,7 @@ def nll_loss(emissions: Tensor, head: CrfHead, gold: np.ndarray,
         head.start._accumulate(gs * ds)
         head.stop._accumulate(gs * dp)
 
-    out._bwd = bwd
-    return out
+    return Tensor(value, (emissions, head.trans, head.start, head.stop), bwd)
 
 
 def viterbi_decode(emissions: np.ndarray, trans: np.ndarray,

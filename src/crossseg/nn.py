@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, add, clamp, concat_cols, conv1d, gather_rows,
+from .autodiff import (Tensor, clamp, concat_cols, conv1d, gather_rows,
                        matmul, max_over_time, mul, sigmoid)
 
 UNK_INDEX = 0
@@ -85,9 +85,8 @@ class GcnnLayer:
     def forward(self, x: Tensor) -> Tensor:
         """(B, T, d_in) -> (B, T, d_out); rows past T read zeros."""
         pad = (self.k - 1) // 2
-        lin = add(conv1d(x, self.w, pad, pad), self.b)
-        gate = sigmoid(add(conv1d(x, self.v, pad, pad), self.c))
-        return mul(lin, gate)
+        lin = conv1d(x, self.w, self.b, pad, pad)
+        return mul(lin, sigmoid(conv1d(x, self.v, self.c, pad, pad)))
 
 
 @dataclass
@@ -96,9 +95,9 @@ class GcnnEncoder:
 
     The input of every layer is zeroed at padded rows, so the last real
     character of a sentence sees zeros on its right as it would alone.
-    Inverted dropout is applied to the input of every layer, only while
-    training, with one draw per layer for the whole batch; it joins the
-    length mask in one multiply.
+    Inverted dropout is applied to the input of every layer, only in a
+    forward given an rng, with one draw per layer for the whole batch; it
+    joins the length mask in one multiply by a constant.
     """
     layers: list[GcnnLayer]
     dropout: float = 0.0
@@ -116,13 +115,11 @@ class GcnnEncoder:
                                            d_out, rng))
         return GcnnEncoder(layers, drop)
 
-    def forward(self, x: Tensor, mask: np.ndarray, training: bool = False,
+    def forward(self, x: Tensor, mask: np.ndarray,
                 rng: np.random.Generator | None = None) -> Tensor:
         """(B, T, d_in) features of a batch with length mask (B, T) ->
         (B, T, d_out); output rows past a sentence's end are unspecified."""
-        drop = training and self.dropout > 0.0
-        if drop and rng is None:
-            raise ValueError("training forward needs an rng")
+        drop = rng is not None and self.dropout > 0.0
         keep = mask[:, :, None]
         h = x
         for layer in self.layers:
@@ -179,13 +176,12 @@ class TextCnn:
         lengths = mask.sum(axis=1)
         pooled = []
         for w, (cw, cb) in zip(self.windows, self.convs):
-            c = add(conv1d(h, cw, 0, max(0, w - n)), cb)
+            c = conv1d(h, cw, cb, 0, max(0, w - n))
             last = np.maximum(lengths, w) - w  # last window start
             starts = np.arange(c.data.shape[1])
             pooled.append(max_over_time(c, starts[None, :] <= last[:, None]))
         cat = concat_cols(pooled)
-        logit = add(matmul(cat, self.proj_w), self.proj_b)
-        return sigmoid(logit)
+        return sigmoid(matmul(cat, self.proj_w, self.proj_b))
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -11,8 +11,8 @@ discriminator reads the same shared features. AT mode never trains its
 target tower and decodes the target domain with the source tower. Every
 step runs on padded (B, T, d) batches with a (B, T) length mask.
 
-One encode(sentences, domain, training, rng) turns one domain's batch
-into a Block: the features the domain's CRF head reads, that head, the
+One encode(sentences, domain, rng) turns one domain's batch into a
+Block: the features the domain's CRF head reads, that head, the
 length mask and the shared features, if any. Training, decoding and
 gradcheck all read Blocks. An adversarial block costs one embedding, one
 shared-encoder pass and one pass of the domain's private encoder, padded
@@ -189,6 +189,13 @@ def _buckets(sentences: list[str]) -> list[list[int]]:
 _LOSSES = ("l_src", "l_tgt", "l_adv")
 
 
+def _check_finite(losses) -> None:
+    """A ValueError naming the first present loss that is not finite."""
+    for name, loss in zip(_LOSSES, losses):
+        if loss is not None and not math.isfinite(loss.item()):
+            raise ValueError(f"loss {name} is not finite")
+
+
 def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
          log_path: str | None, hook=None) -> list[dict]:
     """The training loop of both trainers; returns the step records.
@@ -197,8 +204,10 @@ def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
     the losses in _LOSSES order (None where the trainer has none), the
     optimizers to step and the branch. After zero_grad the record goes to
     hook and to a TSV row: epoch, step, the losses ("-" for None) and the
-    milliseconds since before the batch was assembled. A step's ValueError
-    is re-raised naming the epoch, the step and the last record's losses.
+    milliseconds since before the batch was assembled. A step runs with
+    numpy's floating-point warnings off; a step's ValueError, a non-finite
+    loss among them, is re-raised naming the epoch, the step and the last
+    record's losses.
     """
     records: list[dict] = []
     with open(log_path, "w", encoding="utf-8") if log_path \
@@ -207,16 +216,20 @@ def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
             epoch_batches = batches()
             t0 = time.monotonic()
             for j, batch in enumerate(epoch_batches, start=1):
-                try:
-                    losses, stepped, branch = step(j, batch)
-                    present = [l for l in losses if l is not None]
-                    backward(sum(present[1:], present[0]))
-                except ValueError as exc:
-                    last = {k: r[k] for r in records[-1:] for k in _LOSSES}
-                    raise ValueError(f"epoch {epoch}, step {j}: {exc}; "
-                                     f"last losses {last}") from exc
-                for opt in stepped:
-                    opt.step()
+                with np.errstate(over="ignore", invalid="ignore",
+                                 divide="ignore"):
+                    try:
+                        losses, stepped, branch = step(j, batch)
+                        _check_finite(losses)
+                        present = [l for l in losses if l is not None]
+                        backward(sum(present[1:], present[0]))
+                    except ValueError as exc:
+                        last = {k: r[k] for r in records[-1:]
+                                for k in _LOSSES}
+                        raise ValueError(f"epoch {epoch}, step {j}: {exc}; "
+                                         f"last losses {last}") from exc
+                    for opt in stepped:
+                        opt.step()
                 for opt in opts:
                     opt.zero_grad()
                 rec = {"epoch": epoch, "step": j, "branch": branch,
@@ -315,22 +328,21 @@ class Segmenter:
         return out
 
     def encode(self, sentences: list[str], domain: str,
-               training: bool = False,
                rng: np.random.Generator | None = None) -> Block:
         """One domain's batch: one embedding, the shared-encoder pass if
         there is one, then one pass of the domain's tower (the order of
-        the dropout draws); its tagger features, [private ; shared] or the
-        private ones alone, and its CRF head. The target tower is never
-        trained in AT mode, so there a target batch gets the shared pass
-        only."""
+        the dropout draws, which a training encode takes from rng); its
+        tagger features, [private ; shared] or the private ones alone, and
+        its CRF head. The target tower is never trained in AT mode, so
+        there a target batch gets the shared pass only."""
         _check_domain(domain)
         x, mask = self.embedding.embed(sentences)
         shared = None if self.shared is None \
-            else self.shared.forward(x, mask, training, rng)
+            else self.shared.forward(x, mask, rng)
         if domain == "target" and self.mode == "at":
             return Block(None, None, mask, shared)
         enc, head = self.towers[domain if domain in self.towers else ""]
-        private = enc.forward(x, mask, training, rng)
+        private = enc.forward(x, mask, rng)
         tagger = private if shared is None else concat_cols([private, shared])
         return Block(tagger, head, mask, shared)
 
@@ -404,7 +416,7 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
 
     def step(j: int, batch: list[tuple[str, str]]):
         sents, tags = map(list, zip(*batch))
-        block = model.encode(sents, ds.domain, True, rng)
+        block = model.encode(sents, ds.domain, rng)
         return (_batch_loss(block, tags), None, None), (opt,), None
 
     losses = [r["l_src"] for r in _fit(cfg, batches, step, [opt], log_path)]
@@ -531,8 +543,8 @@ def _step_losses(model: Segmenter, batch_src: list[tuple[str, str]],
     the shared features feed both the CRF heads and the discriminator
     (L_d on odd steps, L_c on even ones)."""
     (s_src, t_src), (s_tgt, t_tgt) = zip(*batch_src), zip(*batch_tgt)
-    src = model.encode(list(s_src), "source", True, rng)
-    tgt = model.encode(list(s_tgt), "target", True, rng)
+    src = model.encode(list(s_src), "source", rng)
+    tgt = model.encode(list(s_tgt), "target", rng)
     l_src, l_tgt = tagging_losses(model, src, tgt, list(t_src), list(t_tgt))
     adv = discriminator_loss if odd else confusion_loss
     return l_src, l_tgt, adv(model, src, tgt)

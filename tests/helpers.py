@@ -13,8 +13,8 @@ from collections import Counter
 
 import numpy as np
 
-from crossseg.autodiff import (Tensor, add, concat_cols, gather_rows, log,
-                               matmul, mul, scale, sigmoid, sub)
+from crossseg.autodiff import (Tensor, concat_cols, gather_rows, log, mul,
+                               scale, sigmoid, sub, sum_all)
 from crossseg.corpus import TAG_INDEX, tags_to_words
 from crossseg.miner import MinerConfig, NGramStats, _run_splitter
 from crossseg.nn import UNK_INDEX, clamped
@@ -376,9 +376,10 @@ def linear_probe_accuracy(X: np.ndarray, y: np.ndarray, iters: int = 300,
 # The model computed the direct way: every sentence is its own (n, d)
 # graph, convolutions pad with np.pad, the text-CNN pools one sentence,
 # and the CRF loss loops over positions. It builds library Tensors (and
-# uses only the library's elementwise and affine ops, which do not depend
-# on batching) so tests compare gradients as well as values. Everything
-# runs in eval mode: compare with the library at dropout 0.
+# uses only the library's elementwise ops, which do not depend on
+# batching; convolutions, affine maps and biases are its own) so tests
+# compare gradients as well as values. Everything runs in eval mode:
+# compare with the library at dropout 0.
 
 
 def conv1d_ref(x: Tensor, w: Tensor, pad_left: int, pad_right: int) -> Tensor:
@@ -389,7 +390,6 @@ def conv1d_ref(x: Tensor, w: Tensor, pad_left: int, pad_right: int) -> Tensor:
     y = np.zeros((n_out, w.data.shape[2]))
     for o in range(k):
         y += xp[o:o + n_out] @ w.data[o]
-    out = Tensor(y, (x, w))
 
     def bwd(g):
         dxp = np.zeros_like(xp)
@@ -400,23 +400,38 @@ def conv1d_ref(x: Tensor, w: Tensor, pad_left: int, pad_right: int) -> Tensor:
         x._accumulate(dxp[pad_left:pad_left + x.data.shape[0]])
         w._accumulate(dw)
 
-    out._bwd = bwd
-    return out
+    return Tensor(y, (x, w), bwd)
+
+
+def matmul_ref(x: Tensor, w: Tensor) -> Tensor:
+    """(n, d) @ (d, m) -> (n, m)."""
+    def bwd(g):
+        x._accumulate(g @ w.data.T)
+        w._accumulate(x.data.T @ g)
+
+    return Tensor(x.data @ w.data, (x, w), bwd)
+
+
+def bias_ref(x: Tensor, b: Tensor) -> Tensor:
+    """(n, m) plus a bias of shape (m,) or (1, m) added to every row."""
+    def bwd(g):
+        x._accumulate(g)
+        b._accumulate(g.sum(axis=0).reshape(b.data.shape))
+
+    return Tensor(x.data + b.data, (x, b), bwd)
 
 
 def max_over_time_ref(x: Tensor) -> Tensor:
     """(t, f) -> (1, f); ties send the gradient to the earliest row."""
     am = np.argmax(x.data, axis=0)
     cols = np.arange(x.data.shape[1])
-    out = Tensor(x.data[am, cols][None, :], (x,))
 
     def bwd(g):
         grad = np.zeros_like(x.data)
         grad[am, cols] = g[0]
         x._accumulate(grad)
 
-    out._bwd = bwd
-    return out
+    return Tensor(x.data[am, cols][None, :], (x,), bwd)
 
 
 def _lse(a: np.ndarray, axis: int) -> np.ndarray:
@@ -443,8 +458,6 @@ def nll_loss_ref(emissions: Tensor, head, gold) -> Tensor:
         beta[i] = _lse(t + (e[i + 1] + beta[i + 1])[None, :], 1)
     score = sv[gold[0]] + e[np.arange(n), gold].sum() + pv[gold[-1]]
     score += t[gold[:-1], gold[1:]].sum()
-    out = Tensor(log_z - score, (emissions, head.trans, head.start,
-                                 head.stop))
 
     def bwd(g):
         gs = float(g)
@@ -465,8 +478,8 @@ def nll_loss_ref(emissions: Tensor, head, gold) -> Tensor:
         dp[gold[-1]] -= 1.0
         head.stop._accumulate(gs * dp)
 
-    out._bwd = bwd
-    return out
+    return Tensor(log_z - score, (emissions, head.trans, head.start,
+                                  head.stop), bwd)
 
 
 def nll_loss_batched_ref(emissions: Tensor, head, gold, mask) -> Tensor:
@@ -503,8 +516,6 @@ def nll_loss_batched_ref(emissions: Tensor, head, gold, mask) -> Tensor:
     gold_score = (sv[g_t[0]].sum() + pv[last].sum()
                   + np.take_along_axis(e, g_t[:, :, None], 2).sum()
                   + (t[g_t[:-1], g_t[1:]] * valid[1:, :, 0]).sum())
-    out = Tensor(log_z.sum() - gold_score,
-                 (emissions, head.trans, head.start, head.stop))
 
     def bwd(g):
         gs = float(g)
@@ -526,8 +537,8 @@ def nll_loss_batched_ref(emissions: Tensor, head, gold, mask) -> Tensor:
         np.subtract.at(dp, last, 1.0)
         head.stop._accumulate(gs * dp)
 
-    out._bwd = bwd
-    return out
+    return Tensor(log_z.sum() - gold_score,
+                  (emissions, head.trans, head.start, head.stop), bwd)
 
 
 def viterbi_ref(e, trans, start, stop) -> list[int]:
@@ -555,8 +566,8 @@ def gcnn_ref(enc, x: Tensor) -> Tensor:
     h = x
     for layer in enc.layers:
         pad = (layer.k - 1) // 2
-        lin = add(conv1d_ref(h, layer.w, pad, pad), layer.b)
-        gate = sigmoid(add(conv1d_ref(h, layer.v, pad, pad), layer.c))
+        lin = bias_ref(conv1d_ref(h, layer.w, pad, pad), layer.b)
+        gate = sigmoid(bias_ref(conv1d_ref(h, layer.v, pad, pad), layer.c))
         h = mul(lin, gate)
     return h
 
@@ -565,10 +576,11 @@ def textcnn_ref(disc, h: Tensor) -> Tensor:
     """Source-domain probability (1, 1) of one sentence (n, d); a sentence
     shorter than a window is zero padded at the end to the window size."""
     n = h.data.shape[0]
-    pooled = [max_over_time_ref(add(conv1d_ref(h, cw, 0, max(0, w - n)), cb))
+    pooled = [max_over_time_ref(bias_ref(conv1d_ref(h, cw, 0, max(0, w - n)),
+                                         cb))
               for w, (cw, cb) in zip(disc.windows, disc.convs)]
-    return sigmoid(add(matmul(concat_cols(pooled), disc.proj_w),
-                       disc.proj_b))
+    return sigmoid(bias_ref(matmul_ref(concat_cols(pooled), disc.proj_w),
+                            disc.proj_b))
 
 
 def segment_ref(model, sentence: str, domain: str) -> list[str]:
@@ -586,15 +598,19 @@ def segment_ref(model, sentence: str, domain: str) -> list[str]:
     h = gcnn_ref(enc, e)
     if model.shared is not None:
         h = concat_cols([h, gcnn_ref(model.shared, e)])
-    emis = add(matmul(h, head.emit_w), head.emit_b).data
+    emis = emissions_ref(h, head).data
     path = viterbi_ref(emis, head.trans.data, head.start.data,
                        head.stop.data)
     return tags_to_words(sentence, "".join("BMES"[i] for i in path))
 
 
+def emissions_ref(h: Tensor, head) -> Tensor:
+    return bias_ref(matmul_ref(h, head.emit_w), head.emit_b)
+
+
 def sentence_nll_ref(h: Tensor, head, tags: str) -> Tensor:
-    emis = add(matmul(h, head.emit_w), head.emit_b)
-    return nll_loss_ref(emis, head, [TAG_INDEX[c] for c in tags])
+    return nll_loss_ref(emissions_ref(h, head), head,
+                        [TAG_INDEX[c] for c in tags])
 
 
 def mean_ref(terms: list[Tensor]) -> Tensor:
@@ -636,6 +652,7 @@ def daat_losses_ref(model, batch_src, batch_tgt, odd: bool):
         for (_, shared), _ in enc:
             p = clamped(textcnn_ref(model.disc,
                                     shared.detach() if odd else shared))
-            terms.append(log(p) if is_src == odd else log(sub(1.0, p)))
+            terms.append(sum_all(log(p) if is_src == odd
+                                 else log(sub(1.0, p))))
         means.append(mean_ref(terms))
     return l_src, l_tgt, sub(0.0, means[0] + means[1])

@@ -41,9 +41,26 @@ RNG = np.random.default_rng(3)
 
 
 def test_add_sub_mul_broadcast():
+    # a constant broadcasts against a Tensor; Tensor operands do not
     a = RNG.normal(size=(3, 4))
-    b = RNG.normal(size=(1, 4))
-    check_grad(lambda x, y: sum_all(mul(add(x, y), sub(x, y))), a, b)
+    b = RNG.normal(size=(3, 4))
+    c = RNG.normal(size=(1, 4))
+    check_grad(lambda x, y: sum_all(mul(add(x, c), sub(y, c))), a, b)
+    check_grad(lambda x, y: sum_all(mul(sub(2.0, x), mul(c, y))), a, b)
+    for op in (add, sub, mul):
+        with pytest.raises(ValueError, match=r"\(3, 4\) and \(1, 4\)"):
+            op(Tensor(a), Tensor(c))
+        with pytest.raises(ValueError, match=r"\(4,\) and \(3, 4\)"):
+            op(Tensor(a[0]), b)
+
+
+def test_constant_operands_are_not_parents():
+    x = Tensor(RNG.normal(size=(2, 3)))
+    mask = np.array([[True], [False]])
+    y = mul(add(x, 1.0), mask)
+    assert len(y._parents) == 1 and y._parents[0]._parents == (x,)
+    backward(sum_all(sub(0.5, y)))
+    np.testing.assert_array_equal(x.grad, [[-1.0] * 3, [0.0] * 3])
 
 
 def test_scale_and_mean():
@@ -54,7 +71,24 @@ def test_scale_and_mean():
 def test_matmul():
     a = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(4, 2))
-    check_grad(lambda x, y: sum_all(matmul(x, y)), a, b)
+    c = RNG.normal(size=(2,))
+    out = matmul(Tensor(a), Tensor(b), Tensor(c)).data
+    np.testing.assert_allclose(out, a @ b + c, rtol=0, atol=1e-12)
+    check_grad(lambda x, y, z: sum_all(matmul(x, y, z)), a, b, c)
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2)], ids=["vector", "row"])
+def test_matmul_bias_grad(shape):
+    # both bias shapes the models use: (m,) in the CRF, (1, m) in the
+    # discriminator's projection; over one and two leading axes, weighted
+    # so that the bias gradient is not a count
+    b = RNG.normal(size=(4, 2))
+    c = RNG.normal(size=shape)
+    for lead in ((3,), (2, 3)):
+        a = RNG.normal(size=(*lead, 4))
+        g = RNG.normal(size=(*lead, 2))
+        check_grad(lambda x, y, z: sum_all(mul(matmul(x, y, z), g)),
+                   a, b, c)
 
 
 def test_sigmoid_log():
@@ -79,7 +113,9 @@ def test_clamp_blocks_gradient_outside():
 def test_matmul_batched_left_operand():
     a = RNG.normal(size=(2, 3, 4))
     b = RNG.normal(size=(4, 2))
-    check_grad(lambda x, y: sum_all(mul(matmul(x, y), matmul(x, y))), a, b)
+    c = RNG.normal(size=(1, 2))
+    check_grad(lambda x, y, z: sum_all(mul(matmul(x, y, z),
+                                           matmul(x, y, z))), a, b, c)
 
 
 def test_concat_cols():
@@ -97,11 +133,13 @@ def test_concat_cols():
 def test_conv1d_values_match_manual():
     x = RNG.normal(size=(2, 5, 3))
     w = RNG.normal(size=(3, 3, 2))
-    out = conv1d(Tensor(x), Tensor(w), pad_left=1, pad_right=1).data
+    bias = RNG.normal(size=(2,))
+    out = conv1d(Tensor(x), Tensor(w), Tensor(bias), pad_left=1,
+                 pad_right=1).data
     assert out.shape == (2, 5, 2)
     for b in range(2):
         padded = np.vstack([np.zeros((1, 3)), x[b], np.zeros((1, 3))])
-        want = np.zeros((5, 2))
+        want = np.tile(bias, (5, 1))
         for i in range(5):
             for k in range(3):
                 want[i] += padded[i + k] @ w[k]
@@ -109,18 +147,24 @@ def test_conv1d_values_match_manual():
 
 
 def test_conv1d_grad():
+    # weighted so that the bias gradient is not a count
     x = RNG.normal(size=(2, 4, 2))
     w = RNG.normal(size=(3, 2, 3))
-    check_grad(lambda a, b: sum_all(conv1d(a, b, 1, 1)), x, w)
-    check_grad(lambda a, b: sum_all(conv1d(a, b, 0, 2)), x, w)
+    bias = RNG.normal(size=(3,))
+    g = RNG.normal(size=(2, 4, 3))
+    check_grad(lambda a, b, c: sum_all(mul(conv1d(a, b, c, 1, 1), g)),
+               x, w, bias)
+    check_grad(lambda a, b, c: sum_all(mul(conv1d(a, b, c, 0, 2), g)),
+               x, w, bias)
 
 
 def test_conv1d_valid_when_unpadded():
     x = RNG.normal(size=(3, 5, 2))
     w = RNG.normal(size=(2, 2, 1))
-    assert conv1d(Tensor(x), Tensor(w), 0, 0).shape == (3, 4, 1)
+    bias = Tensor(np.zeros(1))
+    assert conv1d(Tensor(x), Tensor(w), bias, 0, 0).shape == (3, 4, 1)
     with pytest.raises(ValueError):
-        conv1d(Tensor(x[:, :1]), Tensor(w), 0, 0)
+        conv1d(Tensor(x[:, :1]), Tensor(w), bias, 0, 0)
 
 
 def test_gather_rows_accumulates_repeats():

@@ -85,7 +85,7 @@ def test_acceptance_shaped_steps_match_per_sentence_reference(
     cfg = TrainConfig(**{**TRAIN_CFG, "dropout": 0.0})
     rng = np.random.default_rng(1)
     seg = Segmenter.create([s for s, _ in src], cfg, rng)
-    block = seg.encode([s for s, _ in src], "source", True, rng)
+    block = seg.encode([s for s, _ in src], "source", rng)
     loss = train_mod._batch_loss(block, [t for _, t in src])
     value, grads = loss.item(), _grads(seg, loss)
     ref = helpers.base_loss_ref(seg, src)

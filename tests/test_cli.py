@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +300,42 @@ def test_diverging_training_exits_1_naming_epoch_and_step(workdir, tmp_path,
     assert "; last losses {'l_src': " in err
     assert "Traceback" not in err
     assert not model.exists()
+
+
+def test_far_diverging_training_prints_no_runtime_warning(tmp_path):
+    # the encoder overflows long before the CRF sees its scores; a run in a
+    # fresh interpreter shows what numpy itself would print to stderr
+    train = tmp_path / "train.txt"
+    words = ["ab", "cd", "ef", "gh"]
+    save_segmented(train, [[words[i % 4], words[(i + 1) % 4]]
+                           for i in range(16)])
+    model = tmp_path / "m.bin"
+    src = Path(__file__).parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "crossseg.cli", "train-base", "--train",
+         str(train), "--out-model", str(model), "--lr", "1e300", "--batch",
+         "8", "--gcnn-layers", "2"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: epoch 1, step 2: ")
+    assert "RuntimeWarning" not in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["mine", "annotate", "segment", "eval"])
+def test_seed_belongs_to_the_seeded_commands_alone(command, capsys):
+    # only training and gradcheck draw random numbers
+    argv = {"mine": ["--input", "x", "--out", "y"],
+            "annotate": ["--input", "x", "--lexicon", "y", "--model", "z",
+                         "--out", "w"],
+            "segment": ["--model", "x", "--input", "y", "--out", "z"],
+            "eval": ["--gold", "x", "--pred", "y"]}[command]
+    with pytest.raises(SystemExit) as e:
+        main([command, *argv, "--seed", "3"])
+    assert e.value.code == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 # Containers written by the save code of commit c7f9867, before save and

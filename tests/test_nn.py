@@ -81,13 +81,10 @@ def test_encoder_stacks_and_dropout_gating():
                              rng=rng)
     x = rng.normal(size=(1, 6, 4))
     mask = np.ones((1, 6), dtype=bool)
-    still = enc.forward(Tensor(x), mask, training=False).data
-    again = enc.forward(Tensor(x), mask, training=False).data
+    still = enc.forward(Tensor(x), mask).data
+    again = enc.forward(Tensor(x), mask).data
     np.testing.assert_array_equal(still, again)
-    with pytest.raises(ValueError):
-        enc.forward(Tensor(x), mask, training=True)  # rng required
-    noisy = enc.forward(Tensor(x), mask, training=True,
-                        rng=np.random.default_rng(5)).data
+    noisy = enc.forward(Tensor(x), mask, rng=np.random.default_rng(5)).data
     assert not np.allclose(noisy, still)
     names = set(enc.params("enc"))
     assert "enc.0.w" in names and "enc.2.c" in names
@@ -100,9 +97,8 @@ def test_encoder_zero_dropout_training_matches_eval():
                              rng=rng)
     x = rng.normal(size=(2, 4, 3))
     mask = np.array([[True] * 4, [True, True, False, False]])
-    a = enc.forward(Tensor(x), mask, training=True,
-                    rng=np.random.default_rng(0)).data
-    b = enc.forward(Tensor(x), mask, training=False).data
+    a = enc.forward(Tensor(x), mask, rng=np.random.default_rng(0)).data
+    b = enc.forward(Tensor(x), mask).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -118,7 +114,7 @@ def test_encoder_dropout_scales_survivors():
     enc = GcnnEncoder([_Identity()], dropout=0.25)
     x = Tensor(np.ones((2, 100, 4)))
     mask = np.arange(100)[None, :] < np.array([[100], [60]])
-    y = enc.forward(x, mask, training=True, rng=np.random.default_rng(0))
+    y = enc.forward(x, mask, rng=np.random.default_rng(0))
     np.testing.assert_array_equal(y.data[~mask], 0.0)
     kept = y.data[y.data != 0]
     np.testing.assert_allclose(kept, 1.0 / 0.75)
@@ -139,7 +135,7 @@ def test_encoder_zero_rate_is_identity_and_draws_nothing():
     x = np.random.default_rng(1).normal(size=(2, 3, 3))
     mask = np.array([[True] * 3, [True, False, False]])
     rng = np.random.default_rng(0)
-    y = enc.forward(Tensor(x), mask, training=True, rng=rng)
+    y = enc.forward(Tensor(x), mask, rng=rng)
     np.testing.assert_array_equal(y.data, x * mask[:, :, None])
     assert rng.random() == np.random.default_rng(0).random()
 
@@ -176,7 +172,7 @@ def test_encoder_training_forward_equals_separate_mask_and_dropout():
             p.grad = None
         return out.data, xt.grad, grads
 
-    got = run(lambda *a: enc.forward(a[0], a[1], True, a[2]))
+    got = run(lambda *a: enc.forward(*a))
     want = run(lambda *a: _separate_mask_and_dropout(enc, *a))
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])

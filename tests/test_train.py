@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import crossseg.train as train_mod
-from crossseg.autodiff import Tensor, backward
+from crossseg.autodiff import Tensor, _topo, backward, mul, sum_all
 from crossseg.corpus import dataset_from_segmented
 from crossseg.errors import DataError
 from crossseg.evaluate import prf
@@ -303,20 +303,20 @@ def test_encode_gives_each_domain_its_features_alone(mode, training):
                              np.random.default_rng(0), mode)
     batches = {"source": ["abcd", "a", "cd"], "target": ["xyzab", "x"]}
     rng = np.random.default_rng(3) if training else None
-    blocks = {d: model.encode(rows, d, training, rng)
+    blocks = {d: model.encode(rows, d, rng)
               for d, rows in batches.items()}
     rng = np.random.default_rng(3) if training else None
     towers = model.towers
     for domain, rows in batches.items():
         block, (enc, head) = blocks[domain], towers[domain]
         x, mask = model.embedding.embed(rows)
-        shared = model.shared.forward(x, mask, training, rng)
+        shared = model.shared.forward(x, mask, rng)
         np.testing.assert_array_equal(block.shared.data, shared.data)
         np.testing.assert_array_equal(block.mask, mask)
         if mode == "at" and domain == "target":
             assert block.tagger is None and block.head is None
             continue
-        private = enc.forward(x, mask, training, rng)
+        private = enc.forward(x, mask, rng)
         np.testing.assert_array_equal(
             block.tagger.data, np.concatenate([private.data, shared.data], -1))
         assert block.head is head
@@ -541,3 +541,39 @@ def test_diverging_adversarial_step_names_epoch_and_step():
     assert str(e.value) == (
         "epoch 1, step 2: CRF scores too large for float64: the tag "
         f"marginals do not sum to one; last losses {last}")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_loss_names_epoch_and_step(bad):
+    # a guard of its own: the CRF's finiteness check is not the only one
+    cfg = TrainConfig(**{**SMALL, "epochs": 2})
+    x = Tensor(np.ones(3))
+
+    def step(j, batch):
+        loss = sum_all(mul(x, 1.0 if j < 2 else bad))
+        return (loss, None, sum_all(x)), (), None
+
+    with pytest.raises(ValueError) as e:
+        train_mod._fit(cfg, lambda: iter([0, 1]), step, [], None)
+    assert str(e.value) == ("epoch 1, step 2: loss l_src is not finite; "
+                            "last losses {'l_src': 3.0, 'l_tgt': None, "
+                            "'l_adv': 3.0}")
+
+
+@pytest.mark.parametrize("mode", ["daat", "at"])
+@pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+def test_step_tape_holds_no_constant_leaves(mode, odd):
+    # masks, dropout multipliers and numbers are constants, not leaves:
+    # every leaf of a step's graph is a parameter, but for the shared
+    # features an odd step detaches for the discriminator, once per domain
+    src = [("abcd", "BMME"), ("ab", "BE"), ("c", "S")]
+    tgt = [("xyzab", "BMEBE"), ("x", "S")]
+    model = Segmenter.create([s for s, _ in src + tgt], TrainConfig(**SMALL),
+                             np.random.default_rng(0), mode)
+    losses = [l for l in train_mod._step_losses(
+        model, src, tgt, odd, np.random.default_rng(1)) if l is not None]
+    params = {id(p) for p in model.params().values()}
+    leaves = [n for n in _topo(sum(losses[1:], losses[0])) if not n._parents]
+    assert leaves and all(n._bwd is None for n in leaves)
+    others = sorted(n.shape for n in leaves if id(n) not in params)
+    assert others == ([(2, 5, 16), (3, 4, 16)] if odd else [])
