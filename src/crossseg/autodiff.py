@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Tensor wraps an ndarray and remembers, when it was produced by an
-operation, its parent tensors and a closure that pushes the output gradient
-back to them; every operation hands both to the Tensor it returns.
-backward(root) runs the closures in reverse topological order and
-accumulates gradients on every leaf tensor of the graph, then consumes
-the tape: running backward twice on the same graph raises StaleGraphError.
+A Tensor wraps an ndarray and remembers, when an operation produced it,
+its parents and a closure that pushes the output gradient back to them.
+An operation states its value and, per Tensor operand, a gradient map
+from the output gradient to that operand's; _node builds the node. conv1d
+and crf.nll_loss, whose operand gradients share one computation, write
+one joint closure instead. Only Tensor._accumulate adds to a gradient,
+and no operation writes an array it has handed over. backward(root) runs
+the closures in reverse topological order, accumulates gradients on every
+leaf tensor and consumes the tape: a second call raises StaleGraphError.
 
 Operands: a Tensor is differentiable, anything else is a constant. add,
 sub and mul also take a plain array or float, which is not a parent and
@@ -30,6 +33,7 @@ tensors may be read concurrently once training is done.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,11 +65,13 @@ class Tensor:
         return Tensor(self.data)
 
     def _accumulate(self, g: Array) -> None:
-        """Add g, which has this tensor's shape, to its gradient."""
+        """Add g, which has this tensor's shape, to its gradient. The first
+        g is kept as handed over, and may be other tensors' too (add hands
+        both operands its g), so later ones are added out of place."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)  # g may be a view
+            self.grad = np.asarray(g, dtype=np.float64)
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -78,51 +84,45 @@ def _value(x):
     return x.data if isinstance(x, Tensor) else x
 
 
-def _binary(a, b, y: Array, bwd: Callable) -> Tensor:
-    """The node of a binary op with result y: its parents are the Tensor
-    operands, each of which must have the result's shape."""
-    parents = tuple(x for x in (a, b) if isinstance(x, Tensor))
-    if any(p.data.shape != y.shape for p in parents):
-        raise ValueError(f"operand shapes {np.shape(_value(a))} and "
-                         f"{np.shape(_value(b))}: a Tensor operand must "
-                         "have the result's shape")
-    return Tensor(y, parents, bwd)
+def _node(y: Array, *pairs: tuple[Tensor, Callable]) -> Tensor:
+    """The node of result y: pairs give each Tensor operand with its
+    gradient map, which turns the output gradient into the operand's."""
+    def bwd(g: Array) -> None:
+        for x, grad_of in pairs:
+            x._accumulate(grad_of(g))
+
+    return Tensor(y, tuple([x for x, _ in pairs]), bwd)
+
+
+def _binary(a, b, y: Array, da: Callable, db: Callable) -> Tensor:
+    """The node of a binary op with result y and gradient maps da and db:
+    only Tensor operands are parents, and each must have y's shape."""
+    pairs = []
+    for x, grad_of in ((a, da), (b, db)):
+        if isinstance(x, Tensor):
+            if x.data.shape != y.shape:
+                raise ValueError(f"operand shapes {np.shape(_value(a))} and "
+                                 f"{np.shape(_value(b))}: a Tensor operand "
+                                 "must have the result's shape")
+            pairs.append((x, grad_of))
+    return _node(y, *pairs)
 
 
 def add(a, b) -> Tensor:
-    def bwd(g: Array) -> None:
-        for x in (a, b):
-            if isinstance(x, Tensor):
-                x._accumulate(g)
-
-    return _binary(a, b, _value(a) + _value(b), bwd)
+    return _binary(a, b, _value(a) + _value(b), lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
-    def bwd(g: Array) -> None:
-        if isinstance(a, Tensor):
-            a._accumulate(g)
-        if isinstance(b, Tensor):
-            b._accumulate(-g)
-
-    return _binary(a, b, _value(a) - _value(b), bwd)
+    return _binary(a, b, _value(a) - _value(b), lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
-    def bwd(g: Array) -> None:
-        if isinstance(a, Tensor):
-            a._accumulate(g * _value(b))
-        if isinstance(b, Tensor):
-            b._accumulate(g * _value(a))
-
-    return _binary(a, b, _value(a) * _value(b), bwd)
+    return _binary(a, b, _value(a) * _value(b), lambda g: g * _value(b),
+                   lambda g: g * _value(a))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    def bwd(g: Array) -> None:
-        a._accumulate(g * s)
-
-    return Tensor(a.data * s, (a,), bwd)
+    return _node(a.data * s, (a, lambda g: g * s))
 
 
 def _bias_grad(g: Array, bias: Tensor) -> Array:
@@ -136,63 +136,38 @@ def matmul(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     are batch axes, and bias, (m,) or (1, m), is added to every row."""
     y = a.data @ w.data
     y += bias.data
-
-    def bwd(g: Array) -> None:
-        a._accumulate(g @ w.data.T)
-        w._accumulate(a.data.reshape(-1, a.data.shape[-1]).T
-                      @ g.reshape(-1, g.shape[-1]))
-        bias._accumulate(_bias_grad(g, bias))
-
-    return Tensor(y, (a, w, bias), bwd)
+    return _node(y, (a, lambda g: g @ w.data.T),
+                 (w, lambda g: a.data.reshape(-1, a.data.shape[-1]).T
+                  @ g.reshape(-1, g.shape[-1])),
+                 (bias, lambda g: _bias_grad(g, bias)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     ez = np.exp(-np.abs(a.data))  # 1 / (1 + e^-x), or e^x / (1 + e^x)
     y = np.where(a.data >= 0, 1.0, ez) / (1.0 + ez)
-
-    def bwd(g: Array) -> None:
-        a._accumulate(g * y * (1.0 - y))
-
-    return Tensor(y, (a,), bwd)
+    return _node(y, (a, lambda g: g * y * (1.0 - y)))
 
 
 def log(a: Tensor) -> Tensor:
-    def bwd(g: Array) -> None:
-        a._accumulate(g / a.data)
-
-    return Tensor(np.log(a.data), (a,), bwd)
+    return _node(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values to [lo, hi]; gradient is zero where the clip is active."""
     inside = (a.data > lo) & (a.data < hi)
-
-    def bwd(g: Array) -> None:
-        a._accumulate(g * inside)
-
-    return Tensor(np.clip(a.data, lo, hi), (a,), bwd)
+    return _node(np.clip(a.data, lo, hi), (a, lambda g: g * inside))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def bwd(g: Array) -> None:
-        a._accumulate(np.full_like(a.data, float(g)))
-
-    return Tensor(a.data.sum(), (a,), bwd)
+    return _node(a.data.sum(), (a, lambda g: np.full_like(a.data, float(g))))
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate tensors along their last axis."""
-    parts = tuple(parts)
-    widths = [p.data.shape[-1] for p in parts]
-
-    def bwd(g: Array) -> None:
-        off = 0
-        for p, w in zip(parts, widths):
-            p._accumulate(g[..., off:off + w])
-            off += w
-
-    return Tensor(np.concatenate([p.data for p in parts], axis=-1), parts,
-                  bwd)
+    cuts = [0, *accumulate(p.data.shape[-1] for p in parts)]
+    return _node(np.concatenate([p.data for p in parts], axis=-1),
+                 *((p, lambda g, lo=lo, hi=hi: g[..., lo:hi])
+                   for p, lo, hi in zip(parts, cuts, cuts[1:])))
 
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor, pad_left: int,
@@ -251,15 +226,15 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     n = table.data.shape[0]
     width = math.prod(table.data.shape[1:])
 
-    def bwd(g: Array) -> None:
+    def scatter(g: Array) -> Array:
         flat = idx[keep]
         rows = g[keep].reshape(flat.size, width)
         grad = np.empty((n, width))
         for j, col in enumerate(rows.T):
             grad[:, j] = np.bincount(flat, weights=col, minlength=n)
-        table._accumulate(grad.reshape(table.data.shape))
+        return grad.reshape(table.data.shape)
 
-    return Tensor(data, (table,), bwd)
+    return _node(data, (table, scatter))
 
 
 def max_over_time(x: Tensor, valid: np.ndarray) -> Tensor:
@@ -273,12 +248,12 @@ def max_over_time(x: Tensor, valid: np.ndarray) -> Tensor:
     rows = np.arange(x.data.shape[0])[:, None]
     cols = np.arange(x.data.shape[2])[None, :]
 
-    def bwd(g: Array) -> None:
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[rows, am, cols] += g
+    def spread(g: Array) -> Array:
+        dx = np.zeros_like(x.data)
+        dx[rows, am, cols] = g
+        return dx
 
-    return Tensor(x.data[rows, am, cols], (x,), bwd)
+    return _node(x.data[rows, am, cols], (x, spread))
 
 
 def _topo(root: Tensor) -> list[Tensor]:

@@ -80,6 +80,15 @@ def _nonempty(data, path: str):
     return data
 
 
+def _decode(model_path: str, decode, *args):
+    """decode(*args), its ValueError, a model whose scores overflow, turned
+    into a DataError naming model_path."""
+    try:
+        return decode(*args)
+    except ValueError as exc:
+        raise DataError(f"{model_path}: {exc}") from None
+
+
 def _cmd_mine(args: argparse.Namespace) -> int:
     corpus = load_raw(args.input)
     stop = frozenset()
@@ -99,7 +108,8 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     raw = load_raw(args.input)
     collection = load_lexicon(args.lexicon)
     base = load_model(args.model)
-    ds, prov = build_target_dataset(raw, collection, base)
+    ds, prov = _decode(args.model, build_target_dataset, raw, collection,
+                       base)
     save_segmented(args.out, [tags_to_words(s, t) for s, t in ds.items])
     save_provenance(args.out + ".prov", prov)
     lex_chars = sum(p.count("L") for p in prov)
@@ -141,7 +151,8 @@ def _cmd_train_daat(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     raw = raw_lines(args.input)  # output line i segments input line i
-    save_segmented(args.out, model.segment_batch(raw, args.domain))
+    save_segmented(args.out, _decode(args.model, model.segment_batch, raw,
+                                     args.domain))
     print(f"segmented {len(raw)} lines")
     return 0
 

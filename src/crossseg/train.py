@@ -196,6 +196,13 @@ def _check_finite(losses) -> None:
             raise ValueError(f"loss {name} is not finite")
 
 
+def _quiet():
+    """numpy's floating-point warnings off, for training steps and decoding:
+    scores that overflow reach the CRF's and the losses' finiteness checks,
+    which raise a ValueError instead."""
+    return np.errstate(all="ignore")
+
+
 def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
          log_path: str | None, hook=None) -> list[dict]:
     """The training loop of both trainers; returns the step records.
@@ -216,8 +223,7 @@ def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
             epoch_batches = batches()
             t0 = time.monotonic()
             for j, batch in enumerate(epoch_batches, start=1):
-                with np.errstate(over="ignore", invalid="ignore",
-                                 divide="ignore"):
+                with _quiet():
                     try:
                         losses, stepped, branch = step(j, batch)
                         _check_finite(losses)
@@ -352,19 +358,21 @@ class Segmenter:
         (an empty sentence gives []). Each length bucket runs one encode
         and one Viterbi. AT mode decodes the target domain with the source
         tower, the one it trains. An unknown domain is a ValueError even
-        when no sentence has a character to encode."""
+        when no sentence has a character to encode, and so are scores too
+        large for float64, with no numpy warning."""
         _check_domain(domain)
         if domain == "target" and self.mode == "at":
             domain = "source"
         out: list[list[str]] = [[] for _ in sentences]
         for bucket in _buckets(sentences):
             batch = [sentences[i] for i in bucket]
-            block = self.encode(batch, domain)
-            head = block.head
-            emis = crf_mod.emission_scores(block.tagger, head)
-            paths = crf_mod.viterbi_decode(emis.data, head.trans.data,
-                                           head.start.data, head.stop.data,
-                                           block.mask)
+            with _quiet():
+                block = self.encode(batch, domain)
+                head = block.head
+                emis = crf_mod.emission_scores(block.tagger, head)
+                paths = crf_mod.viterbi_decode(
+                    emis.data, head.trans.data, head.start.data,
+                    head.stop.data, block.mask)
             for i, s, path in zip(bucket, batch, paths):
                 tags = "".join(TAGS[k] for k in path[:len(s)])
                 out[i] = tags_to_words(s, tags)

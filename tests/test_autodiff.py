@@ -257,3 +257,20 @@ def test_grad_accumulates_across_uses():
     y = sum_all(add(mul(x, x), x))
     backward(y)
     np.testing.assert_allclose(x.grad, [[5.0]])
+
+
+def test_a_gradient_handed_over_is_never_written():
+    # add hands both operands one array as their gradient; a later
+    # gradient of a, from max_over_time and from scale in one graph, must
+    # add to a's gradient alone and leave b's as it was
+    a = Tensor(RNG.normal(size=(2, 3, 4)))
+    b = Tensor(RNG.normal(size=(2, 3, 4)))
+    c = RNG.normal(size=(2, 3, 4))
+    backward(sum_all(mul(add(a, b), c)))
+    valid = np.array([[True, True, False], [True, True, True]])
+    backward(add(sum_all(max_over_time(a, valid)), sum_all(scale(a, 2.0))))
+    np.testing.assert_array_equal(b.grad, c)
+    am = np.argmax(np.where(valid[:, :, None], a.data, -np.inf), axis=1)
+    picked = np.zeros_like(c)
+    picked[np.arange(2)[:, None], am, np.arange(4)[None, :]] = 1.0
+    np.testing.assert_allclose(a.grad, c + 2.0 + picked, rtol=1e-15)

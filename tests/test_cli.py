@@ -324,6 +324,35 @@ def test_far_diverging_training_prints_no_runtime_warning(tmp_path):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("command", ["segment", "annotate"])
+def test_decoding_overflowing_scores_exits_2_naming_the_model(command,
+                                                              tmp_path):
+    # finite weights whose products overflow pass load_model's checks; a
+    # run in a fresh interpreter shows what numpy itself would print
+    hyper, tensors = load_container(DATA / "segmenter.bin")
+    for name in tensors:
+        if name.startswith("enc.") and name.endswith(".w"):
+            tensors[name] = tensors[name] * 1e300
+    model = tmp_path / "over.bin"
+    save_container(model, hyper, tensors)
+    raw = tmp_path / "raw.txt"
+    raw.write_text(hyper["vocab"][:6] + "\n", encoding="utf-8")
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("")
+    argv = {"segment": ["--input", str(raw), "--out", str(tmp_path / "o")],
+            "annotate": ["--input", str(raw), "--lexicon", str(lexicon),
+                         "--out", str(tmp_path / "o")]}[command]
+    src = Path(__file__).parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "crossseg.cli", command, "--model", str(model),
+         *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"error: {model}: ")
+    assert "RuntimeWarning" not in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 @pytest.mark.parametrize("command", ["mine", "annotate", "segment", "eval"])
 def test_seed_belongs_to_the_seeded_commands_alone(command, capsys):
     # only training and gradcheck draw random numbers
