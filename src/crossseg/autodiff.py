@@ -3,27 +3,30 @@
 A Tensor wraps an ndarray and remembers, when an operation produced it,
 its parents and a closure that pushes the output gradient back to them.
 An operation states its value and, per Tensor operand, a gradient map
-from the output gradient to that operand's; _node builds the node. conv1d
-and crf.nll_loss, whose operand gradients share one computation, write
-one joint closure instead. Only Tensor._accumulate adds to a gradient,
-and no operation writes an array it has handed over. backward(root) runs
-the closures in reverse topological order, accumulates gradients on every
-leaf tensor and consumes the tape: a second call raises StaleGraphError.
+from the output gradient to that operand's; _node builds the node.
+conv1d, gated_conv and crf.nll_loss, whose operand gradients share one
+computation, write one joint closure instead. Only Tensor._accumulate
+adds to a gradient, and no operation writes an array it has handed over.
+backward(root) runs the closures in reverse topological order,
+accumulates gradients on every leaf tensor and consumes the tape: a
+second call raises StaleGraphError.
 
 Operands: a Tensor is differentiable, anything else is a constant. add,
-sub and mul also take a plain array or float, which is not a parent and
-gets no gradient, so masks, dropout multipliers and numbers never become
-leaves of the tape. A constant broadcasts as numpy does, but a Tensor
-operand never does: it must have the result's shape, or the operation
-raises ValueError naming both shapes. The one broadcast a Tensor gets is
-a bias, which conv1d and matmul add themselves along the last axis.
+sub and mul also take a plain array or float, and gated_conv takes one
+as its scale; a constant is not a parent and gets no gradient, so masks,
+dropout multipliers and numbers never become leaves of the tape. A
+constant broadcasts as numpy does, but a Tensor operand never does: it
+must have the result's shape, or the operation raises ValueError naming
+both shapes. The one broadcast a Tensor gets is a bias, which conv1d,
+gated_conv and matmul add themselves along the last axis.
 
 Only the operations the segmentation stack needs are provided. Sequence
-operations work on padded batches: conv1d and max_over_time take (B, T, d)
-tensors, and matmul and concat_cols act on the last axis. gather_rows
-reads the rows of a table at one index array (embedding lookup); negative
-entries mark padding, which reads zeros and gets no gradient, and a row
-read several times gets the sum of all of its gradients. Dropout is not an
+operations work on padded batches: conv1d, gated_conv (a whole gated
+convolution layer in one node) and max_over_time take (B, T, d) tensors,
+and matmul and concat_cols act on the last axis. gather_rows reads the
+rows of a table at one index array (embedding lookup); negative entries
+mark padding, which reads zeros and gets no gradient, and a row read
+several times gets the sum of all of its gradients. Dropout is not an
 operation: a training forward multiplies by its mask. Everything is
 float64; gradients match central finite differences to about 1e-9 in
 relative error, far inside the 1e-4 contract checked by the gradcheck
@@ -142,9 +145,13 @@ def matmul(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
                  (bias, lambda g: _bias_grad(g, bias)))
 
 
+def _logistic(a: Array) -> Array:
+    ez = np.exp(-np.abs(a))  # 1 / (1 + e^-x), or e^x / (1 + e^x)
+    return np.where(a >= 0, 1.0, ez) / (1.0 + ez)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    ez = np.exp(-np.abs(a.data))  # 1 / (1 + e^-x), or e^x / (1 + e^x)
-    y = np.where(a.data >= 0, 1.0, ez) / (1.0 + ez)
+    y = _logistic(a.data)
     return _node(y, (a, lambda g: g * y * (1.0 - y)))
 
 
@@ -170,6 +177,38 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
                    for p, lo, hi in zip(parts, cuts, cuts[1:])))
 
 
+def _padded(x: Array, scale, pad_left: int, pad_right: int) -> Array:
+    """x (B, T, d) times the constant scale, with pad_left zero rows before
+    and pad_right after each sequence, in one new buffer."""
+    b, n, d = x.shape
+    xp = np.zeros((b, n + pad_left + pad_right, d))
+    np.multiply(x, scale, out=xp[:, pad_left:pad_left + n])
+    return xp
+
+
+def _conv(xp: Array, w: Array, n_out: int) -> Array:
+    """Rows t < n_out of the convolution of a padded buffer xp
+    (B, T_pad, d_in) with w (k, d_in, d_out): the sum over offsets o of
+    xp[:, t + o] @ w[o], one batched matmul per offset."""
+    y = xp[:, :n_out] @ w[0]
+    for o in range(1, w.shape[0]):
+        y += xp[:, o:o + n_out] @ w[o]
+    return y
+
+
+def _conv_grads(xp: Array, w: Array, g: Array) -> tuple[Array, Array]:
+    """The gradients of the padded buffer xp and of w in _conv(xp, w,
+    n_out), given its output gradient g (B, n_out, d_out)."""
+    n_out = g.shape[1]
+    wt = np.ascontiguousarray(w.transpose(0, 2, 1))
+    dxp = np.zeros_like(xp)
+    dw = np.empty_like(w)
+    for o in range(w.shape[0]):
+        dw[o] = (xp[:, o:o + n_out].transpose(0, 2, 1) @ g).sum(axis=0)
+        dxp[:, o:o + n_out] += g @ wt[o]
+    return dxp, dw
+
+
 def conv1d(x: Tensor, w: Tensor, bias: Tensor, pad_left: int,
            pad_right: int) -> Tensor:
     """1-d convolution along axis 1 of a batch of sequences, plus a bias.
@@ -181,36 +220,64 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, pad_left: int,
     bias. With pad_left = pad_right = (k - 1) // 2 and odd k the output
     has shape (B, T, d_out).
     """
-    k, d_in, d_out = w.data.shape
-    b, n, _ = x.data.shape
-    n_out = n + pad_left + pad_right - k + 1
+    n = x.data.shape[1]
+    n_out = n + pad_left + pad_right - w.data.shape[0] + 1
     if n_out < 1:
         raise ValueError("input shorter than kernel after padding")
-
-    def padded() -> Array:
-        xp = np.zeros((b, n + pad_left + pad_right, d_in))
-        xp[:, pad_left:pad_left + n] = x.data
-        return xp
-
-    xp = padded()
-    y = xp[:, :n_out] @ w.data[0]
-    for o in range(1, k):
-        y += xp[:, o:o + n_out] @ w.data[o]
+    y = _conv(_padded(x.data, 1.0, pad_left, pad_right), w.data, n_out)
     y += bias.data
 
     def bwd(g: Array) -> None:
-        xp = padded()  # rebuilt, not kept: the graph holds less memory
-        wt = np.ascontiguousarray(w.data.transpose(0, 2, 1))
-        dxp = np.zeros_like(xp)
-        dw = np.empty_like(w.data)
-        for o in range(k):
-            dw[o] = (xp[:, o:o + n_out].transpose(0, 2, 1) @ g).sum(axis=0)
-            dxp[:, o:o + n_out] += g @ wt[o]
+        # the buffer is rebuilt, not kept: the graph holds less memory
+        dxp, dw = _conv_grads(_padded(x.data, 1.0, pad_left, pad_right),
+                              w.data, g)
         x._accumulate(dxp[:, pad_left:pad_left + n])
         w._accumulate(dw)
         bias._accumulate(_bias_grad(g, bias))
 
     return Tensor(y, (x, w, bias), bwd)
+
+
+def gated_conv(x: Tensor, scale, w: Tensor, b: Tensor, v: Tensor,
+               c: Tensor) -> Tensor:
+    """The gated linear unit (conv(x * scale, w) + b) * sigmoid(conv(x *
+    scale, v) + c) of a batch x (B, T, d_in), as one node.
+
+    scale is a constant that broadcasts to x, such as a length mask times
+    a dropout multiplier; it gets no gradient. w and v have shape
+    (k, d_in, d_out) with odd k, and b and c (d_out,). Both convolutions
+    read one buffer of x * scale padded with (k - 1) // 2 zero rows on
+    each side, so the output has shape (B, T, d_out). The node keeps the
+    linear part and the gate, and rebuilds the buffer in its backward pass.
+    """
+    n = x.data.shape[1]
+    pad = (w.data.shape[0] - 1) // 2
+    xp = _padded(x.data, scale, pad, pad)
+    lin = _conv(xp, w.data, n)
+    lin += b.data
+    pre = _conv(xp, v.data, n)
+    pre += c.data
+    del xp
+    y = _logistic(pre)
+    del pre
+
+    def bwd(g: Array) -> None:
+        # the float operations of mul, conv1d, conv1d, sigmoid and mul,
+        # which the tests compare bit for bit: each kernel's input
+        # gradient in its own buffer, the two summed, then scaled
+        g_lin = g * y
+        g_pre = g * lin * y * (1.0 - y)
+        xp = _padded(x.data, scale, pad, pad)
+        dxp_w, dw = _conv_grads(xp, w.data, g_lin)
+        dxp_v, dv = _conv_grads(xp, v.data, g_pre)
+        x._accumulate((dxp_w[:, pad:pad + n] + dxp_v[:, pad:pad + n])
+                      * scale)
+        w._accumulate(dw)
+        b._accumulate(_bias_grad(g_lin, b))
+        v._accumulate(dv)
+        c._accumulate(_bias_grad(g_pre, c))
+
+    return Tensor(lin * y, (x, w, b, v, c), bwd)
 
 
 def gather_rows(table: Tensor, idx) -> Tensor:

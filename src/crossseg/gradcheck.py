@@ -87,8 +87,10 @@ def _check_gcnn_layer(rng: np.random.Generator) -> float:
     layer = GcnnLayer.create(3, 3, 2, rng)
     layer.b.data[:] = 0.1 * rng.normal(size=2)
     layer.c.data[:] = 0.1 * rng.normal(size=2)
+    # a training-style scale: the length mask times inverted dropout
+    scale = mask[:, :, None] * (rng.random(x.shape) >= 0.3) / 0.7
     params = {"x": x, "w": layer.w, "b": layer.b, "v": layer.v, "c": layer.c}
-    return max_rel_error(lambda: _masked_sum(layer.forward(x), mask),
+    return max_rel_error(lambda: _masked_sum(layer.forward(x, scale), mask),
                          params, rng)
 
 

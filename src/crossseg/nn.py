@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, clamp, concat_cols, conv1d, gather_rows,
-                       matmul, max_over_time, mul, sigmoid)
+from .autodiff import (Tensor, clamp, concat_cols, conv1d, gated_conv,
+                       gather_rows, matmul, max_over_time, mul, sigmoid)
 
 UNK_INDEX = 0
 
@@ -59,7 +59,9 @@ class EmbeddingTable:
 
 @dataclass
 class GcnnLayer:
-    """One gated convolution: (x * w + b) elementwise-times sigmoid(x * v + c)."""
+    """One gated convolution, recorded as one node: with xs = x * scale,
+    scale being a constant such as the length mask times the dropout
+    multiplier, (xs * w + b) elementwise-times sigmoid(xs * v + c)."""
     w: Tensor  # (k, d_in, d_out)
     b: Tensor  # (d_out,)
     v: Tensor  # (k, d_in, d_out)
@@ -78,15 +80,10 @@ class GcnnLayer:
             c=Tensor(np.zeros(d_out)),
         )
 
-    @property
-    def k(self) -> int:
-        return self.w.data.shape[0]
-
-    def forward(self, x: Tensor) -> Tensor:
-        """(B, T, d_in) -> (B, T, d_out); rows past T read zeros."""
-        pad = (self.k - 1) // 2
-        lin = conv1d(x, self.w, self.b, pad, pad)
-        return mul(lin, sigmoid(conv1d(x, self.v, self.c, pad, pad)))
+    def forward(self, x: Tensor, scale) -> Tensor:
+        """(B, T, d_in) times scale, an array that broadcasts to x or a
+        float -> (B, T, d_out); rows past T read zeros."""
+        return gated_conv(x, scale, self.w, self.b, self.v, self.c)
 
 
 @dataclass
@@ -97,7 +94,8 @@ class GcnnEncoder:
     character of a sentence sees zeros on its right as it would alone.
     Inverted dropout is applied to the input of every layer, only in a
     forward given an rng, with one draw per layer for the whole batch; it
-    joins the length mask in one multiply by a constant.
+    joins the length mask in the one constant the layer scales its input
+    by.
     """
     layers: list[GcnnLayer]
     dropout: float = 0.0
@@ -123,12 +121,11 @@ class GcnnEncoder:
         keep = mask[:, :, None]
         h = x
         for layer in self.layers:
+            scale = keep
             if drop:  # inverted dropout, one draw per layer input
                 survive = rng.random(h.data.shape) >= self.dropout
-                h = mul(h, keep * (survive / (1.0 - self.dropout)))
-            else:
-                h = mul(h, keep)
-            h = layer.forward(h)
+                scale = keep * (survive / (1.0 - self.dropout))
+            h = layer.forward(h, scale)
         return h
 
     def params(self, prefix: str) -> dict[str, Tensor]:

@@ -13,8 +13,8 @@ from collections import Counter
 
 import numpy as np
 
-from crossseg.autodiff import (Tensor, concat_cols, gather_rows, log, mul,
-                               scale, sigmoid, sub, sum_all)
+from crossseg.autodiff import (Tensor, concat_cols, conv1d, gather_rows,
+                               log, mul, scale, sigmoid, sub, sum_all)
 from crossseg.corpus import TAG_INDEX, tags_to_words
 from crossseg.miner import MinerConfig, NGramStats, _run_splitter
 from crossseg.nn import UNK_INDEX, clamped
@@ -565,11 +565,21 @@ def gcnn_ref(enc, x: Tensor) -> Tensor:
     """A GCNN encoder over one sentence (n, d_in) -> (n, d_out)."""
     h = x
     for layer in enc.layers:
-        pad = (layer.k - 1) // 2
+        pad = (layer.w.data.shape[0] - 1) // 2
         lin = bias_ref(conv1d_ref(h, layer.w, pad, pad), layer.b)
         gate = sigmoid(bias_ref(conv1d_ref(h, layer.v, pad, pad), layer.c))
         h = mul(lin, gate)
     return h
+
+
+def gated_conv_ops_ref(layer, x: Tensor, scale) -> Tensor:
+    """A GCNN layer over a batch as five nodes: the scaling mul, the two
+    conv1d, sigmoid and the gating mul, the same float operations as the
+    fused autodiff.gated_conv."""
+    pad = (layer.w.data.shape[0] - 1) // 2
+    h = mul(x, scale)
+    lin = conv1d(h, layer.w, layer.b, pad, pad)
+    return mul(lin, sigmoid(conv1d(h, layer.v, layer.c, pad, pad)))
 
 
 def textcnn_ref(disc, h: Tensor) -> Tensor:

@@ -5,6 +5,8 @@ from crossseg.autodiff import Tensor, backward, mul, sum_all
 from crossseg.nn import (Adam, EmbeddingTable, GcnnEncoder, GcnnLayer,
                          TextCnn, UNK_INDEX, clamped)
 
+from helpers import gated_conv_ops_ref
+
 
 def test_embedding_rows_and_unk():
     emb = EmbeddingTable.build(["ca", "b"], dim=4,
@@ -37,7 +39,7 @@ def test_gcnn_layer_can_represent_identity():
                       v=Tensor(np.zeros((1, d, d))),
                       c=Tensor(np.full(d, 50.0)))
     x = np.random.default_rng(1).normal(size=(2, 6, d))
-    out = layer.forward(Tensor(x)).data
+    out = layer.forward(Tensor(x), 1.0).data
     np.testing.assert_allclose(out, x, atol=1e-9)
 
 
@@ -55,7 +57,7 @@ def test_gcnn_layer_matches_manual_computation():
             lin[i] += padded[i + k] @ layer.w.data[k]
             gate[i] += padded[i + k] @ layer.v.data[k]
     want = (lin + layer.b.data) / (1 + np.exp(-(gate + layer.c.data)))
-    got = layer.forward(Tensor(x[None])).data
+    got = layer.forward(Tensor(x[None]), 1.0).data
     np.testing.assert_allclose(got[0], want, atol=1e-12)
 
 
@@ -64,10 +66,47 @@ def test_gcnn_layer_single_step_shift_consistency():
     rng = np.random.default_rng(3)
     layer = GcnnLayer.create(k=3, d_in=2, d_out=2, rng=rng)
     x = rng.normal(size=(1, 5, 2))
-    y = layer.forward(Tensor(x)).data
+    y = layer.forward(Tensor(x), 1.0).data
     y2 = layer.forward(Tensor(np.concatenate([np.zeros((1, 1, 2)), x],
-                                             axis=1))).data
+                                             axis=1)), 1.0).data
     np.testing.assert_allclose(y2[:, 1:], y, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("lengths", [(1, 1), (1, 6, 4, 1)],
+                         ids=["all-length-1", "ragged"])
+@pytest.mark.parametrize("dropout", [True, False],
+                         ids=["mask-and-dropout", "one"])
+def test_gated_conv_equals_its_five_op_composition(k, lengths, dropout):
+    # the fused node does the float operations of mul, two conv1d, sigmoid
+    # and mul: values and all five gradients are equal bit for bit
+    rng = np.random.default_rng(k + 10 * len(lengths))
+    layer = GcnnLayer.create(k, 3, 4, rng)
+    layer.b.data[:] = rng.normal(size=4)
+    layer.c.data[:] = rng.normal(size=4)
+    mask = np.arange(max(lengths))[None, :] < np.array(lengths)[:, None]
+    x = rng.normal(size=(*mask.shape, 3))
+    scale = mask[:, :, None] * (rng.random(x.shape) >= 0.3) / 0.7 \
+        if dropout else 1.0
+    g = rng.normal(size=(*mask.shape, 4))
+    params = (layer.w, layer.b, layer.v, layer.c)
+
+    def run(forward):
+        xt = Tensor(x.copy())
+        out = forward(layer, xt, scale)
+        backward(sum_all(mul(out, g)))
+        grads = [xt.grad] + [p.grad for p in params]
+        for p in params:
+            p.grad = None
+        return out.data, grads
+
+    got = run(lambda lay, xt, s: lay.forward(xt, s))
+    want = run(gated_conv_ops_ref)
+    np.testing.assert_array_equal(got[0], want[0])
+    for name, a, b in zip("xwbvc", got[1], want[1]):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    if dropout:
+        assert (scale == 0).any() and np.all(got[1][0][~mask] == 0.0)
 
 
 def test_gcnn_layer_rejects_even_width():
@@ -103,11 +142,11 @@ def test_encoder_zero_dropout_training_matches_eval():
 
 
 class _Identity:
-    """A layer stand-in that returns its input: the encoder then outputs
-    its masked, dropped-out input."""
+    """A layer stand-in that returns its input times the scale: the
+    encoder then outputs its masked, dropped-out input."""
 
-    def forward(self, x):
-        return x
+    def forward(self, x, scale):
+        return mul(x, scale)
 
 
 def test_encoder_dropout_scales_survivors():
@@ -148,7 +187,7 @@ def _separate_mask_and_dropout(enc, x, mask, rng):
     for layer in enc.layers:
         h = mul(h, mask[:, :, None])
         keep = (rng.random(h.data.shape) >= enc.dropout) / (1.0 - enc.dropout)
-        h = layer.forward(mul(h, Tensor(keep)))
+        h = layer.forward(mul(h, Tensor(keep)), 1.0)
     return h
 
 

@@ -15,6 +15,7 @@ from crossseg.train import (DaatModel, Segmenter, TrainConfig,
                             parse_field, tagging_losses, train_base)
 
 from helpers import daat_losses_ref
+from test_acceptance import TRAIN_CFG
 
 SMALL = dict(epochs=3, batch_size=16, lr=0.005, dropout=0.1, char_emb=16,
              gcnn_dim=16, gcnn_layers=2, window=3, textcnn_filters=4,
@@ -577,3 +578,23 @@ def test_step_tape_holds_no_constant_leaves(mode, odd):
     assert leaves and all(n._bwd is None for n in leaves)
     others = sorted(n.shape for n in leaves if id(n) not in params)
     assert others == ([(2, 5, 16), (3, 4, 16)] if odd else [])
+
+
+def test_daat_step_records_one_node_per_gcnn_layer():
+    # at acceptance shapes a DAAT step's graph, its losses summed, holds
+    # 51 nodes with parents and a base encode 3, the embedding and two
+    # layers; a GCNN layer of five nodes (mul, two conv1d, sigmoid, mul)
+    # would make them 83 and 11
+    src, tgt = toy_source(16).items, toy_target_tagged(16).items
+    cfg = TrainConfig(**TRAIN_CFG)
+    rng = np.random.default_rng(0)
+
+    def nodes(root):
+        return sum(1 for n in _topo(root) if n._parents)
+
+    model = Segmenter.create([s for s, _ in src + tgt], cfg, rng, "daat")
+    for odd in (True, False):
+        losses = train_mod._step_losses(model, src, tgt, odd, rng)
+        assert nodes(sum(losses[1:], losses[0])) == 51
+    base = Segmenter.create([s for s, _ in src], cfg, rng)
+    assert nodes(base.encode([s for s, _ in src], "source", rng).tagger) == 3
