@@ -284,21 +284,19 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     """Rows of table at an index array on its first axis; the output has
     the index shape followed by the remaining axes of table. A negative
     index selects a zero row that reads nothing and gets no gradient.
-    Gradients scatter back by one bincount per trailing column, so a row
-    selected k times gets the sum of its k gradients."""
+    Gradients scatter back by one bincount whose bin is the flat position
+    row * width + column, so a row selected k times gets the sum of its k
+    gradients, added in selection order."""
     idx = np.asarray(idx, dtype=np.int64)
     keep = idx >= 0
     data = table.data[idx * keep]  # padding reads row 0
     data[~keep] = 0.0
-    n = table.data.shape[0]
     width = math.prod(table.data.shape[1:])
 
     def scatter(g: Array) -> Array:
-        flat = idx[keep]
-        rows = g[keep].reshape(flat.size, width)
-        grad = np.empty((n, width))
-        for j, col in enumerate(rows.T):
-            grad[:, j] = np.bincount(flat, weights=col, minlength=n)
+        bins = idx[keep][:, None] * width + np.arange(width)
+        grad = np.bincount(bins.ravel(), weights=g[keep].ravel(),
+                           minlength=table.data.size)
         return grad.reshape(table.data.shape)
 
     return _node(data, (table, scatter))

@@ -124,10 +124,12 @@ def _cmd_train_base(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ds = dataset_from_segmented(
         _nonempty(load_segmented(args.train), args.train), "source")
-    model = train_base(ds, cfg)
+    records: list[dict] = []
+    model = train_base(ds, cfg, hook=records.append)
     model.save(args.out_model)
+    last = [r["l_src"] for r in records if r["epoch"] == cfg.epochs]
     print(f"trained on {len(ds)} sentences for {cfg.epochs} epochs; "
-          f"final epoch loss {model.loss_history[-1]:.4f}")
+          f"final epoch loss {sum(last) / len(last):.4f}")
     return 0
 
 

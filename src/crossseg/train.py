@@ -26,9 +26,9 @@ discriminator frozen). All randomness flows from the config seed, so two
 runs with equal inputs produce identical parameters.
 
 One loop, _fit, runs both trainers; each gives it a batch source per epoch
-and a step function. It backpropagates, steps the optimizers, sends one
-record per step to the hook and the TSV log, and names the epoch and step
-of a step whose scores diverge.
+and a step function. It backpropagates, steps the optimizers, sends each
+step's one record (epoch, step, branch, losses, ms) to the hook and the
+TSV log, and names the epoch and step of a step whose scores diverge.
 
 A model saves and loads through one path: a container holds the kind
 ("segmenter" for the baseline, "daat" with its mode for the adversarial
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import islice
 from numbers import Integral
 from typing import NamedTuple
@@ -204,19 +204,20 @@ def _quiet():
 
 
 def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
-         log_path: str | None, hook=None) -> list[dict]:
-    """The training loop of both trainers; returns the step records.
+         log_path: str | None, hook=None) -> None:
+    """The training loop of both trainers.
 
     Each epoch walks the iterator batches() returns; step(j, batch) gives
     the losses in _LOSSES order (None where the trainer has none), the
-    optimizers to step and the branch. After zero_grad the record goes to
-    hook and to a TSV row: epoch, step, the losses ("-" for None) and the
-    milliseconds since before the batch was assembled. A step runs with
-    numpy's floating-point warnings off; a step's ValueError, a non-finite
-    loss among them, is re-raised naming the epoch, the step and the last
-    record's losses.
+    optimizers to step and the branch. After zero_grad the step's one
+    record, {epoch, step, branch, l_src, l_tgt, l_adv, ms}, goes to hook
+    and becomes a TSV row: epoch, step, the losses ("-" for None) and ms,
+    the milliseconds since before the batch was assembled. A step runs
+    with numpy's floating-point warnings off; a step's ValueError, a
+    non-finite loss among them, is re-raised naming the epoch, the step
+    and the last record's losses.
     """
-    records: list[dict] = []
+    rec: dict = {}
     with open(log_path, "w", encoding="utf-8") if log_path \
             else nullcontext() as log_f:
         for epoch in range(1, cfg.epochs + 1):
@@ -230,8 +231,7 @@ def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
                         present = [l for l in losses if l is not None]
                         backward(sum(present[1:], present[0]))
                     except ValueError as exc:
-                        last = {k: r[k] for r in records[-1:]
-                                for k in _LOSSES}
+                        last = {k: rec[k] for k in _LOSSES if rec}
                         raise ValueError(f"epoch {epoch}, step {j}: {exc}; "
                                          f"last losses {last}") from exc
                     for opt in stepped:
@@ -240,17 +240,15 @@ def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
                     opt.zero_grad()
                 rec = {"epoch": epoch, "step": j, "branch": branch,
                        **{k: None if l is None else l.item()
-                          for k, l in zip(_LOSSES, losses)}}
-                records.append(rec)
+                          for k, l in zip(_LOSSES, losses)},
+                       "ms": (time.monotonic() - t0) * 1000.0}
                 if hook:
                     hook(rec)
                 if log_f:
-                    ms = (time.monotonic() - t0) * 1000.0
                     print(epoch, j, *("-" if rec[k] is None else
                                       f"{rec[k]:.6f}" for k in _LOSSES),
-                          f"{ms:.1f}", sep="\t", file=log_f)
+                          f"{rec['ms']:.1f}", sep="\t", file=log_f)
                 t0 = time.monotonic()
-    return records
 
 
 def _check_domain(domain: str) -> None:
@@ -285,7 +283,6 @@ class Segmenter:
     shared: GcnnEncoder | None = None
     disc: TextCnn | None = None
     mode: str | None = None
-    loss_history: list[float] = field(default_factory=list, init=False)
 
     @staticmethod
     def create(sentences: list[str], cfg: TrainConfig,
@@ -316,8 +313,9 @@ class Segmenter:
                   for name, e in zip(names, encoders)}
         return Segmenter(emb, towers, cfg, shared, disc, mode)
 
-    def tagger_params(self) -> dict[str, Tensor]:
-        """Every tensor but the discriminator's, in file order."""
+    def params(self) -> dict[str, Tensor]:
+        """Every tensor under its container name, in file order; the
+        optimizers, save and load all read this one map."""
         out = {"embedding": self.embedding.table}
         for name, tower in self.towers.items():
             out.update(tower.encoder.params("enc" + _SUFFIX[name]))
@@ -325,10 +323,6 @@ class Segmenter:
             out.update(self.shared.params("enc_shr"))
         for name, tower in self.towers.items():
             out.update(tower.head.params("crf" + _SUFFIX[name]))
-        return out
-
-    def params(self) -> dict[str, Tensor]:
-        out = self.tagger_params()
         if self.disc is not None:
             out.update(self.disc.params("disc"))
         return out
@@ -408,9 +402,9 @@ def _vocab_string(emb: EmbeddingTable) -> str:
 
 
 def train_base(ds: LabeledDataset, cfg: TrainConfig,
-               log_path: str | None = None) -> Segmenter:
+               log_path: str | None = None, hook=None) -> Segmenter:
     """Minimize the CRF negative log-likelihood with Adam over shuffled
-    mini-batches; deterministic given cfg.seed."""
+    mini-batches; deterministic given cfg.seed. hook gets _fit's records."""
     if len(ds) == 0:
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(cfg.seed)
@@ -427,8 +421,7 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
         block = model.encode(sents, ds.domain, rng)
         return (_batch_loss(block, tags), None, None), (opt,), None
 
-    losses = [r["l_src"] for r in _fit(cfg, batches, step, [opt], log_path)]
-    model.loss_history = np.reshape(losses, (cfg.epochs, -1)).mean(1).tolist()
+    _fit(cfg, batches, step, [opt], log_path, hook)
     return model
 
 
@@ -501,7 +494,8 @@ def load_model(path: str) -> Segmenter:
 def _domain_bce(model: Segmenter, src: Block, tgt: Block,
                 flip: bool) -> Tensor:
     """Binary cross-entropy of the discriminator, read once per domain
-    block: minus the sum of the two per-domain mean log-probabilities.
+    block: minus the sum of the two per-domain mean log-probabilities,
+    each sum scaled by -1/B so that the tape records no negation.
 
     flip=False scores the true domains on detached shared features
     (discriminator loss); flip=True swaps them and reaches the shared
@@ -516,8 +510,8 @@ def _domain_bce(model: Segmenter, src: Block, tgt: Block,
         p = clamped(model.disc.forward(shared, block.mask))  # (B, 1)
         says_src = (domain == "source") != flip  # scored by log p
         logp = log(p) if says_src else log(sub(1.0, p))
-        means.append(scale(sum_all(logp), 1.0 / len(block.mask)))
-    return sub(0.0, means[0] + means[1])
+        means.append(scale(sum_all(logp), -1.0 / len(block.mask)))
+    return means[0] + means[1]
 
 
 def discriminator_loss(model: Segmenter, src: Block, tgt: Block) -> Tensor:
@@ -595,8 +589,9 @@ def adversarial_train(ds_src: LabeledDataset,
     rng = np.random.default_rng(cfg.seed)
     model = Segmenter.create([s for s, _ in [*ds_src.items, *tgt_items]],
                              cfg, rng, mode)
-    opt_tag = Adam(model.tagger_params(), lr=cfg.lr)
-    opt_disc = Adam(model.disc.params("disc"), lr=cfg.lr)
+    tag = model.params()
+    disc = {k: tag.pop(k) for k in list(tag) if k.startswith("disc.")}
+    opt_tag, opt_disc = Adam(tag, lr=cfg.lr), Adam(disc, lr=cfg.lr)
     steps = math.ceil(max(len(ds_src), len(tgt_items)) / cfg.batch_size)
     cur_src = _cursor(len(ds_src), rng)
     cur_tgt = _cursor(len(tgt_items), rng)

@@ -203,9 +203,12 @@ def test_batch_with_a_very_long_line_trains():
     line = "".join(words)
     assert len(line) == 5000
     cfg = TrainConfig(**SMALL)
+    base_records = []
     base = train_mod.train_base(
-        dataset_from_segmented(segs, domain="source"), cfg)
-    assert all(math.isfinite(l) for l in base.loss_history)
+        dataset_from_segmented(segs, domain="source"), cfg,
+        hook=base_records.append)
+    assert base_records and all(math.isfinite(r["l_src"])
+                                for r in base_records)
     records = []
     daat = train_mod.adversarial_train(
         dataset_from_segmented(segs, domain="source"),

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from crossseg.cli import _resolve_config, build_parser, main
-from crossseg.corpus import load_segmented, save_segmented
+from crossseg.corpus import (dataset_from_segmented, load_segmented,
+                             save_segmented)
 from crossseg.miner import load_lexicon
 from crossseg.model_io import load_container, save_container
-from crossseg.train import TrainConfig, _buckets, load_model
+from crossseg.train import TrainConfig, _buckets, load_model, train_base
 
 from test_miner import build_cohesion_corpus
 
@@ -90,6 +91,29 @@ def test_train_segment_eval_pipeline(workdir, capsys):
     line = capsys.readouterr().out.strip()
     rep = json.loads(line)
     assert rep["f1"] == pytest.approx(1.0)
+
+
+def test_train_base_prints_last_epoch_mean_of_the_step_records(
+        workdir, tmp_path, capsys):
+    # the CLI's final loss is the mean l_src of the last epoch's step
+    # records that a library run with the same seed and config reports
+    capsys.readouterr()
+    rc = main(["train-base", "--train", str(workdir / "train.txt"),
+               "--out-model", str(tmp_path / "m.bin"), "--epochs", "2",
+               "--batch", "16", "--char-emb", "8", "--gcnn-dim", "8",
+               "--gcnn-layers", "1", "--seed", "7"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    records = []
+    cfg = TrainConfig(epochs=2, batch_size=16, char_emb=8, gcnn_dim=8,
+                      gcnn_layers=1, seed=7)
+    train_base(dataset_from_segmented(
+        load_segmented(workdir / "train.txt"), "source"), cfg,
+        hook=records.append)
+    last = [r["l_src"] for r in records if r["epoch"] == 2]
+    assert len(last) == 3  # 40 sentences in batches of 16
+    assert out == ("trained on 40 sentences for 2 epochs; final epoch "
+                   f"loss {sum(last) / len(last):.4f}\n")
 
 
 @pytest.mark.parametrize("pred_segs, message", [
