@@ -8,8 +8,9 @@ conv1d, gated_conv and crf.nll_loss, whose operand gradients share one
 computation, write one joint closure instead. Only Tensor._accumulate
 adds to a gradient, and no operation writes an array it has handed over.
 backward(root) runs the closures in reverse topological order,
-accumulates gradients on every leaf tensor and consumes the tape: a
-second call raises StaleGraphError.
+accumulates gradients on every leaf tensor and consumes the tape: it
+drops each closure it runs, so a consumed node is one with parents and
+no closure, and a graph that holds one raises StaleGraphError.
 
 Operands: a Tensor is differentiable, anything else is a constant. add,
 sub and mul also take a plain array or float, and gated_conv takes one
@@ -47,14 +48,13 @@ Array = np.ndarray
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_bwd", "_spent")
+    __slots__ = ("data", "grad", "_parents", "_bwd")
 
     def __init__(self, data, parents: tuple = (), bwd: Callable | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self._parents = parents
         self._bwd = bwd
-        self._spent = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -346,20 +346,17 @@ def backward(root: Tensor) -> None:
     inputs and detached values. root must hold a single value. An
     operation's output drops its gradient once it has passed it on, so a
     walk holds few gradients at a time. The tape is consumed; a second call
-    on the same graph raises StaleGraphError."""
-    if root._spent:
-        raise StaleGraphError("backward() already ran on this graph")
+    on the same graph, or on one sharing its nodes, raises StaleGraphError
+    before any gradient changes. A leaf has no tape, so a leaf root may be
+    walked again."""
     if root.data.size != 1:
         raise ValueError("backward root must be a scalar")
     order = _topo(root)
+    if any(node._parents and node._bwd is None for node in order):
+        raise StaleGraphError("the graph holds nodes of a consumed tape")
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
-        if node._parents and node._bwd is None:
-            raise StaleGraphError("graph shares nodes with a consumed tape")
         if node._bwd is not None:
-            node._bwd(node.grad if node.grad is not None
-                      else np.zeros_like(node.data))
+            node._bwd(node.grad)
             node._bwd = None
-            node._spent = True
             node.grad = None
-    root._spent = True

@@ -19,4 +19,4 @@ class AlignmentError(DataError):
 
 
 class StaleGraphError(RuntimeError):
-    """backward() was called twice on the same autodiff graph."""
+    """backward() met a node whose tape an earlier call consumed."""

@@ -325,6 +325,8 @@ def load_lexicon(path: str) -> WordCollection:
             continue
         try:
             word, freq, mis, es, tfidf, p_val = line.split("\t")
+            if word in entries:
+                raise DecodeError(f"{path}: line {i}: repeated word {word!r}")
             entries[word] = CandidateScore(
                 word, int(freq), float(mis), float(es), float(tfidf),
                 float(p_val))

@@ -143,12 +143,12 @@ class TextCnn:
     """Sentence classifier: per-window convolution banks, max-over-time
     pooling, concatenation, then a linear layer squashed to a probability.
 
-    Inputs shorter than a window are zero padded at the end to window size.
-    The final linear layer starts at zero so a fresh classifier outputs 0.5.
+    A bank's window is its weight's first axis. Inputs shorter than a
+    window are zero padded at the end to window size. The final linear
+    layer starts at zero so a fresh classifier outputs 0.5.
     """
-    windows: tuple[int, ...]
     convs: list[tuple[Tensor, Tensor]]  # per window: weights (w, d, f), bias (f,)
-    proj_w: Tensor  # (len(windows) * f, 1)
+    proj_w: Tensor  # (len(convs) * f, 1)
     proj_b: Tensor  # (1, 1)
 
     @staticmethod
@@ -161,7 +161,7 @@ class TextCnn:
                           Tensor(np.zeros(filters))))
         proj_w = Tensor(np.zeros((len(windows) * filters, 1)))
         proj_b = Tensor(np.zeros((1, 1)))
-        return TextCnn(tuple(windows), convs, proj_w, proj_b)
+        return TextCnn(convs, proj_w, proj_b)
 
     def forward(self, h: Tensor, mask: np.ndarray) -> Tensor:
         """Probabilities (B, 1) that each sentence of a batch (B, T, d) with
@@ -172,7 +172,8 @@ class TextCnn:
         n = h.data.shape[1]
         lengths = mask.sum(axis=1)
         pooled = []
-        for w, (cw, cb) in zip(self.windows, self.convs):
+        for cw, cb in self.convs:
+            w = cw.data.shape[0]
             c = conv1d(h, cw, cb, 0, max(0, w - n))
             last = np.maximum(lengths, w) - w  # last window start
             starts = np.arange(c.data.shape[1])
@@ -182,7 +183,8 @@ class TextCnn:
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for w, (cw, cb) in zip(self.windows, self.convs):
+        for cw, cb in self.convs:
+            w = cw.data.shape[0]
             out[f"{prefix}.conv{w}.w"] = cw
             out[f"{prefix}.conv{w}.b"] = cb
         out[f"{prefix}.proj_w"] = self.proj_w

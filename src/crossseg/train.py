@@ -123,8 +123,8 @@ def parse_field(key: str, text: str):
 
 def load_config(path: str) -> TrainConfig:
     """Parse key=value lines into a TrainConfig; blank lines and lines
-    starting with # are skipped. A line without =, an unknown key, a bad
-    value or invalid UTF-8 is a DataError naming the line."""
+    starting with # are skipped. A line without =, an unknown or repeated
+    key, a bad value or invalid UTF-8 is a DataError naming the line."""
     values: dict = {}
     for i, line in enumerate(read_lines(path), start=1):
         line = line.strip()
@@ -133,6 +133,8 @@ def load_config(path: str) -> TrainConfig:
         key, eq, text = (part.strip() for part in line.partition("="))
         if not eq:
             raise DataError(f"{path}: line {i}: expected key=value")
+        if key in values:
+            raise DataError(f"{path}: line {i}: repeated key {key!r}")
         try:
             values[key] = parse_field(key, text)
         except ValueError as exc:
@@ -189,13 +191,6 @@ def _buckets(sentences: list[str]) -> list[list[int]]:
 _LOSSES = ("l_src", "l_tgt", "l_adv")
 
 
-def _check_finite(losses) -> None:
-    """A ValueError naming the first present loss that is not finite."""
-    for name, loss in zip(_LOSSES, losses):
-        if loss is not None and not math.isfinite(loss.item()):
-            raise ValueError(f"loss {name} is not finite")
-
-
 def _quiet():
     """numpy's floating-point warnings off, for training steps and decoding:
     scores that overflow reach the CRF's and the losses' finiteness checks,
@@ -227,7 +222,11 @@ def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
                 with _quiet():
                     try:
                         losses, stepped, branch = step(j, batch)
-                        _check_finite(losses)
+                        values = {k: None if l is None else l.item()
+                                  for k, l in zip(_LOSSES, losses)}
+                        for k, v in values.items():
+                            if v is not None and not math.isfinite(v):
+                                raise ValueError(f"loss {k} is not finite")
                         present = [l for l in losses if l is not None]
                         backward(sum(present[1:], present[0]))
                     except ValueError as exc:
@@ -238,9 +237,7 @@ def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
                         opt.step()
                 for opt in opts:
                     opt.zero_grad()
-                rec = {"epoch": epoch, "step": j, "branch": branch,
-                       **{k: None if l is None else l.item()
-                          for k, l in zip(_LOSSES, losses)},
+                rec = {"epoch": epoch, "step": j, "branch": branch, **values,
                        "ms": (time.monotonic() - t0) * 1000.0}
                 if hook:
                     hook(rec)
@@ -416,7 +413,7 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
         return ([ds.items[i] for i in order[lo:lo + cfg.batch_size]]
                 for lo in range(0, len(ds), cfg.batch_size))
 
-    def step(j: int, batch: list[tuple[str, str]]):
+    def step(_j: int, batch: list[tuple[str, str]]):
         sents, tags = map(list, zip(*batch))
         block = model.encode(sents, ds.domain, rng)
         return (_batch_loss(block, tags), None, None), (opt,), None
@@ -527,8 +524,7 @@ def confusion_loss(model: Segmenter, src: Block, tgt: Block) -> Tensor:
     return _domain_bce(model, src, tgt, flip=True)
 
 
-def tagging_losses(model: Segmenter, src: Block, tgt: Block,
-                   tags_src: list[str],
+def tagging_losses(src: Block, tgt: Block, tags_src: list[str],
                    tags_tgt: list[str]) -> tuple[Tensor, Tensor | None]:
     """Mean CRF negative log-likelihood per domain tower, given a source
     and a target block and the gold tags of their rows. The target loss is
@@ -547,7 +543,7 @@ def _step_losses(model: Segmenter, batch_src: list[tuple[str, str]],
     (s_src, t_src), (s_tgt, t_tgt) = zip(*batch_src), zip(*batch_tgt)
     src = model.encode(list(s_src), "source", rng)
     tgt = model.encode(list(s_tgt), "target", rng)
-    l_src, l_tgt = tagging_losses(model, src, tgt, list(t_src), list(t_tgt))
+    l_src, l_tgt = tagging_losses(src, tgt, list(t_src), list(t_tgt))
     adv = discriminator_loss if odd else confusion_loss
     return l_src, l_tgt, adv(model, src, tgt)
 

@@ -586,9 +586,9 @@ def textcnn_ref(disc, h: Tensor) -> Tensor:
     """Source-domain probability (1, 1) of one sentence (n, d); a sentence
     shorter than a window is zero padded at the end to the window size."""
     n = h.data.shape[0]
-    pooled = [max_over_time_ref(bias_ref(conv1d_ref(h, cw, 0, max(0, w - n)),
-                                         cb))
-              for w, (cw, cb) in zip(disc.windows, disc.convs)]
+    pooled = [max_over_time_ref(bias_ref(
+        conv1d_ref(h, cw, 0, max(0, cw.data.shape[0] - n)), cb))
+        for cw, cb in disc.convs]
     return sigmoid(bias_ref(matmul_ref(concat_cols(pooled), disc.proj_w),
                             disc.proj_b))
 

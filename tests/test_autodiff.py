@@ -234,6 +234,13 @@ def test_backward_consumes_graph():
         backward(y)
 
 
+def test_backward_from_a_leaf_has_no_tape_to_consume():
+    x = Tensor(np.array(2.0))
+    backward(x)
+    backward(x)  # a leaf is never consumed: its gradient is set again
+    assert x.grad == 1.0
+
+
 def test_backward_rejects_cross_graph_reuse():
     x = Tensor(np.ones((1, 1)))
     shared = mul(x, x)
@@ -241,6 +248,11 @@ def test_backward_rejects_cross_graph_reuse():
     backward(first)
     with pytest.raises(StaleGraphError):
         backward(sum_all(mul(shared, shared)))
+    # refused before any closure runs: no leaf gets a partial gradient
+    w, x.grad = Tensor(np.ones((1, 1))), None
+    with pytest.raises(StaleGraphError):
+        backward(sum_all(add(mul(w, x), shared)))
+    assert w.grad is None and x.grad is None
 
 
 def test_detach_cuts_flow():

@@ -235,7 +235,7 @@ def test_saturated_discriminator_logits_give_finite_clamped_loss(logit):
         tgt = model.encode(["xyz", "x", "zyxzyx"], "target")
         loss = loss_fn(model, src, tgt)
         assert loss.item() == pytest.approx(clamp_cost, rel=1e-6)
-        l_src, l_tgt = tagging_losses(model, src, tgt, ["S", "BMME"],
+        l_src, l_tgt = tagging_losses(src, tgt, ["S", "BMME"],
                                       ["BME", "S", "BEBMME"])
         grads = _grads(model, l_src + l_tgt + loss)
         assert all(np.isfinite(g).all() for g in grads.values()

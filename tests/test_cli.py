@@ -268,7 +268,9 @@ def test_bad_flag_value_exits_1_naming_the_flag(command, flag, text,
     (b"epochs=2\nspeed=3\n", "line 2: unknown key 'speed'"),
     (b"epochs=2\n\nwindow\n", "line 3: expected key=value"),
     (b"epochs=2\n# caf\xe9\n", "line 2: invalid UTF-8"),
-], ids=["bad-value", "unknown-key", "no-equals", "invalid-utf8"])
+    (b"lr=0.1\nlr=0.2\n", "line 2: repeated key 'lr'"),
+], ids=["bad-value", "unknown-key", "no-equals", "invalid-utf8",
+        "repeated-key"])
 def test_bad_config_line_exits_2_naming_file_and_line(data, message,
                                                       workdir, tmp_path,
                                                       capsys):
@@ -291,6 +293,19 @@ def test_invalid_utf8_lexicon_exits_2_naming_the_line(tmp_path, capsys):
                str(tmp_path / "out.txt")])
     assert rc == 2
     assert f"{lex}: line 2: invalid UTF-8" in capsys.readouterr().err
+
+
+def test_repeated_lexicon_word_exits_2_naming_the_line(tmp_path, capsys):
+    raw, lex = tmp_path / "raw.txt", tmp_path / "lex.tsv"
+    raw.write_text("abxyzcd\n")
+    lex.write_bytes(b"ab\t12\t1.5\t0.8\t0.3\t0.97\n"
+                    b"ab\t10\t2\t1\t1\t1\n")
+    out = tmp_path / "out.txt"
+    rc = main(["annotate", "--input", str(raw), "--lexicon", str(lex),
+               "--model", str(DATA / "segmenter.bin"), "--out", str(out)])
+    assert rc == 2
+    assert f"{lex}: line 2: repeated word 'ab'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])

@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
-from crossseg.gradcheck import CHECKS, GradCheckResult, run_suite
+import crossseg.nn
+from crossseg import autodiff
+from crossseg.autodiff import Tensor
+from crossseg.gradcheck import (CHECKS, GradCheckResult, _check_textcnn,
+                                run_suite)
 
 
 def test_suite_covers_all_components():
@@ -32,3 +37,22 @@ def test_results_deterministic_for_seed():
 def test_suite_rejects_tolerance_that_is_not_positive_and_finite(tol):
     with pytest.raises(ValueError, match="tolerance"):
         run_suite(trials=1, tolerance=tol)
+
+
+def _conv1d_doubling_weight_grad(x, w, bias, pad_left, pad_right):
+    """autodiff.conv1d, but the gradient it gives w is twice the true one."""
+    inner = Tensor(w.data)
+    y = autodiff.conv1d(x, inner, bias, pad_left, pad_right)
+    bwd = y._bwd
+
+    def doubled(g):
+        bwd(g)  # accumulates into x, inner and bias
+        w._accumulate(2.0 * inner.grad)
+
+    return Tensor(y.data, (x, w, bias), doubled)
+
+
+def test_textcnn_check_catches_a_wrong_weight_gradient(monkeypatch):
+    assert _check_textcnn(np.random.default_rng(3)) < 1e-4
+    monkeypatch.setattr(crossseg.nn, "conv1d", _conv1d_doubling_weight_grad)
+    assert _check_textcnn(np.random.default_rng(3)) > 1e-4

@@ -465,6 +465,9 @@ def test_load_lexicon_rejects_garbage(tmp_path):
     p.write_text("word\t3\t1\t1\t1\n")  # five columns
     with pytest.raises(DecodeError):
         load_lexicon(p)
+    p.write_text("ab\t3\t1\t1\t1\t1\n\nab\t5\t1\t1\t1\t1\n")  # not a silent 5
+    with pytest.raises(DecodeError, match="line 3: repeated word 'ab'"):
+        load_lexicon(p)
 
 
 def test_config_validation():

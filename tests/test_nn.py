@@ -268,7 +268,8 @@ def test_textcnn_matches_manual_oracle():
     net.proj_b.data[:] = 0.25
     x = rng.normal(size=(5, 3))
     pooled = []
-    for w, (cw, cb) in zip(net.windows, net.convs):
+    for cw, cb in net.convs:
+        w = cw.data.shape[0]
         vals = np.stack([sum(x[i + k] @ cw.data[k] for k in range(w))
                          + cb.data for i in range(5 - w + 1)])
         pooled.append(vals.max(axis=0))

@@ -116,6 +116,9 @@ def test_load_config(tmp_path):
     p.write_text("seed=-3\n")
     with pytest.raises(DataError, match="seed"):
         load_config(p)
+    p.write_text("lr=0.1\n# later\nlr=0.2\n")  # not a silent 0.2
+    with pytest.raises(DataError, match="line 3: repeated key 'lr'"):
+        load_config(p)
 
 
 def test_train_base_learns_toy_language():
@@ -339,14 +342,14 @@ def test_tagging_losses_modes():
     assert src.shared.shape == (1, 4, 16) and src.mask.shape == (1, 4)
     assert tgt.tagger.shape == (2, 3, 32)
     assert tgt.shared.shape == (2, 3, 16) and tgt.mask.shape == (2, 3)
-    l_src, l_tgt = tagging_losses(model, src, tgt, ["BEBE"], ["BME", "S"])
+    l_src, l_tgt = tagging_losses(src, tgt, ["BEBE"], ["BME", "S"])
     assert l_src.item() > 0 and l_tgt.item() > 0
     at = Segmenter.create(["abcd", "xyz"], cfg, np.random.default_rng(0),
                           "at")
     src, tgt = _encoded(at, ["abcd"], ["xyz"])
     assert tgt.tagger is None  # the shared pass only
     assert tgt.shared.shape == (1, 3, 16)
-    l_src, l_tgt = tagging_losses(at, src, tgt, ["BEBE"], [""])
+    l_src, l_tgt = tagging_losses(src, tgt, ["BEBE"], [""])
     assert l_src.item() > 0 and l_tgt is None
 
 
