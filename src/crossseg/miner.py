@@ -319,18 +319,28 @@ def save_lexicon(path: str, collection: WordCollection) -> None:
 
 
 def load_lexicon(path: str) -> WordCollection:
+    """Read the rows save_lexicon writes; blank lines are skipped. A row
+    mine never writes (not six columns, a bad number, an empty word or one
+    holding whitespace, a negative frequency, a non-finite score, a
+    repeated word) is a DecodeError naming the line."""
     entries: dict[str, CandidateScore] = {}
     for i, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
         try:
             word, freq, mis, es, tfidf, p_val = line.split("\t")
-            if word in entries:
-                raise DecodeError(f"{path}: line {i}: repeated word {word!r}")
-            entries[word] = CandidateScore(
-                word, int(freq), float(mis), float(es), float(tfidf),
-                float(p_val))
+            c = CandidateScore(word, int(freq), float(mis), float(es),
+                               float(tfidf), float(p_val))
+            if not word or any(ch.isspace() for ch in word):
+                raise ValueError(f"word {word!r} is empty or holds whitespace")
+            if c.frequency < 0:
+                raise ValueError(f"negative frequency {c.frequency}")
+            if not all(map(math.isfinite, (c.mis, c.es, c.tfidf, c.p_val))):
+                raise ValueError("a score is not finite")
         except ValueError as exc:
             raise DecodeError(f"{path}: line {i}: bad lexicon row "
                               f"({exc})") from None
+        if word in entries:
+            raise DecodeError(f"{path}: line {i}: repeated word {word!r}")
+        entries[word] = c
     return WordCollection(entries)

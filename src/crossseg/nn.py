@@ -209,8 +209,8 @@ ADAM_EPS = 1e-8
 class Adam:
     """Adam with bias correction; one instance owns one parameter group.
 
-    Parameters missing a gradient at step time are treated as having
-    gradient zero, which leaves them unchanged while their moments decay.
+    Every parameter of the group must hold a gradient at step time: a
+    parameter that no loss reached is an error, not a zero step.
     """
     params: dict[str, Tensor]
     lr: float = 0.001
@@ -227,7 +227,7 @@ class Adam:
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            g = p.grad
             m, v = self.moments[name]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g

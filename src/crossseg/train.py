@@ -4,12 +4,12 @@ adversarial trainer, both run by one training loop on one model type.
 A Segmenter is built from named towers over one embedding table; a tower
 is a private gated convolution encoder and the CRF head that reads it.
 The baseline has one tower, "", that scores every domain: embedding ->
-gated convolution stack -> CRF. The adversarial model has a source and a
-target tower plus a shared encoder. A sentence from domain d is scored by
-the CRF head of d on the concatenation [private_d ; shared]. A text-CNN
-discriminator reads the same shared features. AT mode never trains its
-target tower and decodes the target domain with the source tower. Every
-step runs on padded (B, T, d) batches with a (B, T) length mask.
+gated convolution stack -> CRF. The adversarial model adds a shared
+encoder and a text-CNN discriminator over its features, and scores a
+sentence from domain d by the CRF head of d on [private_d ; shared]. DAAT
+has a source and a target tower; AT has the source tower alone, which
+decodes both domains. Every step runs on padded (B, T, d) batches with a
+(B, T) length mask.
 
 One encode(sentences, domain, rng) turns one domain's batch into a
 Block: the features the domain's CRF head reads, that head, the
@@ -35,7 +35,7 @@ A model saves and loads through one path: a container holds the kind
 model), the config fields stored for that kind, the vocabulary, and every
 params() tensor under exactly its params() name. load_model checks the
 kind, mode, keys, tensor names and shapes; load_container has checked the
-layout up to EOF.
+layout up to EOF. An AT file holding enc_tgt.* tensors is rejected.
 """
 from __future__ import annotations
 
@@ -148,7 +148,7 @@ def load_config(path: str) -> TrainConfig:
 class Block(NamedTuple):
     """One domain's batch from encode, padded to its longest sentence."""
     tagger: Tensor | None  # (B, T, d) features the CRF head reads
-    head: crf_mod.CrfHead | None  # None with tagger: an untrained tower
+    head: crf_mod.CrfHead | None  # None with tagger: no tower (AT target)
     mask: np.ndarray  # (B, T), true at the real characters
     shared: Tensor | None = None  # the discriminator's input, if any
 
@@ -259,8 +259,9 @@ class Tower(NamedTuple):
     head: crf_mod.CrfHead
 
 
-# The suffix of a tower's tensor names: enc_src.*, crf_tgt.*; the
-# baseline's one tower "" writes enc.* and crf.*.
+# The towers of each mode, and the suffix of a tower's tensor names:
+# enc_src.*, crf_tgt.*; the baseline's one tower "" writes enc.* and crf.*.
+_TOWERS = {None: ("",), "daat": ("source", "target"), "at": ("source",)}
 _SUFFIX = {"": "", "source": "_src", "target": "_tgt"}
 
 
@@ -269,10 +270,10 @@ class Segmenter:
     """GCNN-CRF segmenter built from named towers, domain -> Tower.
 
     The baseline (mode None) has one tower, "", that scores every domain.
-    The adversarial model (mode "daat" or "at") has a source and a target
-    tower, a shared encoder whose features every CRF head also reads, and
-    a text-CNN discriminator over the shared features. AT mode never
-    trains its target tower.
+    The adversarial model (mode "daat" or "at") has a shared encoder whose
+    features every CRF head also reads and a text-CNN discriminator over
+    the shared features. A DAAT model has a source and a target tower; an
+    AT model has the source tower alone, which decodes both domains.
     """
     embedding: EmbeddingTable
     towers: dict[str, Tower]
@@ -286,10 +287,10 @@ class Segmenter:
                rng: np.random.Generator,
                mode: str | None = None) -> "Segmenter":
         """A fresh model over the characters of sentences: the baseline
-        for mode None, else the adversarial model. The rng is drawn from
-        in the order embedding, encoders (towers, then shared),
-        discriminator, CRF heads."""
-        if mode not in (None, "daat", "at"):
+        for mode None, else the adversarial model; _TOWERS names its
+        towers. The rng is drawn from in the order embedding, encoders
+        (towers, then shared), discriminator, CRF heads."""
+        if mode not in _TOWERS:
             raise ValueError(f"unknown mode {mode!r}")
         emb = EmbeddingTable.build(sentences, cfg.char_emb, rng)
 
@@ -298,8 +299,7 @@ class Segmenter:
                                       cfg.char_emb, cfg.gcnn_dim,
                                       cfg.dropout, rng)
 
-        names = ("",) if mode is None else ("source", "target")
-        encoders = [enc() for _ in names]
+        encoders = [enc() for _ in _TOWERS[mode]]
         shared = disc = None
         if mode is not None:
             shared = enc()
@@ -307,7 +307,7 @@ class Segmenter:
                                   cfg.textcnn_filters, rng)
         hidden = cfg.gcnn_dim if shared is None else 2 * cfg.gcnn_dim
         towers = {name: Tower(e, crf_mod.CrfHead.create(hidden, rng))
-                  for name, e in zip(names, encoders)}
+                  for name, e in zip(_TOWERS[mode], encoders)}
         return Segmenter(emb, towers, cfg, shared, disc, mode)
 
     def params(self) -> dict[str, Tensor]:
@@ -330,8 +330,8 @@ class Segmenter:
         there is one, then one pass of the domain's tower (the order of
         the dropout draws, which a training encode takes from rng); its
         tagger features, [private ; shared] or the private ones alone, and
-        its CRF head. The target tower is never trained in AT mode, so
-        there a target batch gets the shared pass only."""
+        its CRF head. An AT model has no target tower, so there a target
+        batch gets the shared pass only."""
         _check_domain(domain)
         x, mask = self.embedding.embed(sentences)
         shared = None if self.shared is None \
@@ -347,8 +347,8 @@ class Segmenter:
                       domain: str = "target") -> list[list[str]]:
         """Words of the Viterbi tag path of every sentence, in input order
         (an empty sentence gives []). Each length bucket runs one encode
-        and one Viterbi. AT mode decodes the target domain with the source
-        tower, the one it trains. An unknown domain is a ValueError even
+        and one Viterbi. An AT model decodes the target domain with its one
+        tower, the source tower. An unknown domain is a ValueError even
         when no sentence has a character to encode, and so are scores too
         large for float64, with no numpy warning."""
         _check_domain(domain)
@@ -562,14 +562,14 @@ def adversarial_train(ds_src: LabeledDataset,
     """Alternating adversarial training.
 
     Steps are numbered from 1 inside each epoch. Odd steps optimize
-    L_src + L_tgt + L_d: the tagging losses update the three encoders and
-    CRF heads, L_d updates only the discriminator because the shared
+    L_src + L_tgt + L_d: the tagging losses update the towers and the
+    shared encoder, L_d updates only the discriminator because the shared
     features are detached on its path. Even steps optimize
     L_src + L_tgt + L_c with the discriminator frozen, so the confusion
-    gradient lands in the shared encoder. AT mode drops L_tgt, reading the
-    target batch as raw sentences, none of which may be empty. An epoch is
-    ceil(max(|src|, |target|) / batch) steps, each domain advancing an
-    independent shuffled cursor.
+    gradient lands in the shared encoder. AT mode, with no target tower,
+    drops L_tgt and reads the target batch as raw sentences, none of which
+    may be empty. An epoch is ceil(max(|src|, |target|) / batch) steps,
+    each domain advancing an independent shuffled cursor.
     """
     if mode not in ("daat", "at"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -11,9 +11,11 @@ import pytest
 from crossseg.cli import _resolve_config, build_parser, main
 from crossseg.corpus import (dataset_from_segmented, load_segmented,
                              save_segmented)
+from crossseg.errors import DataError
 from crossseg.miner import load_lexicon
 from crossseg.model_io import load_container, save_container
-from crossseg.train import TrainConfig, _buckets, load_model, train_base
+from crossseg.train import (Segmenter, TrainConfig, _buckets, load_model,
+                            train_base)
 
 from test_miner import build_cohesion_corpus
 
@@ -446,6 +448,48 @@ def test_saved_containers_load_segment_and_resave_identically(kind,
     assert load_segmented(tmp_path / "pred.txt") == SAVED_SEGMENTATION
     load_model(saved).save(tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == saved.read_bytes()
+
+
+def test_train_at_on_raw_text_decodes_both_domains_alike(workdir, tmp_path):
+    """train-daat --mode at reads raw target text; its model stores no
+    target tower, and segment --domain target decodes with the source
+    tower."""
+    raw, model = tmp_path / "target_raw.txt", tmp_path / "at.bin"
+    raw.write_text("abxyzcd\nghxyzab\nefxyz\nxyzgh\n" * 4)
+    rc = main(["train-daat", "--mode", "at", "--source",
+               str(workdir / "train.txt"), "--target", str(raw),
+               "--out-model", str(model), "--epochs", "2", "--batch", "8",
+               "--char-emb", "8", "--gcnn-dim", "8", "--gcnn-layers", "2",
+               "--textcnn-filters", "2", "--filter-sizes", "2,3"])
+    assert rc == 0
+    _, tensors = load_container(model)
+    assert "enc_src.0.w" in tensors
+    assert not [name for name in tensors if "_tgt" in name]
+    preds = {}
+    for domain in ("source", "target"):
+        out = tmp_path / f"{domain}.txt"
+        assert main(["segment", "--model", str(model), "--input", str(raw),
+                     "--domain", domain, "--out", str(out)]) == 0
+        preds[domain] = out.read_text()
+    assert preds["target"] == preds["source"]
+
+
+def test_at_container_with_a_target_tower_is_rejected(tmp_path, capsys):
+    """AT containers once stored an untrained target tower; such a file
+    has an unexpected tensor, which load_model names, and segment exits 2
+    naming the file. There is no compatibility path."""
+    cfg = TrainConfig(char_emb=4, gcnn_dim=4, gcnn_layers=1,
+                      textcnn_filters=2, filter_sizes=(2, 3))
+    old = tmp_path / "old_at.bin"
+    Segmenter.create(["abcdefgh"], cfg, np.random.default_rng(0),
+                     "at").save(old)
+    hyper, tensors = load_container(old)
+    tensors["enc_tgt.0.w"] = tensors["enc_src.0.w"].copy()
+    save_container(old, hyper, tensors)
+    with pytest.raises(DataError, match="unexpected tensor 'enc_tgt.0.w'"):
+        load_model(old)
+    assert _segment(tmp_path, old) == 2
+    assert str(old) in capsys.readouterr().err
 
 
 def _drop_key(hyper, tensors):

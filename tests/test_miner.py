@@ -468,6 +468,18 @@ def test_load_lexicon_rejects_garbage(tmp_path):
     p.write_text("ab\t3\t1\t1\t1\t1\n\nab\t5\t1\t1\t1\t1\n")  # not a silent 5
     with pytest.raises(DecodeError, match="line 3: repeated word 'ab'"):
         load_lexicon(p)
+    # rows mine never writes: an empty word, whitespace inside a word, a
+    # negative frequency, a non-finite score
+    for row, why in [("\t3\t1\t1\t1\t1", "word '' is empty"),
+                     ("a b\t3\t1\t1\t1\t1", "word 'a b'"),
+                     ("a\u3000b\t3\t1\t1\t1\t1", "holds whitespace"),
+                     ("ab\t-3\t1\t1\t1\tnan", "negative frequency -3"),
+                     ("ab\t3\t1\t1\t1\tnan", "not finite"),
+                     ("ab\t3\tinf\t1\t1\t1", "not finite")]:
+        p.write_text("cd\t4\t1\t1\t1\t1\n" + row + "\n")
+        with pytest.raises(DecodeError, match=f"line 2: bad lexicon row "
+                           rf"\(.*{why}"):
+            load_lexicon(p)
 
 
 def test_config_validation():

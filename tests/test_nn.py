@@ -307,8 +307,9 @@ def test_adam_first_step_magnitude():
     # bias-corrected first step moves by almost exactly lr
     assert p.data[0, 0] == pytest.approx(-0.001, abs=1e-9)
     p.grad = None
-    opt.step()  # missing grad counts as zero, momentum decays
-    assert -0.002 < p.data[0, 0] < -0.001
+    with pytest.raises(TypeError):  # no loss reached p: not a zero step
+        opt.step()
+    assert p.data[0, 0] == pytest.approx(-0.001, abs=1e-9)
 
 
 def test_adam_counts_steps_and_clears_grads():

@@ -174,7 +174,7 @@ FRESH_DIGESTS = {
     "daat":
         "d3da5a6ce90f58d755ccd0b26e10b5ca0dbf923aa97c30c5c61641fa904ab0af",
     "at":
-        "8603ccea89c3f38016f8d5343ce0092a724b2a7c733a9b721ff18824a0237c4e",
+        "6779a3b4c905b15f14c3ba2b02d062af900a5a29e301f5fe136d5e92b8ff7ffa",
 }
 
 
@@ -316,16 +316,16 @@ def test_encode_gives_each_domain_its_features_alone(mode, training):
     blocks = {d: model.encode(rows, d, rng)
               for d, rows in batches.items()}
     rng = np.random.default_rng(3) if training else None
-    towers = model.towers
     for domain, rows in batches.items():
-        block, (enc, head) = blocks[domain], towers[domain]
+        block = blocks[domain]
         x, mask = model.embedding.embed(rows)
         shared = model.shared.forward(x, mask, rng)
         np.testing.assert_array_equal(block.shared.data, shared.data)
         np.testing.assert_array_equal(block.mask, mask)
-        if mode == "at" and domain == "target":
+        if mode == "at" and domain == "target":  # AT has no target tower
             assert block.tagger is None and block.head is None
             continue
+        enc, head = model.towers[domain]
         private = enc.forward(x, mask, rng)
         np.testing.assert_array_equal(
             block.tagger.data, np.concatenate([private.data, shared.data], -1))
@@ -394,10 +394,10 @@ def test_one_pass_step_matches_two_pass_reference(mode, odd):
             np.testing.assert_allclose(g, two[1][name], rtol=1e-12,
                                        atol=1e-12, err_msg=name)
     # not vacuous: the shared encoder and the discriminator get gradient,
-    # and AT mode leaves the target tower alone
+    # and an AT model holds no target tower at all
     assert one[1]["enc_shr.0.w"] is not None
     assert one[1]["disc.proj_w"] is not None
-    assert (one[1]["crf_tgt.trans"] is None) == (mode == "at")
+    assert any("_tgt" in name for name in model.params()) == (mode == "daat")
 
 
 def test_adversarial_train_alternates_and_freezes_disc():
@@ -461,24 +461,51 @@ def test_adversarial_train_at_mode_rejects_empty_target_before_a_step():
     assert steps == []
 
 
-def test_adversarial_train_at_mode_ignores_target_tower():
+def test_adversarial_train_at_mode_holds_only_the_source_tower():
     cfg = TrainConfig(**{**SMALL, "epochs": 2, "batch_size": 8})
     model = adversarial_train(toy_source(16), toy_target_raw(16), cfg,
                               mode="at")
     assert model.mode == "at"
-    # the target tower was never trained; segmentation must route through
-    # the source tower either way
-    assert model.segment("abcd", domain="target") == \
-        model.segment("abcd", domain="source")
-    # target CRF head still at initialization: zero transitions
-    np.testing.assert_array_equal(model.towers["target"].head.trans.data,
-                                  np.zeros((4, 4)))
+    # target text trains no tower of its own, so the model holds none, and
+    # both domains decode through the source tower
+    assert model.towers.keys() == {"source"}
+    text = ["abcd", "xyzab", "efghxyz"]
+    assert model.segment_batch(text, "target") == \
+        model.segment_batch(text, "source")
 
 
-def test_adversarial_train_deterministic(tmp_path):
+@pytest.mark.parametrize("mode", [None, "daat", "at"],
+                         ids=["base", "daat", "at"])
+def test_every_stepped_parameter_has_a_gradient(monkeypatch, mode):
+    # Adam steps no parameter without a gradient: before each step of an
+    # odd and an even training step, every parameter of the optimizer
+    # holds one, and the optimizers together step the whole model
+    step, stepped = Adam.step, []
+
+    def checked(opt):
+        missing = [k for k, p in opt.params.items() if p.grad is None]
+        assert not missing, missing
+        stepped.append(opt.params.keys())
+        step(opt)
+
+    monkeypatch.setattr(Adam, "step", checked)
+    cfg = TrainConfig(**{**SMALL, "epochs": 1, "batch_size": 8})
+    if mode is None:  # 2 steps of one optimizer
+        model = train_base(toy_source(16), cfg)
+    else:  # tagger and discriminator, then the tagger alone
+        target = toy_target_tagged(16) if mode == "daat" \
+            else toy_target_raw(16)
+        model = adversarial_train(toy_source(16), target, cfg, mode=mode)
+    assert len(stepped) == (2 if mode is None else 3)
+    assert set().union(*stepped) == model.params().keys()
+
+
+@pytest.mark.parametrize("mode", ["daat", "at"])
+def test_adversarial_train_deterministic(tmp_path, mode):
     cfg = TrainConfig(**{**SMALL, "epochs": 2, "batch_size": 8})
-    a = adversarial_train(toy_source(16), toy_target_tagged(16), cfg)
-    b = adversarial_train(toy_source(16), toy_target_tagged(16), cfg)
+    target = toy_target_tagged(16) if mode == "daat" else toy_target_raw(16)
+    a = adversarial_train(toy_source(16), target, cfg, mode=mode)
+    b = adversarial_train(toy_source(16), target, cfg, mode=mode)
     pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
     a.save(pa)
     b.save(pb)
