@@ -98,11 +98,9 @@ def _lengths(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != shape or 0 in shape:
         raise ValueError("mask must align with a non-empty batch")
-    lengths = mask.sum(axis=1)
-    if lengths.min() < 1 or not np.array_equal(
-            mask, np.arange(shape[1])[None, :] < lengths[:, None]):
+    if not (mask[:, 0].all() and (mask[:, 1:] <= mask[:, :-1]).all()):
         raise ValueError("mask must mark a non-empty prefix of every row")
-    return lengths
+    return mask.sum(axis=1)
 
 
 def _batch(emissions: np.ndarray, mask: np.ndarray, *scores: np.ndarray):

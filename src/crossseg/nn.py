@@ -124,7 +124,8 @@ class GcnnEncoder:
             scale = keep
             if drop:  # inverted dropout, one draw per layer input
                 survive = rng.random(h.data.shape) >= self.dropout
-                scale = keep * (survive / (1.0 - self.dropout))
+                survive &= keep
+                scale = survive * (1.0 / (1.0 - self.dropout))
             h = layer.forward(h, scale)
         return h
 
@@ -223,6 +224,12 @@ class Adam:
             self.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
 
     def step(self) -> None:
+        """One update of every parameter; a parameter without a gradient
+        raises ValueError naming it before any state changes."""
+        for name, p in self.params.items():
+            if p.grad is None:
+                raise ValueError(f"parameter {name!r} has no gradient: "
+                                 "no loss reached it")
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t

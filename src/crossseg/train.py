@@ -365,7 +365,7 @@ class Segmenter:
                     emis.data, head.trans.data, head.start.data,
                     head.stop.data, block.mask)
             for i, s, path in zip(bucket, batch, paths):
-                tags = "".join(TAGS[k] for k in path[:len(s)])
+                tags = "".join(TAGS[k] for k in path[:len(s)].tolist())
                 out[i] = tags_to_words(s, tags)
         return out
 

@@ -22,6 +22,18 @@ from crossseg.nn import UNK_INDEX, clamped
 N_TAGS = 4
 
 
+def logistic_ref(a: np.ndarray) -> np.ndarray:
+    """The logistic function elementwise, branch by branch: 1 / (1 + e^-a)
+    for a >= 0 and e^a / (1 + e^a) below, so exp never overflows."""
+    out = np.empty(np.shape(a))
+    for i, x in np.ndenumerate(np.asarray(a, dtype=np.float64)):
+        if x >= 0:
+            out[i] = 1.0 / (1.0 + np.exp(-x))
+        else:
+            out[i] = np.exp(x) / (1.0 + np.exp(x))
+    return out
+
+
 def crf_path_scores(emissions: np.ndarray, trans: np.ndarray,
                     start: np.ndarray, stop: np.ndarray):
     """Score of every tag path by full enumeration: list of (path, score)."""

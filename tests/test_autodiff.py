@@ -7,6 +7,8 @@ from crossseg.autodiff import (Tensor, add, backward, clamp, concat_cols,
                                sub, sum_all)
 from crossseg.errors import StaleGraphError
 
+from helpers import logistic_ref
+
 H = 1e-6
 
 
@@ -101,6 +103,17 @@ def test_sigmoid_stable_at_extremes():
     assert np.all(np.isfinite(v))
     assert v[0, 0] == pytest.approx(0.0, abs=1e-300)
     assert v[0, 1] == pytest.approx(1.0)
+
+
+def test_sigmoid_equals_branchwise_oracle_bit_for_bit():
+    rng = np.random.default_rng(25)
+    cases = [rng.normal(size=(50, 40)) * s
+             for s in (1e-3, 1.0, 30.0, 700.0, 1e10, 1e300)]
+    cases.append(np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0,
+                           745.2, -745.2, 709.8, -709.8]))
+    for a in cases:
+        assert np.array_equal(sigmoid(Tensor(a)).data, logistic_ref(a))
+    assert sigmoid(Tensor(-2.0)).item() == logistic_ref(-2.0)  # 0-d
 
 
 def test_clamp_blocks_gradient_outside():

@@ -169,6 +169,16 @@ def test_viterbi_non_finite_scores_raise():
                 viterbi_decode(np.zeros((2, 3, 4)), *scores, mask)
 
 
+def test_viterbi_rejects_a_mask_that_is_not_a_prefix():
+    scores = (np.zeros((4, 4)), np.zeros(4), np.zeros(4))
+    for mask in ([[False, True, True]],  # a leading False
+                 [[True, False, True]],  # a hole
+                 [[True, True, True], [False, False, False]]):  # empty row
+        mask = np.array(mask)
+        with pytest.raises(ValueError, match="prefix"):
+            viterbi_decode(np.zeros((*mask.shape, 4)), *scores, mask)
+
+
 def test_loss_gradient_is_marginal_gap():
     # d nll / d e[b, i, y] = P(tag_i = y) - [gold_i = y] within a sentence,
     # exactly zero past its end
@@ -406,6 +416,9 @@ def test_nll_rejects_bad_gold():
     with pytest.raises(ValueError):  # a mask that is not a prefix
         nll_loss(Tensor(np.zeros((1, 2, 4))), head, [[0, 0]],
                  np.array([[False, True]]))
+    with pytest.raises(ValueError, match="prefix"):  # a hole
+        nll_loss(Tensor(np.zeros((1, 3, 4))), head, [[0, 0, 0]],
+                 np.array([[True, False, True]]))
     with pytest.raises(ValueError):  # an empty sentence
         nll_loss(Tensor(np.zeros((2, 2, 4))), head, [[0, 0], [0, 0]],
                  np.array([[True, True], [False, False]]))

@@ -3,9 +3,9 @@ import pytest
 
 import crossseg.nn
 from crossseg import autodiff
-from crossseg.autodiff import Tensor
+from crossseg.autodiff import Tensor, mul, sum_all
 from crossseg.gradcheck import (CHECKS, GradCheckResult, _check_textcnn,
-                                run_suite)
+                                max_rel_error, run_suite)
 
 
 def test_suite_covers_all_components():
@@ -56,3 +56,10 @@ def test_textcnn_check_catches_a_wrong_weight_gradient(monkeypatch):
     assert _check_textcnn(np.random.default_rng(3)) < 1e-4
     monkeypatch.setattr(crossseg.nn, "conv1d", _conv1d_doubling_weight_grad)
     assert _check_textcnn(np.random.default_rng(3)) > 1e-4
+
+
+def test_a_parameter_the_loss_does_not_reach_is_an_error():
+    x, unused = Tensor(np.ones(3)), Tensor(np.ones(2))
+    with pytest.raises(ValueError, match="'unused'"):
+        max_rel_error(lambda: sum_all(mul(x, x)), {"x": x, "unused": unused},
+                      np.random.default_rng(0))

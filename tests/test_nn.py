@@ -306,10 +306,23 @@ def test_adam_first_step_magnitude():
     opt.step()
     # bias-corrected first step moves by almost exactly lr
     assert p.data[0, 0] == pytest.approx(-0.001, abs=1e-9)
-    p.grad = None
-    with pytest.raises(TypeError):  # no loss reached p: not a zero step
+    # no loss reached q: not a zero step, and the check comes before any
+    # update, so p (stepped first) and every moment stay as they were
+    q = Tensor(np.zeros(2))
+    q._accumulate(np.ones(2))
+    opt = Adam(params={"p": p, "q": q})
+    opt.step()  # every moment is now nonzero
+    q.grad = None  # p keeps its gradient
+    before = (p.data.copy(), q.data.copy(),
+              {k: (m.copy(), v.copy()) for k, (m, v) in opt.moments.items()})
+    with pytest.raises(ValueError, match="'q'"):
         opt.step()
-    assert p.data[0, 0] == pytest.approx(-0.001, abs=1e-9)
+    assert opt.t == 1
+    np.testing.assert_array_equal(p.data, before[0])
+    np.testing.assert_array_equal(q.data, before[1])
+    for k, (m, v) in opt.moments.items():
+        np.testing.assert_array_equal(m, before[2][k][0])
+        np.testing.assert_array_equal(v, before[2][k][1])
 
 
 def test_adam_counts_steps_and_clears_grads():

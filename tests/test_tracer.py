@@ -9,6 +9,10 @@ from pathlib import Path
 import pytest
 
 import crossseg
+from crossseg.annotator import build_target_dataset
+from crossseg.miner import CandidateScore, WordCollection
+
+from helpers import DictStub, fmm_spans
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -69,3 +73,31 @@ def test_traced_adversarial_step_encodes_each_sentence_once(mode, passes):
         assert spans["nn.textcnn_forward"] == 2
         assert spans["train.tagging_losses"] == 1
         assert spans["train.adversarial_loss"] == 1
+
+
+class _CountingSet(set):
+    def __contains__(self, w):
+        self.probes += 1
+        return super().__contains__(w)
+
+
+def test_traced_annotation_counts_every_lexicon_probe():
+    """annotator.fmm.probes, a bench metric, counts lookups through
+    WordCollection.__contains__: matching that bypassed it would read 0."""
+    words = {"ab", "abc", "cd", "dde"}
+    raw = ["abcdde", "xabxcd", "ddeab", "a", "zz"]
+    coll = WordCollection({w: CandidateScore(w, 50, 2.0, 1.0, 0.1, 0.96)
+                           for w in words})
+    probed = _CountingSet(words)
+    probed.probes = 0
+    for s in raw:
+        fmm_spans(s, probed)
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    try:
+        tr.install(crossseg)
+        build_target_dataset(raw, coll, DictStub(set()))
+    finally:
+        tr.uninstall()
+    assert probed.probes > 0
+    assert tr.counts["annotator.fmm.probes"] == probed.probes
