@@ -146,16 +146,8 @@ def matmul(a: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 
 def _logistic(a: Array) -> Array:
-    # e^min(a, 0) / (1 + e^-|a|): the numerator is 1 or e^a without
-    # np.where, and exp never sees a positive number, so nothing overflows
-    y = np.minimum(a, 0.0, out=...)  # out=... keeps a 0-d input an array
-    np.exp(y, out=y)
-    ez = np.abs(a, out=...)
-    np.negative(ez, out=ez)
-    np.exp(ez, out=ez)
-    ez += 1.0
-    y /= ez
-    return y
+    # 1 or e^a over 1 + e^-|a|: no np.where, and exp never overflows
+    return np.exp(np.minimum(a, 0.0)) / (1.0 + np.exp(-np.abs(a)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -274,16 +266,12 @@ def gated_conv(x: Tensor, scale, w: Tensor, b: Tensor, v: Tensor,
         # which the tests compare bit for bit: each kernel's input
         # gradient in its own buffer, the two summed, then scaled
         g_lin = g * y
-        g_pre = g * lin
-        g_pre *= y
-        g_pre *= 1.0 - y
+        g_pre = g * lin * y * (1.0 - y)
         xp = _padded(x.data, scale, pad, pad)
         dxp_w, dw = _conv_grads(xp, w.data, g_lin)
         dxp_v, dv = _conv_grads(xp, v.data, g_pre)
-        dx = dxp_w[:, pad:pad + n]
-        dx += dxp_v[:, pad:pad + n]
-        # a new contiguous array: the strided view would keep dxp_w alive
-        x._accumulate(dx * scale)
+        x._accumulate((dxp_w[:, pad:pad + n] + dxp_v[:, pad:pad + n])
+                      * scale)
         w._accumulate(dw)
         b._accumulate(_bias_grad(g_lin, b))
         v._accumulate(dv)

@@ -124,8 +124,7 @@ class GcnnEncoder:
             scale = keep
             if drop:  # inverted dropout, one draw per layer input
                 survive = rng.random(h.data.shape) >= self.dropout
-                survive &= keep
-                scale = survive * (1.0 / (1.0 - self.dropout))
+                scale = keep * (survive / (1.0 - self.dropout))
             h = layer.forward(h, scale)
         return h
 
