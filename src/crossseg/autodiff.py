@@ -21,7 +21,8 @@ must have the result's shape, or the operation raises ValueError naming
 both shapes. The one broadcast a Tensor gets is a bias, which conv1d,
 gated_conv and matmul add themselves along the last axis.
 
-Only the operations the segmentation stack needs are provided. Sequence
+Only the operations the segmentation stack needs are provided;
+log_sigmoid scores a logit z as log sigmoid(+-z) in one node. Sequence
 operations work on padded batches: conv1d, gated_conv (a whole gated
 convolution layer in one node) and max_over_time take (B, T, d) tensors,
 and matmul and concat_cols act on the last axis. gather_rows reads the
@@ -153,6 +154,15 @@ def _logistic(a: Array) -> Array:
 def sigmoid(a: Tensor) -> Tensor:
     y = _logistic(a.data)
     return _node(y, (a, lambda g: g * y * (1.0 - y)))
+
+
+def log_sigmoid(z: Tensor, sign: float) -> Tensor:
+    """-log(1 + e^(-sign z)): log p for sign 1 and log(1 - p) for sign -1,
+    p = sigmoid(z). Finite for every finite z; its gradient vanishes only
+    where the value does."""
+    s = z.data * sign
+    return _node(-np.logaddexp(0.0, -s),
+                 (z, lambda g: g * sign * _logistic(-s)))
 
 
 def log(a: Tensor) -> Tensor:

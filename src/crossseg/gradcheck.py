@@ -110,7 +110,7 @@ def _check_textcnn(rng: np.random.Generator) -> float:
     tc.proj_b.data[:] = 0.1 * rng.normal(size=tc.proj_b.data.shape)
     # the second sentence is shorter than both windows
     x, mask = _ragged(rng, (4, 1, 2), 3)
-    weights = rng.normal(size=(3, 1))  # one per sentence's probability
+    weights = rng.normal(size=(3, 1))  # one per sentence's logit
     params = {"x": x, **tc.params("disc")}
     return max_rel_error(lambda: sum_all(mul(tc.forward(x, mask), weights)),
                          params, rng)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, clamp, concat_cols, conv1d, gated_conv,
-                       gather_rows, matmul, max_over_time, mul, sigmoid)
+from .autodiff import (Tensor, concat_cols, conv1d, gated_conv,
+                       gather_rows, matmul, max_over_time, mul)
 
 UNK_INDEX = 0
 
@@ -141,11 +141,11 @@ class GcnnEncoder:
 @dataclass
 class TextCnn:
     """Sentence classifier: per-window convolution banks, max-over-time
-    pooling, concatenation, then a linear layer squashed to a probability.
+    pooling, concatenation, then a linear layer to one logit.
 
     A bank's window is its weight's first axis. Inputs shorter than a
     window are zero padded at the end to window size. The final linear
-    layer starts at zero so a fresh classifier outputs 0.5.
+    layer starts at zero so a fresh classifier outputs logit 0.
     """
     convs: list[tuple[Tensor, Tensor]]  # per window: weights (w, d, f), bias (f,)
     proj_w: Tensor  # (len(convs) * f, 1)
@@ -164,8 +164,8 @@ class TextCnn:
         return TextCnn(convs, proj_w, proj_b)
 
     def forward(self, h: Tensor, mask: np.ndarray) -> Tensor:
-        """Probabilities (B, 1) that each sentence of a batch (B, T, d) with
-        length mask (B, T) is from the source domain. Each window bank pools
+        """Logits (B, 1) that each sentence of a batch (B, T, d) with length
+        mask (B, T) is from the source domain. Each window bank pools
         over the windows that start inside the sentence and, for a sentence
         shorter than the window, over the one window at its start."""
         h = mul(h, mask[:, :, None])
@@ -179,7 +179,7 @@ class TextCnn:
             starts = np.arange(c.data.shape[1])
             pooled.append(max_over_time(c, starts[None, :] <= last[:, None]))
         cat = concat_cols(pooled)
-        return sigmoid(matmul(cat, self.proj_w, self.proj_b))
+        return matmul(cat, self.proj_w, self.proj_b)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -190,14 +190,6 @@ class TextCnn:
         out[f"{prefix}.proj_w"] = self.proj_w
         out[f"{prefix}.proj_b"] = self.proj_b
         return out
-
-
-PROB_EPS = 1e-7
-
-
-def clamped(p: Tensor) -> Tensor:
-    """Clip a probability away from 0 and 1 before taking logs."""
-    return clamp(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
 ADAM_BETA1 = 0.9

@@ -50,13 +50,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import crf as crf_mod
-from .autodiff import (Tensor, backward, concat_cols, log, scale, sub,
+from .autodiff import (Tensor, backward, concat_cols, log_sigmoid, scale,
                        sum_all)
 from .corpus import (TAGS, TAG_INDEX, LabeledDataset, read_lines,
                      tags_to_words)
 from .errors import DataError
 from .model_io import load_container, save_container
-from .nn import (Adam, EmbeddingTable, GcnnEncoder, TextCnn, clamped)
+from .nn import Adam, EmbeddingTable, GcnnEncoder, TextCnn
 
 
 @dataclass
@@ -490,23 +490,24 @@ def load_model(path: str) -> Segmenter:
 
 def _domain_bce(model: Segmenter, src: Block, tgt: Block,
                 flip: bool) -> Tensor:
-    """Binary cross-entropy of the discriminator, read once per domain
-    block: minus the sum of the two per-domain mean log-probabilities,
+    """Binary cross-entropy of the discriminator's logits, read once per
+    domain block: minus the sum of the two per-domain mean log-probabilities,
     each sum scaled by -1/B so that the tape records no negation.
 
     flip=False scores the true domains on detached shared features
     (discriminator loss); flip=True swaps them and reaches the shared
-    encoder (confusion loss). Probabilities are clamped to 1e-7. A block
-    without rows is a ValueError naming its domain.
+    encoder (confusion loss). The loss keeps its gradient however sure the
+    discriminator is. A block without rows is a ValueError naming its
+    domain.
     """
     means = []
     for block, domain in ((src, "source"), (tgt, "target")):
         if not len(block.mask):
             raise ValueError(f"the step has no {domain} rows")
         shared = block.shared if flip else block.shared.detach()
-        p = clamped(model.disc.forward(shared, block.mask))  # (B, 1)
+        z = model.disc.forward(shared, block.mask)  # (B, 1) logits
         says_src = (domain == "source") != flip  # scored by log p
-        logp = log(p) if says_src else log(sub(1.0, p))
+        logp = log_sigmoid(z, 1.0 if says_src else -1.0)
         means.append(scale(sum_all(logp), -1.0 / len(block.mask)))
     return means[0] + means[1]
 

@@ -17,7 +17,7 @@ from crossseg.autodiff import (Tensor, concat_cols, conv1d, gather_rows,
                                log, mul, scale, sigmoid, sub, sum_all)
 from crossseg.corpus import TAG_INDEX, tags_to_words
 from crossseg.miner import MinerConfig, NGramStats, _run_splitter
-from crossseg.nn import UNK_INDEX, clamped
+from crossseg.nn import UNK_INDEX
 
 N_TAGS = 4
 
@@ -595,14 +595,14 @@ def gated_conv_ops_ref(layer, x: Tensor, scale) -> Tensor:
 
 
 def textcnn_ref(disc, h: Tensor) -> Tensor:
-    """Source-domain probability (1, 1) of one sentence (n, d); a sentence
+    """Source-domain logit (1, 1) of one sentence (n, d); a sentence
     shorter than a window is zero padded at the end to the window size."""
     n = h.data.shape[0]
     pooled = [max_over_time_ref(bias_ref(
         conv1d_ref(h, cw, 0, max(0, cw.data.shape[0] - n)), cb))
         for cw, cb in disc.convs]
-    return sigmoid(bias_ref(matmul_ref(concat_cols(pooled), disc.proj_w),
-                            disc.proj_b))
+    return bias_ref(matmul_ref(concat_cols(pooled), disc.proj_w),
+                    disc.proj_b)
 
 
 def segment_ref(model, sentence: str, domain: str) -> list[str]:
@@ -650,7 +650,8 @@ def base_loss_ref(model, batch: list[tuple[str, str]]) -> Tensor:
 def daat_losses_ref(model, batch_src, batch_tgt, odd: bool):
     """L_src, L_tgt (None in AT mode) and the adversarial loss (L_d on odd
     steps, with detached shared features, L_c on even ones) of a DAAT
-    model, one sentence at a time."""
+    model, one sentence at a time. Each log-probability is composed of
+    sigmoid, sub and log, independently of the model's log_sigmoid."""
     at = model.mode == "at"
     towers = model.towers
 
@@ -672,7 +673,7 @@ def daat_losses_ref(model, batch_src, batch_tgt, odd: bool):
     for enc, is_src in ((src, True), (tgt, False)):
         terms = []
         for (_, shared), _ in enc:
-            p = clamped(textcnn_ref(model.disc,
+            p = sigmoid(textcnn_ref(model.disc,
                                     shared.detach() if odd else shared))
             terms.append(sum_all(log(p) if is_src == odd
                                  else log(sub(1.0, p))))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from crossseg import gradcheck
 from crossseg.autodiff import (Tensor, add, backward, clamp, concat_cols,
-                               conv1d, gather_rows, log, matmul,
-                               max_over_time, mul, scale, sigmoid,
+                               conv1d, gather_rows, log, log_sigmoid,
+                               matmul, max_over_time, mul, scale, sigmoid,
                                sub, sum_all)
 from crossseg.errors import StaleGraphError
+from crossseg.train import confusion_loss
 
 from helpers import logistic_ref
 
@@ -114,6 +116,59 @@ def test_sigmoid_equals_branchwise_oracle_bit_for_bit():
     for a in cases:
         assert np.array_equal(sigmoid(Tensor(a)).data, logistic_ref(a))
     assert sigmoid(Tensor(-2.0)).item() == logistic_ref(-2.0)  # 0-d
+
+
+SIGNS = pytest.mark.parametrize("sign", [1.0, -1.0], ids=["p", "1-p"])
+
+
+@SIGNS
+def test_log_sigmoid_equals_log_of_the_oracle(sign):
+    rng = np.random.default_rng(26)
+    z = np.concatenate([np.linspace(-30.0, 30.0, 121),
+                        rng.uniform(-30.0, 30.0, 200)])
+    np.testing.assert_allclose(log_sigmoid(Tensor(z), sign).data,
+                               np.log(logistic_ref(sign * z)),
+                               rtol=1e-12, atol=1e-12)
+
+
+@SIGNS
+def test_log_sigmoid_reaches_its_asymptotes(sign):
+    # log sigmoid(s) is s far below 0 and -e^-s far above; nothing
+    # overflows (a RuntimeWarning fails the test)
+    s = np.array([-1e3, -745.0, 745.0, 1e3])
+    y = log_sigmoid(Tensor(sign * s), sign).data
+    np.testing.assert_array_equal(
+        y, [-1e3, -745.0, -np.exp(-745.0), -np.exp(-1e3)])
+    assert y[2] < 0.0  # e^-745, the smallest subnormal, survives
+
+
+@SIGNS
+def test_log_sigmoid_gradient(sign):
+    a = RNG.normal(size=(3, 4)) * 5.0
+    check_grad(lambda x: sum_all(log_sigmoid(x, sign)), a)
+    z = np.concatenate([RNG.normal(size=50) * 10.0,
+                        [-1e3, -745.0, 0.0, 745.0, 1e3]])
+    x = Tensor(z)
+    backward(sum_all(log_sigmoid(x, sign)))
+    assert np.array_equal(x.grad, sign * logistic_ref(-sign * z))
+
+
+@pytest.mark.parametrize("logit", [30.0, -30.0])
+def test_confusion_loss_gradient_where_the_discriminator_saturates(logit):
+    # at logits of +-30 sigmoid rounds to within 1e-13 of 0 or 1, and the
+    # domain the discriminator gets wrong costs about 30: its gradient
+    # must still match finite differences
+    rng = np.random.default_rng(26)
+    model = gradcheck._tiny_model(rng)
+    model.disc.proj_b.data[:] = logit
+    params = gradcheck._named(model, "embedding", "enc_shr.", "disc.")
+
+    def build():
+        return confusion_loss(model, *gradcheck._blocks(
+            model, ["abcd", "ebc"], ["ddca", "a"]))
+
+    assert build().item() > 25.0
+    assert gradcheck.max_rel_error(build, params, rng) < gradcheck.TOLERANCE
 
 
 def test_clamp_blocks_gradient_outside():

@@ -224,27 +224,36 @@ def test_batch_with_a_very_long_line_trains():
 
 
 @pytest.mark.parametrize("logit", [1e3, -1e3])
-def test_saturated_discriminator_logits_give_finite_clamped_loss(logit):
+def test_saturated_discriminator_logits_keep_their_gradient(logit):
     rng = np.random.default_rng(10)
     model = Segmenter.create(["abcd", "xyz"], TrainConfig(**SMALL), rng,
                              "daat")
-    model.disc.proj_b.data[:] = logit  # every row's logit is +-1e3
-    clamp_cost = -math.log(1e-7)  # one domain's mean hits the clamp
-    for loss_fn in (discriminator_loss, confusion_loss):
+    model.disc.proj_w.data[:] = rng.normal(size=model.disc.proj_w.shape)
+    model.disc.proj_b.data[:] = logit  # every row's logit is about +-1e3
+    for loss_fn, sign in ((discriminator_loss, 1.0), (confusion_loss, -1.0)):
         src = model.encode(["a", "abcd"], "source")
         tgt = model.encode(["xyz", "x", "zyxzyx"], "target")
         loss = loss_fn(model, src, tgt)
-        assert loss.item() == pytest.approx(clamp_cost, rel=1e-6)
-        l_src, l_tgt = tagging_losses(src, tgt, ["S", "BMME"],
-                                      ["BME", "S", "BEBMME"])
-        grads = _grads(model, l_src + l_tgt + loss)
+        # -log sigmoid(s) is max(-s, 0) to within e^-|s|: the domain the
+        # discriminator gets wrong costs its mean |logit|, the other nothing
+        z_src = model.disc.forward(src.shared, src.mask).data
+        z_tgt = model.disc.forward(tgt.shared, tgt.mask).data
+        want = (np.maximum(-sign * z_src, 0.0).mean()
+                + np.maximum(sign * z_tgt, 0.0).mean())
+        assert want > 900.0
+        assert loss.item() == pytest.approx(want, **APPROX)
+        grads = _grads(model, loss)
         assert all(np.isfinite(g).all() for g in grads.values()
                    if g is not None)
-        # the clamp is active on every row: no gradient reaches the
-        # discriminator through the saturated probabilities
+        # the winning discriminator still moves, and on the confusion
+        # loss the shared encoder still learns to fool it
+        reached = ("disc.", "enc_shr.", "embedding") \
+            if loss_fn is confusion_loss else ("disc.",)
         for name, g in grads.items():
-            if name.startswith("disc."):
-                assert g is None or not g.any(), name
+            if name.startswith(reached):
+                assert g is not None and g.any(), name
+            else:
+                assert g is None, name
 
 
 @pytest.mark.parametrize("mode", ["daat", "at"])

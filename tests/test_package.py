@@ -48,3 +48,42 @@ def test_every_parameter_is_read():
                   ast.parse(path.read_text("utf-8")))
               if fn not in STAND_INS]
     assert unread == []
+
+
+def _annotations(tree: ast.Module):
+    """The annotation of every argument, annotated assignment and return."""
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.arg, ast.AnnAssign)):
+            yield n.annotation
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield n.returns
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module binds by import and never reads, in code or in an
+    annotation written as a string; a __future__ import binds no name."""
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    trees = [tree] + [ast.parse(a.value, mode="eval")
+                      for a in _annotations(tree)
+                      if isinstance(a, ast.Constant)
+                      and isinstance(a.value, str)]
+    read = {n.id for t in trees for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_read():
+    # a name left imported after its last use is gone fails here;
+    # __init__.py imports to re-export
+    assert _unused_imports(ast.parse(
+        "from __future__ import annotations\nimport a.b\nfrom c import d, e"
+        "\ndef f(x: 'd') -> None: a.b()")) == ["e"]
+    src = Path(crossseg.__file__).parent
+    unused = [f"{path.name}: {name}" for path in sorted(src.glob("*.py"))
+              if path.name != "__init__.py"
+              for name in _unused_imports(ast.parse(path.read_text("utf-8")))]
+    assert unused == []

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,14 +252,15 @@ def test_fresh_discriminator_loss_is_2ln2():
     assert conf.item() == pytest.approx(2 * math.log(2.0), abs=1e-12)
 
 
-def test_confident_discriminator_is_clamped():
+def test_confident_discriminator_costs_its_logit():
     cfg = TrainConfig(**SMALL)
     model = Segmenter.create(["abc", "xyz"], cfg, np.random.default_rng(0),
                              "daat")
     model.disc.proj_b.data[:] = 60.0  # always shouts "source"
     loss = confusion_loss(model, *_encoded(model))
-    # source term hits the 1e-7 clamp, target term is almost free
-    assert loss.item() == pytest.approx(-math.log(1e-7), rel=1e-3)
+    # the source term -log(1 - sigmoid(60)) is 60 + log(1 + e^-60), the
+    # target term e^-60
+    assert loss.item() == pytest.approx(60.0, rel=1e-15)
 
 
 def test_detached_discriminator_loss_keeps_shared_clean():
@@ -512,6 +517,43 @@ def test_adversarial_train_deterministic(tmp_path, mode):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+# Trains base, DAAT and AT on the toy language and saves each container
+# into the directory argv[2]; argv[1] is the TrainConfig as a dict literal.
+TRAIN_THREE = """
+import ast, sys
+import toylang
+from crossseg.corpus import dataset_from_segmented
+from crossseg.train import TrainConfig, adversarial_train, train_base
+cfg = TrainConfig(**ast.literal_eval(sys.argv[1]))
+src = dataset_from_segmented(toylang.source_corpus()[:128], "source")
+raw, gold = toylang.target_mining_corpus()
+tgt = dataset_from_segmented(gold[:96], "target", provenance="distant")
+train_base(src, cfg).save(sys.argv[2] + "/base.bin")
+adversarial_train(src, tgt, cfg, "daat").save(sys.argv[2] + "/daat.bin")
+adversarial_train(src, raw[:96], cfg, "at").save(sys.argv[2] + "/at.bin")
+"""
+
+
+def test_containers_equal_across_blas_thread_counts(tmp_path):
+    # at the acceptance shapes, one and two OpenBLAS threads give the same
+    # bytes; the thread count is read at startup, so each run is a fresh
+    # interpreter with the count set in its environment alone
+    cfg = {**TRAIN_CFG, "epochs": 1, "textcnn_filters": 8,
+           "filter_sizes": (2, 3)}
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", TRAIN_THREE, repr(cfg),
+                        str(out)], check=True, timeout=300,
+                       env={**os.environ, "PYTHONPATH": path,
+                            "OPENBLAS_NUM_THREADS": threads})
+    for name in ("base.bin", "daat.bin", "at.bin"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("mode", ["daat", "at"])
 def test_daat_save_load_roundtrip(tmp_path, mode):
     cfg = TrainConfig(**{**SMALL, "epochs": 2, "batch_size": 8})
@@ -620,9 +662,12 @@ def test_step_tape_holds_no_constant_leaves(mode, odd):
 
 def test_daat_step_records_one_node_per_gcnn_layer():
     # at acceptance shapes a DAAT step's graph, its losses summed, holds
-    # 50 nodes with parents and a base encode 3, the embedding and two
-    # layers; a GCNN layer of five nodes (mul, two conv1d, sigmoid, mul)
-    # would make them 82 and 11, and a negated adversarial loss 51
+    # 45 nodes with parents and a base encode 3, the embedding and two
+    # layers. Its four encoder passes of two layers are 8 gated_conv
+    # nodes; unfused into five nodes each (mul, two conv1d, sigmoid, mul)
+    # they would make 77 and 11. A negated adversarial loss would make 46,
+    # and log-probabilities taken as sigmoid, clamp and log (with sub for
+    # log(1 - p)) instead of one log_sigmoid per domain 50
     src, tgt = toy_source(16).items, toy_target_tagged(16).items
     cfg = TrainConfig(**TRAIN_CFG)
     rng = np.random.default_rng(0)
@@ -633,7 +678,7 @@ def test_daat_step_records_one_node_per_gcnn_layer():
     model = Segmenter.create([s for s, _ in src + tgt], cfg, rng, "daat")
     for odd in (True, False):
         losses = train_mod._step_losses(model, src, tgt, odd, rng)
-        assert nodes(sum(losses[1:], losses[0])) == 50
+        assert nodes(sum(losses[1:], losses[0])) == 45
     base = Segmenter.create([s for s, _ in src], cfg, rng)
     assert nodes(base.encode([s for s, _ in src], "source", rng).tagger) == 3
 
