@@ -18,24 +18,27 @@ p_val clears the threshold and its frequency strictly exceeds the floor.
 
 Counting walks maximal runs between boundary characters (punctuation and
 whitespace) after removing stop-word occurrences, so no counted n-gram
-crosses a hard boundary. It counts only the grams the frequency floor lets
-matter, level by level up to n_max + 1 characters (Apriori's rule: a gram
-clears the floor only if its prefix and suffix do): every frequent gram,
-every split of one that MIS reads and every (n+1)-gram neighbour that ES
+crosses a hard boundary; the runs of the whole corpus are found in one
+pass over it. It counts only the grams the frequency floor lets matter,
+level by level up to n_max + 1 characters (Apriori's rule: a gram clears
+the floor only if its prefix and suffix do): every frequent gram, every
+split of one that MIS reads and every (n+1)-gram neighbour that ES
 reads, each with its exact count. Scores therefore exist only for the
 candidates, the grams in doc_freq (a recorded neighbour gram's own
 neighbours may be unrecorded), and score_candidates is the one scorer.
-Grams are counted as integer ids, one np.unique per level: a gram's int64
-key is its prefix's id and its last character (a counted gram's prefix is
-always counted). Statistics collection is pure, and every structure here
-is read-only after construction.
+Grams are counted as integer ids, numbered once per level: a gram's
+int64 key is its prefix's id and its last character (a counted gram's
+prefix is always counted), and a level counts its keys with one bincount
+where the key space is no larger than its live positions, with one
+np.unique sort elsewhere. Statistics collection is pure, and every
+structure here is read-only after construction.
 """
 from __future__ import annotations
 
 import math
 import re
 import unicodedata
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -73,25 +76,64 @@ class MinerConfig:
                 raise ValueError(f"stop word {w!r} must be a non-empty string")
 
 
-def _run_splitter(corpus: list[str], cfg: MinerConfig,
-                  ) -> Callable[[str], list[str]]:
-    """A function giving the maximal substrings of a corpus sentence free of
-    boundary characters (whitespace and punctuation) and stop-words. The
-    punctuation table and the stop-word pattern, longest word first, are
-    built once."""
-    punct = {ord(c): " " for c in set().union(*corpus)
-             if unicodedata.category(c).startswith("P")}
-    pat = re.compile("|".join(
-        re.escape(w) for w in sorted(cfg.stop_words, key=len, reverse=True)))
+def _is_boundary(c: str) -> bool:
+    """Whitespace (what str.split() breaks on) and punctuation."""
+    return c.isspace() or unicodedata.category(c).startswith("P")
 
-    def runs(sentence: str) -> list[str]:
-        # str.split() breaks on exactly the characters str.isspace() accepts
-        parts = sentence.translate(punct).split()
-        if cfg.stop_words:
-            parts = [piece for run in parts for piece in pat.split(run) if piece]
-        return parts
 
-    return runs
+def _key_ids(key: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of integer keys, 0 <= key < space, numbered in ascending key
+    order (int32), and the count of each id. A bincount over the key space
+    with an id lookup table gives them where the space is no larger than
+    the keys, a sort (np.unique) elsewhere; the two agree exactly."""
+    if space <= len(key):
+        found = np.bincount(key, minlength=space)
+        seen = found > 0
+        return (np.cumsum(seen, dtype=np.int32) - 1)[key], found[seen]
+    _, ids, found = np.unique(key, return_inverse=True, return_counts=True)
+    return ids.astype(np.int32), found
+
+
+def _runs(corpus: list[str], cfg: MinerConfig):
+    """The maximal substrings of the corpus sentences free of boundary
+    characters and stop words, found in one pass over the corpus joined by
+    newlines: (the runs' joined text, their lengths, the sentence of each
+    of their characters, each character's rank among the distinct
+    characters of the runs, the number of those), the arrays int32.
+
+    Each distinct character is classified once. Stop-word occurrences are
+    blanked with one scan of the whole text, leftmost first and longest
+    word first at one start; a stop word holding a boundary character can
+    never match inside a run, so it is left out of the scan."""
+    joined = "\n".join(corpus)  # "\n" is a boundary, so no run crosses it
+    code = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"),
+                         np.uint32)
+    ids, found = _key_ids(code, int(code.max(initial=0)) + 1)
+    point = np.empty(len(found), np.uint32)
+    point[ids] = code
+    keep = ~np.array([_is_boundary(chr(c)) for c in point.tolist()],
+                     bool)[ids]
+    words = sorted((w for w in cfg.stop_words
+                    if not any(map(_is_boundary, w))), key=len, reverse=True)
+    if words:
+        pat = re.compile("|".join(map(re.escape, words)))
+        span = np.array([m.span() for m in pat.finditer(joined)],
+                        np.int64).reshape(-1, 2)
+        edge = np.zeros(len(code) + 1, np.int8)
+        edge[span[:, 0]] = 1  # matches never overlap
+        edge[span[:, 1]] -= 1
+        keep &= np.cumsum(edge[:-1], dtype=np.int8) == 0
+    at = np.flatnonzero(keep)
+    ids = ids[at]
+    text = code[at].tobytes().decode("utf-32-le", "surrogatepass")
+    ends = np.flatnonzero(np.diff(at, append=-1) != 1) + 1
+    lengths = np.diff(ends, prepend=0).astype(np.int32)
+    sizes = np.fromiter(map(len, corpus), np.int64, len(corpus)) + 1
+    doc = np.repeat(np.arange(len(corpus), dtype=np.int32), sizes)[at]
+    used = np.zeros(len(found), bool)
+    used[ids] = True
+    rank = np.cumsum(used, dtype=np.int32) - 1
+    return text, lengths, doc, rank[ids], int(np.count_nonzero(used))
 
 
 @dataclass
@@ -122,46 +164,39 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
     frequent), every split of one, and every neighbour c+t and t+c of a
     frequent t. Counting stops at the first level with nothing to count.
 
-    Grams are counted as integer ids, one np.unique per level over the
-    live positions of the joined runs; text is sliced once per recorded
-    gram. An l-gram's key is (prefix id, last character). Its prefix is
-    always counted: if its suffix is frequent, so is the suffix's own
-    prefix, which is the prefix's suffix. So, by induction on l, one text
-    always gets one id. Positions and ids are int32, so the runs must
-    hold under 2**31 characters; keys then stay below 2**31 * 0x110000.
+    The runs of the whole corpus come from one pass over it (_runs).
+    Grams are counted as integer ids, numbered once per level over the
+    live positions of the joined runs: by a bincount over the key space
+    (distinct prefixes times the alphabet) where that space is no larger
+    than the positions, by a sort elsewhere, both in ascending key order.
+    Text is sliced once per recorded gram. An l-gram's key is (prefix id,
+    last character). Its prefix is always counted: if its suffix is
+    frequent, so is the suffix's own prefix, which is the prefix's suffix.
+    So, by induction on l, one text always gets one id. Positions and ids
+    are int32, so the runs must hold under 2**31 characters; keys then
+    stay below 2**31 * 0x110000.
 
     total_per_length counts every position of every length, recorded or
     not. doc_freq holds the frequent grams of length n_min..n_max only;
     every input sentence is one document.
     """
     floor, top = cfg.min_frequency, cfg.n_max + 1
-    split = _run_splitter(corpus, cfg)
-    runs, doc_of = [], []
-    for d, sentence in enumerate(corpus):
-        for run in split(sentence):
-            runs.append(run)
-            doc_of.append(d)
+    text, lengths, doc, char, width = _runs(corpus, cfg)
     counts, doc_freq = {}, {}
-    text = "".join(runs)
-    lengths = np.fromiter(map(len, runs), np.int32, len(runs))
     pos = np.arange(len(text), dtype=np.int32)  # live start positions
     # characters from each position to the end of its run
     room = np.repeat(np.cumsum(lengths, dtype=np.int32), lengths) - pos
     totals = {l: k for l in range(1, top + 1)
               if (k := int(np.count_nonzero(room >= l)))}
-    doc = np.repeat(np.array(doc_of, np.int32), lengths)
-    key = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    key, space = char, width
     for l in range(1, top + 1):
-        _, ids, found = np.unique(key, return_inverse=True,
-                                  return_counts=True)
+        ids, found = _key_ids(key, space)
         del key
-        ids, num = ids.astype(np.int32), len(found)
+        num = len(found)
         at = np.empty(num, np.int32)
         at[ids] = pos  # one occurrence of each gram
         grams = [text[p:p + l] for p in at.tolist()]
         counts.update(zip(grams, found.tolist()))
-        if l == 1:
-            width, char = num, ids  # every position is live at level 1
         if l == top:
             break
         frequent = found > floor
@@ -182,6 +217,7 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
             break
         key = np.multiply(ids[live], width, dtype=np.int64)
         key += char[pos + l]
+        space = num * width
     return NGramStats(counts, totals, doc_freq, len(corpus))
 
 

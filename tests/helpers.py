@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import unicodedata
 from collections import Counter
+from collections.abc import Callable
 
 import numpy as np
 
 from crossseg.autodiff import (Tensor, concat_cols, conv1d, gather_rows,
                                log, mul, scale, sigmoid, sub, sum_all)
 from crossseg.corpus import TAG_INDEX, tags_to_words
-from crossseg.miner import MinerConfig, NGramStats, _run_splitter
+from crossseg.miner import MinerConfig, NGramStats
 from crossseg.nn import UNK_INDEX
 
 N_TAGS = 4
@@ -102,6 +104,28 @@ def split_runs(sentence: str, stop_words: frozenset[str] = frozenset()):
     return out
 
 
+def run_splitter(corpus: list[str], cfg: MinerConfig,
+                 ) -> Callable[[str], list[str]]:
+    """A function giving the maximal substrings of a corpus sentence free of
+    boundary characters (whitespace and punctuation) and stop-words, one
+    sentence at a time: the reference for the miner's one pass over the
+    whole corpus. The punctuation table and the stop-word pattern, longest
+    word first, are built once."""
+    punct = {ord(c): " " for c in set().union(*corpus)
+             if unicodedata.category(c).startswith("P")}
+    pat = re.compile("|".join(
+        re.escape(w) for w in sorted(cfg.stop_words, key=len, reverse=True)))
+
+    def runs(sentence: str) -> list[str]:
+        # str.split() breaks on exactly the characters str.isspace() accepts
+        parts = sentence.translate(punct).split()
+        if cfg.stop_words:
+            parts = [piece for run in parts for piece in pat.split(run) if piece]
+        return parts
+
+    return runs
+
+
 class OracleStats:
     """Brute-force n-gram statistics over a corpus."""
 
@@ -170,7 +194,7 @@ def collect_stats_ref(corpus: list[str], cfg: MinerConfig) -> NGramStats:
     (l-1)-prefix or (l-1)-suffix clears the floor, up to n_max + 1, and
     counting stops at the first level with nothing to count."""
     floor, top = cfg.min_frequency, cfg.n_max + 1
-    split = _run_splitter(corpus, cfg)
+    split = run_splitter(corpus, cfg)
     runs, doc_of = [], []
     for d, sentence in enumerate(corpus):
         for run in split(sentence):

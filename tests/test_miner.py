@@ -4,16 +4,17 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from crossseg.errors import DecodeError
 from crossseg.miner import (MinerConfig, NGramStats, WordCollection,
-                            _neighbours, _run_splitter, collect_stats,
+                            _neighbours, _runs, collect_stats,
                             lexicon_to_tsv, load_lexicon, mine, save_lexicon,
                             score_candidates)
 
 import toylang
-from helpers import OracleStats, collect_stats_ref
+from helpers import OracleStats, collect_stats_ref, run_splitter
 from test_acceptance import MINE_CFG
 
 
@@ -94,15 +95,57 @@ def test_stop_words_split_runs():
     assert stats.counts["a"] == 3
 
 
+def _runs_per_sentence(corpus: list[str], cfg: MinerConfig):
+    """The runs the one pass over the corpus finds, sentence by sentence."""
+    text, lengths, doc, _, _ = _runs(corpus, cfg)
+    out, start = [[] for _ in corpus], 0
+    for n in lengths.tolist():
+        out[doc[start]].append(text[start:start + n])
+        start += n
+    return out
+
+
 def test_overlapping_stop_words_split_leftmost_then_longest():
     corpus = ["xabcdy", "zbcdef", "q,abcde bcde", "abc"]
-    runs = _run_splitter(corpus, MinerConfig(
-        stop_words=frozenset({"ab", "abc", "bc", "cde"})))
-    assert [runs(s) for s in corpus] == [
+    assert _runs_per_sentence(corpus, MinerConfig(
+        stop_words=frozenset({"ab", "abc", "bc", "cde"}))) == [
         ["x", "dy"],        # 'abc' beats 'ab' at one start
         ["z", "def"],       # 'bc' starts before 'cde'
         ["q", "de", "de"],
         []]
+
+
+# letters that build overlapping stop words, whitespace (the newline and
+# \x1c among it), punctuation, two characters outside the BMP and a lone
+# surrogate
+SPLIT_ALPHABET = "aaabbbcccd \n\x1c\t,.\U0001F600\U00020000\ud800"
+SPLIT_STOP_WORDS = ["ab", "abc", "bc", "cab", "a", "a b", "c,", "\n",
+                    "b\x1cc", "\U0001F600a", "\ud800b"]
+
+
+def test_one_pass_runs_match_reference_splitter():
+    rng = random.Random(27)
+    corpora = [[], [""]] + [
+        ["".join(rng.choice(SPLIT_ALPHABET) for _ in range(rng.randint(0, 20)))
+         for _ in range(rng.randint(1, 8))]
+        for _ in range(400)]
+    for corpus in corpora:
+        cfg = MinerConfig(stop_words=frozenset(rng.sample(
+            SPLIT_STOP_WORDS, rng.randint(0, 4))))
+        split = run_splitter(corpus, cfg)
+        runs, doc = [], []
+        for d, sentence in enumerate(corpus):
+            for run in split(sentence):
+                runs.append(run)
+                doc += [d] * len(run)
+        text = "".join(runs)
+        rank = {c: i for i, c in enumerate(sorted(set(text)))}
+        got_text, lengths, got_doc, char, width = _runs(corpus, cfg)
+        assert got_text == text
+        assert lengths.tolist() == list(map(len, runs))
+        assert got_doc.tolist() == doc
+        assert char.tolist() == [rank[c] for c in text]
+        assert width == len(rank)
 
 
 def test_neighbour_maps_match_oracle_on_random_corpora():
@@ -222,7 +265,8 @@ def test_counts_of_corpora_without_runs(corpus):
 def test_mine_memory_peak_stays_bounded(mining_corpus):
     # tracemalloc peak of mine() at the defaults on the acceptance mining
     # corpus: 15.4 MB when the miner counted strings in Counters, before it
-    # counted integer ids in numpy (19.3 MB since); numpy temporaries may
+    # counted integer ids in numpy (19.3 MB while every level sorted, 13.8
+    # MB since dense levels count without sorting); numpy temporaries may
     # not grow past 1.5 times the former
     gc.collect()
     tracing = tracemalloc.is_tracing()
@@ -237,6 +281,52 @@ def test_mine_memory_peak_stays_bounded(mining_corpus):
         if not tracing:
             tracemalloc.stop()
     assert peak < 1.5 * 15.4e6
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """One entry per np.unique call: the length of the array when it numbers
+    keys (a sorted level, or the code points), None when it only dedupes
+    (the (document, gram) pairs of doc_freq)."""
+    calls, unique = [], np.unique
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a) if kwargs.get("return_inverse") else None)
+        return unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    return calls
+
+
+def test_counting_sorts_only_where_the_key_space_is_sparse(mining_corpus,
+                                                           sorts):
+    # at the defaults the code points (21,020 of them over 259,679
+    # characters) and levels 1 and 2 (188 and 188**2 keys over 254,680 and
+    # 249,520 live positions) count densely; levels 3 and 4 sort their
+    # 69,592 and 9,600 live positions, and levels 2 to 4 dedupe their
+    # (document, gram) pairs
+    collect_stats(mining_corpus, MinerConfig())
+    assert sorts == [None, 69_592, None, 9_600, None]
+
+
+def test_sorted_and_dense_levels_match_reference(sorts):
+    rng = random.Random(5)
+    # 100 letters over 2,000 characters: level 2's 100**2 keys outnumber
+    # its positions, so it sorts
+    letters = [chr(0x100 + i) for i in range(100)]
+    corpus = ["".join(rng.choices(letters, k=20)) for _ in range(100)]
+    cfg = MinerConfig(n_max=3, min_frequency=0)
+    stats = collect_stats(corpus, cfg)
+    assert stats.total_per_length[2] in sorts
+    assert_same_stats(stats, collect_stats_ref(corpus, cfg))
+    # two letters: every level's key space is smaller than its positions
+    sorts.clear()
+    corpus = ["".join(rng.choices("ab", k=50)) for _ in range(100)]
+    cfg = MinerConfig(n_max=6, min_frequency=1)
+    stats = collect_stats(corpus, cfg)
+    assert set(sorts) == {None}
+    assert max(map(len, stats.counts)) == 7
+    assert_same_stats(stats, collect_stats_ref(corpus, cfg))
 
 
 def test_infrequent_grams_are_unrecorded_or_neighbours_only():

@@ -87,3 +87,30 @@ def test_every_import_is_read():
               if path.name != "__init__.py"
               for name in _unused_imports(ast.parse(path.read_text("utf-8")))]
     assert unused == []
+
+
+def _unread_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Private module-level functions and classes (a name that starts with
+    one _) that no module reads, by name or as an attribute; a helper that
+    only tests call is one."""
+    defined = [(module, n.name) for module, tree in trees.items()
+               for n in tree.body
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+               and n.name.startswith("_") and not n.name.startswith("__")]
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+    return [f"{module}: {name}" for module, name in defined
+            if name not in read]
+
+
+def test_every_private_definition_is_read():
+    assert _unread_private_definitions({"m": ast.parse(
+        "def _a(): pass\ndef _b(): pass\nclass _C: pass\n"
+        "def f(): return _a, x._C")}) == ["m: _b"]
+    src = Path(crossseg.__file__).parent
+    trees = {path.name: ast.parse(path.read_text("utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    assert _unread_private_definitions(trees) == []
