@@ -24,22 +24,27 @@ level by level up to n_max + 1 characters (Apriori's rule: a gram clears
 the floor only if its prefix and suffix do): every frequent gram, every
 split of one that MIS reads and every (n+1)-gram neighbour that ES
 reads, each with its exact count. Scores therefore exist only for the
-candidates, the grams in doc_freq (a recorded neighbour gram's own
-neighbours may be unrecorded), and score_candidates is the one scorer.
+candidates, the frequent grams of length n_min..n_max (a recorded
+neighbour gram's own neighbours may be unrecorded), and score_candidates
+is the one scorer.
 Grams are counted as integer ids, numbered once per level: a gram's
 int64 key is its prefix's id and its last character (a counted gram's
 prefix is always counted), and a level counts its keys with one bincount
 where the key space is no larger than its live positions, with one
-np.unique sort elsewhere. Statistics collection is pure, and every
-structure here is read-only after construction.
+np.unique sort elsewhere. Each gram keeps links to the ids of its prefix
+and suffix one level down, and scoring reads the ids alone: splits by
+following the links, neighbours as the grams one level up that link to
+a candidate. Only the candidates are sliced into strings. Statistics
+collection is pure, and every structure here is read-only after
+construction.
 """
 from __future__ import annotations
 
 import math
 import re
 import unicodedata
-from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -136,20 +141,49 @@ def _runs(corpus: list[str], cfg: MinerConfig):
     return text, lengths, doc, rank[ids], int(np.count_nonzero(used))
 
 
-@dataclass
-class NGramStats:
-    """Counts gathered from a corpus by collect_stats.
+@dataclass(frozen=True)
+class _Level:
+    """The grams of one length that collect_stats counted, by id. Ids
+    ascend by (prefix id, rank of the last character), so by text in code
+    point order. Level 1's ids are the character ranks, and its prefix and
+    suffix are the empty gram, 0."""
+    count: np.ndarray       # occurrences of each gram
+    at: np.ndarray          # one start position of each in the runs' text
+    prefix: np.ndarray      # the id one level down of each gram's prefix
+    suffix: np.ndarray      # and of its suffix, one position later
+    candidates: np.ndarray  # the ids of the candidates, ascending
+    doc_freq: np.ndarray    # the documents holding each candidate
 
-    counts holds exact counts of the recorded grams only: all characters,
-    and the longer grams whose prefix or suffix is frequent (counted more
-    often than the floor). A gram absent from counts may still occur in
-    the corpus, below the floor.
-    total_per_length counts every position of each length. doc_freq holds
-    exactly the frequent grams of length n_min..n_max, the candidates."""
-    counts: dict[str, int] = field(default_factory=dict)
-    total_per_length: dict[int, int] = field(default_factory=dict)
-    doc_freq: dict[str, int] = field(default_factory=dict)
-    num_docs: int = 0
+
+@dataclass(frozen=True, eq=False)
+class NGramStats:
+    """Counts gathered from a corpus by collect_stats, as integer ids.
+
+    levels[l - 1] holds the recorded l-grams: all characters, and the
+    longer grams whose prefix or suffix is frequent (counted more often
+    than the floor), each with its exact count. A gram absent from them
+    may still occur in the corpus, below the floor. The candidates are
+    exactly the frequent grams of length n_min..n_max.
+    total_per_length counts every position of each length. counts and
+    doc_freq give the recorded grams and the candidates by text; each
+    slices its strings on first read, which scoring never needs."""
+    text: str  # the runs, joined
+    levels: tuple[_Level, ...]
+    total_per_length: dict[int, int]
+    num_docs: int
+
+    @cached_property
+    def counts(self) -> dict[str, int]:
+        text = self.text
+        return {text[p:p + l]: k for l, lv in enumerate(self.levels, 1)
+                for p, k in zip(lv.at.tolist(), lv.count.tolist())}
+
+    @cached_property
+    def doc_freq(self) -> dict[str, int]:
+        text = self.text
+        return {text[p:p + l]: k for l, lv in enumerate(self.levels, 1)
+                for p, k in zip(lv.at[lv.candidates].tolist(),
+                                lv.doc_freq.tolist())}
 
 
 def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
@@ -169,21 +203,26 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
     live positions of the joined runs: by a bincount over the key space
     (distinct prefixes times the alphabet) where that space is no larger
     than the positions, by a sort elsewhere, both in ascending key order.
-    Text is sliced once per recorded gram. An l-gram's key is (prefix id,
+    No gram is sliced into a string here. An l-gram's key is (prefix id,
     last character). Its prefix is always counted: if its suffix is
     frequent, so is the suffix's own prefix, which is the prefix's suffix.
-    So, by induction on l, one text always gets one id. Positions and ids
-    are int32, so the runs must hold under 2**31 characters; keys then
-    stay below 2**31 * 0x110000.
+    So, by induction on l, one text always gets one id, and the prefix and
+    suffix of a counted gram are counted one level down, where its links
+    to them are read at its position and the next. Positions and ids are
+    int32, so the runs must hold under 2**31 characters; keys then stay
+    below 2**31 * 0x110000.
 
     total_per_length counts every position of every length, recorded or
-    not. doc_freq holds the frequent grams of length n_min..n_max only;
-    every input sentence is one document.
+    not. Candidates are the frequent grams of length n_min..n_max only;
+    every input sentence is one document, and a candidate's documents are
+    counted by sorting its level's (document, id) keys once.
     """
     floor, top = cfg.min_frequency, cfg.n_max + 1
     text, lengths, doc, char, width = _runs(corpus, cfg)
-    counts, doc_freq = {}, {}
+    levels = []
     pos = np.arange(len(text), dtype=np.int32)  # live start positions
+    # the last level's id at each position, first level 0's: the empty gram
+    where = np.zeros(len(text) + 1, np.int32)
     # characters from each position to the end of its run
     room = np.repeat(np.cumsum(lengths, dtype=np.int32), lengths) - pos
     totals = {l: k for l in range(1, top + 1)
@@ -195,18 +234,19 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
         num = len(found)
         at = np.empty(num, np.int32)
         at[ids] = pos  # one occurrence of each gram
-        grams = [text[p:p + l] for p in at.tolist()]
-        counts.update(zip(grams, found.tolist()))
-        if l == top:
-            break
+        prefix, suffix = where[at], where[at + 1]
+        where[pos] = ids
         frequent = found > floor
         hit = frequent[ids]
-        if cfg.n_min <= l:
-            pairs = np.unique(doc[pos[hit]] * np.int64(num) + ids[hit])
-            docs = np.bincount(pairs % num, minlength=num)
-            f = np.flatnonzero(frequent)
-            doc_freq.update(zip([grams[i] for i in f.tolist()],
-                                docs[f].tolist()))
+        cand = df = np.empty(0, np.int64)
+        if cfg.n_min <= l < top:
+            pairs = np.sort(doc[pos[hit]] * np.int64(num) + ids[hit])
+            once = np.diff(pairs, prepend=-1) != 0
+            cand = np.flatnonzero(frequent)
+            df = np.bincount(pairs[once] % num, minlength=num)[cand]
+        levels.append(_Level(found, at, prefix, suffix, cand, df))
+        if l == top:
+            break
         flag = np.zeros(len(room) + 1, bool)
         flag[pos[hit]] = True
         flag[:-1] |= flag[1:]  # frequent prefix at p or suffix at p + 1
@@ -218,34 +258,23 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
         key = np.multiply(ids[live], width, dtype=np.int64)
         key += char[pos + l]
         space = num * width
-    return NGramStats(counts, totals, doc_freq, len(corpus))
+    return NGramStats(text, tuple(levels), totals, len(corpus))
 
 
-def _entropy(neigh: dict[str, int]) -> float:
-    """Entropy of a neighbour count map, 0 when it is empty."""
-    total = sum(neigh.values())
-    h = 0.0
-    # fixed summation order keeps the result invariant to corpus order
-    for _, k in sorted(neigh.items()):
-        p = k / total
-        h -= p * math.log(p)
-    return h
-
-
-def _neighbours(stats: NGramStats, texts: Iterable[str]) -> tuple[dict, dict]:
-    """Left and right neighbour counts of every n-gram in texts, read off
-    the counted grams one character longer in one pass: a gram g puts
-    counts[g] at right[g[:-1]][g[-1]] and at left[g[1:]][g[0]]."""
-    left: dict[str, dict[str, int]] = {t: {} for t in texts}
-    right: dict[str, dict[str, int]] = {t: {} for t in texts}
-    for g, k in stats.counts.items():
-        r = right.get(g[:-1])
-        if r is not None:
-            r[g[-1]] = k
-        l = left.get(g[1:])
-        if l is not None:
-            l[g[0]] = k
-    return left, right
+def _entropies(group: np.ndarray, count: np.ndarray, wanted: np.ndarray,
+               size: int) -> np.ndarray:
+    """The branching entropy (natural log) of each wanted gram of a level
+    of size ids, 0 where it has no neighbour: row i of count counts a
+    neighbour of gram group[i], and one gram's rows come in character
+    order. Logs come from math.log, and bincount adds each gram's terms
+    one by one in row order."""
+    keep = np.zeros(size, bool)
+    keep[wanted] = True
+    keep = keep[group]
+    group, count = group[keep], count[keep]
+    p = count / np.bincount(group, weights=count, minlength=size)[group]
+    log = np.fromiter(map(math.log, p.tolist()), float, len(p))
+    return np.bincount(group, weights=-(p * log), minlength=size)[wanted]
 
 
 @dataclass(frozen=True)
@@ -265,43 +294,60 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _normalize(values: list[float]) -> list[float]:
-    lo, hi = min(values), max(values)
+def _normalize(values: np.ndarray) -> np.ndarray:
+    lo, hi = values.min(), values.max()
     if hi == lo:
-        return [0.0] * len(values)
-    span = hi - lo
-    return [(v - lo) / span for v in values]
+        return np.zeros_like(values)
+    return (values - lo) / (hi - lo)
 
 
 def score_candidates(stats: NGramStats) -> list[CandidateScore]:
-    """Score the candidates, the grams in stats.doc_freq (every n-gram with
-    n_min <= len <= n_max and frequency strictly above the floor), sorted
-    by text. p(t) is count(t) over the total count of t's length."""
-    cand = sorted(stats.doc_freq)
-    if not cand:
-        return []
-    counts, totals = stats.counts, stats.total_per_length
-    left, right = _neighbours(stats, cand)
-    mis, es, tfidf = [], [], []
-    for g in cand:
-        n = len(g)
-        pt = counts[g] / totals[n]
-        best = math.inf
+    """Score the candidates (every n-gram with n_min <= len <= n_max and
+    frequency strictly above the floor), sorted by text. p(t) is count(t)
+    over the total count of t's length.
+
+    Scoring reads the ids: a candidate's splits are the ends of its chains
+    of prefix and suffix links, its right neighbours the grams one level
+    up whose prefix it is, its left ones those whose suffix it is. Ids
+    ascend in text order, so the neighbours on either side come in the
+    order of the character they add. Only the candidates are sliced into
+    strings."""
+    levels, totals = stats.levels, stats.total_per_length
+    texts, cols = [], []
+    for n, lv in enumerate(levels, 1):
+        c = lv.candidates
+        if not len(c):
+            continue
+        pt = lv.count[c] / totals[n]
+        # pre[i] holds the ids of the candidates' (n-i)-prefixes, suf[i]
+        # those of their suffixes from character i on
+        pre, suf = [c], [c]
+        for i in range(1, n):
+            pre.append(levels[n - i].prefix[pre[-1]])
+            suf.append(levels[n - i].suffix[suf[-1]])
+        mis = np.full(len(c), math.inf)
         for j in range(1, n):
-            r = pt / ((counts[g[:j]] / totals[j])
-                      * (counts[g[j:]] / totals[n - j]))
-            if r < best:
-                best = r
-        mis.append(best)
-        es.append(min(_entropy(left[g]), _entropy(right[g])))
-        tfidf.append(pt * math.log(stats.num_docs / stats.doc_freq[g]))
-    n_mis, n_es, n_tf = _normalize(mis), _normalize(es), _normalize(tfidf)
-    out = []
-    for i, g in enumerate(cand):
-        p = _sigmoid(n_mis[i] + n_es[i] + n_tf[i])
-        out.append(CandidateScore(g, stats.counts[g], mis[i], es[i],
-                                  tfidf[i], p))
-    return out
+            r = pt / ((levels[j - 1].count[pre[n - j]] / totals[j])
+                      * (levels[n - j - 1].count[suf[j]] / totals[n - j]))
+            np.minimum(mis, r, out=mis)
+        es = np.zeros(len(c))
+        if n < len(levels):  # the grams one character longer
+            up, size = levels[n], len(lv.count)
+            es = np.minimum(_entropies(up.suffix, up.count, c, size),
+                            _entropies(up.prefix, up.count, c, size))
+        idf = (stats.num_docs / lv.doc_freq).tolist()
+        tfidf = pt * np.fromiter(map(math.log, idf), float, len(idf))
+        texts += [stats.text[p:p + n] for p in lv.at[c].tolist()]
+        cols.append((lv.count[c], mis, es, tfidf))
+    if not texts:
+        return []
+    order = np.array(sorted(range(len(texts)), key=texts.__getitem__))
+    freq, mis, es, tfidf = (np.concatenate(col)[order] for col in zip(*cols))
+    p_val = map(_sigmoid, (_normalize(mis) + _normalize(es)
+                           + _normalize(tfidf)).tolist())
+    return list(map(CandidateScore, [texts[i] for i in order.tolist()],
+                    freq.tolist(), mis.tolist(), es.tolist(), tfidf.tolist(),
+                    p_val))
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from crossseg.autodiff import (Tensor, concat_cols, conv1d, gather_rows,
                                log, mul, scale, sigmoid, sub, sum_all)
 from crossseg.corpus import TAG_INDEX, tags_to_words
-from crossseg.miner import MinerConfig, NGramStats
+from crossseg.miner import CandidateScore, MinerConfig
 from crossseg.nn import UNK_INDEX
 
 N_TAGS = 4
@@ -188,7 +189,17 @@ def _next_starts(live: list[int], last: int):
     return sorted(s)
 
 
-def collect_stats_ref(corpus: list[str], cfg: MinerConfig) -> NGramStats:
+@dataclass(frozen=True)
+class RefStats:
+    """The statistics of collect_stats by text, as collect_stats_ref counts
+    them: the recorded grams, the candidates' document frequencies."""
+    counts: dict[str, int]
+    total_per_length: dict[int, int]
+    doc_freq: dict[str, int]
+    num_docs: int
+
+
+def collect_stats_ref(corpus: list[str], cfg: MinerConfig) -> RefStats:
     """The miner's level-by-level counter in pure Python, one string slice
     per position and level: an l-gram is counted wherever its
     (l-1)-prefix or (l-1)-suffix clears the floor, up to n_max + 1, and
@@ -226,7 +237,82 @@ def collect_stats_ref(corpus: list[str], cfg: MinerConfig) -> NGramStats:
         if not any(nxt):
             break
         level = nxt
-    return NGramStats(counts, totals, dict(doc_freq), len(corpus))
+    return RefStats(counts, totals, dict(doc_freq), len(corpus))
+
+
+def entropy_ref(neigh: dict[str, int]) -> float:
+    """Entropy of a neighbour count map, 0 when it is empty, summed in
+    character order."""
+    total = sum(neigh.values())
+    h = 0.0
+    for _, k in sorted(neigh.items()):
+        p = k / total
+        h -= p * math.log(p)
+    return h
+
+
+def _neighbours_ref(stats, texts: Iterable[str]) -> tuple[dict, dict]:
+    """Left and right neighbour counts of every n-gram in texts, read off
+    the counted grams one character longer in one pass: a gram g puts
+    counts[g] at right[g[:-1]][g[-1]] and at left[g[1:]][g[0]]."""
+    left: dict[str, dict[str, int]] = {t: {} for t in texts}
+    right: dict[str, dict[str, int]] = {t: {} for t in texts}
+    for g, k in stats.counts.items():
+        r = right.get(g[:-1])
+        if r is not None:
+            r[g[-1]] = k
+        l = left.get(g[1:])
+        if l is not None:
+            l[g[0]] = k
+    return left, right
+
+
+def _normalize_ref(values: list[float]) -> list[float]:
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        return [0.0] * len(values)
+    span = hi - lo
+    return [(v - lo) / span for v in values]
+
+
+def _sigmoid_ref(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def score_candidates_ref(stats) -> list[CandidateScore]:
+    """The miner's scorer on strings, one candidate at a time, reading the
+    counts and document frequencies by text (of collect_stats or
+    collect_stats_ref): the reference score_candidates must equal bit for
+    bit."""
+    cand = sorted(stats.doc_freq)
+    if not cand:
+        return []
+    counts, totals = stats.counts, stats.total_per_length
+    left, right = _neighbours_ref(stats, cand)
+    mis, es, tfidf = [], [], []
+    for g in cand:
+        n = len(g)
+        pt = counts[g] / totals[n]
+        best = math.inf
+        for j in range(1, n):
+            r = pt / ((counts[g[:j]] / totals[j])
+                      * (counts[g[j:]] / totals[n - j]))
+            if r < best:
+                best = r
+        mis.append(best)
+        es.append(min(entropy_ref(left[g]), entropy_ref(right[g])))
+        tfidf.append(pt * math.log(stats.num_docs / stats.doc_freq[g]))
+    n_mis, n_es = _normalize_ref(mis), _normalize_ref(es)
+    n_tf = _normalize_ref(tfidf)
+    out = []
+    for i, g in enumerate(cand):
+        p = _sigmoid_ref(n_mis[i] + n_es[i] + n_tf[i])
+        out.append(CandidateScore(g, stats.counts[g], mis[i], es[i],
+                                  tfidf[i], p))
+    return out
 
 
 def fmm_spans(sentence: str, words: set[str]) -> list[tuple[int, int]]:

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from crossseg.errors import DecodeError
-from crossseg.miner import (MinerConfig, NGramStats, WordCollection,
-                            _neighbours, _runs, collect_stats,
-                            lexicon_to_tsv, load_lexicon, mine, save_lexicon,
-                            score_candidates)
+from crossseg.miner import (MinerConfig, NGramStats, WordCollection, _runs,
+                            collect_stats, lexicon_to_tsv, load_lexicon, mine,
+                            save_lexicon, score_candidates)
 
 import toylang
-from helpers import OracleStats, collect_stats_ref, run_splitter
+from helpers import (OracleStats, RefStats, collect_stats_ref, entropy_ref,
+                     run_splitter, score_candidates_ref)
 from test_acceptance import MINE_CFG
 
 
@@ -52,13 +52,23 @@ def test_mis_takes_worst_split():
     assert _scored(corpus)["abc"].mis == pytest.approx(min(splits))
 
 
-def test_mis_names_an_unrecorded_split():
-    # only the grams in doc_freq are candidates; collect_stats records
-    # every split of those, so a gram with an unrecorded split ('ab' of
-    # 'abc') is never scored
-    stats = NGramStats(counts={"abc": 3, "a": 5, "bc": 3},
-                       total_per_length={1: 10, 2: 8, 3: 6})
-    assert score_candidates(stats) == []
+def test_mis_reads_only_recorded_splits():
+    # MIS reads the counts of both sides of every split of a candidate;
+    # collect_stats records each of them, with the oracle's count
+    rng = random.Random(13)
+    splits = 0
+    for floor in (0, 0, 2, 2, 4, 4):
+        corpus = ["".join(rng.choice("aaabbc,") for _ in range(40))
+                  for _ in range(20)]
+        stats = collect_stats(corpus, MinerConfig(n_max=5,
+                                                  min_frequency=floor))
+        oracle = OracleStats(corpus, n_max=5)
+        for c in score_candidates(stats):
+            for j in range(1, len(c.text)):
+                for part in (c.text[:j], c.text[j:]):
+                    assert stats.counts[part] == oracle.counts[part]
+                    splits += 1
+    assert splits > 0
 
 
 def test_entropy_score_pinned():
@@ -69,11 +79,58 @@ def test_entropy_score_pinned():
 
 
 def test_tfidf_pinned():
-    stats = NGramStats(counts={"ab": 2, "a": 4, "b": 4},
-                       total_per_length={1: 200, 2: 100},
-                       doc_freq={"ab": 10}, num_docs=100)
+    # 'ab' is 10 of the 500 bigrams, in 10 of the 100 documents
+    scored = _scored(["abcdef"] * 10 + ["cdefgh"] * 90)
+    assert scored["ab"].tfidf == 0.02 * math.log(10.0)
+
+
+def test_gram_in_every_document_has_no_importance():
+    scored = _scored(["xab", "aby"])
+    assert scored["ab"].frequency == 2
+    assert scored["ab"].tfidf == 0.0
+    assert scored["xa"].tfidf > 0.0
+
+
+def test_candidates_on_the_deepest_counted_level_have_no_flexibility():
+    # 'cde' occurs, but neither its prefix nor its suffix clears the
+    # floor: level 3 counts nothing, so 'ab' has no neighbours to read
+    stats = collect_stats(["ab", "ab", "ab", "cde"],
+                          MinerConfig(min_frequency=2))
+    assert len(stats.levels) == 2
     [ab] = score_candidates(stats)
-    assert ab.tfidf == pytest.approx(0.02 * math.log(10.0))
+    assert (ab.text, ab.es) == ("ab", 0.0)
+    # every run ends with 'ab'
+    stats = collect_stats(["ab"] * 5, MinerConfig(min_frequency=0))
+    assert len(stats.levels) == 2
+    assert [c.es for c in score_candidates(stats)] == [0.0]
+
+
+def _entropy_in_order(neigh: list[tuple[str, int]]) -> float:
+    total = sum(k for _, k in neigh)
+    h = 0.0
+    for _, k in neigh:
+        h -= k / total * math.log(k / total)
+    return h
+
+
+def test_left_neighbours_sum_in_code_point_order():
+    # 'xy' has five left neighbours, first seen in reverse code point
+    # order. Its entropy's last bit depends on the order of the terms:
+    # by code point, U+FFE0 comes before the characters outside the BMP,
+    # by UTF-16 code unit after them
+    left = {"a": 1, "\uffe0": 1, "\U0001F600": 1, "\U00020000": 3,
+            "\ud800": 2}
+    rights = iter("bcdefghijk")
+    corpus = [c + "xy" + next(rights)
+              for c in sorted(left, reverse=True) for _ in range(left[c])]
+    assert OracleStats(corpus, n_max=3).left["xy"] == left
+    want = _entropy_in_order(sorted(left.items()))
+    assert want == entropy_ref(left)
+    assert want != _entropy_in_order(sorted(
+        left.items(), key=lambda kv: kv[0].encode("utf-16-be",
+                                                  "surrogatepass")))
+    assert want != _entropy_in_order(sorted(left.items(), reverse=True))
+    assert _scored(corpus)["xy"].es == want  # the right side has ln 8
 
 
 def test_neighbors_stay_within_runs():
@@ -161,14 +218,14 @@ def test_neighbour_maps_match_oracle_on_random_corpora():
                           stop_words=stop_words)
         stats = collect_stats(corpus, cfg)
         oracle = OracleStats(corpus, n_max=4, stop_words=stop_words)
-        cand = [c.text for c in score_candidates(stats)]
-        assert sorted(cand) == sorted(g for g in oracle.counts
-                                      if 2 <= len(g) <= 4)
-        left, right = _neighbours(stats, cand)
-        for g in cand:
-            assert left[g] == dict(oracle.left.get(g, {}))
-            assert right[g] == dict(oracle.right.get(g, {}))
-            if len(g) == 4 and oracle.counts[g] > sum(right[g].values()):
+        scored = score_candidates(stats)
+        assert sorted(c.text for c in scored) == sorted(
+            g for g in oracle.counts if 2 <= len(g) <= 4)
+        for c in scored:
+            g = c.text
+            left, right = oracle.left.get(g, {}), oracle.right.get(g, {})
+            assert c.es == min(entropy_ref(left), entropy_ref(right))
+            if len(g) == 4 and oracle.counts[g] > sum(right.values()):
                 edge_candidates += 1
     assert edge_candidates > 0
 
@@ -198,21 +255,57 @@ def test_pruned_counts_match_oracle_at_floors(floor):
         cand = [c.text for c in scored]
         assert cand == sorted(g for g, k in oracle.counts.items()
                               if 2 <= len(g) <= 4 and k > floor)
-        left, right = _neighbours(stats, cand)
         for c in scored:
             g = c.text
             assert c.frequency == oracle.counts[g]
             assert c.mis == pytest.approx(oracle.mis(g), abs=1e-9)
             assert c.es == pytest.approx(oracle.es(g), abs=1e-9)
             assert c.tfidf == pytest.approx(oracle.tfidf(g), abs=1e-9)
-            assert left[g] == dict(oracle.left.get(g, {}))
-            assert right[g] == dict(oracle.right.get(g, {}))
+            assert c.es == min(entropy_ref(oracle.left.get(g, {})),
+                               entropy_ref(oracle.right.get(g, {})))
             long_candidates += len(g) == 4
     assert long_candidates > 0
     assert (pruned > 0) == (floor > 0)
 
 
-def assert_same_stats(got: NGramStats, want: NGramStats):
+@pytest.mark.parametrize("floor", [0, 1, 2, 3])
+def test_scores_equal_string_scorer_on_random_corpora(floor):
+    # 100 corpora a floor over a skewed alphabet with boundaries, characters
+    # outside the BMP and a lone surrogate: every score equal bit for bit
+    rng = random.Random(61 + floor)
+    stop_words = ["x", "c\U0001F600", "ab", "\ud800b", "\U00020000"]
+    deepest = scored = 0
+    for _ in range(100):
+        n_max = rng.randint(2, 6)
+        cfg = MinerConfig(n_min=rng.randint(2, n_max), n_max=n_max,
+                          min_frequency=floor, stop_words=frozenset(
+                              rng.sample(stop_words, rng.randint(0, 2))))
+        corpus = ["".join(rng.choice(WIDE_ALPHABET)
+                          for _ in range(rng.randint(0, 60)))
+                  for _ in range(rng.randint(1, 40))]
+        got = score_candidates(collect_stats(corpus, cfg))
+        assert got == score_candidates_ref(collect_stats_ref(corpus, cfg))
+        deepest = max(deepest, *(len(c.text) for c in got), 0)
+        scored += len(got)
+    assert deepest == 6 and scored > 1000
+
+
+def test_scores_equal_string_scorer_on_mining_corpus_at_floor_3(
+        mining_corpus):
+    stats = collect_stats(mining_corpus, MinerConfig(min_frequency=3))
+    got = score_candidates(stats)
+    assert len(got) == 128_050
+    assert got == score_candidates_ref(stats)
+
+
+def test_scoring_leaves_the_counts_map_unbuilt(mining_corpus):
+    stats = collect_stats(mining_corpus, MinerConfig())
+    assert len(score_candidates(stats)) == 2_874
+    assert "counts" not in vars(stats) and "doc_freq" not in vars(stats)
+    assert len(stats.counts) == 60_325  # built on first read
+
+
+def assert_same_stats(got: NGramStats, want: RefStats):
     assert got.counts == want.counts
     assert got.doc_freq == want.doc_freq
     assert got.total_per_length == want.total_per_length
@@ -266,8 +359,9 @@ def test_mine_memory_peak_stays_bounded(mining_corpus):
     # tracemalloc peak of mine() at the defaults on the acceptance mining
     # corpus: 15.4 MB when the miner counted strings in Counters, before it
     # counted integer ids in numpy (19.3 MB while every level sorted, 13.8
-    # MB since dense levels count without sorting); numpy temporaries may
-    # not grow past 1.5 times the former
+    # MB since dense levels count without sorting, 11.6 MB since scoring
+    # reads the ids and slices only the candidates); it may not grow back
+    # to 13 MB
     gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -280,18 +374,17 @@ def test_mine_memory_peak_stays_bounded(mining_corpus):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 1.5 * 15.4e6
+    assert peak < 13e6
 
 
 @pytest.fixture
 def sorts(monkeypatch):
-    """One entry per np.unique call: the length of the array when it numbers
-    keys (a sorted level, or the code points), None when it only dedupes
-    (the (document, gram) pairs of doc_freq)."""
+    """One entry per np.unique call: the length of the keys it numbers (a
+    sorted level, or the code points)."""
     calls, unique = [], np.unique
 
     def counted(a, *args, **kwargs):
-        calls.append(len(a) if kwargs.get("return_inverse") else None)
+        calls.append(len(a))
         return unique(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "unique", counted)
@@ -303,10 +396,10 @@ def test_counting_sorts_only_where_the_key_space_is_sparse(mining_corpus,
     # at the defaults the code points (21,020 of them over 259,679
     # characters) and levels 1 and 2 (188 and 188**2 keys over 254,680 and
     # 249,520 live positions) count densely; levels 3 and 4 sort their
-    # 69,592 and 9,600 live positions, and levels 2 to 4 dedupe their
-    # (document, gram) pairs
+    # 69,592 and 9,600 live positions; the (document, gram) pairs of
+    # levels 2 to 4 are sorted, not numbered
     collect_stats(mining_corpus, MinerConfig())
-    assert sorts == [None, 69_592, None, 9_600, None]
+    assert sorts == [69_592, 9_600]
 
 
 def test_sorted_and_dense_levels_match_reference(sorts):
@@ -324,7 +417,7 @@ def test_sorted_and_dense_levels_match_reference(sorts):
     corpus = ["".join(rng.choices("ab", k=50)) for _ in range(100)]
     cfg = MinerConfig(n_max=6, min_frequency=1)
     stats = collect_stats(corpus, cfg)
-    assert set(sorts) == {None}
+    assert sorts == []
     assert max(map(len, stats.counts)) == 7
     assert_same_stats(stats, collect_stats_ref(corpus, cfg))
 
@@ -395,21 +488,19 @@ def test_scores_invariant_to_sentence_order():
 
 def test_normalization_extremes():
     # one candidate dominating every score reaches sigmoid(3); the one
-    # pinned to every minimum stays at sigmoid(0); the neighbours are the
-    # 3-gram counts: 'ab' sees x and y on each side, 'cd' only x
-    stats = NGramStats(
-        counts={"ab": 20, "cd": 15, "a": 20, "b": 20, "c": 40, "d": 40,
-                "xab": 10, "yab": 10, "abx": 10, "aby": 10,
-                "xcd": 20, "cdx": 20},
-        total_per_length={1: 140, 2: 100, 3: 80},
-        doc_freq={"ab": 10, "cd": 50},
-        num_docs=100)
-    scored = {c.text: c for c in
-              score_candidates(stats)}
-    assert scored["ab"].es == pytest.approx(math.log(2.0))
-    assert scored["cd"].es == 0.0
-    assert scored["ab"].p_val == pytest.approx(1 / (1 + math.exp(-3.0)))
-    assert scored["cd"].p_val == pytest.approx(0.5)
+    # pinned to every minimum stays at sigmoid(0). 'ab' sees w, x, y and
+    # z on each side, 'cd' stands alone; at the floor 4 the bigrams
+    # around 'ab' are not candidates
+    corpus = [l + "ab" + r for l in "wxyz" for r in "wxyz"] + ["cd"] * 50
+    scored = _scored(corpus, MinerConfig(n_max=2, min_frequency=4))
+    assert set(scored) == {"ab", "cd"}
+    ab, cd = scored["ab"], scored["cd"]
+    assert (ab.frequency, cd.frequency) == (16, 50)
+    assert ab.mis > cd.mis and ab.tfidf > cd.tfidf
+    assert ab.es == pytest.approx(math.log(4.0))
+    assert cd.es == 0.0
+    assert ab.p_val == 1 / (1 + math.exp(-3.0))
+    assert cd.p_val == 0.5
 
 
 def build_cohesion_corpus():
