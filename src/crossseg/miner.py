@@ -46,6 +46,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,10 +91,13 @@ def _key_ids(key: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     """Ids of integer keys, 0 <= key < space, numbered in ascending key
     order (int32), and the count of each id. A bincount over the key space
     with an id lookup table gives them where the space is no larger than
-    the keys, a sort (np.unique) elsewhere; the two agree exactly."""
+    the keys (the keys are their own ids where all of it occurs), a sort
+    (np.unique) elsewhere; the two agree exactly."""
     if space <= len(key):
         found = np.bincount(key, minlength=space)
         seen = found > 0
+        if seen.all():  # every key is its own id
+            return key.astype(np.int32, copy=False), found
         return (np.cumsum(seen, dtype=np.int32) - 1)[key], found[seen]
     _, ids, found = np.unique(key, return_inverse=True, return_counts=True)
     return ids.astype(np.int32), found
@@ -106,18 +110,28 @@ def _runs(corpus: list[str], cfg: MinerConfig):
     of their characters, each character's rank among the distinct
     characters of the runs, the number of those), the arrays int32.
 
-    Each distinct character is classified once. Stop-word occurrences are
-    blanked with one scan of the whole text, leftmost first and longest
-    word first at one start; a stop word holding a boundary character can
-    never match inside a run, so it is left out of the scan."""
+    Each distinct code point is classified once, into a table that every
+    character reads its boundary flag and its rank from: a table over the
+    code points where their space is no larger than the characters, over
+    the sorted distinct code points elsewhere (as _key_ids numbers keys).
+    Stop-word occurrences are blanked with one scan of the whole text,
+    leftmost first and longest word first at one start; a stop word
+    holding a boundary character can never match inside a run, so it is
+    left out of the scan."""
     joined = "\n".join(corpus)  # "\n" is a boundary, so no run crosses it
     code = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"),
                          np.uint32)
-    ids, found = _key_ids(code, int(code.max(initial=0)) + 1)
-    point = np.empty(len(found), np.uint32)
-    point[ids] = code
-    keep = ~np.array([_is_boundary(chr(c)) for c in point.tolist()],
-                     bool)[ids]
+    space = int(code.max(initial=0)) + 1
+    if space <= len(code):
+        key = code
+        point = slot = np.flatnonzero(np.bincount(code, minlength=space))
+    else:
+        point, key = np.unique(code, return_inverse=True)
+        space = len(point)
+        slot = np.arange(space)
+    used = np.zeros(space, bool)  # the code points the runs hold
+    used[slot] = [not _is_boundary(chr(c)) for c in point.tolist()]
+    keep = used[key]
     words = sorted((w for w in cfg.stop_words
                     if not any(map(_is_boundary, w))), key=len, reverse=True)
     if words:
@@ -129,16 +143,22 @@ def _runs(corpus: list[str], cfg: MinerConfig):
         edge[span[:, 1]] -= 1
         keep &= np.cumsum(edge[:-1], dtype=np.int8) == 0
     at = np.flatnonzero(keep)
-    ids = ids[at]
-    text = code[at].tobytes().decode("utf-32-le", "surrogatepass")
-    ends = np.flatnonzero(np.diff(at, append=-1) != 1) + 1
-    lengths = np.diff(ends, prepend=0).astype(np.int32)
+    kept = code[at]
+    text = kept.tobytes().decode("utf-32-le", "surrogatepass")
+    key = kept if key is code else key[at]
+    if words:  # a character may occur only inside stop words
+        used = np.zeros(space, bool)
+        used[key] = True
+    # keep flips on at the start of each run and off after its end
+    flips = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+    start = flips[::2]
+    lengths = (flips[1::2] - start).astype(np.int32)
     sizes = np.fromiter(map(len, corpus), np.int64, len(corpus)) + 1
-    doc = np.repeat(np.arange(len(corpus), dtype=np.int32), sizes)[at]
-    used = np.zeros(len(found), bool)
-    used[ids] = True
+    # the sentence of each run's first character, and so of all of them
+    doc = np.repeat(np.searchsorted(np.cumsum(sizes), start, "right")
+                    .astype(np.int32), lengths)
     rank = np.cumsum(used, dtype=np.int32) - 1
-    return text, lengths, doc, rank[ids], int(np.count_nonzero(used))
+    return text, lengths, doc, rank[key], int(np.count_nonzero(used))
 
 
 @dataclass(frozen=True)
@@ -213,9 +233,10 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
     below 2**31 * 0x110000.
 
     total_per_length counts every position of every length, recorded or
-    not. Candidates are the frequent grams of length n_min..n_max only;
-    every input sentence is one document, and a candidate's documents are
-    counted by sorting its level's (document, id) keys once.
+    not, from the run lengths. Candidates are the frequent grams of length
+    n_min..n_max only; every input sentence is one document, and a
+    candidate's documents are counted by sorting its level's (document,
+    id) keys once.
     """
     floor, top = cfg.min_frequency, cfg.n_max + 1
     text, lengths, doc, char, width = _runs(corpus, cfg)
@@ -225,8 +246,12 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
     where = np.zeros(len(text) + 1, np.int32)
     # characters from each position to the end of its run
     room = np.repeat(np.cumsum(lengths, dtype=np.int32), lengths) - pos
+    # an l-gram starts wherever l characters remain in its run, so a run
+    # of n characters holds n - l + 1 of them
+    runs = np.bincount(lengths)  # the runs of each length
+    size = np.arange(len(runs))
     totals = {l: k for l in range(1, top + 1)
-              if (k := int(np.count_nonzero(room >= l)))}
+              if (k := int(runs[l:] @ (size[l:] - (l - 1))))}
     key, space = char, width
     for l in range(1, top + 1):
         ids, found = _key_ids(key, space)
@@ -277,8 +302,9 @@ def _entropies(group: np.ndarray, count: np.ndarray, wanted: np.ndarray,
     return np.bincount(group, weights=-(p * log), minlength=size)[wanted]
 
 
-@dataclass(frozen=True)
-class CandidateScore:
+class CandidateScore(NamedTuple):
+    """The scores of one candidate. A NamedTuple, so it also compares
+    equal to the plain 6-tuple of its fields."""
     text: str
     frequency: int
     mis: float
@@ -345,9 +371,9 @@ def score_candidates(stats: NGramStats) -> list[CandidateScore]:
     freq, mis, es, tfidf = (np.concatenate(col)[order] for col in zip(*cols))
     p_val = map(_sigmoid, (_normalize(mis) + _normalize(es)
                            + _normalize(tfidf)).tolist())
-    return list(map(CandidateScore, [texts[i] for i in order.tolist()],
-                    freq.tolist(), mis.tolist(), es.tolist(), tfidf.tolist(),
-                    p_val))
+    return list(map(CandidateScore._make,
+                    zip([texts[i] for i in order.tolist()], freq.tolist(),
+                        mis.tolist(), es.tolist(), tfidf.tolist(), p_val)))
 
 
 @dataclass(frozen=True)

@@ -82,10 +82,11 @@ def run_pipeline(world, workdir):
 
     t0 = time.perf_counter()
     test = world["test"]
+    raw_test = ["".join(s) for s in test]
     evals = {
-        "source_only": prf(test, [base.segment("".join(s)) for s in test]),
-        "da": prf(test, [da.segment("".join(s)) for s in test]),
-        "daat": prf(test, [daat.segment("".join(s), "target") for s in test]),
+        "source_only": prf(test, base.segment_batch(raw_test)),
+        "da": prf(test, da.segment_batch(raw_test)),
+        "daat": prf(test, daat.segment_batch(raw_test, "target")),
     }
     times["evaluate"] = time.perf_counter() - t0
 

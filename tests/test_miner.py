@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crossseg import miner
 from crossseg.errors import DecodeError
 from crossseg.miner import (MinerConfig, NGramStats, WordCollection, _runs,
                             collect_stats, lexicon_to_tsv, load_lexicon, mine,
@@ -355,13 +356,8 @@ def test_counts_of_corpora_without_runs(corpus):
     assert stats.num_docs == len(corpus)
 
 
-def test_mine_memory_peak_stays_bounded(mining_corpus):
-    # tracemalloc peak of mine() at the defaults on the acceptance mining
-    # corpus: 15.4 MB when the miner counted strings in Counters, before it
-    # counted integer ids in numpy (19.3 MB while every level sorted, 13.8
-    # MB since dense levels count without sorting, 11.6 MB since scoring
-    # reads the ids and slices only the candidates); it may not grow back
-    # to 13 MB
+def _mine_peak(corpus: list[str], cfg: MinerConfig) -> int:
+    """The tracemalloc peak of one mine() call, in bytes."""
     gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -369,12 +365,51 @@ def test_mine_memory_peak_stays_bounded(mining_corpus):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        mine(mining_corpus, MinerConfig())
-        peak = tracemalloc.get_traced_memory()[1] - base
+        mine(corpus, cfg)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 13e6
+
+
+def test_mine_memory_peak_stays_bounded(mining_corpus):
+    # tracemalloc peak of mine() at the defaults on the acceptance mining
+    # corpus: 15.4 MB when the miner counted strings in Counters, before it
+    # counted integer ids in numpy (19.3 MB while every level sorted, 13.8
+    # MB since dense levels count without sorting, 11.6 MB since scoring
+    # reads the ids and slices only the candidates); it may not grow back
+    # to 13 MB
+    assert _mine_peak(mining_corpus, MinerConfig()) < 13e6
+
+
+def test_sparse_code_points_stay_cheap():
+    # a few letters beside U+10FFFF, an astral ideograph and a lone
+    # surrogate: the code points span 0x110000 but the corpus holds 299
+    # characters, so no table may be sized to the largest code point. The
+    # peak is 0.05 MB; tables over every code point took 10 MB
+    corpus = ["ab\U0010ffffcd\U00020000ab\ud800cd"] * 30
+    assert _mine_peak(corpus, MinerConfig(min_frequency=0)) < 1e6
+
+
+def test_mine_scores_once(monkeypatch):
+    # the tracer times miner.collect_stats and miner.score_candidates and
+    # counts the candidates and the kept share from them, so mine() must
+    # run both, once each
+    calls = []
+
+    def spy(name):
+        real = getattr(miner, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(miner, name, counted)
+
+    spy("collect_stats")
+    spy("score_candidates")
+    collection = mine(build_cohesion_corpus(), MinerConfig(n_max=4))
+    assert calls == ["collect_stats", "score_candidates"]
+    assert set(collection.entries) == {"qzj"}
 
 
 @pytest.fixture
