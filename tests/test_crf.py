@@ -112,6 +112,44 @@ def test_viterbi_every_length_to_80_matches_reference():
             assert tuple(got[0]) == crf_best_path(e, t, start, stop), n
 
 
+def test_viterbi_every_length_to_80_in_a_two_row_batch_matches_reference():
+    # a batch of one sentence takes the backtrace; two rows take pointer
+    # jumping, which this checks at every length. Strong transitions make
+    # the back pointers differ between tags, so that a wrong jump shows.
+    rng = np.random.default_rng(21)
+    for n in range(1, 81):
+        for _ in range(4):
+            e, t, start, stop = random_instance(rng, n)
+            e = np.stack([e, rng.normal(size=(n, 4))])
+            t *= 3
+            got = viterbi_decode(e, t, start, stop, np.ones((2, n), bool))
+            for b in range(2):
+                assert got[b].tolist() == viterbi_ref(e[b], t, start,
+                                                      stop), n
+
+
+def test_viterbi_one_row_backtrace_matches_reference_and_batch():
+    # small integer scores tie often; a padded row has NaN and infinities
+    # past its end, whose back pointers the backtrace must not walk
+    rng = np.random.default_rng(22)
+    t, start, stop = (integer_scores(rng, s) for s in ((4, 4), 4, 4))
+    for n in range(1, 41):
+        for pad in (0, 3):
+            e = np.concatenate([integer_scores(rng, (n, 4)), rng.choice(
+                [np.nan, np.inf, -np.inf], size=(pad, 4))])
+            mask = np.arange(n + pad) < n
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = viterbi_decode(e[None], t, start, stop, mask[None])
+                pair = viterbi_decode(
+                    np.stack([e, integer_scores(rng, e.shape)]), t, start,
+                    stop, np.stack([mask, np.ones_like(mask)]))
+            want = viterbi_ref(e[:n], t, start, stop)
+            assert got.shape == (1, n + pad) and got.dtype == np.intp
+            assert got[0].tolist() == want + want[-1:] * pad, (n, pad)
+            assert got[0].tolist() == pair[0].tolist(), (n, pad)
+
+
 # Lengths T whose T - 1 is k m - 1, k m or k m + 1 for m = k, k + 1, k + 2:
 # the scan takes blocks of k = isqrt(T - 1) steps, so its last block is one
 # step short, full or a single step, and k itself changes between them.
