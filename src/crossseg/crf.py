@@ -3,10 +3,10 @@
 Scores factor into per-position emissions, a 4x4 transition matrix, and
 explicit start/stop vectors (zero vectors recover the plain two-factor
 form). The loss is the negative log-likelihood; its gradient is marginals
-minus gold indicators. Decoding is Viterbi. Both run one linear-chain
-scan whose semiring sum is a parameter, as in Torch-Struct (Rush 2020):
-Viterbi passes max, the loss passes log-sum-exp, and the semiring product
-is + in both.
+minus gold indicators. Decoding is Viterbi. The loss and the decoding of
+a batch run one linear-chain scan whose semiring sum is a parameter, as
+in Torch-Struct (Rush 2020): Viterbi passes max, the loss passes
+log-sum-exp, and the semiring product is + in both.
 
 Step i of the scan applies the matrix trans.T + e[i] (to, from) to the
 scores of position i - 1. Semiring products are associative, as in
@@ -26,19 +26,21 @@ or overflows their sums raise ValueError: they leave a real position
 whose marginals do not sum to one within 1e-6, or a non-finite loss or
 transition count, and no such gradient leaves here.
 
-Viterbi picks every back pointer in one tournament over the scan's
-deltas. Pointer jumping (about log2 T gathers) turns them into the paths
-of a batch, and a backtrace into the path of one sentence: it costs one
-list lookup per position instead of about 15 numpy calls of set-up, but
-a Python loop per row made batches of 4,096 lines of one to four
-characters 11-13% slower, so a batch keeps pointer jumping.
+Viterbi on a batch picks every back pointer in one tournament over the
+scan's deltas, and pointer jumping (about log2 T gathers) turns them into
+paths. One sentence takes the sequential recursion on Python floats and
+a backtrace instead, which skips the scan's fixed set-up of numpy calls.
+A batch keeps the scan: a Python backtrace per row alone made batches of
+4,096 lines of one to four characters 11-13% slower.
 Ties go to the lowest tag index in the order B, M, E, S, at every back
-pointer and at the last tag, as in the sequential recursion. The scan adds
-up each delta in another order than the sequential recursion, so a delta
-can differ from it in the last bits, and a path equals the sequential one
-except where two candidates lie within such rounding of each other (a
-float near-tie). Integer-valued scores add up exactly in any order, so
-their ties break exactly as in the sequential recursion.
+pointer and at the last tag, on both paths. The recursion makes the
+textbook recursion's float operations in its order, so a one-sentence
+path equals it bit for bit. The scan adds up each delta in another
+order, so in a batch a delta can differ from it in the last bits, and a
+path equals the sequential one except where two candidates lie within
+such rounding of each other (a float near-tie). Integer-valued scores
+add up exactly in any order, so their ties break exactly as in the
+sequential recursion in a batch too.
 
 Both run on padded batches: emissions (B, T, 4) with a (B, T) length mask
 that is true on a prefix of each row, and one scan over T for all B
@@ -230,18 +232,95 @@ def nll_loss(emissions: Tensor, head: CrfHead, gold: np.ndarray,
     return Tensor(value, (emissions, head.trans, head.start, head.stop), bwd)
 
 
+def _viterbi_one(e: list, trans: list, start: list, stop: list,
+                 width: int) -> np.ndarray:
+    """The (1, width) path of one sentence's emission rows e (length, 4)
+    by the sequential recursion on Python floats: the float operations of
+    the textbook recursion, in its order, with strict > so that ties go to
+    the lowest tag. Positions past the sentence's end repeat its last
+    tag."""
+    ((t00, t01, t02, t03), (t10, t11, t12, t13), (t20, t21, t22, t23),
+     (t30, t31, t32, t33)) = trans
+    d0, d1, d2, d3 = (s + x for s, x in zip(start, e[0]))
+    back = []
+    for e0, e1, e2, e3 in e[1:]:
+        # the best `from` before each `to` tag, unrolled over the four
+        # `from` tags (a loop over `to` costs a third more)
+        x, p = d0 + t00, 0
+        y = d1 + t10
+        if y > x:
+            x, p = y, 1
+        y = d2 + t20
+        if y > x:
+            x, p = y, 2
+        y = d3 + t30
+        if y > x:
+            x, p = y, 3
+        n0, b0 = x + e0, p
+        x, p = d0 + t01, 0
+        y = d1 + t11
+        if y > x:
+            x, p = y, 1
+        y = d2 + t21
+        if y > x:
+            x, p = y, 2
+        y = d3 + t31
+        if y > x:
+            x, p = y, 3
+        n1, b1 = x + e1, p
+        x, p = d0 + t02, 0
+        y = d1 + t12
+        if y > x:
+            x, p = y, 1
+        y = d2 + t22
+        if y > x:
+            x, p = y, 2
+        y = d3 + t32
+        if y > x:
+            x, p = y, 3
+        n2, b2 = x + e2, p
+        x, p = d0 + t03, 0
+        y = d1 + t13
+        if y > x:
+            x, p = y, 1
+        y = d2 + t23
+        if y > x:
+            x, p = y, 2
+        y = d3 + t33
+        if y > x:
+            x, p = y, 3
+        d0, d1, d2, d3 = n0, n1, n2, x + e3
+        back.append((b0, b1, b2, p))
+    final = [d0 + stop[0], d1 + stop[1], d2 + stop[2], d3 + stop[3]]
+    tag = final.index(max(final))
+    path = [tag] * width
+    for i in range(len(back) - 1, -1, -1):
+        tag = path[i] = back[i][tag]
+    return np.array([path], dtype=np.intp)
+
+
 def viterbi_decode(emissions: np.ndarray, trans: np.ndarray,
                    start: np.ndarray, stop: np.ndarray,
                    mask: np.ndarray) -> np.ndarray:
     """Highest-scoring tag index paths (B, T) of a batch of emissions
     (B, T, 4) with length mask (B, T); ties pick the lowest index. Entries
-    past a sentence's length repeat its last tag. A batch reads its paths
-    by pointer jumping, one sentence by a backtrace, whose per-position
-    Python loop would cost a batch of short lines more than it saves.
+    past a sentence's length repeat its last tag.
+
+    One sentence takes the sequential recursion on Python floats, whose
+    path equals the textbook recursion's bit for bit, and skips the scan's
+    fixed set-up: 50 against 100 us at 51 characters. Each position costs
+    it about 0.8 us against about 0.45 us in the scan, so long lines pay
+    for it: on 2 shared cores a whole Segmenter.segment call measured
+    about -9% at 200 characters, 0 to +4% at 1,000 and +8% to +11% at
+    5,000. A batch of two or more runs the scan, the tournament and
+    pointer jumping.
     Raises ValueError when a score at a real position, or in trans, start
     or stop, is NaN or infinite; padding may hold anything."""
     e, valid, lengths = _batch(emissions, mask, trans, start, stop)
     n, bsz = valid.shape
+    if bsz == 1:
+        return _viterbi_one(e[:lengths[0], :, 0].tolist(), trans.tolist(),
+                            start.tolist(), stop.tolist(), n)
     # the scan's block arrays are freed before the back pointers allocate
     # theirs, which keeps the heap that each call grows and trims small
     delta = _scan(e, trans, start, np.maximum.reduce)
@@ -256,16 +335,6 @@ def viterbi_decode(emissions: np.ndarray, trans: np.ndarray,
                     (cand[3] > cand[2]) + 2, cand[1] > cand[0])
     rows = np.arange(bsz)
     last = (delta[lengths - 1, :, rows] + stop).argmax(axis=1)
-    if bsz == 1:
-        # the backtrace reads steps[4 i + to] = back[i, to], flat so that
-        # tolist makes no list per position
-        length = int(lengths[0])
-        tag = int(last[0])
-        steps = back[:length - 1, :, 0].ravel().tolist()
-        path = [tag] * n
-        for i in range(length - 2, -1, -1):
-            tag = path[i] = steps[N_TAGS * i + tag]
-        return np.array([path], dtype=np.intp)
     # pointer jumping: jump[i, t, b] is the flat index in jump of (i, s, b),
     # s the tag at i of the best path through tag t at min(i + span, T - 1);
     # past its end a path keeps its tag

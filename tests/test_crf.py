@@ -78,6 +78,7 @@ def test_viterbi_matches_per_sentence_reference_on_long_ragged_batch():
     lengths = [1, 45, 10, 33, 2]
     e, mask, _ = ragged(rng, lengths)
     _, t, start, stop = random_instance(rng, 1)
+    t *= 3  # strong transitions keep the tags' back pointers apart
     got = viterbi_decode(e, t, start, stop, mask)
     for b, n in enumerate(lengths):
         assert list(got[b, :n]) == viterbi_ref(e[b, :n], t, start, stop)
@@ -113,9 +114,10 @@ def test_viterbi_every_length_to_80_matches_reference():
 
 
 def test_viterbi_every_length_to_80_in_a_two_row_batch_matches_reference():
-    # a batch of one sentence takes the backtrace; two rows take pointer
-    # jumping, which this checks at every length. Strong transitions make
-    # the back pointers differ between tags, so that a wrong jump shows.
+    # a batch of one sentence takes the sequential recursion; two rows take
+    # the scan and pointer jumping, which this checks at every length.
+    # Strong transitions make the back pointers differ between tags, so
+    # that a wrong jump shows.
     rng = np.random.default_rng(21)
     for n in range(1, 81):
         for _ in range(4):
@@ -128,26 +130,37 @@ def test_viterbi_every_length_to_80_in_a_two_row_batch_matches_reference():
                                                       stop), n
 
 
-def test_viterbi_one_row_backtrace_matches_reference_and_batch():
+def decimal_scores(rng, shape):
+    return rng.integers(-20, 21, size=shape) / 10
+
+
+def test_viterbi_one_row_recursion_matches_reference_and_batch():
     # small integer scores tie often; a padded row has NaN and infinities
-    # past its end, whose back pointers the backtrace must not walk
+    # past its end, whose back pointers the backtrace must not walk.
+    # Multiples of 0.1 add up inexactly, to float near-ties that the scan's
+    # order of sums broke otherwise than the reference in 43 of these 600
+    # rows; the one-row recursion must equal the reference bit for bit. A
+    # batch runs the scan, so only integer scores compare to one.
     rng = np.random.default_rng(22)
-    t, start, stop = (integer_scores(rng, s) for s in ((4, 4), 4, 4))
-    for n in range(1, 41):
-        for pad in (0, 3):
-            e = np.concatenate([integer_scores(rng, (n, 4)), rng.choice(
-                [np.nan, np.inf, -np.inf], size=(pad, 4))])
-            mask = np.arange(n + pad) < n
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = viterbi_decode(e[None], t, start, stop, mask[None])
-                pair = viterbi_decode(
-                    np.stack([e, integer_scores(rng, e.shape)]), t, start,
-                    stop, np.stack([mask, np.ones_like(mask)]))
-            want = viterbi_ref(e[:n], t, start, stop)
-            assert got.shape == (1, n + pad) and got.dtype == np.intp
-            assert got[0].tolist() == want + want[-1:] * pad, (n, pad)
-            assert got[0].tolist() == pair[0].tolist(), (n, pad)
+    for draw, lengths in ((integer_scores, range(1, 41)),
+                          (decimal_scores, rng.integers(2, 61, size=300))):
+        t, start, stop = (draw(rng, s) for s in ((4, 4), 4, 4))
+        for n in map(int, lengths):
+            for pad in (0, 3):
+                e = np.concatenate([draw(rng, (n, 4)), rng.choice(
+                    [np.nan, np.inf, -np.inf], size=(pad, 4))])
+                mask = np.arange(n + pad) < n
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = viterbi_decode(e[None], t, start, stop, mask[None])
+                want = viterbi_ref(e[:n], t, start, stop)
+                assert got.shape == (1, n + pad) and got.dtype == np.intp
+                assert got[0].tolist() == want + want[-1:] * pad, (n, pad)
+                if draw is integer_scores:
+                    pair = viterbi_decode(
+                        np.stack([e, draw(rng, e.shape)]), t, start, stop,
+                        np.stack([mask, np.ones_like(mask)]))
+                    assert got[0].tolist() == pair[0].tolist(), (n, pad)
 
 
 # Lengths T whose T - 1 is k m - 1, k m or k m + 1 for m = k, k + 1, k + 2:
@@ -168,12 +181,15 @@ def test_viterbi_block_edges_match_reference(ties):
     rng = np.random.default_rng(19)
     draw = integer_scores if ties else (lambda r, s: r.normal(size=s))
     t, start, stop = draw(rng, (4, 4)), draw(rng, 4), draw(rng, 4)
-    for n in BLOCK_EDGES:
-        e = draw(rng, (n, 4))
-        got = viterbi_decode(e[None], t, start, stop, np.ones((1, n), bool))
-        assert got[0].tolist() == viterbi_ref(e, t, start, stop), n
+    for n in BLOCK_EDGES:  # two rows, since one sentence skips the scan
+        e = draw(rng, (2, n, 4))
+        got = viterbi_decode(e, t, start, stop, np.ones((2, n), bool))
+        for b in range(2):
+            assert got[b].tolist() == viterbi_ref(e[b], t, start, stop), n
     # rows ending inside different blocks, at block starts and block ends
-    # of the batch's own k (10 for T = 101, 21 for T = 442)
+    # of the batch's own k (10 for T = 101, 21 for T = 442); strong
+    # transitions, so that a wrong pointer jump shows
+    t = t * 3
     for lengths in ([1, 2, 10, 11, 12, 21, 55, 99, 100, 101], BLOCK_EDGES):
         e, mask, _ = ragged(rng, lengths)
         e[mask] = draw(rng, (int(mask.sum()), 4))
@@ -184,10 +200,13 @@ def test_viterbi_block_edges_match_reference(ties):
 
 
 def test_viterbi_long_sentence_matches_reference():
+    # two rows, so that a 5,000-long scan runs
     rng = np.random.default_rng(20)
     e, t, start, stop = random_instance(rng, 5000)
-    got = viterbi_decode(e[None], t, start, stop, np.ones((1, 5000), bool))
-    assert got[0].tolist() == viterbi_ref(e, t, start, stop)
+    e = np.stack([e, rng.normal(size=e.shape)])
+    got = viterbi_decode(e, t, start, stop, np.ones((2, 5000), bool))
+    for b in range(2):
+        assert got[b].tolist() == viterbi_ref(e[b], t, start, stop)
 
 
 def test_viterbi_non_finite_scores_raise():

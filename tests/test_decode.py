@@ -5,6 +5,7 @@ helpers.py."""
 import numpy as np
 import pytest
 
+import crossseg.crf as crf_mod
 import crossseg.train as train_mod
 from crossseg.annotator import build_target_dataset
 from crossseg.corpus import dataset_from_segmented
@@ -81,6 +82,30 @@ def test_one_tower_pass_per_bucket():
     model.segment_batch(sentences, "target")
     assert shapes == [(len(b), len(sentences[b[-1]]))
                       for b in train_mod._buckets(sentences)]
+
+
+def test_one_sentence_decodes_without_the_scan(monkeypatch):
+    # one sentence takes the sequential recursion, a batch one scan; a
+    # count pins this where wall-clock time on shared cores cannot
+    shapes = []
+    scan = crf_mod._scan
+
+    def counted(e, *args):
+        shapes.append(e.shape)
+        return scan(e, *args)
+
+    monkeypatch.setattr(crf_mod, "_scan", counted)
+    rng = np.random.default_rng(6)
+    model = Segmenter.create(["abcd"], TrainConfig(**SMALL), rng, "daat")
+    assert "".join(model.segment("abcdxabcd")) == "abcdxabcd"
+    assert shapes == []
+    e = rng.normal(size=(2, 7, 4))
+    scores = (rng.normal(size=(4, 4)), rng.normal(size=4),
+              rng.normal(size=4))
+    crf_mod.viterbi_decode(e[:1], *scores, np.ones((1, 7), bool))
+    assert shapes == []
+    crf_mod.viterbi_decode(e, *scores, np.ones((2, 7), bool))
+    assert shapes == [(7, 4, 2)]
 
 
 @pytest.fixture(scope="module")
