@@ -28,7 +28,9 @@ runs with equal inputs produce identical parameters.
 One loop, _fit, runs both trainers; each gives it a batch source per epoch
 and a step function. It backpropagates, steps the optimizers, sends each
 step's one record (epoch, step, branch, losses, ms) to the hook and the
-TSV log, and names the epoch and step of a step whose scores diverge.
+TSV log, and names the epoch and step of a step whose scores diverge. An
+adversarial step's record also gives the discriminator's accuracy on the
+step's rows, disc_acc, read from the logits its loss already computed.
 
 A model saves and loads through one path: a container holds the kind
 ("segmenter" for the baseline, "daat" with its mode for the adversarial
@@ -488,8 +490,8 @@ def load_model(path: str) -> Segmenter:
     return model
 
 
-def _domain_bce(model: Segmenter, src: Block, tgt: Block,
-                flip: bool) -> Tensor:
+def _domain_bce(model: Segmenter, src: Block, tgt: Block, flip: bool,
+                hits: list | None) -> Tensor:
     """Binary cross-entropy of the discriminator's logits, read once per
     domain block: minus the sum of the two per-domain mean log-probabilities,
     each sum scaled by -1/B so that the tape records no negation.
@@ -497,8 +499,9 @@ def _domain_bce(model: Segmenter, src: Block, tgt: Block,
     flip=False scores the true domains on detached shared features
     (discriminator loss); flip=True swaps them and reaches the shared
     encoder (confusion loss). The loss keeps its gradient however sure the
-    discriminator is. A block without rows is a ValueError naming its
-    domain.
+    discriminator is. A list hits gets, per block, which rows' logits lie
+    on their own domain's side of 0 (positive says source). A block
+    without rows is a ValueError naming its domain.
     """
     means = []
     for block, domain in ((src, "source"), (tgt, "target")):
@@ -506,23 +509,31 @@ def _domain_bce(model: Segmenter, src: Block, tgt: Block,
             raise ValueError(f"the step has no {domain} rows")
         shared = block.shared if flip else block.shared.detach()
         z = model.disc.forward(shared, block.mask)  # (B, 1) logits
+        if hits is not None:
+            hits.append(z.data[:, 0] > 0 if domain == "source"
+                        else z.data[:, 0] < 0)
         says_src = (domain == "source") != flip  # scored by log p
         logp = log_sigmoid(z, 1.0 if says_src else -1.0)
         means.append(scale(sum_all(logp), -1.0 / len(block.mask)))
     return means[0] + means[1]
 
 
-def discriminator_loss(model: Segmenter, src: Block, tgt: Block) -> Tensor:
+def discriminator_loss(model: Segmenter, src: Block, tgt: Block,
+                       hits: list | None = None) -> Tensor:
     """Loss the discriminator minimizes to tell the domains apart, given
     a source and a target block. The shared features are detached, so the
-    loss trains the discriminator only and never the shared encoder."""
-    return _domain_bce(model, src, tgt, flip=False)
+    loss trains the discriminator only and never the shared encoder. A
+    list hits gets, per block, a boolean per row: its logit lies on its
+    own domain's side of 0."""
+    return _domain_bce(model, src, tgt, False, hits)
 
 
-def confusion_loss(model: Segmenter, src: Block, tgt: Block) -> Tensor:
+def confusion_loss(model: Segmenter, src: Block, tgt: Block,
+                   hits: list | None = None) -> Tensor:
     """Domain-flipped loss the shared encoder minimizes to fool the
-    discriminator, given a source and a target block."""
-    return _domain_bce(model, src, tgt, flip=True)
+    discriminator, given a source and a target block; hits as in
+    discriminator_loss, scored by the true domains."""
+    return _domain_bce(model, src, tgt, True, hits)
 
 
 def tagging_losses(src: Block, tgt: Block, tags_src: list[str],
@@ -536,17 +547,17 @@ def tagging_losses(src: Block, tgt: Block, tags_src: list[str],
 
 def _step_losses(model: Segmenter, batch_src: list[tuple[str, str]],
                  batch_tgt: list[tuple[str, str]], odd: bool,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, hits: list | None = None):
     """L_src, L_tgt (None in AT mode) and the adversarial loss of one
     step. The source batch is encoded, then the target batch, once each;
     the shared features feed both the CRF heads and the discriminator
-    (L_d on odd steps, L_c on even ones)."""
+    (L_d on odd steps, L_c on even ones), which fills hits if given."""
     (s_src, t_src), (s_tgt, t_tgt) = zip(*batch_src), zip(*batch_tgt)
     src = model.encode(list(s_src), "source", rng)
     tgt = model.encode(list(s_tgt), "target", rng)
     l_src, l_tgt = tagging_losses(src, tgt, list(t_src), list(t_tgt))
     adv = discriminator_loss if odd else confusion_loss
-    return l_src, l_tgt, adv(model, src, tgt)
+    return l_src, l_tgt, adv(model, src, tgt, hits)
 
 
 def _cursor(n: int, rng: np.random.Generator):
@@ -570,7 +581,9 @@ def adversarial_train(ds_src: LabeledDataset,
     gradient lands in the shared encoder. AT mode, with no target tower,
     drops L_tgt and reads the target batch as raw sentences, none of which
     may be empty. An epoch is ceil(max(|src|, |target|) / batch) steps,
-    each domain advancing an independent shuffled cursor.
+    each domain advancing an independent shuffled cursor. A step's record
+    for hook adds disc_acc: the share of the step's source and target rows
+    whose logit lies on their own domain's side of 0.
     """
     if mode not in ("daat", "at"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -598,11 +611,18 @@ def adversarial_train(ds_src: LabeledDataset,
                  [tgt_items[i] for i in islice(cur_tgt, cfg.batch_size)])
                 for _ in range(steps))
 
+    hits: list[np.ndarray] = []
+
     def step(j: int, batch):
         odd = j % 2 == 1
-        return (_step_losses(model, *batch, odd, rng),
+        hits.clear()
+        return (_step_losses(model, *batch, odd, rng, hits),
                 (opt_tag, opt_disc) if odd else (opt_tag,),
                 "d" if odd else "c")
 
-    _fit(cfg, batches, step, [opt_tag, opt_disc], log_path, hook)
+    def record(rec: dict) -> None:
+        hook({**rec, "disc_acc": float(np.concatenate(hits).mean())})
+
+    _fit(cfg, batches, step, [opt_tag, opt_disc], log_path,
+         record if hook else None)
     return model

@@ -77,7 +77,9 @@ def run_pipeline(world, workdir):
     times["train_da"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    daat = adversarial_train(ds_src, ds_tgt, cfg, mode="daat")
+    daat_records = []
+    daat = adversarial_train(ds_src, ds_tgt, cfg, mode="daat",
+                             hook=daat_records.append)
     times["train_daat"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -98,6 +100,7 @@ def run_pipeline(world, workdir):
         "ds_all": ds_all,
         "ds_tgt": ds_tgt,
         "daat": daat,
+        "daat_records": daat_records,
         "f1": {k: ev.f1 for k, ev in evals.items()},
         "ev_json": report_json(evals["daat"]),
         "container": model_path.read_bytes(),
@@ -221,6 +224,23 @@ def test_criterion_7_shared_features_hide_domain(world, pipeline):
     assert acc_shared <= 0.65, f"shared features leak: {acc_shared:.3f}"
     assert acc_private > 0.80, f"private features too weak: {acc_private:.3f}"
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_daat_discriminator_stays_in_the_game(pipeline):
+    # a live minimax game (Ganin et al. 2016) swings. The discriminator may
+    # nearly win an epoch but the encoder pulls it back, and the confusion
+    # loss may push it below chance for a while. At TRAIN_CFG the epoch
+    # means were 0.520, 0.719, 0.983, 0.710, 0.624, 0.870, 0.390, 0.493,
+    # 0.757 and 0.653, so every epoch is held strictly between 0.25 and
+    # 0.99. A discriminator collapsed onto one domain scores exactly 0.5
+    # on every step, so the last epoch's steps must not all agree.
+    records = pipeline["daat_records"]
+    epochs = [[r["disc_acc"] for r in records if r["epoch"] == k]
+              for k in range(1, TRAIN_CFG["epochs"] + 1)]
+    assert sum(map(len, epochs)) == len(records)
+    assert len({len(accs) for accs in epochs}) == 1  # one record a step
+    assert all(0.25 < float(np.mean(accs)) < 0.99 for accs in epochs)
+    assert len(set(epochs[-1])) > 1
 
 
 def test_criterion_8_bmes_roundtrip_and_repair():

@@ -115,9 +115,9 @@ def test_viterbi_every_length_to_80_matches_reference():
 
 def test_viterbi_every_length_to_80_in_a_two_row_batch_matches_reference():
     # a batch of one sentence takes the sequential recursion; two rows take
-    # the scan and pointer jumping, which this checks at every length.
-    # Strong transitions make the back pointers differ between tags, so
-    # that a wrong jump shows.
+    # the scan and the walk back over all rows, which this checks at every
+    # length. Strong transitions make the back pointers differ between
+    # tags, so that a wrong step of the walk shows.
     rng = np.random.default_rng(21)
     for n in range(1, 81):
         for _ in range(4):
@@ -128,6 +128,26 @@ def test_viterbi_every_length_to_80_in_a_two_row_batch_matches_reference():
             for b in range(2):
                 assert got[b].tolist() == viterbi_ref(e[b], t, start,
                                                       stop), n
+
+
+def test_viterbi_long_ragged_batch_walks_every_chain_back():
+    # every back pointer of tag `to` is (to + 1) % 4, 5 above the rest, so
+    # no two tags' chains ever merge and a step read from the wrong
+    # position or the wrong tag changes the path. Each row ends on its own
+    # tag (1, 2 and 3) by +1 at its last position: rows that all ended on
+    # tag 0 let padding pointers set to tag 0 pass.
+    t = np.zeros((4, 4))
+    t[(np.arange(4) + 1) % 4, np.arange(4)] = 5
+    ends = (1, 2, 3)
+    for n in range(1, 131):
+        lengths = (n, max(n - 1, 1), -(-n // 2))
+        mask = np.arange(n) < np.array(lengths)[:, None]
+        e = np.zeros((3, n, 4))
+        e[range(3), np.array(lengths) - 1, ends] = 1
+        got = viterbi_decode(e, t, np.zeros(4), np.zeros(4), mask)
+        for row, end, length in zip(got, ends, lengths):
+            want = [(end + length - 1 - i) % 4 for i in range(length)]
+            assert row.tolist() == want + [end] * (n - length), n
 
 
 def decimal_scores(rng, shape):
@@ -188,7 +208,7 @@ def test_viterbi_block_edges_match_reference(ties):
             assert got[b].tolist() == viterbi_ref(e[b], t, start, stop), n
     # rows ending inside different blocks, at block starts and block ends
     # of the batch's own k (10 for T = 101, 21 for T = 442); strong
-    # transitions, so that a wrong pointer jump shows
+    # transitions, so that a wrong step of the walk back shows
     t = t * 3
     for lengths in ([1, 2, 10, 11, 12, 21, 55, 99, 100, 101], BLOCK_EDGES):
         e, mask, _ = ragged(rng, lengths)
@@ -210,20 +230,23 @@ def test_viterbi_long_sentence_matches_reference():
 
 
 def test_viterbi_non_finite_scores_raise():
-    # one NaN would spread over its whole block of the scan; padding may
-    # hold anything (see the ragged ties test above)
+    # one NaN would spread over its whole block of the scan, and the
+    # one-sentence recursion's comparisons with NaN are all false; padding
+    # may hold anything (see the ragged ties test above)
     mask = np.array([[True, True, True], [True, False, False]])
     for bad in (np.nan, np.inf, -np.inf):
         e = np.zeros((2, 3, 4))
         e[1, 0, 2] = bad
-        with pytest.raises(ValueError, match="finite"):
-            viterbi_decode(e, np.zeros((4, 4)), np.zeros(4), np.zeros(4),
-                           mask)
-        for i in range(3):
-            scores = [np.zeros((4, 4)), np.zeros(4), np.zeros(4)]
-            scores[i].flat[1] = bad
+        for rows in (slice(None), slice(1, 2)):  # a batch and one sentence
             with pytest.raises(ValueError, match="finite"):
-                viterbi_decode(np.zeros((2, 3, 4)), *scores, mask)
+                viterbi_decode(e[rows], np.zeros((4, 4)), np.zeros(4),
+                               np.zeros(4), mask[rows])
+            for i in range(3):
+                scores = [np.zeros((4, 4)), np.zeros(4), np.zeros(4)]
+                scores[i].flat[1] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    viterbi_decode(np.zeros((2, 3, 4))[rows], *scores,
+                                   mask[rows])
 
 
 def test_viterbi_rejects_a_mask_that_is_not_a_prefix():

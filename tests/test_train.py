@@ -263,6 +263,27 @@ def test_confident_discriminator_costs_its_logit():
     assert loss.item() == pytest.approx(60.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("loss_fn", [discriminator_loss, confusion_loss])
+def test_adversarial_losses_report_the_rows_the_discriminator_gets_right(
+        loss_fn):
+    # both losses score hits by the true domains, from their own logits,
+    # and leave the loss as it is
+    model = _untrained("daat")
+    model.disc.proj_w.data[:] = np.random.default_rng(1).normal(
+        size=model.disc.proj_w.data.shape)
+    src, tgt = _encoded(model, ("abc", "dcba", "a", "bd", "cab"),
+                        ("d", "abcd", "ca", "bbb"))
+    hits = []
+    loss = loss_fn(model, src, tgt, hits)
+    assert loss.item() == loss_fn(model, src, tgt).item()
+    z_src, z_tgt = (model.disc.forward(b.shared, b.mask).data[:, 0]
+                    for b in (src, tgt))
+    assert [h.tolist() for h in hits] == [(z_src > 0).tolist(),
+                                          (z_tgt < 0).tolist()]
+    seen = np.concatenate(hits)
+    assert seen.any() and not seen.all()
+
+
 def test_detached_discriminator_loss_keeps_shared_clean():
     cfg = TrainConfig(**SMALL)
     model = Segmenter.create(["abc", "xyz"], cfg, np.random.default_rng(0),
@@ -412,8 +433,11 @@ def test_adversarial_train_alternates_and_freezes_disc():
     seen = []
     snaps = []
 
+    accs = []
+
     def hook(rec):
         seen.append(rec["branch"])
+        accs.append(rec["disc_acc"])
         snaps.append({k: v.data.copy()
                       for k, v in model_box[0].disc.params("disc").items()})
 
@@ -436,6 +460,8 @@ def test_adversarial_train_alternates_and_freezes_disc():
         train_mod.Segmenter.create = staticmethod(orig_create)
 
     assert seen == ["d", "c"]
+    # each record's disc_acc is a share of the step's 8 + 8 rows
+    assert all(16 * a == round(16 * a) and 0 <= a <= 1 for a in accs)
     # the even (confusion) step must not move the discriminator
     for name in snaps[0]:
         np.testing.assert_array_equal(snaps[0][name], snaps[1][name])
