@@ -33,13 +33,11 @@ scan's fixed set-up of numpy calls. Both then read a path the same way,
 by walking back from the last tag: one sentence on Python floats, a batch
 in numpy, one gather of B back pointers per position for all rows at
 once. The walk takes T - 1 gathers, against about log2 T for pointer
-jumping, which a bucket of long lines pays for. segment_batch
-keeps each row of a bucket of two or more at 512 characters or fewer; on
-2 shared cores at the acceptance width, its call on two 512-character
-lines took 3.35 against 2.84 ms, and on 4,096 lines of one to four
-characters 46 against 47 ms. The tournament stays: picking each back
-pointer during the walk gave the same paths, but took 349 against 245 us
-at (20, 50) and 2,269 against 627 us at (2, 512).
+jumping, so a bucket of long lines pays for it; segment_batch's
+DECODE_BUDGET keeps each row of a bucket of two or more at 512
+characters or fewer. The tournament stays because picking each back
+pointer during the walk gives the same paths more slowly, the more so
+the longer the rows.
 Ties go to the lowest tag index in the order B, M, E, S, at every back
 pointer and at the last tag, on both paths. The recursion makes the
 textbook recursion's float operations in its order, so a one-sentence
@@ -107,28 +105,23 @@ def emission_scores(h: Tensor, head: CrfHead) -> Tensor:
     return matmul(h, head.emit_w, head.emit_b)
 
 
-def _lengths(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sentence lengths of a (B, T) prefix mask matching shape (B, T)."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != shape or 0 in shape:
-        raise ValueError("mask must align with a non-empty batch")
-    if not (mask[:, 0].all() and (mask[:, 1:] <= mask[:, :-1]).all()):
-        raise ValueError("mask must mark a non-empty prefix of every row")
-    return mask.sum(axis=1)
-
-
 def _batch(emissions: np.ndarray, mask: np.ndarray, *scores: np.ndarray):
     """Position-major emissions (T, 4, B) with padding scored 0, validity
     (T, B) and sentence lengths (B,) of a batch (B, T, 4) with length mask
-    (B, T). Raises ValueError when a score at a real position, or in any
-    of scores, is NaN or infinite."""
+    (B, T). Raises ValueError when the mask does not mark a non-empty
+    prefix of every row of a non-empty batch, and when a score at a real
+    position, or in any of scores, is NaN or infinite."""
     em = np.asarray(emissions, dtype=np.float64)
-    lengths = _lengths(mask, em.shape[:2])
-    valid = np.asarray(mask, dtype=bool).T
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != em.shape[:2] or 0 in em.shape[:2]:
+        raise ValueError("mask must align with a non-empty batch")
+    if not (mask[:, 0].all() and (mask[:, 1:] <= mask[:, :-1]).all()):
+        raise ValueError("mask must mark a non-empty prefix of every row")
+    valid = mask.T
     e = np.where(valid[:, None], em.transpose(1, 2, 0), 0.0)
     if not all(np.isfinite(x).all() for x in (e, *scores)):
         raise ValueError("CRF scores must be finite")
-    return e, valid, lengths
+    return e, valid, mask.sum(axis=1)
 
 
 def _log_sum_exp(a: np.ndarray, axis: int, out=None) -> np.ndarray:
@@ -316,12 +309,9 @@ def viterbi_decode(emissions: np.ndarray, trans: np.ndarray,
 
     One sentence takes the sequential recursion on Python floats, whose
     path equals the textbook recursion's bit for bit, and skips the scan's
-    fixed set-up: 50 against 100 us at 51 characters. Each position costs
-    it about 0.8 us against about 0.45 us in the scan, so long lines pay
-    for it: on 2 shared cores a whole Segmenter.segment call measured
-    about -9% at 200 characters, 0 to +4% at 1,000 and +8% to +11% at
-    5,000. A batch of two or more runs the scan and the tournament, then
-    walks back over all rows at once.
+    fixed set-up. Each position costs it more than the scan does, so only
+    a very long line pays for that. A batch of two or more runs the scan
+    and the tournament, then walks back over all rows at once.
     Raises ValueError when a score at a real position, or in trans, start
     or stop, is NaN or infinite; padding may hold anything."""
     e, valid, lengths = _batch(emissions, mask, trans, start, stop)

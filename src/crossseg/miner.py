@@ -184,9 +184,9 @@ class NGramStats:
     than the floor), each with its exact count. A gram absent from them
     may still occur in the corpus, below the floor. The candidates are
     exactly the frequent grams of length n_min..n_max.
-    total_per_length counts every position of each length. counts and
-    doc_freq give the recorded grams and the candidates by text; each
-    slices its strings on first read, which scoring never needs."""
+    total_per_length counts every position of each length. counts gives
+    the recorded grams by text; it slices its strings on first read, which
+    scoring never needs."""
     text: str  # the runs, joined
     levels: tuple[_Level, ...]
     total_per_length: dict[int, int]
@@ -197,13 +197,6 @@ class NGramStats:
         text = self.text
         return {text[p:p + l]: k for l, lv in enumerate(self.levels, 1)
                 for p, k in zip(lv.at.tolist(), lv.count.tolist())}
-
-    @cached_property
-    def doc_freq(self) -> dict[str, int]:
-        text = self.text
-        return {text[p:p + l]: k for l, lv in enumerate(self.levels, 1)
-                for p, k in zip(lv.at[lv.candidates].tolist(),
-                                lv.doc_freq.tolist())}
 
 
 def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
@@ -314,10 +307,9 @@ class CandidateScore(NamedTuple):
 
 
 def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    # x sums three max-min normalized scores, so it lies in [0, 3] and
+    # exp(-x) cannot overflow
+    return 1.0 / (1.0 + math.exp(-x))
 
 
 def _normalize(values: np.ndarray) -> np.ndarray:

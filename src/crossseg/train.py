@@ -27,10 +27,10 @@ runs with equal inputs produce identical parameters.
 
 One loop, _fit, runs both trainers; each gives it a batch source per epoch
 and a step function. It backpropagates, steps the optimizers, sends each
-step's one record (epoch, step, branch, losses, ms) to the hook and the
-TSV log, and names the epoch and step of a step whose scores diverge. An
-adversarial step's record also gives the discriminator's accuracy on the
-step's rows, disc_acc, read from the logits its loss already computed.
+step's one record (epoch, step, branch, losses, ms) to the hook (and the
+baseline's to the TSV log), and names the epoch and step of a step whose
+scores diverge. An adversarial record adds disc_acc, the discriminator's
+accuracy on its rows, from the logits its loss already computed.
 
 A model saves and loads through one path: a container holds the kind
 ("segmenter" for the baseline, "daat" with its mode for the adversarial
@@ -200,19 +200,19 @@ def _quiet():
     return np.errstate(all="ignore")
 
 
-def _fit(cfg: TrainConfig, batches, step, opts: list[Adam],
-         log_path: str | None, hook=None) -> None:
+def _fit(cfg: TrainConfig, batches, step, opts: list[Adam], hook=None,
+         log_path: str | None = None) -> None:
     """The training loop of both trainers.
 
     Each epoch walks the iterator batches() returns; step(j, batch) gives
     the losses in _LOSSES order (None where the trainer has none), the
     optimizers to step and the branch. After zero_grad the step's one
     record, {epoch, step, branch, l_src, l_tgt, l_adv, ms}, goes to hook
-    and becomes a TSV row: epoch, step, the losses ("-" for None) and ms,
-    the milliseconds since before the batch was assembled. A step runs
-    with numpy's floating-point warnings off; a step's ValueError, a
-    non-finite loss among them, is re-raised naming the epoch, the step
-    and the last record's losses.
+    and, given log_path, becomes a TSV row: epoch, step, the losses ("-"
+    for None) and ms, the milliseconds since before the batch was
+    assembled. A step runs with numpy's floating-point warnings off; a
+    step's ValueError, a non-finite loss among them, is re-raised naming
+    the epoch, the step and the last record's losses.
     """
     rec: dict = {}
     with open(log_path, "w", encoding="utf-8") if log_path \
@@ -403,7 +403,8 @@ def _vocab_string(emb: EmbeddingTable) -> str:
 def train_base(ds: LabeledDataset, cfg: TrainConfig,
                log_path: str | None = None, hook=None) -> Segmenter:
     """Minimize the CRF negative log-likelihood with Adam over shuffled
-    mini-batches; deterministic given cfg.seed. hook gets _fit's records."""
+    mini-batches; deterministic given cfg.seed. hook gets _fit's records,
+    log_path its TSV rows, which the benchmark reads."""
     if len(ds) == 0:
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(cfg.seed)
@@ -420,7 +421,7 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
         block = model.encode(sents, ds.domain, rng)
         return (_batch_loss(block, tags), None, None), (opt,), None
 
-    _fit(cfg, batches, step, [opt], log_path, hook)
+    _fit(cfg, batches, step, [opt], hook, log_path)
     return model
 
 
@@ -499,9 +500,10 @@ def _domain_bce(model: Segmenter, src: Block, tgt: Block, flip: bool,
     flip=False scores the true domains on detached shared features
     (discriminator loss); flip=True swaps them and reaches the shared
     encoder (confusion loss). The loss keeps its gradient however sure the
-    discriminator is. A list hits gets, per block, which rows' logits lie
-    on their own domain's side of 0 (positive says source). A block
-    without rows is a ValueError naming its domain.
+    discriminator is. A list hits gets, per block, each row's hit: 1 when
+    its logit lies on its own domain's side of 0 (positive says source),
+    1/2 at exactly 0, else 0. A block without rows is a ValueError naming
+    its domain.
     """
     means = []
     for block, domain in ((src, "source"), (tgt, "target")):
@@ -510,8 +512,8 @@ def _domain_bce(model: Segmenter, src: Block, tgt: Block, flip: bool,
         shared = block.shared if flip else block.shared.detach()
         z = model.disc.forward(shared, block.mask)  # (B, 1) logits
         if hits is not None:
-            hits.append(z.data[:, 0] > 0 if domain == "source"
-                        else z.data[:, 0] < 0)
+            side = 1.0 if domain == "source" else -1.0
+            hits.append((np.sign(z.data[:, 0]) * side + 1.0) / 2.0)
         says_src = (domain == "source") != flip  # scored by log p
         logp = log_sigmoid(z, 1.0 if says_src else -1.0)
         means.append(scale(sum_all(logp), -1.0 / len(block.mask)))
@@ -523,8 +525,8 @@ def discriminator_loss(model: Segmenter, src: Block, tgt: Block,
     """Loss the discriminator minimizes to tell the domains apart, given
     a source and a target block. The shared features are detached, so the
     loss trains the discriminator only and never the shared encoder. A
-    list hits gets, per block, a boolean per row: its logit lies on its
-    own domain's side of 0."""
+    list hits gets, per block, a hit per row: 1 if its logit lies on its
+    own domain's side of 0, 1/2 if it is 0, else 0."""
     return _domain_bce(model, src, tgt, False, hits)
 
 
@@ -569,7 +571,6 @@ def _cursor(n: int, rng: np.random.Generator):
 def adversarial_train(ds_src: LabeledDataset,
                       target: "LabeledDataset | list[str]",
                       cfg: TrainConfig, mode: str = "daat",
-                      log_path: str | None = None,
                       hook=None) -> Segmenter:
     """Alternating adversarial training.
 
@@ -582,8 +583,8 @@ def adversarial_train(ds_src: LabeledDataset,
     drops L_tgt and reads the target batch as raw sentences, none of which
     may be empty. An epoch is ceil(max(|src|, |target|) / batch) steps,
     each domain advancing an independent shuffled cursor. A step's record
-    for hook adds disc_acc: the share of the step's source and target rows
-    whose logit lies on their own domain's side of 0.
+    for hook adds disc_acc: the mean of its rows' hits (_domain_bce), so a
+    discriminator whose logits are all 0 scores chance, 0.5.
     """
     if mode not in ("daat", "at"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -623,6 +624,5 @@ def adversarial_train(ds_src: LabeledDataset,
     def record(rec: dict) -> None:
         hook({**rec, "disc_acc": float(np.concatenate(hits).mean())})
 
-    _fit(cfg, batches, step, [opt_tag, opt_disc], log_path,
-         record if hook else None)
+    _fit(cfg, batches, step, [opt_tag, opt_disc], record if hook else None)
     return model

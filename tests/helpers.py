@@ -19,7 +19,7 @@ import numpy as np
 from crossseg.autodiff import (Tensor, concat_cols, conv1d, gather_rows,
                                log, mul, scale, sigmoid, sub, sum_all)
 from crossseg.corpus import TAG_INDEX, tags_to_words
-from crossseg.miner import CandidateScore, MinerConfig
+from crossseg.miner import CandidateScore, MinerConfig, NGramStats
 from crossseg.nn import UNK_INDEX
 
 N_TAGS = 4
@@ -240,6 +240,18 @@ def collect_stats_ref(corpus: list[str], cfg: MinerConfig) -> RefStats:
     return RefStats(counts, totals, dict(doc_freq), len(corpus))
 
 
+def by_text(stats: NGramStats) -> RefStats:
+    """The statistics of collect_stats by text, as collect_stats_ref gives
+    them: the recorded grams' counts and the candidates' document
+    frequencies, sliced out of the joined runs at each level's positions."""
+    text = stats.text
+    doc_freq = {text[p:p + l]: k for l, lv in enumerate(stats.levels, 1)
+                for p, k in zip(lv.at[lv.candidates].tolist(),
+                                lv.doc_freq.tolist())}
+    return RefStats(stats.counts, stats.total_per_length, doc_freq,
+                    stats.num_docs)
+
+
 def entropy_ref(neigh: dict[str, int]) -> float:
     """Entropy of a neighbour count map, 0 when it is empty, summed in
     character order."""
@@ -284,7 +296,7 @@ def _sigmoid_ref(x: float) -> float:
 
 def score_candidates_ref(stats) -> list[CandidateScore]:
     """The miner's scorer on strings, one candidate at a time, reading the
-    counts and document frequencies by text (of collect_stats or
+    counts and document frequencies by text (of by_text or
     collect_stats_ref): the reference score_candidates must equal bit for
     bit."""
     cand = sorted(stats.doc_freq)

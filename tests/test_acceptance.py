@@ -230,7 +230,7 @@ def test_daat_discriminator_stays_in_the_game(pipeline):
     # a live minimax game (Ganin et al. 2016) swings. The discriminator may
     # nearly win an epoch but the encoder pulls it back, and the confusion
     # loss may push it below chance for a while. At TRAIN_CFG the epoch
-    # means were 0.520, 0.719, 0.983, 0.710, 0.624, 0.870, 0.390, 0.493,
+    # means were 0.527, 0.719, 0.983, 0.710, 0.624, 0.870, 0.390, 0.493,
     # 0.757 and 0.653, so every epoch is held strictly between 0.25 and
     # 0.99. A discriminator collapsed onto one domain scores exactly 0.5
     # on every step, so the last epoch's steps must not all agree.

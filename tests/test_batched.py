@@ -15,8 +15,7 @@ from crossseg.autodiff import (Tensor, backward, concat_cols, gather_rows,
 from crossseg.corpus import dataset_from_segmented, words_to_tags
 from crossseg.nn import UNK_INDEX
 from crossseg.train import (Block, Segmenter, TrainConfig,
-                            confusion_loss, discriminator_loss,
-                            tagging_losses)
+                            confusion_loss, discriminator_loss)
 
 import helpers
 import toylang

@@ -9,13 +9,13 @@ import pytest
 
 from crossseg import miner
 from crossseg.errors import DecodeError
-from crossseg.miner import (MinerConfig, NGramStats, WordCollection, _runs,
+from crossseg.miner import (MinerConfig, WordCollection, _runs,
                             collect_stats, lexicon_to_tsv, load_lexicon, mine,
                             save_lexicon, score_candidates)
 
 import toylang
-from helpers import (OracleStats, RefStats, collect_stats_ref, entropy_ref,
-                     run_splitter, score_candidates_ref)
+from helpers import (OracleStats, RefStats, by_text, collect_stats_ref,
+                     entropy_ref, run_splitter, score_candidates_ref)
 from test_acceptance import MINE_CFG
 
 
@@ -296,21 +296,14 @@ def test_scores_equal_string_scorer_on_mining_corpus_at_floor_3(
     stats = collect_stats(mining_corpus, MinerConfig(min_frequency=3))
     got = score_candidates(stats)
     assert len(got) == 128_050
-    assert got == score_candidates_ref(stats)
+    assert got == score_candidates_ref(by_text(stats))
 
 
 def test_scoring_leaves_the_counts_map_unbuilt(mining_corpus):
     stats = collect_stats(mining_corpus, MinerConfig())
     assert len(score_candidates(stats)) == 2_874
-    assert "counts" not in vars(stats) and "doc_freq" not in vars(stats)
+    assert "counts" not in vars(stats)
     assert len(stats.counts) == 60_325  # built on first read
-
-
-def assert_same_stats(got: NGramStats, want: RefStats):
-    assert got.counts == want.counts
-    assert got.doc_freq == want.doc_freq
-    assert got.total_per_length == want.total_per_length
-    assert got.num_docs == want.num_docs
 
 
 # a skewed alphabet so the deep levels run, with boundaries, a stop-word
@@ -331,7 +324,7 @@ def test_counts_match_level_by_level_reference(floor):
                                   for _ in range(rng.randint(0, 60)))
                           for _ in range(rng.randint(1, 40))]
                 want = collect_stats_ref(corpus, cfg)
-                assert_same_stats(collect_stats(corpus, cfg), want)
+                assert by_text(collect_stats(corpus, cfg)) == want
                 deepest = max(deepest, *map(len, want.counts))
     assert deepest >= 6  # grams of six characters or more were counted
 
@@ -342,7 +335,7 @@ def test_counts_match_reference_on_one_long_line(floor):
     line = "".join(rng.choice("aab\U0001F600") for _ in range(20_000))
     cfg = MinerConfig(n_max=5, min_frequency=floor)
     stats = collect_stats([line], cfg)
-    assert_same_stats(stats, collect_stats_ref([line], cfg))
+    assert by_text(stats) == collect_stats_ref([line], cfg)
     assert stats.total_per_length[1] == 20_000
 
 
@@ -351,9 +344,8 @@ def test_counts_match_reference_on_one_long_line(floor):
 def test_counts_of_corpora_without_runs(corpus):
     cfg = MinerConfig(min_frequency=0, stop_words=frozenset({"x"}))
     stats = collect_stats(corpus, cfg)
-    assert_same_stats(stats, collect_stats_ref(corpus, cfg))
-    assert stats.counts == stats.doc_freq == stats.total_per_length == {}
-    assert stats.num_docs == len(corpus)
+    assert by_text(stats) == collect_stats_ref(corpus, cfg)
+    assert by_text(stats) == RefStats({}, {}, {}, len(corpus))
 
 
 def _mine_peak(corpus: list[str], cfg: MinerConfig) -> int:
@@ -446,7 +438,7 @@ def test_sorted_and_dense_levels_match_reference(sorts):
     cfg = MinerConfig(n_max=3, min_frequency=0)
     stats = collect_stats(corpus, cfg)
     assert stats.total_per_length[2] in sorts
-    assert_same_stats(stats, collect_stats_ref(corpus, cfg))
+    assert by_text(stats) == collect_stats_ref(corpus, cfg)
     # two letters: every level's key space is smaller than its positions
     sorts.clear()
     corpus = ["".join(rng.choices("ab", k=50)) for _ in range(100)]
@@ -454,7 +446,7 @@ def test_sorted_and_dense_levels_match_reference(sorts):
     stats = collect_stats(corpus, cfg)
     assert sorts == []
     assert max(map(len, stats.counts)) == 7
-    assert_same_stats(stats, collect_stats_ref(corpus, cfg))
+    assert by_text(stats) == collect_stats_ref(corpus, cfg)
 
 
 def test_infrequent_grams_are_unrecorded_or_neighbours_only():
@@ -479,8 +471,9 @@ def test_longest_counted_grams_are_only_neighbours():
     stats = collect_stats(["abcdab"] * 5, cfg)
     assert stats.counts["abcd"] == 5
     assert "abcda" not in stats.counts
-    assert max(map(len, stats.doc_freq)) == 3
-    assert "abcd" not in stats.doc_freq
+    doc_freq = by_text(stats).doc_freq
+    assert max(map(len, doc_freq)) == 3
+    assert "abcd" not in doc_freq
     scored = {c.text for c in score_candidates(stats)}
     assert max(map(len, scored)) == 3
     assert "abcd" not in scored

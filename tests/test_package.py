@@ -77,13 +77,14 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_every_import_is_read():
-    # a name left imported after its last use is gone fails here;
-    # __init__.py imports to re-export
+    # a name left imported after its last use is gone fails here, in src
+    # and in the tests; __init__.py imports to re-export
     assert _unused_imports(ast.parse(
         "from __future__ import annotations\nimport a.b\nfrom c import d, e"
         "\ndef f(x: 'd') -> None: a.b()")) == ["e"]
-    src = Path(crossseg.__file__).parent
-    unused = [f"{path.name}: {name}" for path in sorted(src.glob("*.py"))
+    paths = [*sorted(Path(crossseg.__file__).parent.glob("*.py")),
+             *sorted(Path(__file__).parent.glob("*.py"))]
+    unused = [f"{path.parent.name}/{path.name}: {name}" for path in paths
               if path.name != "__init__.py"
               for name in _unused_imports(ast.parse(path.read_text("utf-8")))]
     assert unused == []
