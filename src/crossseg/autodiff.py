@@ -13,13 +13,14 @@ drops each closure it runs, so a consumed node is one with parents and
 no closure, and a graph that holds one raises StaleGraphError.
 
 Operands: a Tensor is differentiable, anything else is a constant. add,
-sub and mul also take a plain array or float, and gated_conv takes one
-as its scale; a constant is not a parent and gets no gradient, so masks,
-dropout multipliers and numbers never become leaves of the tape. A
-constant broadcasts as numpy does, but a Tensor operand never does: it
-must have the result's shape, or the operation raises ValueError naming
-both shapes. The one broadcast a Tensor gets is a bias, which conv1d,
-gated_conv and matmul add themselves along the last axis.
+sub and mul also take a plain array or float, and both convolutions,
+conv1d and gated_conv, take one as the scale of their input; a constant
+is not a parent and gets no gradient, so masks, dropout multipliers and
+numbers never become leaves of the tape. A constant broadcasts as numpy
+does, but a Tensor operand never does: it must have the result's shape,
+or the operation raises ValueError naming both shapes. The one
+broadcast a Tensor gets is a bias, which conv1d, gated_conv and matmul
+add themselves along the last axis.
 
 Only the operations the segmentation stack needs are provided;
 log_sigmoid scores a logit z as log sigmoid(+-z) in one node. Sequence
@@ -219,29 +220,31 @@ def _conv_grads(xp: Array, w: Array, g: Array) -> tuple[Array, Array]:
     return dxp, dw
 
 
-def conv1d(x: Tensor, w: Tensor, bias: Tensor, pad_left: int,
+def conv1d(x: Tensor, scale, w: Tensor, bias: Tensor, pad_left: int,
            pad_right: int) -> Tensor:
-    """1-d convolution along axis 1 of a batch of sequences, plus a bias.
+    """1-d convolution of x * scale along axis 1 of a batch of sequences,
+    plus a bias.
 
     x has shape (B, T, d_in), w has shape (k, d_in, d_out) and bias
-    (d_out,). Each sequence is copied into one zero buffer with pad_left
-    zero rows before it and pad_right after it; output row t is sum over
-    offsets o of buffer[t + o] @ w[o], one batched matmul per offset, plus
-    bias. With pad_left = pad_right = (k - 1) // 2 and odd k the output
-    has shape (B, T, d_out).
+    (d_out,). scale is a constant that broadcasts to x, such as a length
+    mask; it gets no gradient. Each sequence of x * scale is copied into
+    one zero buffer with pad_left zero rows before it and pad_right after
+    it; output row t is sum over offsets o of buffer[t + o] @ w[o], one
+    batched matmul per offset, plus bias. With pad_left = pad_right =
+    (k - 1) // 2 and odd k the output has shape (B, T, d_out).
     """
     n = x.data.shape[1]
     n_out = n + pad_left + pad_right - w.data.shape[0] + 1
     if n_out < 1:
         raise ValueError("input shorter than kernel after padding")
-    y = _conv(_padded(x.data, 1.0, pad_left, pad_right), w.data, n_out)
+    y = _conv(_padded(x.data, scale, pad_left, pad_right), w.data, n_out)
     y += bias.data
 
     def bwd(g: Array) -> None:
         # the buffer is rebuilt, not kept: the graph holds less memory
-        dxp, dw = _conv_grads(_padded(x.data, 1.0, pad_left, pad_right),
+        dxp, dw = _conv_grads(_padded(x.data, scale, pad_left, pad_right),
                               w.data, g)
-        x._accumulate(dxp[:, pad_left:pad_left + n])
+        x._accumulate(dxp[:, pad_left:pad_left + n] * scale)
         w._accumulate(dw)
         bias._accumulate(_bias_grad(g, bias))
 

@@ -54,6 +54,11 @@ def _train_flags(p: argparse.ArgumentParser, command: str) -> None:
             if name == "filter_sizes" else None))
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The flags among names, by dest, that the command line gave."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
     """The config file's settings, or the defaults, overridden by the
     flags given. A bad flag value is a ValueError naming the flag, raised
@@ -67,10 +72,8 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
                 TrainConfig(**{name: overrides[name]})
             except ValueError as exc:
                 raise ValueError(f"{_flag(name)}: {exc}") from None
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     cfg = load_config(args.config) if args.config else TrainConfig()
-    return replace(cfg, **overrides)
+    return replace(cfg, **overrides, **_given(args, "seed"))
 
 
 def _nonempty(data, path: str):
@@ -95,9 +98,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if args.stopwords:
         stop = frozenset(w.strip() for w in read_lines(args.stopwords)
                          if w.strip())
-    cfg = MinerConfig(n_min=args.nmin, n_max=args.nmax,
-                      p_val_threshold=args.pval,
-                      min_frequency=args.min_freq, stop_words=stop)
+    cfg = MinerConfig(stop_words=stop, **_given(
+        args, "n_min", "n_max", "p_val_threshold", "min_frequency"))
     collection = mine(corpus, cfg)
     save_lexicon(args.out, collection)
     print(f"mined {len(collection)} words from {len(corpus)} sentences")
@@ -173,20 +175,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 42
-    results = run_suite(args.trials, args.tolerance, seed)
-    failed = False
+    results = run_suite(**_given(args, "trials", "tolerance", "seed"))
     for r in results:
-        status = "ok" if r.ok else "FAIL"
-        failed = failed or not r.ok
-        print(f"{r.name}: max_rel_error={r.max_rel_error:.3e} {status}")
-    return 2 if failed else 0
+        print(f"{r.name}: max_rel_error={r.max_rel_error:.3e} "
+              f"{'ok' if r.ok else 'FAIL'}")
+    return 0 if all(r.ok for r in results) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)  # training, gradcheck
-    seeded.add_argument("--seed", type=int, default=None,
-                        help="random seed (default 42)")
+    seeded.add_argument("--seed", type=int, help="random seed (default 42)")
 
     parser = _Parser(prog="crossseg",
                      description="cross-domain Chinese word segmentation")
@@ -196,10 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="raw corpus, one "
                    "sentence per line")
     p.add_argument("--out", required=True, help="lexicon TSV to write")
-    p.add_argument("--pval", type=float, default=0.95)
-    p.add_argument("--min-freq", type=int, default=10, dest="min_freq")
-    p.add_argument("--nmin", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--pval", type=float, dest="p_val_threshold",
+                   metavar="PVAL")
+    p.add_argument("--min-freq", type=int, dest="min_frequency",
+                   metavar="MIN_FREQ")
+    p.add_argument("--nmin", type=int, dest="n_min", metavar="NMIN")
+    p.add_argument("--nmax", type=int, dest="n_max", metavar="NMAX")
     p.add_argument("--stopwords", help="file with one stop-word per line")
     p.set_defaults(func=_cmd_mine)
 
@@ -244,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", parents=[seeded],
                        help="verify gradients by finite differences")
-    p.add_argument("--trials", type=int, default=2)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--tolerance", type=float)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

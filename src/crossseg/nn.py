@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (Tensor, concat_cols, conv1d, gated_conv,
-                       gather_rows, matmul, max_over_time, mul)
+                       gather_rows, matmul, max_over_time)
 
 UNK_INDEX = 0
 
@@ -167,14 +167,15 @@ class TextCnn:
         """Logits (B, 1) that each sentence of a batch (B, T, d) with length
         mask (B, T) is from the source domain. Each window bank pools
         over the windows that start inside the sentence and, for a sentence
-        shorter than the window, over the one window at its start."""
-        h = mul(h, mask[:, :, None])
+        shorter than the window, over the one window at its start. Every
+        bank scales its input by the length mask, so padded rows read
+        zeros."""
         n = h.data.shape[1]
         lengths = mask.sum(axis=1)
         pooled = []
         for cw, cb in self.convs:
             w = cw.data.shape[0]
-            c = conv1d(h, cw, cb, 0, max(0, w - n))
+            c = conv1d(h, mask[:, :, None], cw, cb, 0, max(0, w - n))
             last = np.maximum(lengths, w) - w  # last window start
             starts = np.arange(c.data.shape[1])
             pooled.append(max_over_time(c, starts[None, :] <= last[:, None]))

@@ -206,10 +206,11 @@ def _fit(cfg: TrainConfig, batches, step, opts: list[Adam], hook=None,
 
     Each epoch walks the iterator batches() returns; step(j, batch) gives
     the losses in _LOSSES order (None where the trainer has none), the
-    optimizers to step and the branch. After zero_grad the step's one
-    record, {epoch, step, branch, l_src, l_tgt, l_adv, ms}, goes to hook
-    and, given log_path, becomes a TSV row: epoch, step, the losses ("-"
-    for None) and ms, the milliseconds since before the batch was
+    optimizers to step and the fields it adds to its record: the branch,
+    and disc_acc for an adversarial step. After zero_grad the step's one
+    record, {epoch, step, its fields, l_src, l_tgt, l_adv, ms}, goes to
+    hook and, given log_path, becomes a TSV row: epoch, step, the losses
+    ("-" for None) and ms, the milliseconds since before the batch was
     assembled. A step runs with numpy's floating-point warnings off; a
     step's ValueError, a non-finite loss among them, is re-raised naming
     the epoch, the step and the last record's losses.
@@ -223,7 +224,7 @@ def _fit(cfg: TrainConfig, batches, step, opts: list[Adam], hook=None,
             for j, batch in enumerate(epoch_batches, start=1):
                 with _quiet():
                     try:
-                        losses, stepped, branch = step(j, batch)
+                        losses, stepped, fields = step(j, batch)
                         values = {k: None if l is None else l.item()
                                   for k, l in zip(_LOSSES, losses)}
                         for k, v in values.items():
@@ -239,7 +240,7 @@ def _fit(cfg: TrainConfig, batches, step, opts: list[Adam], hook=None,
                         opt.step()
                 for opt in opts:
                     opt.zero_grad()
-                rec = {"epoch": epoch, "step": j, "branch": branch, **values,
+                rec = {"epoch": epoch, "step": j, **fields, **values,
                        "ms": (time.monotonic() - t0) * 1000.0}
                 if hook:
                     hook(rec)
@@ -419,7 +420,8 @@ def train_base(ds: LabeledDataset, cfg: TrainConfig,
     def step(_j: int, batch: list[tuple[str, str]]):
         sents, tags = map(list, zip(*batch))
         block = model.encode(sents, ds.domain, rng)
-        return (_batch_loss(block, tags), None, None), (opt,), None
+        return ((_batch_loss(block, tags), None, None), (opt,),
+                {"branch": None})
 
     _fit(cfg, batches, step, [opt], hook, log_path)
     return model
@@ -612,17 +614,13 @@ def adversarial_train(ds_src: LabeledDataset,
                  [tgt_items[i] for i in islice(cur_tgt, cfg.batch_size)])
                 for _ in range(steps))
 
-    hits: list[np.ndarray] = []
-
     def step(j: int, batch):
         odd = j % 2 == 1
-        hits.clear()
-        return (_step_losses(model, *batch, odd, rng, hits),
-                (opt_tag, opt_disc) if odd else (opt_tag,),
-                "d" if odd else "c")
+        hits: list[np.ndarray] = []
+        losses = _step_losses(model, *batch, odd, rng, hits)
+        return (losses, (opt_tag, opt_disc) if odd else (opt_tag,),
+                {"branch": "d" if odd else "c",
+                 "disc_acc": float(np.concatenate(hits).mean())})
 
-    def record(rec: dict) -> None:
-        hook({**rec, "disc_acc": float(np.concatenate(hits).mean())})
-
-    _fit(cfg, batches, step, [opt_tag, opt_disc], record if hook else None)
+    _fit(cfg, batches, step, [opt_tag, opt_disc], hook)
     return model

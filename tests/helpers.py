@@ -712,8 +712,8 @@ def gated_conv_ops_ref(layer, x: Tensor, scale) -> Tensor:
     fused autodiff.gated_conv."""
     pad = (layer.w.data.shape[0] - 1) // 2
     h = mul(x, scale)
-    lin = conv1d(h, layer.w, layer.b, pad, pad)
-    return mul(lin, sigmoid(conv1d(h, layer.v, layer.c, pad, pad)))
+    lin = conv1d(h, 1.0, layer.w, layer.b, pad, pad)
+    return mul(lin, sigmoid(conv1d(h, 1.0, layer.v, layer.c, pad, pad)))
 
 
 def textcnn_ref(disc, h: Tensor) -> Tensor:

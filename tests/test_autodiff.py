@@ -202,7 +202,7 @@ def test_conv1d_values_match_manual():
     x = RNG.normal(size=(2, 5, 3))
     w = RNG.normal(size=(3, 3, 2))
     bias = RNG.normal(size=(2,))
-    out = conv1d(Tensor(x), Tensor(w), Tensor(bias), pad_left=1,
+    out = conv1d(Tensor(x), 1.0, Tensor(w), Tensor(bias), pad_left=1,
                  pad_right=1).data
     assert out.shape == (2, 5, 2)
     for b in range(2):
@@ -220,9 +220,9 @@ def test_conv1d_grad():
     w = RNG.normal(size=(3, 2, 3))
     bias = RNG.normal(size=(3,))
     g = RNG.normal(size=(2, 4, 3))
-    check_grad(lambda a, b, c: sum_all(mul(conv1d(a, b, c, 1, 1), g)),
+    check_grad(lambda a, b, c: sum_all(mul(conv1d(a, 1.0, b, c, 1, 1), g)),
                x, w, bias)
-    check_grad(lambda a, b, c: sum_all(mul(conv1d(a, b, c, 0, 2), g)),
+    check_grad(lambda a, b, c: sum_all(mul(conv1d(a, 1.0, b, c, 0, 2), g)),
                x, w, bias)
 
 
@@ -230,9 +230,28 @@ def test_conv1d_valid_when_unpadded():
     x = RNG.normal(size=(3, 5, 2))
     w = RNG.normal(size=(2, 2, 1))
     bias = Tensor(np.zeros(1))
-    assert conv1d(Tensor(x), Tensor(w), bias, 0, 0).shape == (3, 4, 1)
+    assert conv1d(Tensor(x), 1.0, Tensor(w), bias, 0, 0).shape == (3, 4, 1)
     with pytest.raises(ValueError):
-        conv1d(Tensor(x[:, :1]), Tensor(w), bias, 0, 0)
+        conv1d(Tensor(x[:, :1]), 1.0, Tensor(w), bias, 0, 0)
+
+
+@pytest.mark.parametrize("pads", [(1, 1), (0, 2)])
+def test_conv1d_scales_its_input_by_a_constant(pads):
+    # a length mask times inverted dropout, as a training forward makes:
+    # the forward is conv1d of the pre-multiplied input bit for bit, and
+    # the gradients of x, w and bias pass finite differences
+    rng = np.random.default_rng(21)
+    mask = np.arange(5)[None, :] < np.array([[5], [2], [4]])
+    x = rng.normal(size=(3, 5, 2))
+    scale = mask[:, :, None] * (rng.random(x.shape) >= 0.3) / 0.7
+    w = rng.normal(size=(3, 2, 3))
+    bias = rng.normal(size=(3,))
+    g = rng.normal(size=(3, 5 + sum(pads) - 2, 3))
+    got = conv1d(Tensor(x), scale, Tensor(w), Tensor(bias), *pads).data
+    want = conv1d(Tensor(x * scale), 1.0, Tensor(w), Tensor(bias), *pads)
+    np.testing.assert_array_equal(got, want.data)
+    check_grad(lambda a, b, c: sum_all(mul(conv1d(a, scale, b, c, *pads),
+                                           g)), x, w, bias)
 
 
 def test_gather_rows_accumulates_repeats():

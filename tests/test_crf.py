@@ -338,7 +338,7 @@ def assert_matches_oracle(e, mask, gold, t, start, stop):
 
 @pytest.mark.parametrize("emit, other", [(1.0, 1.0), (50.0, 30.0),
                                          (1e4, 1.0)])
-def test_scaled_recursion_matches_log_space_oracle(emit, other):
+def test_loss_matches_oracle_at_large_scores(emit, other):
     # normal scores, then emissions in +-50 with transitions, start and
     # stop in +-30, then emissions in +-1e4, far beyond what exp can hold
     rng = np.random.default_rng(17)
@@ -391,8 +391,9 @@ def test_tag_far_below_the_rest_matches_oracle():
 
 def test_transition_counts_of_a_large_batch_match_oracle():
     # every transition into tag 0 is free and stopping in it costs 708, as
-    # do all other scores: scaled beta reaches about 8e306, and its sum
-    # over 32 sentences would overflow the expected transition counts
+    # do all other scores, near the edge of what exp can hold: the
+    # exponentiated pair marginals, and the expected transition counts
+    # they sum to over 32 sentences, must stay finite
     s = 708.0
     t = np.full((4, 4), -s)
     t[:, 0] = 0.0

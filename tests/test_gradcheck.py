@@ -39,10 +39,10 @@ def test_suite_rejects_tolerance_that_is_not_positive_and_finite(tol):
         run_suite(trials=1, tolerance=tol)
 
 
-def _conv1d_doubling_weight_grad(x, w, bias, pad_left, pad_right):
+def _conv1d_doubling_weight_grad(x, scale, w, bias, pad_left, pad_right):
     """autodiff.conv1d, but the gradient it gives w is twice the true one."""
     inner = Tensor(w.data)
-    y = autodiff.conv1d(x, inner, bias, pad_left, pad_right)
+    y = autodiff.conv1d(x, scale, inner, bias, pad_left, pad_right)
     bwd = y._bwd
 
     def doubled(g):

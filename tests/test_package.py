@@ -115,3 +115,55 @@ def test_every_private_definition_is_read():
     trees = {path.name: ast.parse(path.read_text("utf-8"))
              for path in sorted(src.glob("*.py"))}
     assert _unread_private_definitions(trees) == []
+
+
+# Public autodiff ops that no src module reads: the tests' oracles use
+# them, and the benchmark's tracer looks them up by name until its
+# operation list is rebuilt (ROADMAP items 12 and 1a).
+TEST_ONLY = {"autodiff.sub", "autodiff.sigmoid", "autodiff.log",
+             "autodiff.clamp"}
+
+
+def _unread_public_definitions(trees: dict[str, ast.Module],
+                               exported: set[str]) -> list[str]:
+    """Public module-level functions and classes, as module.name, that no
+    module reads and exported does not hold. A module reads a name of
+    module m by `from .m import name`, by `alias.name` after `from . import
+    m as alias`, and a name of its own by using it."""
+    read = set()
+    for module, tree in trees.items():
+        aliases = {a.asname or a.name: a.name for n in ast.walk(tree)
+                   if isinstance(n, ast.ImportFrom) and n.level == 1
+                   and n.module is None for a in n.names}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module:
+                read.update(f"{n.module}.{a.name}" for a in n.names)
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(f"{module}.{n.id}")
+            elif isinstance(n, ast.Attribute) and \
+                    isinstance(n.value, ast.Name) and n.value.id in aliases:
+                read.add(f"{aliases[n.value.id]}.{n.attr}")
+    return [f"{module}.{n.name}" for module, tree in trees.items()
+            for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+            and not n.name.startswith("_")
+            and f"{module}.{n.name}" not in read | exported]
+
+
+def test_every_public_definition_is_read_or_exported():
+    # a public helper that only tests call fails here; __init__.py
+    # imports to re-export, so __all__ stands for it
+    assert _unread_public_definitions({
+        "m": ast.parse("def a(): pass\ndef b(): pass\ndef c(): pass\n"
+                       "def d(): pass\nclass E: pass\ndef f(): return a"),
+        "k": ast.parse("from .m import b\nfrom . import m as mm\n"
+                       "def g(): return mm.c, x.E")},
+        {"m.d"}) == ["m.E", "m.f", "k.g"]
+    src = Path(crossseg.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text("utf-8"))
+             for path in sorted(src.glob("*.py"))
+             if path.name != "__init__.py"}
+    exported = {f"{getattr(crossseg, n).__module__.rpartition('.')[2]}.{n}"
+                for n in crossseg.__all__}
+    assert _unread_public_definitions(trees, exported | TEST_ONLY) == []

@@ -654,7 +654,7 @@ def test_non_finite_loss_names_epoch_and_step(bad):
 
     def step(j, batch):
         loss = sum_all(mul(x, 1.0 if j < 2 else bad))
-        return (loss, None, sum_all(x)), (), None
+        return (loss, None, sum_all(x)), (), {"branch": None}
 
     with pytest.raises(ValueError) as e:
         train_mod._fit(cfg, lambda: iter([0, 1]), step, [], None)
@@ -684,12 +684,12 @@ def test_step_tape_holds_no_constant_leaves(mode, odd):
 
 def test_daat_step_records_one_node_per_gcnn_layer():
     # at acceptance shapes a DAAT step's graph, its losses summed, holds
-    # 45 nodes with parents and a base encode 3, the embedding and two
+    # 43 nodes with parents and a base encode 3, the embedding and two
     # layers. Its four encoder passes of two layers are 8 gated_conv
     # nodes; unfused into five nodes each (mul, two conv1d, sigmoid, mul)
-    # they would make 77 and 11. A negated adversarial loss would make 46,
+    # they would make 75 and 11. A negated adversarial loss would make 44,
     # and log-probabilities taken as sigmoid, clamp and log (with sub for
-    # log(1 - p)) instead of one log_sigmoid per domain 50
+    # log(1 - p)) instead of one log_sigmoid per domain 48
     src, tgt = toy_source(16).items, toy_target_tagged(16).items
     cfg = TrainConfig(**TRAIN_CFG)
     rng = np.random.default_rng(0)
@@ -700,17 +700,18 @@ def test_daat_step_records_one_node_per_gcnn_layer():
     model = Segmenter.create([s for s, _ in src + tgt], cfg, rng, "daat")
     for odd in (True, False):
         losses = train_mod._step_losses(model, src, tgt, odd, rng)
-        assert nodes(sum(losses[1:], losses[0])) == 45
+        assert nodes(sum(losses[1:], losses[0])) == 43
     base = Segmenter.create([s for s, _ in src], cfg, rng)
     assert nodes(base.encode([s for s, _ in src], "source", rng).tagger) == 3
 
 
 # The tracemalloc peak of one DAAT step at the acceptance shapes (numpy
 # registers its buffers with tracemalloc), above what the step starts
-# with, by branch. With numpy 2.4 the odd step reads 9.53 MB and the even
-# one 10.38 MB, seeds 1 and 2 within 20 KB; a gated conv that keeps its
-# padded buffer for the backward pass reads 11.00 and 11.44 MB. The bounds
-# leave 9% and 6% over the measured peaks.
+# with, by branch. With numpy 2.4 the odd step reads 9.14 MB and the even
+# one 9.99 MB, seeds 1 and 2 within 20 KB; a gated conv that keeps its
+# padded buffer for the backward pass reads 10.61 and 11.06 MB, and a
+# text-CNN that masks its input in a node of its own 9.53 and 10.37 MB.
+# The bounds leave 14% and 10% over the measured peaks.
 STEP_PEAK_BOUND = {"odd": 10.4e6, "even": 11.0e6}
 
 
