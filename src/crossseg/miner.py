@@ -91,13 +91,10 @@ def _key_ids(key: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     """Ids of integer keys, 0 <= key < space, numbered in ascending key
     order (int32), and the count of each id. A bincount over the key space
     with an id lookup table gives them where the space is no larger than
-    the keys (the keys are their own ids where all of it occurs), a sort
-    (np.unique) elsewhere; the two agree exactly."""
+    the keys, a sort (np.unique) elsewhere; the two agree exactly."""
     if space <= len(key):
         found = np.bincount(key, minlength=space)
         seen = found > 0
-        if seen.all():  # every key is its own id
-            return key.astype(np.int32, copy=False), found
         return (np.cumsum(seen, dtype=np.int32) - 1)[key], found[seen]
     _, ids, found = np.unique(key, return_inverse=True, return_counts=True)
     return ids.astype(np.int32), found
@@ -107,17 +104,19 @@ def _runs(corpus: list[str], cfg: MinerConfig):
     """The maximal substrings of the corpus sentences free of boundary
     characters and stop words, found in one pass over the corpus joined by
     newlines: (the runs' joined text, their lengths, the sentence of each
-    of their characters, each character's rank among the distinct
-    characters of the runs, the number of those), the arrays int32.
+    of their characters, the table key of each of their characters, the
+    size of that key space); the lengths and sentences are int32.
 
     Each distinct code point is classified once, into a table that every
-    character reads its boundary flag and its rank from: a table over the
-    code points where their space is no larger than the characters, over
-    the sorted distinct code points elsewhere (as _key_ids numbers keys).
-    Stop-word occurrences are blanked with one scan of the whole text,
-    leftmost first and longest word first at one start; a stop word
-    holding a boundary character can never match inside a run, so it is
-    left out of the scan."""
+    character reads its boundary flag from: a table over the code points
+    where their space is no larger than the characters, over the sorted
+    distinct code points elsewhere (as _key_ids numbers keys). A
+    character's key is its slot in that table, so keys ascend with code
+    points, and collect_stats numbers them as its first level. Stop-word
+    occurrences are blanked with one scan of the whole text, leftmost
+    first and longest word first at one start; a stop word holding a
+    boundary character can never match inside a run, so it is left out of
+    the scan."""
     joined = "\n".join(corpus)  # "\n" is a boundary, so no run crosses it
     code = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"),
                          np.uint32)
@@ -145,10 +144,6 @@ def _runs(corpus: list[str], cfg: MinerConfig):
     at = np.flatnonzero(keep)
     kept = code[at]
     text = kept.tobytes().decode("utf-32-le", "surrogatepass")
-    key = kept if key is code else key[at]
-    if words:  # a character may occur only inside stop words
-        used = np.zeros(space, bool)
-        used[key] = True
     # keep flips on at the start of each run and off after its end
     flips = np.flatnonzero(np.diff(keep, prepend=False, append=False))
     start = flips[::2]
@@ -157,16 +152,15 @@ def _runs(corpus: list[str], cfg: MinerConfig):
     # the sentence of each run's first character, and so of all of them
     doc = np.repeat(np.searchsorted(np.cumsum(sizes), start, "right")
                     .astype(np.int32), lengths)
-    rank = np.cumsum(used, dtype=np.int32) - 1
-    return text, lengths, doc, rank[key], int(np.count_nonzero(used))
+    return text, lengths, doc, kept if key is code else key[at], space
 
 
 @dataclass(frozen=True)
 class _Level:
     """The grams of one length that collect_stats counted, by id. Ids
-    ascend by (prefix id, rank of the last character), so by text in code
-    point order. Level 1's ids are the character ranks, and its prefix and
-    suffix are the empty gram, 0."""
+    ascend by (prefix id, level 1 id of the last character), so by text in
+    code point order. Level 1 numbers the characters by code point, and
+    its prefix and suffix are the empty gram, 0."""
     count: np.ndarray       # occurrences of each gram
     at: np.ndarray          # one start position of each in the runs' text
     prefix: np.ndarray      # the id one level down of each gram's prefix
@@ -212,18 +206,20 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
     frequent t. Counting stops at the first level with nothing to count.
 
     The runs of the whole corpus come from one pass over it (_runs).
-    Grams are counted as integer ids, numbered once per level over the
-    live positions of the joined runs: by a bincount over the key space
-    (distinct prefixes times the alphabet) where that space is no larger
-    than the positions, by a sort elsewhere, both in ascending key order.
-    No gram is sliced into a string here. An l-gram's key is (prefix id,
-    last character). Its prefix is always counted: if its suffix is
-    frequent, so is the suffix's own prefix, which is the prefix's suffix.
-    So, by induction on l, one text always gets one id, and the prefix and
-    suffix of a counted gram are counted one level down, where its links
-    to them are read at its position and the next. Positions and ids are
-    int32, so the runs must hold under 2**31 characters; keys then stay
-    below 2**31 * 0x110000.
+    Grams are counted as integer ids, numbered once per level (_key_ids)
+    over the live positions of the joined runs: by a bincount over the key
+    space where that space is no larger than the positions, by a sort
+    elsewhere, both in ascending key order. No gram is sliced into a
+    string here. Level 1's keys are the characters' slots in _runs' code
+    point table, and its ids number the alphabet. An l-gram's key, l >= 2,
+    is (prefix id, its last character's id), in a space of the distinct
+    prefixes times the alphabet. Its prefix is always counted: if its
+    suffix is frequent, so is the suffix's own prefix, which is the
+    prefix's suffix. So, by induction on l, one text always gets one id,
+    and the prefix and suffix of a counted gram are counted one level
+    down, where its links to them are read at its position and the next.
+    Positions and ids are int32, so the runs must hold under 2**31
+    characters; keys then stay below 2**31 * 0x110000.
 
     total_per_length counts every position of every length, recorded or
     not, from the run lengths. Candidates are the frequent grams of length
@@ -232,7 +228,10 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
     id) keys once.
     """
     floor, top = cfg.min_frequency, cfg.n_max + 1
-    text, lengths, doc, char, width = _runs(corpus, cfg)
+    text, lengths, doc, key, space = _runs(corpus, cfg)
+    char, found = _key_ids(key, space)  # level 1 numbers the alphabet
+    ids, width = char, len(found)
+    del key
     levels = []
     pos = np.arange(len(text), dtype=np.int32)  # live start positions
     # the last level's id at each position, first level 0's: the empty gram
@@ -245,10 +244,7 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
     size = np.arange(len(runs))
     totals = {l: k for l in range(1, top + 1)
               if (k := int(runs[l:] @ (size[l:] - (l - 1))))}
-    key, space = char, width
     for l in range(1, top + 1):
-        ids, found = _key_ids(key, space)
-        del key
         num = len(found)
         at = np.empty(num, np.int32)
         at[ids] = pos  # one occurrence of each gram
@@ -275,7 +271,8 @@ def collect_stats(corpus: list[str], cfg: MinerConfig) -> NGramStats:
             break
         key = np.multiply(ids[live], width, dtype=np.int64)
         key += char[pos + l]
-        space = num * width
+        ids, found = _key_ids(key, num * width)
+        del key
     return NGramStats(text, tuple(levels), totals, len(corpus))
 
 

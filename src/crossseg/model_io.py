@@ -110,4 +110,7 @@ def _natural(text: str, what: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise DecodeError(f"{what}: expected a non-negative integer, "
                           f"got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise DecodeError(f"{what}: {len(text)} digits are too many") from None

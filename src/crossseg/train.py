@@ -467,6 +467,13 @@ def load_model(path: str) -> Segmenter:
         cfg = TrainConfig(**{k: parse_field(k, hyper[k]) for k in keys})
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+    # a GCNN layer stores four tensors and a filter size two, so a claim of
+    # more than the file holds fails here, not after building that many
+    for key, need in (("gcnn_layers", 4 * cfg.gcnn_layers),
+                      ("filter_sizes", 2 * len(cfg.filter_sizes))):
+        if key in keys and need > len(tensors):
+            raise DataError(f"{path}: key {key!r} needs {need} tensors, "
+                            f"the file holds {len(tensors)}")
     vocab = hyper["vocab"]
     try:
         model = Segmenter.create([vocab], cfg, _Skeleton, hyper.get("mode"))

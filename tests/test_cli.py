@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ from crossseg.cli import _resolve_config, build_parser, main
 from crossseg.corpus import (dataset_from_segmented, load_segmented,
                              save_segmented)
 from crossseg.errors import DataError
-from crossseg.miner import load_lexicon
+from crossseg.evaluate import prf, report_json
+from crossseg.miner import MinerConfig, lexicon_to_tsv, load_lexicon, mine
 from crossseg.model_io import load_container, save_container
 from crossseg.train import (Segmenter, TrainConfig, _buckets, load_model,
                             train_base)
@@ -39,6 +41,25 @@ def test_mine_writes_lexicon(workdir):
                "--out", str(out)])
     assert rc == 0
     assert set(load_lexicon(out).entries) == {"qzj"}
+
+
+def test_mine_stopwords_file_strips_words_and_skips_blank_lines(tmp_path):
+    # a second planted word, 'uvw'; the stop word 'v' splits it and leaves
+    # 'qzj', as the same word passed to MinerConfig does
+    corpus = build_cohesion_corpus()
+    corpus += [s.replace("qzj", "uvw") for s in corpus[:200]]
+    raw, stop = tmp_path / "raw.txt", tmp_path / "stop.txt"
+    raw.write_text("\n".join(corpus) + "\n", encoding="utf-8")
+    stop.write_text("\n  v \n\n", encoding="utf-8")
+    outs = {}
+    for name, flags in (("plain", []), ("stop", ["--stopwords", str(stop)])):
+        outs[name] = tmp_path / f"{name}.tsv"
+        assert main(["mine", "--input", str(raw), "--out", str(outs[name])]
+                    + flags) == 0
+    assert list(load_lexicon(outs["plain"]).entries) == ["qzj", "uvw"]
+    assert outs["stop"].read_bytes() == lexicon_to_tsv(
+        mine(corpus, MinerConfig(stop_words=frozenset({"v"}))))
+    assert list(load_lexicon(outs["stop"]).entries) == ["qzj"]
 
 
 def test_mine_boundary_only_file_writes_empty_lexicon(tmp_path):
@@ -116,6 +137,19 @@ def test_train_base_prints_last_epoch_mean_of_the_step_records(
     assert len(last) == 3  # 40 sentences in batches of 16
     assert out == ("trained on 40 sentences for 2 epochs; final epoch "
                    f"loss {sum(last) / len(last):.4f}\n")
+
+
+def test_eval_out_writes_the_report_it_prints(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.txt", tmp_path / "pred.txt"
+    save_segmented(gold, [["ab", "cd"], ["abc"]])
+    save_segmented(pred, [["ab", "c", "d"], ["abc"]])
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred),
+                 "--out", str(out)]) == 0
+    want = report_json(prf(load_segmented(gold), load_segmented(pred)))
+    assert out.read_bytes() == want
+    assert capsys.readouterr().out == want.decode("ascii")
 
 
 @pytest.mark.parametrize("pred_segs, message", [
@@ -512,6 +546,12 @@ def _huge_value(hyper, tensors):
     return ""
 
 
+def _many_layers(hyper, tensors):
+    # refused from the tensor count, before a skeleton of that many layers
+    hyper["gcnn_layers"] = "100000"
+    return "'gcnn_layers'"
+
+
 def _bad_vocab(hyper, tensors):
     hyper["vocab"] = hyper["vocab"][::-1]
     return "'vocab'"
@@ -563,9 +603,9 @@ def _inf_tensor(hyper, tensors):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("edit", [
-    _drop_key, _word_value, _even_window, _huge_value, _bad_vocab,
-    _unknown_kind, _unknown_mode, _extra_key, _drop_tensor, _extra_tensor,
-    _wrong_shape, _nan_tensor, _inf_tensor],
+    _drop_key, _word_value, _even_window, _huge_value, _many_layers,
+    _bad_vocab, _unknown_kind, _unknown_mode, _extra_key, _drop_tensor,
+    _extra_tensor, _wrong_shape, _nan_tensor, _inf_tensor],
     ids=lambda f: f.__name__.strip("_"))
 def test_segment_rejects_malformed_model(kind, edit, tmp_path, capsys):
     hyper, tensors = load_container(DATA / f"{kind}.bin")
@@ -573,6 +613,26 @@ def test_segment_rejects_malformed_model(kind, edit, tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     save_container(bad, hyper, tensors)
     assert _segment(tmp_path, bad) == 2  # returning at all: no traceback
+    err = capsys.readouterr().err
+    assert str(bad) in err and names in err
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("head, names", [
+    (rb"\ntensors ", "tensor count"),
+    (rb"\nembedding 2 \d+ ", "'embedding': dimension")],
+    ids=["count", "dimension"])
+def test_segment_rejects_over_long_integers(kind, head, names, tmp_path,
+                                            capsys):
+    # 5,000 digits are more than int() converts; the ValueError it raises
+    # must not escape without the path
+    blob, n = re.subn(b"(" + head + rb")\d+\n",
+                      rb"\g<1>" + b"9" * 5000 + b"\n",
+                      (DATA / f"{kind}.bin").read_bytes(), count=1)
+    assert n == 1
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(blob)
+    assert _segment(tmp_path, bad) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and names in err
 

@@ -116,6 +116,10 @@ def test_dataset_validation():
         LabeledDataset(items=(("ab", "B"),), domain="source")
     ds = LabeledDataset((("ab", "BE"), ("c", "S")), "target")
     assert ds.provenance == ("gold", "gold")
+    with pytest.raises(ValueError, match="provenance not aligned"):
+        LabeledDataset(ds.items, "target", ("gold", "gold", "distant"))
+    with pytest.raises(ValueError, match="unknown provenance 'silver'"):
+        LabeledDataset(ds.items, "target", ("gold", "silver"))
 
 
 @pytest.mark.parametrize("item, match", [

@@ -39,6 +39,11 @@ def test_suite_rejects_tolerance_that_is_not_positive_and_finite(tol):
         run_suite(trials=1, tolerance=tol)
 
 
+def test_suite_rejects_trials_below_one():
+    with pytest.raises(ValueError, match="trials must be positive"):
+        run_suite(trials=0)
+
+
 def _conv1d_doubling_weight_grad(x, scale, w, bias, pad_left, pad_right):
     """autodiff.conv1d, but the gradient it gives w is twice the true one."""
     inner = Tensor(w.data)

@@ -197,13 +197,15 @@ def test_one_pass_runs_match_reference_splitter():
                 runs.append(run)
                 doc += [d] * len(run)
         text = "".join(runs)
-        rank = {c: i for i, c in enumerate(sorted(set(text)))}
-        got_text, lengths, got_doc, char, width = _runs(corpus, cfg)
+        got_text, lengths, got_doc, _, _ = _runs(corpus, cfg)
         assert got_text == text
         assert lengths.tolist() == list(map(len, runs))
         assert got_doc.tolist() == doc
-        assert char.tolist() == [rank[c] for c in text]
-        assert width == len(rank)
+        # level 1 numbers the characters of the runs in code point order
+        chars = collect_stats(corpus, cfg).levels[0]
+        alphabet = sorted(set(text))
+        assert [text[p] for p in chars.at.tolist()] == alphabet
+        assert chars.count.tolist() == [text.count(c) for c in alphabet]
 
 
 def test_neighbour_maps_match_oracle_on_random_corpora():
@@ -421,10 +423,10 @@ def sorts(monkeypatch):
 def test_counting_sorts_only_where_the_key_space_is_sparse(mining_corpus,
                                                            sorts):
     # at the defaults the code points (21,020 of them over 259,679
-    # characters) and levels 1 and 2 (188 and 188**2 keys over 254,680 and
-    # 249,520 live positions) count densely; levels 3 and 4 sort their
-    # 69,592 and 9,600 live positions; the (document, gram) pairs of
-    # levels 2 to 4 are sorted, not numbered
+    # characters) and levels 1 and 2 (the same 21,020 and 188**2 keys over
+    # 254,680 and 249,520 live positions) count densely; levels 3 and 4
+    # sort their 69,592 and 9,600 live positions; the (document, gram)
+    # pairs of levels 2 to 4 are sorted, not numbered
     collect_stats(mining_corpus, MinerConfig())
     assert sorts == [69_592, 9_600]
 

@@ -64,7 +64,8 @@ def _valid_blob(tmp_path) -> bytes:
 
 
 # Each case rewrites one part of a valid container: (old bytes, new bytes,
-# text the error must contain besides the path).
+# text the error must contain besides the path). Without old bytes the new
+# ones are appended; without new bytes the file ends before the old ones.
 @pytest.mark.parametrize("old,new,names", [
     (b"tensors 2\n", b"tensors two\n", "tensor count"),
     (b"tensors 2\n", b"tensors -2\n", "tensor count"),
@@ -78,23 +79,33 @@ def _valid_blob(tmp_path) -> bytes:
     (b"\nw 2 3 4\n", b"\nw 2 3\n", "'w'"),
     (b"\nw 2 3 4\n", b"\nw 2 3 99999999999999999999\n", "'w'"),
     (b"\nw 2 3 4\n", b"\nw 2 0 99999999999999999999\n", "'w'"),
+    # more digits than int() converts (4,300 by default)
+    (b"tensors 2\n", b"tensors " + b"9" * 5000 + b"\n", "tensor count"),
+    (b"\nw 2 3 4\n", b"\nw " + b"2" * 5000 + b" 3 4\n", "'w': rank"),
+    (b"\nw 2 3 4\n", b"\nw 2 3 " + b"4" * 5000 + b"\n", "'w': dimension"),
     (b"b 1 4\n", b"w 1 4\n", "duplicate name"),
     (b"k=v\n", b"k=v\nk=u\n", "duplicate key 'k'"),
+    (b"k=v\n", b"kv\n", "malformed hyperparameter line b'kv'"),
+    (b"tensors 2\n", b"", "missing tensor count"),
+    (b"\ntensors 2\n", None, "truncated hyperparameter block"),
     (b"tensors 2\n", b"tensors 3\n", "tensor 3 of 3"),
     (b"tensors 2\n", b"tensors 1\n", "'w': followed by unexpected bytes"),
     (None, b"\0", "'b': followed by unexpected bytes"),
 ], ids=["count-word", "count-negative", "count-float", "rank-word",
         "rank-negative", "dim-float", "dim-negative", "dims-negative",
         "dims-extra", "dims-missing", "dim-huge", "empty-dim-huge",
-        "duplicate-tensor", "duplicate-key", "count-too-high",
-        "count-too-low", "trailing-byte"])
+        "count-digits", "rank-digits", "dim-digits", "duplicate-tensor",
+        "duplicate-key", "line-without-equals", "count-missing",
+        "block-truncated", "count-too-high", "count-too-low",
+        "trailing-byte"])
 def test_rejects_malformed_layout(tmp_path, old, new, names):
     blob = _valid_blob(tmp_path)
     if old is None:
         blob += new
     else:
         assert blob.count(old) == 1
-        blob = blob.replace(old, new)
+        blob = blob[:blob.index(old)] if new is None else \
+            blob.replace(old, new)
     p = tmp_path / "bad.bin"
     p.write_bytes(blob)
     with pytest.raises(DecodeError) as info:

@@ -11,7 +11,7 @@ import pytest
 
 import crossseg.train as train_mod
 from crossseg.autodiff import Tensor, _topo, backward, mul, sum_all
-from crossseg.corpus import dataset_from_segmented
+from crossseg.corpus import LabeledDataset, dataset_from_segmented
 from crossseg.errors import DataError
 from crossseg.evaluate import prf
 from crossseg.nn import Adam
@@ -64,6 +64,8 @@ def test_config_defaults_and_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(filter_sizes=(3, 3))  # both convs would share one name
+    with pytest.raises(ValueError, match="filter_sizes must be positive"):
+        TrainConfig(filter_sizes=(0, 3))
     with pytest.raises(ValueError):
         TrainConfig(seed=-1)  # numpy rejects it only when training starts
     for lr in (0.0, -1.0, math.nan, math.inf):  # nan <= 0 is false
@@ -484,6 +486,17 @@ def test_adversarial_train_daat_requires_tagged_target():
     with pytest.raises(ValueError):
         adversarial_train(toy_source(8), toy_target_raw(8), cfg,
                           mode="daat")
+
+
+def test_training_rejects_empty_data_and_unknown_modes():
+    cfg = TrainConfig(**{**SMALL, "epochs": 1})
+    empty = LabeledDataset((), "source")
+    with pytest.raises(ValueError, match="empty training dataset"):
+        train_base(empty, cfg)
+    with pytest.raises(ValueError, match="unknown mode 'x'"):
+        adversarial_train(toy_source(8), toy_target_raw(8), cfg, mode="x")
+    with pytest.raises(ValueError, match="both domains need"):
+        adversarial_train(empty, toy_target_tagged(8), cfg)
 
 
 def test_adversarial_train_at_mode_rejects_empty_target_before_a_step():
