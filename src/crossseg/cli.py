@@ -4,7 +4,7 @@ Subcommands cover the full pipeline: mine a lexicon from raw text,
 distantly annotate a target corpus, train the baseline or the adversarial
 model, segment, score, and verify gradients. Exit codes: 0 on success, 1
 for usage problems or invalid parameter values, 2 for unreadable or
-malformed data files.
+malformed data files and for a gradient check that fails.
 """
 from __future__ import annotations
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crf as crf_mod
-from .autodiff import Tensor, backward, mul, sum_all
-from .nn import GcnnEncoder, GcnnLayer, TextCnn
+from .autodiff import Tensor, backward, gated_conv, mul, sum_all
+from .nn import GcnnEncoder, TextCnn
 from .train import (Segmenter, TrainConfig, confusion_loss,
                     discriminator_loss, tagging_losses)
 
@@ -86,14 +86,15 @@ def _masked_sum(h: Tensor, mask: np.ndarray) -> Tensor:
 
 def _check_gcnn_layer(rng: np.random.Generator) -> float:
     x, mask = _ragged(rng, (5, 3), 3)
-    layer = GcnnLayer.create(3, 3, 2, rng)
-    layer.b.data[:] = 0.1 * rng.normal(size=2)
-    layer.c.data[:] = 0.1 * rng.normal(size=2)
+    layer = GcnnEncoder.create(1, 3, 3, 2, 0.0, rng).layers[0]
+    w, b, v, c = layer
+    b.data[:] = 0.1 * rng.normal(size=2)
+    c.data[:] = 0.1 * rng.normal(size=2)
     # a training-style scale: the length mask times inverted dropout
     scale = mask[:, :, None] * (rng.random(x.shape) >= 0.3) / 0.7
-    params = {"x": x, "w": layer.w, "b": layer.b, "v": layer.v, "c": layer.c}
-    return max_rel_error(lambda: _masked_sum(layer.forward(x, scale), mask),
-                         params, rng)
+    params = {"x": x, "w": w, "b": b, "v": v, "c": c}
+    return max_rel_error(
+        lambda: _masked_sum(gated_conv(x, scale, *layer), mask), params, rng)
 
 
 def _check_gcnn_encoder(rng: np.random.Generator) -> float:

@@ -417,21 +417,23 @@ def save_lexicon(path: str, collection: WordCollection) -> None:
 
 def load_lexicon(path: str) -> WordCollection:
     """Read the rows save_lexicon writes; blank lines are skipped. A row
-    mine never writes (not six columns, a bad number, an empty word or one
-    holding whitespace, a negative frequency, a non-finite score, a
-    repeated word) is a DecodeError naming the line."""
+    mine never writes (not six columns, a bad number, a frequency that is
+    not ASCII decimal digits, an empty word or one holding whitespace, a
+    non-finite score, a repeated word) is a DecodeError naming the line."""
     entries: dict[str, CandidateScore] = {}
     for i, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
         try:
             word, freq, mis, es, tfidf, p_val = line.split("\t")
+            if not (freq.isascii() and freq.removeprefix("-").isdigit()):
+                raise ValueError(f"frequency {freq!r} is not decimal digits")
             c = CandidateScore(word, int(freq), float(mis), float(es),
                                float(tfidf), float(p_val))
             if not word or any(ch.isspace() for ch in word):
                 raise ValueError(f"word {word!r} is empty or holds whitespace")
-            if c.frequency < 0:
-                raise ValueError(f"negative frequency {c.frequency}")
+            if freq.startswith("-"):  # -0 too: mine writes no sign
+                raise ValueError(f"negative frequency {freq}")
             if not all(map(math.isfinite, (c.mis, c.es, c.tfidf, c.p_val))):
                 raise ValueError("a score is not finite")
         except ValueError as exc:

@@ -9,9 +9,10 @@ Layout, all little-endian:
     <name> <rank> <d1> ... <dr>\n followed by 8 * prod(dims) raw float64
     bytes, repeated <count> times
 
-Values in the hyperparameter block are opaque strings; keys and tensor
-names must not contain whitespace or '='. Writing the same content twice
-produces identical bytes, and load followed by save round-trips exactly.
+Values in the hyperparameter block are opaque UTF-8 strings; keys hold no
+whitespace or '=', and tensor names are non-empty ASCII without
+whitespace. Writing the same content twice produces identical bytes, and
+load followed by save round-trips exactly.
 
 Loading checks the whole layout: unique keys and tensor names, decimal
 non-negative counts, ranks and dimensions, complete payloads, and EOF after
@@ -31,24 +32,28 @@ MAGIC = b"DAAT1\n"
 
 def save_container(path: str, hyper: dict[str, str],
                    tensors: dict[str, np.ndarray]) -> None:
+    """Write a container. Every key, value and tensor name is checked, and
+    the header encoded, before the file is opened: a refused save leaves
+    no file."""
+    parts = [MAGIC]
+    for key, value in hyper.items():
+        if "=" in key or any(c.isspace() for c in key):
+            raise ValueError(f"bad hyperparameter key {key!r}")
+        if "\n" in str(value):
+            raise ValueError(f"newline in value for {key!r}")
+        try:
+            parts.append(f"{key}={value}\n".encode("utf-8"))
+        except UnicodeEncodeError:
+            raise ValueError(f"hyperparameter {key!r} is not UTF-8") from None
+    parts.append(f"\ntensors {len(tensors)}\n".encode("ascii"))
+    for name, arr in tensors.items():
+        if not name or not name.isascii() or any(c.isspace() for c in name):
+            raise ValueError(f"bad tensor name {name!r}")
+        arr = np.require(arr, "<f8", "C")  # its buffer is the payload
+        dims = "".join(f" {d}" for d in arr.shape)
+        parts += [f"{name} {arr.ndim}{dims}\n".encode("ascii"), arr]
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        for key, value in hyper.items():
-            if "=" in key or any(c.isspace() for c in key):
-                raise ValueError(f"bad hyperparameter key {key!r}")
-            if "\n" in str(value):
-                raise ValueError(f"newline in value for {key!r}")
-            f.write(f"{key}={value}\n".encode("utf-8"))
-        f.write(b"\n")
-        f.write(f"tensors {len(tensors)}\n".encode("ascii"))
-        for name, arr in tensors.items():
-            if any(c.isspace() for c in name):
-                raise ValueError(f"bad tensor name {name!r}")
-            arr = np.asarray(arr, dtype=np.float64)
-            dims = " ".join(str(d) for d in arr.shape)
-            head = f"{name} {arr.ndim}{' ' + dims if dims else ''}\n"
-            f.write(head.encode("ascii"))
-            f.write(arr.astype("<f8").tobytes())
+        f.writelines(parts)
 
 
 def load_container(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:

@@ -5,9 +5,10 @@ Shapes are batched: B sentences become one (B, T, emb) tensor, T being the
 longest length, together with a (B, T) boolean length mask that is true at
 the real characters. Rows past a sentence's length are padding: they read
 no embedding row, every convolution sees them as zeros, and they get no
-gradient. All parameters are float64 Tensors registered under stable
-dotted names so optimizers and the model container see them in a fixed
-order.
+gradient. A GCNN layer is the tuple of its tensors (w, b, v, c) and a
+text-CNN bank is (w, b); each stack calls the autodiff node of its layers
+itself. All parameters are float64 Tensors registered under stable dotted
+names so optimizers and the model container see them in a fixed order.
 """
 from __future__ import annotations
 
@@ -58,46 +59,19 @@ class EmbeddingTable:
 
 
 @dataclass
-class GcnnLayer:
-    """One gated convolution, recorded as one node: with xs = x * scale,
-    scale being a constant such as the length mask times the dropout
-    multiplier, (xs * w + b) elementwise-times sigmoid(xs * v + c)."""
-    w: Tensor  # (k, d_in, d_out)
-    b: Tensor  # (d_out,)
-    v: Tensor  # (k, d_in, d_out)
-    c: Tensor  # (d_out,)
-
-    @staticmethod
-    def create(k: int, d_in: int, d_out: int,
-               rng: np.random.Generator) -> "GcnnLayer":
-        if k % 2 != 1:
-            raise ValueError("kernel width must be odd")
-        s = 1.0 / np.sqrt(k * d_in)
-        return GcnnLayer(
-            w=Tensor(rng.uniform(-s, s, (k, d_in, d_out))),
-            b=Tensor(np.zeros(d_out)),
-            v=Tensor(rng.uniform(-s, s, (k, d_in, d_out))),
-            c=Tensor(np.zeros(d_out)),
-        )
-
-    def forward(self, x: Tensor, scale) -> Tensor:
-        """(B, T, d_in) times scale, an array that broadcasts to x or a
-        float -> (B, T, d_out); rows past T read zeros."""
-        return gated_conv(x, scale, self.w, self.b, self.v, self.c)
-
-
-@dataclass
 class GcnnEncoder:
     """Stack of gated convolution layers with same-length output.
 
-    The input of every layer is zeroed at padded rows, so the last real
+    A layer is its tensors (w, b, v, c) and one autodiff.gated_conv node:
+    with xs = x * scale, scale being the length mask times the dropout
+    multiplier, (xs * w + b) elementwise-times sigmoid(xs * v + c). The
+    input of every layer is thus zeroed at padded rows, so the last real
     character of a sentence sees zeros on its right as it would alone.
     Inverted dropout is applied to the input of every layer, only in a
-    forward given an rng, with one draw per layer for the whole batch; it
-    joins the length mask in the one constant the layer scales its input
-    by.
+    forward given an rng, with one draw per layer for the whole batch.
     """
-    layers: list[GcnnLayer]
+    # per layer (w, b, v, c): w and v (k, d_in, d_out), b and c (d_out,)
+    layers: list[tuple[Tensor, Tensor, Tensor, Tensor]]
     dropout: float = 0.0
 
     def __post_init__(self):
@@ -107,10 +81,16 @@ class GcnnEncoder:
     @staticmethod
     def create(n_layers: int, k: int, d_in: int, d_out: int, drop: float,
                rng: np.random.Generator) -> "GcnnEncoder":
+        if k % 2 != 1:
+            raise ValueError("kernel width must be odd")
         layers = []
         for i in range(n_layers):
-            layers.append(GcnnLayer.create(k, d_in if i == 0 else d_out,
-                                           d_out, rng))
+            shape = (k, d_in if i == 0 else d_out, d_out)
+            s = 1.0 / np.sqrt(k * shape[1])
+            layers.append((Tensor(rng.uniform(-s, s, shape)),
+                           Tensor(np.zeros(d_out)),
+                           Tensor(rng.uniform(-s, s, shape)),
+                           Tensor(np.zeros(d_out))))
         return GcnnEncoder(layers, drop)
 
     def forward(self, x: Tensor, mask: np.ndarray,
@@ -125,16 +105,13 @@ class GcnnEncoder:
             if drop:  # inverted dropout, one draw per layer input
                 survive = rng.random(h.data.shape) >= self.dropout
                 scale = keep * (survive / (1.0 - self.dropout))
-            h = layer.forward(h, scale)
+            h = gated_conv(h, scale, *layer)
         return h
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for i, layer in enumerate(self.layers):
-            out[f"{prefix}.{i}.w"] = layer.w
-            out[f"{prefix}.{i}.b"] = layer.b
-            out[f"{prefix}.{i}.v"] = layer.v
-            out[f"{prefix}.{i}.c"] = layer.c
+            out.update(zip([f"{prefix}.{i}.{n}" for n in "wbvc"], layer))
         return out
 
 

@@ -698,22 +698,23 @@ def embed_ref(emb, sentence: str) -> Tensor:
 def gcnn_ref(enc, x: Tensor) -> Tensor:
     """A GCNN encoder over one sentence (n, d_in) -> (n, d_out)."""
     h = x
-    for layer in enc.layers:
-        pad = (layer.w.data.shape[0] - 1) // 2
-        lin = bias_ref(conv1d_ref(h, layer.w, pad, pad), layer.b)
-        gate = sigmoid(bias_ref(conv1d_ref(h, layer.v, pad, pad), layer.c))
+    for w, b, v, c in enc.layers:
+        pad = (w.data.shape[0] - 1) // 2
+        lin = bias_ref(conv1d_ref(h, w, pad, pad), b)
+        gate = sigmoid(bias_ref(conv1d_ref(h, v, pad, pad), c))
         h = mul(lin, gate)
     return h
 
 
 def gated_conv_ops_ref(layer, x: Tensor, scale) -> Tensor:
-    """A GCNN layer over a batch as five nodes: the scaling mul, the two
-    conv1d, sigmoid and the gating mul, the same float operations as the
-    fused autodiff.gated_conv."""
-    pad = (layer.w.data.shape[0] - 1) // 2
+    """A GCNN layer (w, b, v, c) over a batch as five nodes: the scaling
+    mul, the two conv1d, sigmoid and the gating mul, the same float
+    operations as the fused autodiff.gated_conv."""
+    w, b, v, c = layer
+    pad = (w.data.shape[0] - 1) // 2
     h = mul(x, scale)
-    lin = conv1d(h, 1.0, layer.w, layer.b, pad, pad)
-    return mul(lin, sigmoid(conv1d(h, 1.0, layer.v, layer.c, pad, pad)))
+    lin = conv1d(h, 1.0, w, b, pad, pad)
+    return mul(lin, sigmoid(conv1d(h, 1.0, v, c, pad, pad)))
 
 
 def textcnn_ref(disc, h: Tensor) -> Tensor:

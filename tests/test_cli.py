@@ -214,6 +214,14 @@ def test_gradcheck_command(capsys):
     assert "ok" in out and "FAIL" not in out
 
 
+def test_failing_gradcheck_exits_2(capsys):
+    # no finite difference is that close: every check fails, and the
+    # command exits 2, the code of a check that did not hold
+    assert main(["gradcheck", "--trials", "1", "--tolerance", "1e-300"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL" in out and " ok" not in out
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_gradcheck_rejects_bad_tolerance(tol, capsys):
     # a usage error: exit 1 before any check runs, not 2 (bad data file)

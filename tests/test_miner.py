@@ -680,11 +680,15 @@ def test_load_lexicon_rejects_garbage(tmp_path):
     with pytest.raises(DecodeError, match="line 3: repeated word 'ab'"):
         load_lexicon(p)
     # rows mine never writes: an empty word, whitespace inside a word, a
-    # negative frequency, a non-finite score
+    # negative frequency or one not in ASCII digits, a non-finite score
     for row, why in [("\t3\t1\t1\t1\t1", "word '' is empty"),
                      ("a b\t3\t1\t1\t1\t1", "word 'a b'"),
                      ("a\u3000b\t3\t1\t1\t1\t1", "holds whitespace"),
                      ("ab\t-3\t1\t1\t1\tnan", "negative frequency -3"),
+                     ("ab\t-0\t1\t1\t1\t1", "negative frequency -0"),
+                     ("ab\t1_0\t1\t1\t1\t1", "frequency '1_0'"),
+                     ("ab\t+7\t1\t1\t1\t1", "frequency '\\+7'"),
+                     ("ab\t\u0665\t1\t1\t1\t1", "frequency '\u0665'"),
                      ("ab\t3\t1\t1\t1\tnan", "not finite"),
                      ("ab\t3\tinf\t1\t1\t1", "not finite")]:
         p.write_text("cd\t4\t1\t1\t1\t1\n" + row + "\n")

@@ -3,6 +3,7 @@ import pytest
 
 from crossseg.errors import DecodeError
 from crossseg.model_io import load_container, save_container
+from crossseg.train import Segmenter, TrainConfig
 
 
 def test_roundtrip_is_byte_identical(tmp_path):
@@ -48,13 +49,28 @@ def test_rejects_truncation(tmp_path):
 
 
 def test_rejects_malformed_keys(tmp_path):
+    # refused before the file is opened: no file, not a truncated one
     p = tmp_path / "m.bin"
-    with pytest.raises(ValueError):
-        save_container(p, {"bad key": "v"}, {})
-    with pytest.raises(ValueError):
-        save_container(p, {"k": "line\nbreak"}, {})
-    with pytest.raises(ValueError):
-        save_container(p, {}, {"bad name ": np.zeros(1)})
+    for hyper, tensors, match in [
+            ({"bad key": "v"}, {}, "bad hyperparameter key"),
+            ({"k": "line\nbreak"}, {}, "newline"),
+            ({"k": "v", "vocab": "ab\ud800c"}, {}, "'vocab'"),
+            ({}, {"w": np.zeros(1), "bad name ": np.zeros(1)}, "bad tensor"),
+            ({}, {"w": np.zeros(1), "w\u00e9": np.zeros(1)}, "bad tensor"),
+            ({}, {"w": np.zeros(1), "": np.zeros(1)}, "bad tensor")]:
+        with pytest.raises(ValueError, match=match):
+            save_container(p, hyper, tensors)
+        assert not p.exists()
+
+
+def test_refused_model_save_leaves_no_file(tmp_path):
+    model = Segmenter.create(
+        ["ab\ud800c"], TrainConfig(char_emb=4, gcnn_dim=4, gcnn_layers=1),
+        np.random.default_rng(0))
+    p = tmp_path / "m.bin"
+    with pytest.raises(ValueError, match="'vocab'"):
+        model.save(str(p))
+    assert not p.exists()
 
 
 def _valid_blob(tmp_path) -> bytes:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from crossseg.autodiff import Tensor, backward, mul, sum_all
-from crossseg.nn import (Adam, EmbeddingTable, GcnnEncoder, GcnnLayer,
-                         TextCnn, UNK_INDEX)
+from crossseg.autodiff import Tensor, backward, gated_conv, mul, sum_all
+from crossseg.nn import Adam, EmbeddingTable, GcnnEncoder, TextCnn, UNK_INDEX
 
 from helpers import gated_conv_ops_ref
 
@@ -31,44 +30,51 @@ def test_embedding_rows_and_unk():
         EmbeddingTable.build(["a b"], dim=2, rng=np.random.default_rng(0))
 
 
+def _identity_layer(d):
+    """A width-1 GCNN layer (w, b, v, c) whose output is its scaled input:
+    w is the identity, and the gate bias c = 50 makes the gate read 1.0."""
+    return (Tensor(np.eye(d)[None]), Tensor(np.zeros(d)),
+            Tensor(np.zeros((1, d, d))), Tensor(np.full(d, 50.0)))
+
+
+def _layer(k, d_in, d_out, rng):
+    """The one layer of a fresh encoder: the draws of a stack's first."""
+    return GcnnEncoder.create(1, k, d_in, d_out, 0.0, rng).layers[0]
+
+
 def test_gcnn_layer_can_represent_identity():
-    d = 3
-    w = np.zeros((1, d, d))
-    w[0] = np.eye(d)
-    layer = GcnnLayer(w=Tensor(w), b=Tensor(np.zeros(d)),
-                      v=Tensor(np.zeros((1, d, d))),
-                      c=Tensor(np.full(d, 50.0)))
-    x = np.random.default_rng(1).normal(size=(2, 6, d))
-    out = layer.forward(Tensor(x), 1.0).data
+    x = np.random.default_rng(1).normal(size=(2, 6, 3))
+    out = gated_conv(Tensor(x), 1.0, *_identity_layer(3)).data
     np.testing.assert_allclose(out, x, atol=1e-9)
 
 
 def test_gcnn_layer_matches_manual_computation():
     rng = np.random.default_rng(2)
-    layer = GcnnLayer.create(k=3, d_in=2, d_out=4, rng=rng)
-    layer.b.data[:] = rng.normal(size=4)
-    layer.c.data[:] = rng.normal(size=4)
+    layer = _layer(k=3, d_in=2, d_out=4, rng=rng)
+    w, b, v, c = layer
+    b.data[:] = rng.normal(size=4)
+    c.data[:] = rng.normal(size=4)
     x = rng.normal(size=(5, 2))
     padded = np.vstack([np.zeros((1, 2)), x, np.zeros((1, 2))])
     lin = np.zeros((5, 4))
     gate = np.zeros((5, 4))
     for i in range(5):
         for k in range(3):
-            lin[i] += padded[i + k] @ layer.w.data[k]
-            gate[i] += padded[i + k] @ layer.v.data[k]
-    want = (lin + layer.b.data) / (1 + np.exp(-(gate + layer.c.data)))
-    got = layer.forward(Tensor(x[None]), 1.0).data
+            lin[i] += padded[i + k] @ w.data[k]
+            gate[i] += padded[i + k] @ v.data[k]
+    want = (lin + b.data) / (1 + np.exp(-(gate + c.data)))
+    got = gated_conv(Tensor(x[None]), 1.0, *layer).data
     np.testing.assert_allclose(got[0], want, atol=1e-12)
 
 
 def test_gcnn_layer_single_step_shift_consistency():
     # zero padding equals a zero input row, so prepending one shifts output
     rng = np.random.default_rng(3)
-    layer = GcnnLayer.create(k=3, d_in=2, d_out=2, rng=rng)
+    layer = _layer(k=3, d_in=2, d_out=2, rng=rng)
     x = rng.normal(size=(1, 5, 2))
-    y = layer.forward(Tensor(x), 1.0).data
-    y2 = layer.forward(Tensor(np.concatenate([np.zeros((1, 1, 2)), x],
-                                             axis=1)), 1.0).data
+    y = gated_conv(Tensor(x), 1.0, *layer).data
+    y2 = gated_conv(Tensor(np.concatenate([np.zeros((1, 1, 2)), x], axis=1)),
+                    1.0, *layer).data
     np.testing.assert_allclose(y2[:, 1:], y, atol=1e-12)
 
 
@@ -81,26 +87,26 @@ def test_gated_conv_equals_its_five_op_composition(k, lengths, dropout):
     # the fused node does the float operations of mul, two conv1d, sigmoid
     # and mul: values and all five gradients are equal bit for bit
     rng = np.random.default_rng(k + 10 * len(lengths))
-    layer = GcnnLayer.create(k, 3, 4, rng)
-    layer.b.data[:] = rng.normal(size=4)
-    layer.c.data[:] = rng.normal(size=4)
+    layer = _layer(k, 3, 4, rng)
+    _, b, _, c = layer
+    b.data[:] = rng.normal(size=4)
+    c.data[:] = rng.normal(size=4)
     mask = np.arange(max(lengths))[None, :] < np.array(lengths)[:, None]
     x = rng.normal(size=(*mask.shape, 3))
     scale = mask[:, :, None] * (rng.random(x.shape) >= 0.3) / 0.7 \
         if dropout else 1.0
     g = rng.normal(size=(*mask.shape, 4))
-    params = (layer.w, layer.b, layer.v, layer.c)
 
     def run(forward):
         xt = Tensor(x.copy())
         out = forward(layer, xt, scale)
         backward(sum_all(mul(out, g)))
-        grads = [xt.grad] + [p.grad for p in params]
-        for p in params:
+        grads = [xt.grad] + [p.grad for p in layer]
+        for p in layer:
             p.grad = None
         return out.data, grads
 
-    got = run(lambda lay, xt, s: lay.forward(xt, s))
+    got = run(lambda lay, xt, s: gated_conv(xt, s, *lay))
     want = run(gated_conv_ops_ref)
     np.testing.assert_array_equal(got[0], want[0])
     for name, a, b in zip("xwbvc", got[1], want[1]):
@@ -111,7 +117,7 @@ def test_gated_conv_equals_its_five_op_composition(k, lengths, dropout):
 
 def test_gcnn_layer_rejects_even_width():
     with pytest.raises(ValueError):
-        GcnnLayer.create(k=2, d_in=2, d_out=2, rng=np.random.default_rng(0))
+        _layer(k=2, d_in=2, d_out=2, rng=np.random.default_rng(0))
 
 
 def test_encoder_stacks_and_dropout_gating():
@@ -141,16 +147,9 @@ def test_encoder_zero_dropout_training_matches_eval():
     np.testing.assert_array_equal(a, b)
 
 
-class _Identity:
-    """A layer stand-in that returns its input times the scale: the
-    encoder then outputs its masked, dropped-out input."""
-
-    def forward(self, x, scale):
-        return mul(x, scale)
-
-
 def test_encoder_dropout_scales_survivors():
-    enc = GcnnEncoder([_Identity()], dropout=0.25)
+    # an identity layer: the encoder outputs its masked, dropped-out input
+    enc = GcnnEncoder([_identity_layer(4)], dropout=0.25)
     x = Tensor(np.ones((2, 100, 4)))
     mask = np.arange(100)[None, :] < np.array([[100], [60]])
     y = enc.forward(x, mask, rng=np.random.default_rng(0))
@@ -166,11 +165,11 @@ def test_encoder_dropout_scales_survivors():
 def test_encoder_rejects_dropout_rate_outside_unit_interval():
     for rate in (-0.1, 1.0):
         with pytest.raises(ValueError):
-            GcnnEncoder([_Identity()], dropout=rate)
+            GcnnEncoder([_identity_layer(2)], dropout=rate)
 
 
 def test_encoder_zero_rate_is_identity_and_draws_nothing():
-    enc = GcnnEncoder([_Identity()], dropout=0.0)
+    enc = GcnnEncoder([_identity_layer(3)], dropout=0.0)
     x = np.random.default_rng(1).normal(size=(2, 3, 3))
     mask = np.array([[True] * 3, [True, False, False]])
     rng = np.random.default_rng(0)
@@ -187,7 +186,7 @@ def _separate_mask_and_dropout(enc, x, mask, rng):
     for layer in enc.layers:
         h = mul(h, mask[:, :, None])
         keep = (rng.random(h.data.shape) >= enc.dropout) / (1.0 - enc.dropout)
-        h = layer.forward(mul(h, Tensor(keep)), 1.0)
+        h = gated_conv(mul(h, Tensor(keep)), 1.0, *layer)
     return h
 
 

@@ -195,6 +195,42 @@ def test_fresh_container_pins_init_draws_and_tensor_names(tmp_path, kind):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == FRESH_DIGESTS[kind]
 
 
+def _tensors_held(obj) -> dict[int, Tensor]:
+    """Every Tensor reachable from obj through attributes, dataclass
+    fields, NamedTuples, lists, tuples and dicts, by identity."""
+    found, seen, todo = {}, set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, Tensor):
+            found[id(o)] = o
+        elif isinstance(o, (list, tuple)):  # NamedTuples too
+            todo.extend(o)
+        elif isinstance(o, dict):
+            todo.extend(o.keys())
+            todo.extend(o.values())
+        elif hasattr(o, "__dict__"):  # dataclasses and other objects
+            todo.extend(vars(o).values())
+    return found
+
+
+@pytest.mark.parametrize("mode", [None, "daat", "at"],
+                         ids=["base", "daat", "at"])
+def test_params_name_every_tensor_the_model_holds(mode):
+    # a tensor that a layer holds but params() forgets would drop out of
+    # save, load and both optimizers without a word
+    cfg = TrainConfig(char_emb=4, gcnn_dim=3, gcnn_layers=2, window=3,
+                      textcnn_filters=2, filter_sizes=(2, 3))
+    model = Segmenter.create(["dcba", "xa"], cfg, np.random.default_rng(0),
+                             mode)
+    params = model.params()
+    held = _tensors_held(model)
+    assert len({id(t) for t in params.values()}) == len(params)
+    assert held.keys() == {id(t) for t in params.values()}
+
+
 def test_segment_empty_sentence():
     model = train_base(toy_source(10), TrainConfig(**{**SMALL, "epochs": 1}))
     assert model.segment("") == []
